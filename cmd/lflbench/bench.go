@@ -69,10 +69,13 @@ type benchRow struct {
 	KeyRange int    `json:"key_range"`
 	// Workload is "uniform" (independent uniform keys) or "clustered"
 	// (sorted runs of clusterOps keys inside a clusterWindow-wide window).
-	// Batch is 0 for per-key operations or the batch length when the
-	// clustered run goes through the finger-threaded batch API — the
-	// per-key clustered row is the baseline the batch row's ops/sec is
-	// judged against.
+	// Batch is 0 for per-key operations or the batch length when the run
+	// goes through the finger-threaded batch API — the per-key row of the
+	// same workload, key range and thread count is the baseline the batch
+	// row's ops/sec is judged against. The clustered pairs sit at the
+	// small end of the inter-key gap range; the uniform pairs on the
+	// clustered mix (runs of clusterOps keys drawn from the whole key
+	// range) sit at the large end, where a batch must still not lose.
 	Workload string `json:"workload"`
 	Batch    int    `json:"batch"`
 	// Recycle is true on the churn rows that run with EBR-backed node
@@ -233,7 +236,11 @@ type benchConfig struct {
 	keyRange  int
 	ops       int
 	clustered bool
-	batch     int // 0 = per-key; else the batch length (clustered only)
+	// spread draws a clustered row's runs from the whole key range instead
+	// of a clusterWindow-wide window: same mix, same run length, but the
+	// keys of a run are unclustered — the row reports as "uniform".
+	spread bool
+	batch  int // 0 = per-key; else the batch length (clustered only)
 	// churn selects the insert-after-delete workload; recycle is its
 	// on/off pair knob (EBR-backed node recycling).
 	churn   bool
@@ -244,7 +251,7 @@ func (c benchConfig) workload() string {
 	if c.churn {
 		return "churn"
 	}
-	if c.clustered {
+	if c.clustered && !c.spread {
 		return "clustered"
 	}
 	return "uniform"
@@ -317,6 +324,18 @@ func runBenchJSON(path string, quick bool) (string, error) {
 				})
 			}
 		}
+		// The other end of the gap range: the same runs drawn from the
+		// whole key range, so a batch's keys sit ~keyRange/clusterOps
+		// apart. The finger's O(log gap) resume must keep the batch row at
+		// or above the per-key one here too.
+		if impl == "fr-skiplist" {
+			for _, batch := range []int{0, clusterOps} {
+				cfgs = append(cfgs, benchConfig{
+					impl: impl, threads: 1, keyRange: clRange, ops: implOps,
+					clustered: true, spread: true, batch: batch,
+				})
+			}
+		}
 		// The churn pairs: insert-after-delete over a small per-thread key
 		// span, once allocating every node (the control) and once with
 		// EBR-backed recycling — the allocs_per_op pair is the headline
@@ -351,6 +370,15 @@ func runBenchJSON(path string, quick bool) (string, error) {
 				})
 			}
 		}
+	}
+	// The uniform pair for the sharded map: every batch splits into four
+	// sub-runs, run inline one after the other.
+	for _, batch := range []int{0, clusterOps} {
+		cfgs = append(cfgs, benchConfig{
+			impl: "fr-sharded", threads: 1, shards: 4,
+			keyRange: shardRange, ops: ops,
+			clustered: true, spread: true, batch: batch,
+		})
 	}
 
 	out := benchJSON{
@@ -549,6 +577,9 @@ func runChurnThread(d benchDict, t, perThread int) {
 func runClusteredThread(d benchDict, cfg benchConfig, t, perThread int) {
 	rng := rand.New(rand.NewPCG(uint64(t)+1, 29))
 	window := min(clusterWindow, cfg.keyRange)
+	if cfg.spread {
+		window = cfg.keyRange
+	}
 	ins := make([]core.KV[int, int], 0, clusterOps)
 	dels := make([]int, 0, clusterOps)
 	gets := make([]int, 0, clusterOps)

@@ -37,8 +37,8 @@ func TestBenchJSONOutput(t *testing.T) {
 	// clustered per-key/batch pair and the churn recycle-off/on pair
 	// (2*2 + 2*2*2 + 2*2*2), then the sharded sweep (2 shard counts x
 	// 2 thread counts x per-key/batch): 20 + 8 rows.
-	if len(out.Benchmarks) != 28 {
-		t.Fatalf("rows = %d, want 28", len(out.Benchmarks))
+	if len(out.Benchmarks) != 32 {
+		t.Fatalf("rows = %d, want 32", len(out.Benchmarks))
 	}
 	batchRows, shardedRows := 0, 0
 	// churnPair indexes the churn rows by impl/threads so the recycle row
@@ -87,16 +87,17 @@ func TestBenchJSONOutput(t *testing.T) {
 		}
 		if row.Batch > 0 {
 			batchRows++
-			if row.Workload != "clustered" {
+			if row.Workload == "churn" {
 				t.Fatalf("%s/%d: batch row with workload %q", row.Impl, row.Threads, row.Workload)
 			}
 			// The batch rows go through the fingers: the finger counters
-			// must be live, and on a clustered stream hits must dominate.
+			// must be live, and on a sorted run - clustered or spread over
+			// the whole key range - hits must dominate.
 			if row.Counters["finger_hits"] == 0 {
 				t.Fatalf("%s/%d/batch=%d: no finger hits: %v", row.Impl, row.Threads, row.Batch, row.Counters)
 			}
 			if row.Counters["finger_hits"] < row.Counters["finger_misses"] {
-				t.Fatalf("%s/%d/batch=%d: finger hits %d < misses %d on a clustered stream",
+				t.Fatalf("%s/%d/batch=%d: finger hits %d < misses %d on a sorted run",
 					row.Impl, row.Threads, row.Batch,
 					row.Counters["finger_hits"], row.Counters["finger_misses"])
 			}
@@ -134,11 +135,11 @@ func TestBenchJSONOutput(t *testing.T) {
 			t.Fatalf("%s/%d: quantiles p50=%d p99=%d", row.Impl, row.Threads, get.P50NS, get.P99NS)
 		}
 	}
-	if batchRows != 8 {
-		t.Fatalf("batch rows = %d, want 8", batchRows)
+	if batchRows != 10 {
+		t.Fatalf("batch rows = %d, want 10", batchRows)
 	}
-	if shardedRows != 8 {
-		t.Fatalf("sharded rows = %d, want 8", shardedRows)
+	if shardedRows != 10 {
+		t.Fatalf("sharded rows = %d, want 10", shardedRows)
 	}
 	// Every churn row pairs off, and recycling cuts allocations: at steady
 	// state the recycle row's inserts come from the free lists, so its

@@ -145,11 +145,13 @@ func TestRunServerBadShards(t *testing.T) {
 // across the checked histories — point ops, batches, and the sharded
 // routing layer all stay linearizable over reused memory.
 func TestRunRecycleSmoke(t *testing.T) {
+	// Six rounds each: on a loaded box a preempted op makes a round too
+	// dense to check, and the run fails if no round is conclusive.
 	for _, args := range [][]string{
-		{"-impl", "fr-list", "-threads", "4", "-ops", "300", "-keys", "8", "-rounds", "2", "-recycle"},
-		{"-impl", "fr-skiplist", "-threads", "4", "-ops", "300", "-keys", "8", "-rounds", "2", "-recycle"},
-		{"-impl", "fr-skiplist", "-threads", "4", "-ops", "256", "-keys", "128", "-rounds", "2", "-batch", "16", "-recycle"},
-		{"-impl", "fr-skiplist", "-threads", "4", "-ops", "300", "-keys", "16", "-rounds", "2", "-shards", "4", "-recycle"},
+		{"-impl", "fr-list", "-threads", "4", "-ops", "300", "-keys", "8", "-rounds", "6", "-recycle"},
+		{"-impl", "fr-skiplist", "-threads", "4", "-ops", "300", "-keys", "8", "-rounds", "6", "-recycle"},
+		{"-impl", "fr-skiplist", "-threads", "4", "-ops", "256", "-keys", "128", "-rounds", "6", "-batch", "16", "-recycle"},
+		{"-impl", "fr-skiplist", "-threads", "4", "-ops", "300", "-keys", "16", "-rounds", "6", "-shards", "4", "-recycle"},
 	} {
 		if err := run(args); err != nil {
 			t.Fatalf("%v: %v", args, err)

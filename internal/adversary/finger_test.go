@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/core"
@@ -208,6 +209,60 @@ func TestSkipFingerSurvivesFullDeletion(t *testing.T) {
 	}
 	if st.FingerMisses != 0 {
 		t.Fatalf("finger fell back to the head tower (%d misses)", st.FingerMisses)
+	}
+	if err := l.CheckStructure(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSkipFingerClimbRecoversDeletedStop fully deletes - every level
+// flagged, marked and unlinked - the very node a resumed search is about
+// to start from, between two elements of a sorted run. The heights are
+// rigged into a perfect skip list (key k's tower has 1 + trailing-zeros(k)
+// levels), so the remembered tower after Get(17) is 17, 16, 16, 16, 16 on
+// levels 1..5 and the search for 23 climbs past levels 1-3 (their
+// brackets end at 18, 18 and 20) to resume from 16 on level 4, whose
+// bracket [16, 24) holds 23. With 16 gone, recovery must walk that
+// node's backlink to 8 and resume from there - a finger hit, not a
+// restart from the head tower.
+func TestSkipFingerClimbRecoversDeletedStop(t *testing.T) {
+	next := 1 // keys are inserted in order, one height draw each
+	perfect := func() uint64 {
+		ones := bits.TrailingZeros(uint(next)) // h-1 leading "heads" flips
+		next++
+		return 1<<ones - 1
+	}
+	l := core.NewSkipList[int, int](core.WithRandomSource(perfect))
+	for k := 1; k < 64; k++ {
+		l.Insert(nil, k, k)
+	}
+	if lv4 := l.LevelSnapshot(4); len(lv4) < 3 || lv4[1].Key != 8 || lv4[2].Key != 16 {
+		t.Fatalf("level 4 is %v, want head, 8, 16, ...: the heights are not the rigged ones", lv4)
+	}
+
+	f := l.NewFinger()
+	if _, ok := f.Get(nil, 17); !ok {
+		t.Fatal("Get(17) failed")
+	}
+	if _, ok := l.Delete(nil, 16); !ok {
+		t.Fatal("Delete(16) failed")
+	}
+	st := &core.OpStats{}
+	v, ok := f.Get(&core.Proc{Stats: st}, 23)
+	if !ok || v != 23 {
+		t.Fatalf("Get(23) = %d, %t; want 23, true", v, ok)
+	}
+	if st.FingerHits != 1 || st.FingerMisses != 0 {
+		t.Fatalf("hits/misses = %d/%d, want 1/0 (backlink recovery, not a head-tower restart)",
+			st.FingerHits, st.FingerMisses)
+	}
+	if st.BacklinkTraversals != 1 {
+		t.Fatalf("recovery walked %d backlinks, want exactly 1: level 4's 16 -> 8", st.BacklinkTraversals)
+	}
+	// From 8 on level 4: no hop there, 12 and 20 on level 3, 22 on level
+	// 2, 23 on level 1.
+	if st.CurrUpdates != 4 {
+		t.Fatalf("resumed search advanced %d times, want 4", st.CurrUpdates)
 	}
 	if err := l.CheckStructure(); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/instrument"
+	"repro/internal/telemetry"
 )
 
 // These tests pin the zero-allocation contract of the interned-record hot
@@ -429,5 +430,42 @@ func BenchmarkAllocsSkipListBatchGet(b *testing.B) {
 			keys[j] = (i + j) % 1024
 		}
 		l.GetBatch(nil, keys, nil, nil)
+	}
+}
+
+// TestAllocsSkipListRecorded pins the telemetry seam at the setting
+// lflserver runs - a recorder sampling every operation: a recorded Get,
+// Delete or GetBatch allocates nothing, because the sampled operation's
+// Proc and scratch counters come from one pool.
+func TestAllocsSkipListRecorded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random, so pooled scratch reallocates")
+	}
+	l := NewSkipList[int, int](WithRandomSource(zeroRng))
+	rec := telemetry.NewRecorder(1)
+	rec.SetSampleEvery(1)
+	l.SetTelemetry(rec)
+	for k := 0; k < 256; k++ {
+		l.Insert(nil, k, k)
+	}
+	k := 0
+	if allocs := testing.AllocsPerRun(500, func() {
+		l.Get(nil, k%256)
+		l.Delete(nil, 1000+k) // absent
+		k++
+	}); allocs != 0 {
+		t.Fatalf("recorded Get+Delete allocate %v objects per pair, want 0", allocs)
+	}
+	keys := make([]int, 16)
+	if allocs := testing.AllocsPerRun(300, func() {
+		for i := range keys {
+			keys[i] = (i * 37) % 256
+		}
+		l.GetBatch(nil, keys, nil, nil)
+	}); allocs != 0 {
+		t.Fatalf("recorded GetBatch allocates %v objects per 16-key batch, want 0", allocs)
+	}
+	if got := rec.Snapshot().TotalOps(); got == 0 {
+		t.Fatal("recorder saw no operations: the pin measured the unrecorded path")
 	}
 }

@@ -4,11 +4,12 @@ import "slices"
 
 // Batch operations: sort the keys once, then thread a single finger
 // through them so each element pays only the short hop from its
-// predecessor instead of a full search. For a batch of k keys spanning a
-// cluster of the structure, the total cost is one full search plus the
-// sum of inter-key gaps - the amortized bound DESIGN.md derives from the
-// paper's SearchFrom analysis. Each element is still an independent
-// linearizable operation; the batch as a whole is NOT atomic.
+// predecessor instead of a full search. A batch of k keys costs one full
+// search plus, per further element, the gap to its predecessor on the
+// list and the logarithm of that gap on the skip list - the amortized
+// bounds DESIGN.md Section 8 derives from the paper's SearchFrom
+// analysis. Each element is still an independent linearizable operation;
+// the batch as a whole is NOT atomic.
 //
 // All batch methods sort their argument slice in place and report results
 // positionally against the sorted order. Result slices may be nil (the

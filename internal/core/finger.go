@@ -29,7 +29,8 @@ import (
 //
 // internal/adversary/finger_test.go pins the invariant with schedules that
 // fully delete (flag -> mark -> physical) the finger's node between
-// operations; DESIGN.md maps the amortized O(n + k*d + c) batch bound to
+// operations; DESIGN.md Section 8 maps the amortized batch bounds - O(n +
+// k*d + c) on the list, O(log d + c) per element on the skip list - to
 // the paper's O(n(S) + c(S)) analysis.
 
 // Finger is a cursor over a List. It is owned by a single goroutine (one
@@ -156,10 +157,9 @@ func (f *Finger[K, V]) Search(p *Proc, k K) *Node[K, V] {
 		l.tel.FinishOp(tok, telemetry.OpGet, nil)
 		return n
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n := f.search(&pr, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, st)
+	s := beginSampled(p)
+	n := f.search(&s.pr, k)
+	finishSampled(l.tel, tok, telemetry.OpGet, p, s)
 	return n
 }
 
@@ -176,10 +176,9 @@ func (f *Finger[K, V]) Get(p *Proc, k K) (V, bool) {
 		l.tel.FinishOp(tok, telemetry.OpGet, nil)
 		return v, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	v, ok := f.get(&pr, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, st)
+	s := beginSampled(p)
+	v, ok := f.get(&s.pr, k)
+	finishSampled(l.tel, tok, telemetry.OpGet, p, s)
 	return v, ok
 }
 
@@ -197,10 +196,9 @@ func (f *Finger[K, V]) Insert(p *Proc, k K, v V) (*Node[K, V], bool) {
 		l.tel.FinishOp(tok, telemetry.OpInsert, nil)
 		return n, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n, ok := f.insert(&pr, k, v)
-	finishSampled(l.tel, tok, telemetry.OpInsert, p, st)
+	s := beginSampled(p)
+	n, ok := f.insert(&s.pr, k, v)
+	finishSampled(l.tel, tok, telemetry.OpInsert, p, s)
 	return n, ok
 }
 
@@ -217,10 +215,9 @@ func (f *Finger[K, V]) Delete(p *Proc, k K) (*Node[K, V], bool) {
 		l.tel.FinishOp(tok, telemetry.OpDelete, nil)
 		return n, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n, ok := f.remove(&pr, k)
-	finishSampled(l.tel, tok, telemetry.OpDelete, p, st)
+	s := beginSampled(p)
+	n, ok := f.remove(&s.pr, k)
+	finishSampled(l.tel, tok, telemetry.OpDelete, p, s)
 	return n, ok
 }
 
@@ -228,26 +225,24 @@ func (f *Finger[K, V]) Delete(p *Proc, k K) (*Node[K, V], bool) {
 // it equals the WithMaxLevel clamp, so every configuration fits.
 const maxFingerLevels = 64
 
-// fingerProbeHops bounds the adjacency probe on the target level: if the
-// key is not bracketed within this many hops of the level-v finger, the
-// search falls back to descending from the finger's top level (and from
-// there, possibly, to the head tower). Small enough that a probe that
-// fails costs a constant, large enough to cover a clustered batch's
-// typical inter-key gap.
-const fingerProbeHops = 8
-
-// SkipFinger is a cursor over a SkipList: it remembers the predecessor
-// tower of the last search (one node per level) and starts the next
-// search there when the key is >= the finger position, descending from
-// the head tower otherwise. Owned by a single goroutine, like Finger.
-// The zero value is unusable; obtain one from SkipList.NewFinger.
+// SkipFinger is a cursor over a SkipList: it remembers, for every level
+// the last search crossed, the two nodes that search ended between, and
+// resumes the next search from the lowest remembered level that still
+// brackets the new key - descending from the head tower only when no
+// remembered predecessor orders below it. Owned by a single goroutine,
+// like Finger. The zero value is unusable; obtain one from
+// SkipList.NewFinger.
 type SkipFinger[K comparable, V any] struct {
 	l *SkipList[K, V]
 	// top is the highest level with a recorded predecessor; 0 when cold.
 	top int
-	// prevs[i] is the predecessor this finger last observed on level i+1.
-	// Only levels 1..top are meaningful.
+	// prevs[i] and nexts[i] are the pair searchRight last returned on level
+	// i+1: the predecessor a resumed search starts from, and the successor
+	// whose key bounds the keys that predecessor still brackets. nexts is
+	// consulted for its immutable key only, never traversed, so a stale
+	// entry costs steps, not correctness. Only levels 1..top are meaningful.
 	prevs [maxFingerLevels]*SLNode[K, V]
+	nexts [maxFingerLevels]*SLNode[K, V]
 	// pin keeps the remembered towers out of the recycler between
 	// operations; see Finger.pin.
 	pin *ebr.Pin
@@ -267,6 +262,7 @@ func (f *SkipFinger[K, V]) SkipList() *SkipList[K, V] { return f.l }
 func (f *SkipFinger[K, V]) Reset() {
 	f.top = 0
 	clear(f.prevs[:])
+	clear(f.nexts[:])
 	f.pin.Unpin()
 	f.pin = nil
 }
@@ -291,50 +287,43 @@ func (f *SkipFinger[K, V]) recover(p *Proc, n *SLNode[K, V]) *SLNode[K, V] {
 	return n
 }
 
-// start resolves the finger to a search start for key k on level v. It
-// tries, in order:
+// start resolves the finger to a search start for key k on level v by
+// climbing the remembered tower: from level v upward, it skips every level
+// whose remembered successor still orders below k - k lies beyond that
+// level's bracket - and stops on the first level whose predecessor, after
+// backlink recovery, orders below k; the search descends from there. Two
+// keys a gap of d apart share their brackets above level ~log2 d, so the
+// descent is O(log d) levels, and the climb itself reads no shared
+// successor field: resuming never costs more than the search it replaces.
+// A remembered predecessor that orders after k (the finger moved
+// backwards) is skipped too - a higher one may still precede k. Reaching
+// the finger's top starts there, bracket or not; only a finger with no
+// usable level falls back to the head tower (findStart) - a miss.
 //
-//  1. the level-v finger itself, when the key is bracketed within a
-//     constant probe of it - the O(d) hop path for clustered keys;
-//  2. the finger's top-level predecessor, descending from there -
-//     bounded by a full search but localized near the finger;
-//  3. the head tower (findStart) - the plain from-top search.
+// Whatever level the climb picks, the start is a remembered predecessor
+// after backlink recovery: a node once in its level's list, ordered below
+// k - SEARCHFROM's whole precondition. The remembered successors only
+// choose WHICH such node, so a stale one (its node deleted, a key inserted
+// before it) costs extra hops or levels, never correctness.
 //
-// Cases 1-2 are finger hits, case 3 a miss.
+// Above level 1 the start must order strictly below k even in a
+// non-strict search: approaching k's own tower from a true predecessor
+// lets searchRight examine the tower's node - and, when the tower is
+// dead (superfluous), complete its three-step deletion. Starting on the
+// node itself would skip that duty, stranding the tower after a finger
+// Delete's sweep and livelocking an Insert retrying against it. On level
+// 1 a dead node is marked, not superfluous, so recover() already rules it
+// out and an exact-key start is safe.
 func (f *SkipFinger[K, V]) start(p *Proc, k K, v int, strict bool) (*SLNode[K, V], int) {
 	st := p.StatsOrNil()
 	l := f.l
-	// Above level 1 the start must order strictly below k even in a
-	// non-strict search: approaching k's own tower from a true predecessor
-	// lets searchRight examine the tower's node - and, when the tower is
-	// dead (superfluous), complete its three-step deletion. Starting on
-	// the node itself would skip that duty, stranding the tower after a
-	// finger Delete's sweep and livelocking an Insert retrying against it.
-	// On level 1 a dead node is marked, not superfluous, so recover()
-	// already rules it out and an exact-key start is safe. The probe
-	// advances strictly below k at every level for the same reason,
-	// leaving the final approach to searchRight.
-	candStrict := strict || v > 1
-	if f.top >= v && f.prevs[v-1] != nil {
-		n := f.recover(p, f.prevs[v-1])
-		if l.nodeLeq(n, k, candStrict) {
-			for hops := 0; hops < fingerProbeHops; hops++ {
-				next := n.right()
-				st.IncNext()
-				if !l.nodeLeq(next, k, true) {
-					st.IncFinger(true)
-					return n, v // bracketed: the search ends in O(1)
-				}
-				n = next
-				st.IncCurr()
-			}
+	for i := v; i <= f.top && f.prevs[i-1] != nil; i++ {
+		if i < f.top && l.nodeLeq(f.nexts[i-1], k, true) {
+			continue
 		}
-	}
-	if f.top > v {
-		n := f.recover(p, f.prevs[f.top-1])
-		if l.nodeLeq(n, k, candStrict) {
+		if n := f.recover(p, f.prevs[i-1]); l.nodeLeq(n, k, strict || i > 1) {
 			st.IncFinger(true)
-			return n, f.top
+			return n, i
 		}
 	}
 	st.IncFinger(false)
@@ -343,8 +332,8 @@ func (f *SkipFinger[K, V]) start(p *Proc, k K, v int, strict bool) (*SLNode[K, V
 	return curr, lv
 }
 
-// sweep implements slSearcher's post-deletion cleanup. Unlike the probe
-// path, it must cover every nonempty level down to 2 - the deleted tower
+// sweep implements slSearcher's post-deletion cleanup. Unlike start, it
+// must cover every nonempty level down to 2 - the deleted tower
 // can be taller than anything this finger has seen - so it descends from
 // the top of the structure like the plain sweep, but on each level jumps
 // to the finger's recorded predecessor when that is still a strict
@@ -363,7 +352,7 @@ func (f *SkipFinger[K, V]) sweep(p *Proc, k K) {
 				curr = c
 			}
 		}
-		curr, _ = l.searchRight(p, k, curr, false)
+		curr, f.nexts[lv-1] = l.searchRight(p, k, curr, false)
 		f.prevs[lv-1] = curr
 		curr = curr.down
 	}
@@ -375,13 +364,13 @@ func (f *SkipFinger[K, V]) sweep(p *Proc, k K) {
 func (f *SkipFinger[K, V]) searchToLevel(p *Proc, k K, v int, strict bool) (*SLNode[K, V], *SLNode[K, V]) {
 	curr, lv := f.start(p, k, v, strict)
 	for lv > v {
-		curr, _ = f.l.searchRight(p, k, curr, strict)
+		curr, f.nexts[lv-1] = f.l.searchRight(p, k, curr, strict)
 		f.prevs[lv-1] = curr
 		curr = curr.down
 		lv--
 	}
 	curr, next := f.l.searchRight(p, k, curr, strict)
-	f.prevs[v-1] = curr
+	f.prevs[v-1], f.nexts[v-1] = curr, next
 	return curr, next
 }
 
@@ -399,10 +388,9 @@ func (f *SkipFinger[K, V]) Search(p *Proc, k K) *SLNode[K, V] {
 		l.tel.FinishOp(tok, telemetry.OpGet, nil)
 		return n
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n := l.searchVia(&pr, f, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, st)
+	s := beginSampled(p)
+	n := l.searchVia(&s.pr, f, k)
+	finishSampled(l.tel, tok, telemetry.OpGet, p, s)
 	return n
 }
 
@@ -428,10 +416,9 @@ func (f *SkipFinger[K, V]) Insert(p *Proc, k K, v V) (*SLNode[K, V], bool) {
 		l.tel.FinishOp(tok, telemetry.OpInsert, nil)
 		return n, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n, ok := l.insertVia(&pr, f, k, v)
-	finishSampled(l.tel, tok, telemetry.OpInsert, p, st)
+	s := beginSampled(p)
+	n, ok := l.insertVia(&s.pr, f, k, v)
+	finishSampled(l.tel, tok, telemetry.OpInsert, p, s)
 	return n, ok
 }
 
@@ -448,9 +435,8 @@ func (f *SkipFinger[K, V]) Delete(p *Proc, k K) (*SLNode[K, V], bool) {
 		l.tel.FinishOp(tok, telemetry.OpDelete, nil)
 		return n, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n, ok := l.removeVia(&pr, f, k)
-	finishSampled(l.tel, tok, telemetry.OpDelete, p, st)
+	s := beginSampled(p)
+	n, ok := l.removeVia(&s.pr, f, k)
+	finishSampled(l.tel, tok, telemetry.OpDelete, p, s)
 	return n, ok
 }

@@ -132,8 +132,9 @@ func TestSkipFingerAscending(t *testing.T) {
 	if st.FingerMisses != 1 || st.FingerHits != 255 {
 		t.Fatalf("hits/misses = %d/%d, want 255/1", st.FingerHits, st.FingerMisses)
 	}
-	// Adjacent keys must resolve on level 1 via the bounded probe: a few
-	// hops per op, no descent from the top of the head tower.
+	// Adjacent keys must resolve on level 1, where the remembered bracket
+	// still holds the next key: a hop per op, no descent from the top of
+	// the head tower.
 	if st.CurrUpdates > 4*256 {
 		t.Fatalf("ascending skip finger sweep did %d curr updates over 256 ops", st.CurrUpdates)
 	}
@@ -160,6 +161,51 @@ func TestSkipFingerMixedOps(t *testing.T) {
 		if want := k%2 == 1; ok != want {
 			t.Fatalf("Get(%d) present=%t, want %t", k, ok, want)
 		}
+	}
+	if err := l.CheckStructure(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSkipFingerRandomOpsAgainstMap drives one long-lived finger with
+// random operations on random keys - forward and backward moves of every
+// size, tower building and sweeps from whatever level the climb picks -
+// against a reference map.
+func TestSkipFingerRandomOpsAgainstMap(t *testing.T) {
+	const span = 4096
+	l := NewSkipList[int, int]()
+	f := l.NewFinger()
+	ref := map[int]int{}
+	rng := rand.New(rand.NewPCG(12, 34))
+	for i := 0; i < 40000; i++ {
+		k := rng.IntN(span)
+		if i%4 == 3 {
+			k = max(0, min(span-1, k%64-32+i%span)) // a run of nearby keys
+		}
+		switch rng.IntN(3) {
+		case 0:
+			_, had := ref[k]
+			if _, ok := f.Insert(nil, k, i); ok == had {
+				t.Fatalf("op %d: Insert(%d) = %t with key present=%t", i, k, ok, had)
+			}
+			if !had {
+				ref[k] = i
+			}
+		case 1:
+			_, had := ref[k]
+			if _, ok := f.Delete(nil, k); ok != had {
+				t.Fatalf("op %d: Delete(%d) = %t with key present=%t", i, k, ok, had)
+			}
+			delete(ref, k)
+		default:
+			want, had := ref[k]
+			if v, ok := f.Get(nil, k); ok != had || (had && v != want) {
+				t.Fatalf("op %d: Get(%d) = %d, %t; want %d, %t", i, k, v, ok, want, had)
+			}
+		}
+	}
+	if l.Len() != len(ref) {
+		t.Fatalf("Len = %d, reference holds %d", l.Len(), len(ref))
 	}
 	if err := l.CheckStructure(); err != nil {
 		t.Fatal(err)

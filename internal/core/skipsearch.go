@@ -81,12 +81,10 @@ func (l *SkipList[K, V]) searchRight(p *Proc, k K, curr *SLNode[K, V], strict bo
 			st.IncNext()
 			continue
 		}
-		if l.nodeLeq(next, k, strict) {
-			curr = next
-			st.IncCurr()
-			next = curr.right()
-			st.IncNext()
-		}
+		curr = next
+		st.IncCurr()
+		next = curr.right()
+		st.IncNext()
 	}
 	p.At(PtSearchDone)
 	return curr, next

@@ -21,11 +21,13 @@ import (
 //
 //   - unsampled operations run with the caller's own Proc untouched and
 //     pay one atomic load plus one striped atomic add,
-//   - sampled operations borrow a scratch OpStats from a sync.Pool (it
-//     cannot live on the stack: the hook interface call in the inner
-//     operations makes escape analysis spill anything reachable from the
-//     Proc), read the clock twice, and flush a handful of striped atomic
-//     adds — never per step, so the algorithms' hot loops are untouched.
+//   - sampled operations borrow a sampledOp — a scratch OpStats plus the
+//     Proc that points at it — from a sync.Pool (neither can live on the
+//     stack: the hook interface call in the inner operations makes escape
+//     analysis spill the Proc and anything reachable from it), read the
+//     clock twice, and flush a handful of striped atomic adds — never per
+//     step, so the algorithms' hot loops are untouched. A recorded
+//     operation therefore allocates nothing, even at SampleEvery(1).
 //
 // A caller-supplied Proc always sees exact stats: unsampled operations
 // write straight into it, sampled ones mirror the scratch back.
@@ -45,36 +47,40 @@ func (l *SkipList[K, V]) SetTelemetry(rec *telemetry.Recorder) { l.tel = rec }
 // Telemetry returns the attached recorder, or nil.
 func (l *SkipList[K, V]) Telemetry() *telemetry.Recorder { return l.tel }
 
-// statsPool recycles scratch OpStats for sampled operations.
-var statsPool = sync.Pool{New: func() any { return new(OpStats) }}
-
-func getScratch() *OpStats {
-	st := statsPool.Get().(*OpStats)
-	*st = OpStats{}
-	return st
+// sampledOp is the per-operation state of one sampled operation: the Proc
+// handed to the inner operation and the scratch counters it points at.
+type sampledOp struct {
+	pr Proc
+	st OpStats
 }
 
-// telemetryProc returns a copy of p (hooks, ID, retire callback intact)
-// whose step counters point at st, so the operation's essential steps are
-// collected locally regardless of whether the caller passed its own Proc.
-func telemetryProc(p *Proc, st *OpStats) Proc {
-	var pr Proc
+// sampledPool recycles sampledOps, one Get/Put per sampled operation.
+var sampledPool = sync.Pool{New: func() any { return new(sampledOp) }}
+
+// beginSampled returns a sampledOp whose Proc is a copy of p (hooks, ID,
+// retire callback, epoch pin intact) with its step counters redirected to
+// zeroed scratch, so the operation's essential steps are collected locally
+// regardless of whether the caller passed its own Proc.
+func beginSampled(p *Proc) *sampledOp {
+	s := sampledPool.Get().(*sampledOp)
 	if p != nil {
-		pr = *p
+		s.pr = *p
 	}
-	pr.Stats = st
-	return pr
+	s.st = OpStats{}
+	s.pr.Stats = &s.st
+	return s
 }
 
 // finishSampled records one sampled operation and mirrors the locally
 // collected steps into the caller's own counters, if it brought any, so an
 // instrumented benchmark sees exactly what the live metrics see.
-func finishSampled(rec *telemetry.Recorder, tok telemetry.OpToken, op telemetry.Op, p *Proc, st *OpStats) {
-	rec.FinishOp(tok, op, st)
+func finishSampled(rec *telemetry.Recorder, tok telemetry.OpToken, op telemetry.Op, p *Proc, s *sampledOp) {
+	rec.FinishOp(tok, op, &s.st)
 	if outer := p.StatsOrNil(); outer != nil {
-		outer.Add(st)
+		outer.Add(&s.st)
 	}
-	statsPool.Put(st)
+	s.pr = Proc{} // a pooled Proc must not keep the caller's hooks or pin alive
+	sampledPool.Put(s)
 }
 
 // Search looks up k and returns its node, or nil if k is absent.
@@ -90,10 +96,9 @@ func (l *List[K, V]) Search(p *Proc, k K) *Node[K, V] {
 		l.tel.FinishOp(tok, telemetry.OpGet, nil)
 		return n
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n := l.search(&pr, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, st)
+	s := beginSampled(p)
+	n := l.search(&s.pr, k)
+	finishSampled(l.tel, tok, telemetry.OpGet, p, s)
 	return n
 }
 
@@ -109,10 +114,9 @@ func (l *List[K, V]) Get(p *Proc, k K) (V, bool) {
 		l.tel.FinishOp(tok, telemetry.OpGet, nil)
 		return v, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	v, ok := l.get(&pr, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, st)
+	s := beginSampled(p)
+	v, ok := l.get(&s.pr, k)
+	finishSampled(l.tel, tok, telemetry.OpGet, p, s)
 	return v, ok
 }
 
@@ -130,10 +134,9 @@ func (l *List[K, V]) Insert(p *Proc, k K, v V) (*Node[K, V], bool) {
 		l.tel.FinishOp(tok, telemetry.OpInsert, nil)
 		return n, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n, ok := l.insert(&pr, k, v)
-	finishSampled(l.tel, tok, telemetry.OpInsert, p, st)
+	s := beginSampled(p)
+	n, ok := l.insert(&s.pr, k, v)
+	finishSampled(l.tel, tok, telemetry.OpInsert, p, s)
 	return n, ok
 }
 
@@ -151,10 +154,9 @@ func (l *List[K, V]) Delete(p *Proc, k K) (*Node[K, V], bool) {
 		l.tel.FinishOp(tok, telemetry.OpDelete, nil)
 		return n, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n, ok := l.remove(&pr, k)
-	finishSampled(l.tel, tok, telemetry.OpDelete, p, st)
+	s := beginSampled(p)
+	n, ok := l.remove(&s.pr, k)
+	finishSampled(l.tel, tok, telemetry.OpDelete, p, s)
 	return n, ok
 }
 
@@ -187,10 +189,9 @@ func (l *SkipList[K, V]) Search(p *Proc, k K) *SLNode[K, V] {
 		l.tel.FinishOp(tok, telemetry.OpGet, nil)
 		return n
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n := l.search(&pr, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, st)
+	s := beginSampled(p)
+	n := l.search(&s.pr, k)
+	finishSampled(l.tel, tok, telemetry.OpGet, p, s)
 	return n
 }
 
@@ -206,10 +207,9 @@ func (l *SkipList[K, V]) Get(p *Proc, k K) (V, bool) {
 		l.tel.FinishOp(tok, telemetry.OpGet, nil)
 		return v, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	v, ok := l.get(&pr, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, st)
+	s := beginSampled(p)
+	v, ok := l.get(&s.pr, k)
+	finishSampled(l.tel, tok, telemetry.OpGet, p, s)
 	return v, ok
 }
 
@@ -228,10 +228,9 @@ func (l *SkipList[K, V]) Insert(p *Proc, k K, v V) (*SLNode[K, V], bool) {
 		l.tel.FinishOp(tok, telemetry.OpInsert, nil)
 		return n, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n, ok := l.insert(&pr, k, v)
-	finishSampled(l.tel, tok, telemetry.OpInsert, p, st)
+	s := beginSampled(p)
+	n, ok := l.insert(&s.pr, k, v)
+	finishSampled(l.tel, tok, telemetry.OpInsert, p, s)
 	return n, ok
 }
 
@@ -250,10 +249,9 @@ func (l *SkipList[K, V]) Delete(p *Proc, k K) (*SLNode[K, V], bool) {
 		l.tel.FinishOp(tok, telemetry.OpDelete, nil)
 		return n, ok
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	n, ok := l.remove(&pr, k)
-	finishSampled(l.tel, tok, telemetry.OpDelete, p, st)
+	s := beginSampled(p)
+	n, ok := l.remove(&s.pr, k)
+	finishSampled(l.tel, tok, telemetry.OpDelete, p, s)
 	return n, ok
 }
 
@@ -298,8 +296,7 @@ func (l *SkipList[K, V]) AscendRange(p *Proc, from, to K, fn func(k K, v V) bool
 		l.tel.FinishOp(tok, telemetry.OpAscend, nil)
 		return
 	}
-	st := getScratch()
-	pr := telemetryProc(p, st)
-	l.ascendRange(&pr, from, to, fn)
-	finishSampled(l.tel, tok, telemetry.OpAscend, p, st)
+	s := beginSampled(p)
+	l.ascendRange(&s.pr, from, to, fn)
+	finishSampled(l.tel, tok, telemetry.OpAscend, p, s)
 }

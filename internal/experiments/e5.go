@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math/rand/v2"
 	"time"
 
 	"repro/internal/core"
@@ -54,7 +55,10 @@ func RunE5(cfg E5Config) E5Result {
 	for _, n := range cfg.Ns {
 		row := E5Row{N: n}
 
-		sl := core.NewSkipList[int, int]()
+		// Seeded tower heights (safe unsynchronized: the sweep is single-
+		// threaded): the step counts, and so the fit, repeat exactly.
+		heights := rand.New(rand.NewPCG(uint64(n), 5))
+		sl := core.NewSkipList[int, int](core.WithRandomSource(heights.Uint64))
 		for k := 0; k < 2*n; k += 2 {
 			sl.Insert(nil, k, k)
 		}

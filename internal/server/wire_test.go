@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/lockfree"
+	ltel "repro/lockfree/telemetry"
 )
 
 // wirePair serves a store over one end of a net.Pipe with deadlines
@@ -94,6 +95,60 @@ func TestWireAllocsResp(t *testing.T) {
 	t.Run("set", func(t *testing.T) {
 		pinAllocs(t, cl, strings.Repeat(set, depth), depth*len("+OK\r\n"), 1)
 	})
+}
+
+// TestWireAllocsShardedRecorded pins the wire path on the store lflserver
+// actually runs - four range shards under a recorder that samples every
+// operation - with depth-16 bursts whose keys land in all four shards, so
+// each coalesced stretch becomes a sharded batch of four sub-runs. The
+// unsharded, unrecorded pins above never reach the sharded batch code or
+// the sampled-operation seam; this one fails if either allocates.
+func TestWireAllocsShardedRecorded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random, so pooled scratch reallocates")
+	}
+	const depth = 16
+	tel := ltel.New("wire-allocs-sharded", ltel.WithSampleEvery(1))
+	t.Cleanup(tel.Unregister)
+	cl := wirePair(t, lockfree.NewShardedSkipList[int, string](
+		lockfree.EqualSplitters(0, 1<<20, 4), lockfree.WithTelemetry(tel)))
+
+	const value = "valuevaluevaluevalue"
+	key := func(i int) string { return fmt.Sprint((i%4)<<18 + i) } // shard i%4
+	var gets, dels, mixed strings.Builder
+	mixedLen := 0
+	for i := 0; i < depth; i++ {
+		gets.WriteString(respCmd("GET", key(i)))
+		dels.WriteString(respCmd("DEL", key(i+depth))) // never set
+		switch {
+		case i < 6:
+			mixed.WriteString(respCmd("GET", key(i)))
+			mixedLen += len("$20\r\n" + value + "\r\n")
+		case i < 11:
+			mixed.WriteString(respCmd("DEL", key(i+depth)))
+			mixedLen += len(":0\r\n")
+		default:
+			mixed.WriteString(respCmd("SET", key(i), value)) // duplicate
+			mixedLen += len("+OK\r\n")
+		}
+	}
+	ok := make([]byte, len("+OK\r\n"))
+	for i := 0; i < depth; i++ {
+		exchange(t, cl, []byte(respCmd("SET", key(i), value)), ok)
+	}
+
+	t.Run("get", func(t *testing.T) {
+		pinAllocs(t, cl, gets.String(), depth*len("$20\r\n"+value+"\r\n"), 0)
+	})
+	t.Run("del", func(t *testing.T) {
+		pinAllocs(t, cl, dels.String(), depth*len(":0\r\n"), 0)
+	})
+	t.Run("mixed", func(t *testing.T) {
+		pinAllocs(t, cl, mixed.String(), mixedLen, 1)
+	})
+	if got := tel.Snapshot().Counters.ShardOps; got == 0 {
+		t.Fatal("recorder saw no routed operations: the pin measured the wrong store")
+	}
 }
 
 // benchWire measures one pipelined exchange per iteration; with

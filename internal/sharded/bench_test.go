@@ -20,7 +20,6 @@ func evenSplitters(keyRange, s int) []int {
 func benchMap(b *testing.B, keyRange, shards int) *Map[int, int] {
 	b.Helper()
 	m := New[int, int](evenSplitters(keyRange, shards))
-	m.SetParallel(false) // single-goroutine benchmarks measure the routing itself
 	for k := 0; k < keyRange; k += 2 {
 		m.Insert(nil, k, k)
 	}
@@ -62,8 +61,8 @@ func BenchmarkShardedInsertDelete(b *testing.B) {
 
 // BenchmarkShardedGetBatch measures the sorted clustered batch path: one
 // sort, one splitter partition, then finger-threaded sub-runs per shard.
-// Sequential batches must not allocate (the cuts buffer and the shard
-// fingers are pooled); the benchdiff allocs gate pins that at 0.
+// Batches must not allocate (the cuts buffer and the shard fingers are
+// pooled); the benchdiff allocs gate pins that at 0.
 func BenchmarkShardedGetBatch(b *testing.B) {
 	const (
 		keyRange = 8192

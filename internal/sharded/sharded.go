@@ -22,19 +22,16 @@
 //
 // Batch operations sort once at the map level, partition the sorted run
 // into per-shard sub-runs with one binary search per splitter, and execute
-// each sub-run through the owning shard's pooled search finger. When
-// fan-out is enabled (SetParallel; default on multi-P runtimes) and the
-// caller attached no Proc, sub-runs of one batch execute concurrently on
-// separate goroutines — they touch disjoint structures, so they cannot
-// contend. With a Proc attached the sub-runs always run sequentially: a
-// Proc (its stats, its hooks) is single-goroutine state, and adversary
-// schedules rely on the deterministic order.
+// each sub-run, in shard order on the caller's goroutine, through the
+// owning shard's pooled search finger. The map starts no goroutines:
+// concurrency comes from the callers (connections, group-batch executors),
+// which already own one each — a sub-run averages a handful of keys, less
+// work than handing it to another goroutine costs.
 package sharded
 
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -45,16 +42,11 @@ import (
 
 // Map is a range-sharded ordered dictionary over S core skip lists.
 // Construct with New or NewFunc. All methods are safe for concurrent use;
-// every shard is lock-free, and the map layer adds no locks (the batch
-// fan-out's WaitGroup only joins the map's own helper goroutines).
+// every shard is lock-free, and the map layer adds no locks.
 type Map[K comparable, V any] struct {
 	compare   func(K, K) int
 	splitters []K // len = Shards()-1, strictly increasing
 	shards    []*core.SkipList[K, V]
-
-	// parallel enables the batch fan-out for Proc-less batches. Written
-	// by SetParallel before the map is shared; read unsynchronized.
-	parallel bool
 
 	// tel, when non-nil, receives the map-level shard_ops routing counts;
 	// the shards flush their own per-operation metrics into the same
@@ -62,7 +54,7 @@ type Map[K comparable, V any] struct {
 	tel *telemetry.Recorder
 
 	// cutsPool recycles the sub-run boundary buffers ([]int of length
-	// Shards()+1) so sequential batches allocate nothing.
+	// Shards()+1) so batches allocate nothing.
 	cutsPool sync.Pool
 }
 
@@ -95,7 +87,6 @@ func NewFunc[K comparable, V any](compare func(K, K) int, splitters []K, opts ..
 		compare:   compare,
 		splitters: slices.Clone(splitters),
 		shards:    make([]*core.SkipList[K, V], s),
-		parallel:  runtime.GOMAXPROCS(0) > 1,
 	}
 	for i := range m.shards {
 		m.shards[i] = core.NewSkipListFunc[K, V](compare, opts...)
@@ -118,15 +109,6 @@ func (m *Map[K, V]) Shard(i int) *core.SkipList[K, V] { return m.shards[i] }
 
 // Splitters returns a copy of the splitter set.
 func (m *Map[K, V]) Splitters() []K { return slices.Clone(m.splitters) }
-
-// SetParallel enables (true) or disables (false) the batch fan-out for
-// batches without a Proc. The default is on iff GOMAXPROCS > 1 at
-// construction — on a single P the goroutine handoff only adds latency.
-// Call before the map is shared.
-func (m *Map[K, V]) SetParallel(on bool) { m.parallel = on }
-
-// Parallel reports whether the batch fan-out is enabled.
-func (m *Map[K, V]) Parallel() bool { return m.parallel }
 
 // SetTelemetry attaches rec to the map and every shard: the shards flush
 // their per-operation step counts and latencies, the map layer adds the
@@ -258,23 +240,6 @@ func (m *Map[K, V]) cutsForItems(items []core.KV[K, V], cuts []int) {
 	cuts[len(m.splitters)+1] = len(items)
 }
 
-// fanOut reports whether this batch's sub-runs should run on their own
-// goroutines: fan-out enabled, no Proc attached (a Proc is
-// single-goroutine state: sharing it would race on its stats and
-// de-determinize its hooks), and at least two nonempty sub-runs.
-func (m *Map[K, V]) fanOut(p *core.Proc, cuts []int) bool {
-	if !m.parallel || p != nil {
-		return false
-	}
-	nonempty := 0
-	for i := 0; i < len(cuts)-1; i++ {
-		if cuts[i] < cuts[i+1] {
-			nonempty++
-		}
-	}
-	return nonempty > 1
-}
-
 // GetBatch looks up every key in keys, sorting keys in place first; the
 // same positional contract as the skip list's GetBatch (results land
 // against the sorted order). Each sub-run threads the owning shard's
@@ -284,36 +249,15 @@ func (m *Map[K, V]) GetBatch(p *core.Proc, keys []K, vals []V, found []bool) int
 	cp := m.cutsPool.Get().(*[]int)
 	cuts := *cp
 	m.cutsForKeys(keys, cuts)
+	st := p.StatsOrNil()
 	n := 0
-	if m.fanOut(p, cuts) {
-		var wg sync.WaitGroup
-		counts := make([]int, len(m.shards))
-		for i := range m.shards {
-			lo, hi := cuts[i], cuts[i+1]
-			if lo == hi {
-				continue
-			}
-			m.countShard(nil, uint64(hi-lo))
-			wg.Add(1)
-			go func(i, lo, hi int) {
-				defer wg.Done()
-				counts[i] = m.shards[i].GetBatch(nil, keys[lo:hi], sub(vals, lo, hi), sub(found, lo, hi))
-			}(i, lo, hi)
+	for i, sh := range m.shards {
+		lo, hi := cuts[i], cuts[i+1]
+		if lo == hi {
+			continue
 		}
-		wg.Wait()
-		for _, c := range counts {
-			n += c
-		}
-	} else {
-		st := p.StatsOrNil()
-		for i, sh := range m.shards {
-			lo, hi := cuts[i], cuts[i+1]
-			if lo == hi {
-				continue
-			}
-			m.countShard(st, uint64(hi-lo))
-			n += sh.GetBatch(p, keys[lo:hi], sub(vals, lo, hi), sub(found, lo, hi))
-		}
+		m.countShard(st, uint64(hi-lo))
+		n += sh.GetBatch(p, keys[lo:hi], sub(vals, lo, hi), sub(found, lo, hi))
 	}
 	m.cutsPool.Put(cp)
 	return n
@@ -327,36 +271,15 @@ func (m *Map[K, V]) InsertBatch(p *core.Proc, items []core.KV[K, V], inserted []
 	cp := m.cutsPool.Get().(*[]int)
 	cuts := *cp
 	m.cutsForItems(items, cuts)
+	st := p.StatsOrNil()
 	n := 0
-	if m.fanOut(p, cuts) {
-		var wg sync.WaitGroup
-		counts := make([]int, len(m.shards))
-		for i := range m.shards {
-			lo, hi := cuts[i], cuts[i+1]
-			if lo == hi {
-				continue
-			}
-			m.countShard(nil, uint64(hi-lo))
-			wg.Add(1)
-			go func(i, lo, hi int) {
-				defer wg.Done()
-				counts[i] = m.shards[i].InsertBatch(nil, items[lo:hi], sub(inserted, lo, hi))
-			}(i, lo, hi)
+	for i, sh := range m.shards {
+		lo, hi := cuts[i], cuts[i+1]
+		if lo == hi {
+			continue
 		}
-		wg.Wait()
-		for _, c := range counts {
-			n += c
-		}
-	} else {
-		st := p.StatsOrNil()
-		for i, sh := range m.shards {
-			lo, hi := cuts[i], cuts[i+1]
-			if lo == hi {
-				continue
-			}
-			m.countShard(st, uint64(hi-lo))
-			n += sh.InsertBatch(p, items[lo:hi], sub(inserted, lo, hi))
-		}
+		m.countShard(st, uint64(hi-lo))
+		n += sh.InsertBatch(p, items[lo:hi], sub(inserted, lo, hi))
 	}
 	m.cutsPool.Put(cp)
 	return n
@@ -370,36 +293,15 @@ func (m *Map[K, V]) DeleteBatch(p *core.Proc, keys []K, deleted []bool) int {
 	cp := m.cutsPool.Get().(*[]int)
 	cuts := *cp
 	m.cutsForKeys(keys, cuts)
+	st := p.StatsOrNil()
 	n := 0
-	if m.fanOut(p, cuts) {
-		var wg sync.WaitGroup
-		counts := make([]int, len(m.shards))
-		for i := range m.shards {
-			lo, hi := cuts[i], cuts[i+1]
-			if lo == hi {
-				continue
-			}
-			m.countShard(nil, uint64(hi-lo))
-			wg.Add(1)
-			go func(i, lo, hi int) {
-				defer wg.Done()
-				counts[i] = m.shards[i].DeleteBatch(nil, keys[lo:hi], sub(deleted, lo, hi))
-			}(i, lo, hi)
+	for i, sh := range m.shards {
+		lo, hi := cuts[i], cuts[i+1]
+		if lo == hi {
+			continue
 		}
-		wg.Wait()
-		for _, c := range counts {
-			n += c
-		}
-	} else {
-		st := p.StatsOrNil()
-		for i, sh := range m.shards {
-			lo, hi := cuts[i], cuts[i+1]
-			if lo == hi {
-				continue
-			}
-			m.countShard(st, uint64(hi-lo))
-			n += sh.DeleteBatch(p, keys[lo:hi], sub(deleted, lo, hi))
-		}
+		m.countShard(st, uint64(hi-lo))
+		n += sh.DeleteBatch(p, keys[lo:hi], sub(deleted, lo, hi))
 	}
 	m.cutsPool.Put(cp)
 	return n

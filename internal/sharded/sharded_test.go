@@ -160,13 +160,11 @@ func TestBatchPartition(t *testing.T) {
 	}
 }
 
-// TestBatchParallelFanOut forces the fan-out on (regardless of GOMAXPROCS)
-// and checks a large multi-shard batch behaves identically to the
-// sequential path. Run under -race this also proves the sub-runs share
-// nothing they shouldn't.
-func TestBatchParallelFanOut(t *testing.T) {
+// TestBatchLargeMultiShard checks a large batch whose sub-runs cover every
+// shard: each element lands positionally against the sorted order and in
+// its own shard.
+func TestBatchLargeMultiShard(t *testing.T) {
 	m := New[int, int](quarters())
-	m.SetParallel(true)
 	const n = 800
 	items := make([]core.KV[int, int], n)
 	perm := rand.Perm(1024)
@@ -175,7 +173,7 @@ func TestBatchParallelFanOut(t *testing.T) {
 	}
 	inserted := make([]bool, n)
 	if got := m.InsertBatch(nil, items, inserted); got != n {
-		t.Fatalf("parallel InsertBatch = %d, want %d", got, n)
+		t.Fatalf("InsertBatch = %d, want %d", got, n)
 	}
 	keys := make([]int, n)
 	for i := range items {
@@ -184,7 +182,7 @@ func TestBatchParallelFanOut(t *testing.T) {
 	vals := make([]int, n)
 	found := make([]bool, n)
 	if got := m.GetBatch(nil, keys, vals, found); got != n {
-		t.Fatalf("parallel GetBatch = %d, want %d", got, n)
+		t.Fatalf("GetBatch = %d, want %d", got, n)
 	}
 	for i, k := range keys {
 		if !found[i] || vals[i] != k*3 {
@@ -196,18 +194,18 @@ func TestBatchParallelFanOut(t *testing.T) {
 	}
 	deleted := make([]bool, n)
 	if got := m.DeleteBatch(nil, keys, deleted); got != n {
-		t.Fatalf("parallel DeleteBatch = %d, want %d", got, n)
+		t.Fatalf("DeleteBatch = %d, want %d", got, n)
 	}
 	if m.Len() != 0 {
-		t.Fatalf("Len = %d after parallel DeleteBatch, want 0", m.Len())
+		t.Fatalf("Len = %d after DeleteBatch, want 0", m.Len())
 	}
 }
 
 // TestConcurrentMixed hammers the map from several goroutines mixing point
-// ops and batches, then validates every shard and the routing invariant.
+// ops and batches — concurrent callers' sub-runs meet in the same shards —
+// then validates every shard and the routing invariant.
 func TestConcurrentMixed(t *testing.T) {
 	m := New[int, int](quarters())
-	m.SetParallel(true)
 	const (
 		workers = 6
 		rounds  = 300
@@ -288,11 +286,11 @@ func TestShardOpsCounting(t *testing.T) {
 	}
 }
 
-// TestSequentialBatchAllocs pins the zero-allocation contract of the
-// sequential batch path: Get/Delete batches allocate nothing, insert
-// batches exactly their nodes — the cuts buffer is pooled, the partition
-// uses no closures, and the shards' own finger pools do the rest.
-func TestSequentialBatchAllocs(t *testing.T) {
+// TestBatchAllocs pins the zero-allocation contract of the batch path:
+// Get/Delete batches allocate nothing, insert batches exactly their
+// nodes — the cuts buffer is pooled, the partition uses no closures, and
+// the shards' own finger pools do the rest.
+func TestBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		// The race detector randomly drops sync.Pool puts (deliberate
 		// sampling), so pooled fingers and cuts buffers reallocate and the
@@ -300,7 +298,6 @@ func TestSequentialBatchAllocs(t *testing.T) {
 		t.Skip("allocation counts are distorted under the race detector")
 	}
 	m := New[int, int](quarters(), core.WithRandomSource(zeroRng))
-	m.SetParallel(false)
 	for k := 0; k < 1024; k += 2 {
 		m.Insert(nil, k, k)
 	}
@@ -312,7 +309,7 @@ func TestSequentialBatchAllocs(t *testing.T) {
 		m.GetBatch(nil, keys, nil, nil)
 	})
 	if allocs != 0 {
-		t.Fatalf("sequential GetBatch allocates %v objects per batch, want 0", allocs)
+		t.Fatalf("GetBatch allocates %v objects per batch, want 0", allocs)
 	}
 	items := make([]core.KV[int, int], 16)
 	allocs = testing.AllocsPerRun(300, func() {

@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -82,16 +83,15 @@ func Write(dir string, lsn uint64, ascend func(fn func(key int64, val string) bo
 		}
 	}()
 
-	w := &crcWriter{w: bufio.NewWriterSize(tmp, 1<<16)}
+	crc := &crcWriter{w: tmp}
+	w := bufio.NewWriterSize(crc, 1<<16)
 	var scratch [13]byte
-	copy(scratch[:], magic)
 	// header = 8B magic + 8B lsn; scratch is reused for records after.
-	if err = w.write(scratch[:len(magic)]); err != nil {
+	if _, err = w.WriteString(magic); err != nil {
 		return 0, "", err
 	}
-	var lsnBuf [8]byte
-	binary.LittleEndian.PutUint64(lsnBuf[:], lsn)
-	if err = w.write(lsnBuf[:]); err != nil {
+	binary.LittleEndian.PutUint64(scratch[:8], lsn)
+	if _, err = w.Write(scratch[:8]); err != nil {
 		return 0, "", err
 	}
 
@@ -99,10 +99,10 @@ func Write(dir string, lsn uint64, ascend func(fn func(key int64, val string) bo
 		scratch[0] = tagRecord
 		binary.LittleEndian.PutUint64(scratch[1:], uint64(key))
 		binary.LittleEndian.PutUint32(scratch[9:], uint32(len(val)))
-		if err = w.write(scratch[:13]); err != nil {
+		if _, err = w.Write(scratch[:13]); err != nil {
 			return false
 		}
-		if err = w.writeString(val); err != nil {
+		if _, err = w.WriteString(val); err != nil {
 			return false
 		}
 		keys++
@@ -112,17 +112,17 @@ func Write(dir string, lsn uint64, ascend func(fn func(key int64, val string) bo
 		return 0, "", err
 	}
 
-	scratch[0] = tagEnd
-	if err = w.write(scratch[:1]); err != nil {
+	if err = w.WriteByte(tagEnd); err != nil {
 		return 0, "", err
 	}
-	// The CRC covers everything before it, terminator tag included; it
-	// is written raw (not folded into itself).
-	binary.LittleEndian.PutUint32(scratch[:4], w.sum)
-	if _, err = w.w.Write(scratch[:4]); err != nil {
+	if err = w.Flush(); err != nil {
 		return 0, "", err
 	}
-	if err = w.w.Flush(); err != nil {
+	// Everything is drained, so the CRC now covers every byte before it,
+	// terminator tag included; it goes to the file raw (not folded into
+	// itself).
+	binary.LittleEndian.PutUint32(scratch[:4], crc.sum)
+	if _, err = tmp.Write(scratch[:4]); err != nil {
 		return 0, "", err
 	}
 	if err = tmp.Sync(); err != nil {
@@ -291,20 +291,15 @@ func list(dir string) ([]snapFile, error) {
 	return out, nil
 }
 
-// crcWriter folds every written byte into a running CRC32-C.
+// crcWriter folds every byte the buffered writer drains through it into
+// a running CRC32-C before passing it on: whole buffers at a time, and
+// without the per-value []byte copy a CRC over each string would need.
 type crcWriter struct {
-	w   *bufio.Writer
+	w   io.Writer
 	sum uint32
 }
 
-func (c *crcWriter) write(p []byte) error {
+func (c *crcWriter) Write(p []byte) (int, error) {
 	c.sum = crc32.Update(c.sum, crcTable, p)
-	_, err := c.w.Write(p)
-	return err
-}
-
-func (c *crcWriter) writeString(s string) error {
-	c.sum = crc32.Update(c.sum, crcTable, []byte(s))
-	_, err := c.w.WriteString(s)
-	return err
+	return c.w.Write(p)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -226,5 +227,32 @@ func TestPruneKeepsNewest(t *testing.T) {
 	}
 	if o := Oldest(filepath.Join(dir, "nope")); o != 0 {
 		t.Fatalf("Oldest on missing dir = %d, want 0", o)
+	}
+}
+
+// TestWriteAllocsIndependentOfKeyCount pins the snapshot writer's
+// allocation count as a constant: the per-snapshot set-up (temp file,
+// buffer, name) may allocate, the per-key path may not — values longer
+// than the runtime's 32-byte stack scratch used to cost one heap copy each.
+func TestWriteAllocsIndependentOfKeyCount(t *testing.T) {
+	dir := t.TempDir()
+	val := strings.Repeat("v", 100)
+	allocsFor := func(keys int) float64 {
+		ascend := func(fn func(key int64, val string) bool) {
+			for k := 0; k < keys; k++ {
+				if !fn(int64(k), val) {
+					return
+				}
+			}
+		}
+		return testing.AllocsPerRun(3, func() {
+			if n, _, err := Write(dir, 7, ascend, nil); err != nil || n != keys {
+				t.Fatalf("Write = %d keys, %v; want %d", n, err, keys)
+			}
+		})
+	}
+	small, large := allocsFor(100), allocsFor(10_000)
+	if large > small+2 { // a little slack for the runtime's own bookkeeping
+		t.Fatalf("Write allocates %v objects for 10000 keys but %v for 100: the per-key path allocates", large, small)
 	}
 }

@@ -13,10 +13,9 @@ import (
 // the operation fills. The plain methods are equivalent to passing nil.
 //
 // A Proc is single-goroutine state: never share one Proc between
-// concurrent operations. On a ShardedSkipList, attaching a Proc to a
-// batch serializes that batch's shard fan-out (the sub-runs write into
-// the one Stats), so attribution costs parallelism for that call only —
-// the intended trade for sampled observability.
+// concurrent operations. A ShardedSkipList batch runs all its per-shard
+// sub-runs on the calling goroutine, so one Proc attributes the whole
+// batch.
 type Proc = core.Proc
 
 // Value hand-off contract: Insert and InsertBatch retain the value
@@ -79,20 +78,17 @@ func (s *ShardedSkipList[K, V]) DeleteProc(p *Proc, key K) bool {
 	return ok
 }
 
-// InsertBatchProc is InsertBatch with per-batch instrumentation attached;
-// the shard fan-out of this call runs serially (see Proc).
+// InsertBatchProc is InsertBatch with per-batch instrumentation attached.
 func (s *ShardedSkipList[K, V]) InsertBatchProc(p *Proc, items []KV[K, V], inserted []bool) int {
 	return s.m.InsertBatch(p, items, inserted)
 }
 
-// GetBatchProc is GetBatch with per-batch instrumentation attached; the
-// shard fan-out of this call runs serially (see Proc).
+// GetBatchProc is GetBatch with per-batch instrumentation attached.
 func (s *ShardedSkipList[K, V]) GetBatchProc(p *Proc, keys []K, vals []V, found []bool) int {
 	return s.m.GetBatch(p, keys, vals, found)
 }
 
-// DeleteBatchProc is DeleteBatch with per-batch instrumentation attached;
-// the shard fan-out of this call runs serially (see Proc).
+// DeleteBatchProc is DeleteBatch with per-batch instrumentation attached.
 func (s *ShardedSkipList[K, V]) DeleteBatchProc(p *Proc, keys []K, deleted []bool) int {
 	return s.m.DeleteBatch(p, keys, deleted)
 }

@@ -18,8 +18,9 @@ import (
 // README's Sharding section for how to choose splitters).
 //
 // Batches sort once, split into per-shard sub-runs, and thread each
-// sub-run through the owning shard's pooled search finger; on multi-core
-// runs the sub-runs of one batch execute in parallel (SetParallel).
+// sub-run through the owning shard's pooled search finger, in shard order
+// on the caller's goroutine — the map itself starts none; callers that
+// want shards worked concurrently batch from several goroutines.
 // Ordered iteration concatenates the shards in key order — a range
 // partition needs no merge — with the skip list's weak-consistency
 // contract. Create with NewShardedSkipList.
@@ -53,11 +54,6 @@ func (s *ShardedSkipList[K, V]) Shards() int { return s.m.Shards() }
 // group-batching executors of internal/server) with the shard layout, so
 // a batch built for one executor is also a single-shard sub-run.
 func (s *ShardedSkipList[K, V]) Splitters() []K { return s.m.Splitters() }
-
-// SetParallel enables (true) or disables (false) the parallel batch
-// fan-out; the default is on iff GOMAXPROCS > 1 at construction. Call
-// before the map is shared.
-func (s *ShardedSkipList[K, V]) SetParallel(on bool) { s.m.SetParallel(on) }
 
 // Insert adds key with value to key's shard; false if key is already
 // present.

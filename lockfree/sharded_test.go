@@ -127,7 +127,6 @@ func TestShardedSkipListTelemetry(t *testing.T) {
 
 func TestShardedSkipListConcurrentFacade(t *testing.T) {
 	s := NewShardedSkipList[int, int](EqualSplitters(0, 4096, 4))
-	s.SetParallel(true)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

@@ -7,7 +7,8 @@
 #   4. targeted race passes over the parallelism-shaped packages
 #      (internal/sharded, internal/server, internal/instrument,
 #      internal/ebr, internal/wal, internal/snapshot) at GOMAXPROCS=2
-#      and 8,
+#      and 8, plus the allocation pins without the race detector at
+#      GOMAXPROCS=2,
 #   5. a ten-second FuzzRESP run over the wire-protocol readers: hostile
 #      bytes must fail requests, never hang or kill the serving goroutine,
 #   6. a short lflstress -server smoke run: an in-process TCP server per
@@ -39,13 +40,22 @@ go test ./...
 echo "== race: go test -race ./... =="
 go test -race ./...
 
-# The sharded map's parallel batch fan-out changes shape with the core
-# count (it is sequential unless at least two sub-runs are nonempty and the
-# map was built with GOMAXPROCS > 1): race it at both a small and a large
-# core count so both the sequential and the fanned-out paths are covered.
-echo "== race: sharded fan-out at GOMAXPROCS=2 and GOMAXPROCS=8 =="
+# The sharded map runs a batch's sub-runs inline on the caller's
+# goroutine, so its concurrency is all between callers: several of them
+# batching into the same shards at once, their fingers landing on nodes
+# the others are deleting. Race that at both a small and a large core
+# count (at 2 preemption interleaves the callers, at 8 they truly overlap).
+echo "== race: concurrent sharded batches at GOMAXPROCS=2 and GOMAXPROCS=8 =="
 GOMAXPROCS=2 go test -race -count=1 ./internal/sharded
 GOMAXPROCS=8 go test -race -count=1 ./internal/sharded
+
+# The allocation pins skip themselves under the race detector (it drops
+# sync.Pool puts at random), so run them once more without it, at the
+# core count where the pooled paths actually interleave: a recorded
+# operation, a sharded batch and a snapshotted key must each allocate
+# nothing.
+echo "== allocs: pins without the race detector at GOMAXPROCS=2 =="
+GOMAXPROCS=2 go test -count=1 -run 'Allocs' ./internal/core ./internal/server ./internal/snapshot
 
 # The serving layer's reader/writer split, accept-time shedding, and
 # shutdown drain are all goroutine-scheduling shaped: race them at both
