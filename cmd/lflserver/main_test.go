@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -51,64 +52,77 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
-// TestRunServesAndDrainsOnSignal runs the real command loop: serve the
-// protocol, answer admin probes, then drain cleanly on SIGTERM.
+// TestRunServesAndDrainsOnSignal runs the real command loop and SIGTERMs it:
+// once the instant the port accepts, as a harness or an init system waiting
+// on the socket would (the handler must already be installed, or the default
+// one kills the process), and once after serving the protocol and answering
+// an admin probe. Both must drain cleanly.
 func TestRunServesAndDrainsOnSignal(t *testing.T) {
-	addr, admin := freePort(t), freePort(t)
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-addr", addr, "-admin-addr", admin,
-			"-shards", "2", "-key-hi", "1024", "-drain-timeout", "5s"})
-	}()
+	for _, tc := range []struct {
+		name    string
+		traffic bool
+	}{{"right after bind", false}, {"after traffic", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, admin := freePort(t), freePort(t)
+			done := make(chan error, 1)
+			go func() {
+				done <- run([]string{"-addr", addr, "-admin-addr", admin,
+					"-shards", "2", "-key-hi", "1024", "-drain-timeout", "5s"})
+			}()
 
-	var nc net.Conn
-	var err error
-	for i := 0; i < 200; i++ {
-		if nc, err = net.Dial("tcp", addr); err == nil {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("server never came up on %s: %v", addr, err)
-	}
-	defer nc.Close()
-	br := bufio.NewReader(nc)
-	if _, err := fmt.Fprintf(nc, "SET 1 one\nGET 1\nPING\n"); err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []string{":1\n", "$one\n", "+PONG\n"} {
-		line, err := br.ReadString('\n')
-		if err != nil || line != want {
-			t.Fatalf("response %d = %q (%v), want %q", i, line, err, want)
-		}
-	}
+			// No sleep between dials: the signal below must be safe however
+			// soon after the bind it lands.
+			var nc net.Conn
+			var err error
+			for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+				if nc, err = net.Dial("tcp", addr); err == nil {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("server never came up on %s: %v", addr, err)
+				}
+			}
+			defer nc.Close()
+			br := bufio.NewReader(nc)
+			if tc.traffic {
+				if _, err := fmt.Fprintf(nc, "SET 1 one\nGET 1\nPING\n"); err != nil {
+					t.Fatal(err)
+				}
+				for i, want := range []string{":1\n", "$one\n", "+PONG\n"} {
+					line, err := br.ReadString('\n')
+					if err != nil || line != want {
+						t.Fatalf("response %d = %q (%v), want %q", i, line, err, want)
+					}
+				}
 
-	resp, err := http.Get("http://" + admin + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/readyz = %d %q, want 200", resp.StatusCode, body)
-	}
+				resp, err := http.Get("http://" + admin + "/readyz")
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("/readyz = %d %q, want 200", resp.StatusCode, body)
+				}
+			}
 
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v after SIGTERM, want clean drain", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("run did not exit after SIGTERM")
-	}
-	// The drain closed the idle connection we still hold.
-	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := br.ReadByte(); err == nil {
-		t.Fatal("connection still open after drain")
+			if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("run returned %v after SIGTERM, want clean drain", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("run did not exit after SIGTERM")
+			}
+			// The drain closed the idle connection we still hold.
+			nc.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if _, err := br.ReadByte(); err == nil {
+				t.Fatal("connection still open after drain")
+			}
+		})
 	}
 }
 

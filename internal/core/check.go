@@ -26,14 +26,14 @@ func (l *List[K, V]) CheckInvariants() error {
 	seen := 0
 	for {
 		s := prev.loadSucc()
-		if s.marked && s.flagged {
+		if s.marked() && s.flagged() {
 			return fmt.Errorf("INV5 violated: node %d is both marked and flagged", seen)
 		}
-		if s.marked || s.flagged {
+		if s.marked() || s.flagged() {
 			return fmt.Errorf("quiescence violated: reachable node %d has mark=%t flag=%t",
-				seen, s.marked, s.flagged)
+				seen, s.marked(), s.flagged())
 		}
-		next := s.right
+		next := s.right()
 		if next == nil {
 			if prev != l.tail {
 				return fmt.Errorf("INV2 violated: nil right pointer before tail (node %d)", seen)
@@ -100,13 +100,13 @@ func (l *SkipList[K, V]) CheckStructure() error {
 		seen := 0
 		for {
 			s := prev.loadSucc()
-			if s.marked && s.flagged {
+			if s.marked() && s.flagged() {
 				return fmt.Errorf("level %d: INV5 violated", lv)
 			}
-			if s.marked || s.flagged {
-				return fmt.Errorf("level %d: quiescence violated: mark=%t flag=%t", lv, s.marked, s.flagged)
+			if s.marked() || s.flagged() {
+				return fmt.Errorf("level %d: quiescence violated: mark=%t flag=%t", lv, s.marked(), s.flagged())
 			}
-			next := s.right
+			next := s.right()
 			if next == nil {
 				if prev != l.tails[lv-1] {
 					return fmt.Errorf("level %d: nil right pointer before tail", lv)
@@ -117,8 +117,8 @@ func (l *SkipList[K, V]) CheckStructure() error {
 				return fmt.Errorf("level %d: INV1 violated: %w", lv, err)
 			}
 			if next.kind == kindInterior {
-				if next.level != lv {
-					return fmt.Errorf("level %d: node with key %v records level %d", lv, next.key, next.level)
+				if got := next.Level(); got != lv {
+					return fmt.Errorf("level %d: node with key %v sits %d levels up its tower", lv, next.key, got)
 				}
 				keys[next.key] = next
 			}
@@ -141,7 +141,7 @@ func (l *SkipList[K, V]) CheckStructure() error {
 			if n.down != below {
 				return fmt.Errorf("level %d: key %v down pointer does not reach the level-%d node", lv, k, lv-1)
 			}
-			if n.towerRoot == nil || n.towerRoot.level != 1 || n.towerRoot.key != k {
+			if n.towerRoot == nil || !n.towerRoot.isRoot() || n.towerRoot.key != k {
 				return fmt.Errorf("level %d: key %v has a bad towerRoot", lv, k)
 			}
 			if n.towerRoot.marked() {
@@ -152,12 +152,12 @@ func (l *SkipList[K, V]) CheckStructure() error {
 	// Head/tail tower wiring.
 	for lv := 1; lv <= l.maxLevel; lv++ {
 		h, t := l.heads[lv-1], l.tails[lv-1]
-		wantUpH, wantUpT := h, t
-		if lv < l.maxLevel {
-			wantUpH, wantUpT = l.heads[lv], l.tails[lv]
+		var wantDownH, wantDownT *SLNode[K, V]
+		if lv > 1 {
+			wantDownH, wantDownT = l.heads[lv-2], l.tails[lv-2]
 		}
-		if h.up != wantUpH || t.up != wantUpT {
-			return fmt.Errorf("level %d: sentinel up pointers are miswired", lv)
+		if h.down != wantDownH || t.down != wantDownT || h.towerRoot != l.heads[0] || t.towerRoot != l.tails[0] {
+			return fmt.Errorf("level %d: sentinel towers are miswired", lv)
 		}
 	}
 	return nil

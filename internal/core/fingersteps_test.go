@@ -121,7 +121,7 @@ func TestFingerStartLowestBracketingLevel(t *testing.T) {
 				t.Errorf("k0=%d gap=%d: start resumed on level %d, lowest bracketing level is %d", k0, gap, lv, want)
 				continue
 			}
-			if n != f.prevs[lv-1] || n.level != lv {
+			if n != f.prevs[lv-1] || n.Level() != lv {
 				t.Errorf("k0=%d gap=%d: start node is not the level-%d remembered predecessor", k0, gap, lv)
 			}
 			if !l.nodeLeq(n, k, lv > 1) || (lv < f.top && l.nodeLeq(n.right(), k, true)) {

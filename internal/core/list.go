@@ -53,12 +53,11 @@ func NewList[K cmp.Ordered, V any]() *List[K, V] {
 // a<b, a==b, a>b) and be consistent with ==: compare(a,b)==0 iff a == b.
 func NewListFunc[K comparable, V any](compare func(K, K) int) *List[K, V] {
 	l := &List[K, V]{
-		head:    makeSentinel[K, V](kindHead),
-		tail:    makeSentinel[K, V](kindTail),
+		head:    &Node[K, V]{kind: kindHead},
+		tail:    &Node[K, V]{kind: kindTail}, // its successor word stays (nil, 0, 0)
 		compare: compare,
 	}
-	l.head.succ.Store(l.tail.asClean())
-	l.tail.succ.Store(&succ[K, V]{right: nil}) // the one record no node interns
+	l.head.succ.store(clean(l.tail))
 	l.size.Init()
 	return l
 }
@@ -154,19 +153,16 @@ func (l *List[K, V]) insertFrom(p *Proc, k K, v V, from *Node[K, V]) (*Node[K, V
 	var bo casBackoff
 	for {
 		prevSucc := prev.loadSucc()
-		if prevSucc.flagged {
+		if prevSucc.flagged() {
 			// The predecessor is flagged: help the corresponding
 			// deletion complete before retrying (Insert lines 7-8).
-			l.helpFlagged(p, prev, prevSucc.right)
-		} else if !prevSucc.marked && prevSucc.right == next {
-			// Insertion attempt (Insert lines 10-11). The paper's C&S
-			// expects (next_node, 0, 0); with interned records that is
-			// exactly next's clean record, and re-pointing newNode at
-			// next on a retry is a plain store of next's interned
-			// record - no allocation per attempt.
-			newNode.succ.Store(next.asClean())
+			l.helpFlagged(p, prev, prevSucc.right())
+		} else if !prevSucc.marked() && prevSucc.right() == next {
+			// Insertion attempt (Insert lines 10-11): the C&S expects
+			// (next_node, 0, 0), the word just loaded.
+			newNode.succ.store(clean(next))
 			p.At(PtBeforeInsertCAS)
-			ok := prev.succ.CompareAndSwap(prevSucc, newNode.asClean())
+			ok := prev.succ.cas(prevSucc, clean(newNode))
 			st.IncCAS(ok)
 			if ok {
 				l.size.Add(1)
@@ -177,8 +173,8 @@ func (l *List[K, V]) insertFrom(p *Proc, k K, v V, from *Node[K, V]) (*Node[K, V
 			p.At(PtAfterInsertCASFail)
 			bo.onFail(st)
 			result := prev.loadSucc()
-			if result.flagged {
-				l.helpFlagged(p, prev, result.right)
+			if result.flagged() {
+				l.helpFlagged(p, prev, result.right())
 			}
 			for prev.marked() {
 				st.IncBacklink()
@@ -191,7 +187,7 @@ func (l *List[K, V]) insertFrom(p *Proc, k K, v V, from *Node[K, V]) (*Node[K, V
 			// then re-search from there (never from the head).
 			st.IncCAS(false) // the paper's C&S would have been attempted and failed
 			bo.onFail(st)
-			if prevSucc.marked {
+			if prevSucc.marked() {
 				for prev.marked() {
 					st.IncBacklink()
 					p.At(PtBacklinkStep)
@@ -247,14 +243,14 @@ func (l *List[K, V]) searchFrom(p *Proc, k K, curr *Node[K, V], strict bool) (*N
 		// marked and curr was marked earlier (SearchFrom lines 3-6).
 		for {
 			nextSucc := next.loadSucc()
-			if !nextSucc.marked {
+			if !nextSucc.marked() {
 				break
 			}
 			currSucc := curr.loadSucc()
-			if currSucc.marked && currSucc.right == next {
+			if currSucc.marked() && currSucc.right() == next {
 				break
 			}
-			if currSucc.right == next {
+			if currSucc.right() == next {
 				l.helpMarked(p, curr, next)
 			}
 			next = curr.right()
@@ -277,11 +273,11 @@ func (l *List[K, V]) helpMarked(p *Proc, prevNode, delNode *Node[K, V]) {
 	p.StatsOrNil().IncHelp()
 	next := delNode.right() // frozen: delNode is marked
 	prevSucc := prevNode.loadSucc()
-	if prevSucc.right != delNode || prevSucc.marked || !prevSucc.flagged {
+	if prevSucc.right() != delNode || prevSucc.marked() || !prevSucc.flagged() {
 		return // someone already completed (or the state moved on)
 	}
 	p.At(PtBeforePhysicalCAS)
-	ok := prevNode.succ.CompareAndSwap(prevSucc, next.asClean())
+	ok := prevNode.succ.cas(prevSucc, clean(next))
 	p.StatsOrNil().IncCAS(ok)
 	if ok {
 		// The winning C&S is the unique moment delNode leaves the list:
@@ -316,16 +312,16 @@ func (l *List[K, V]) tryMark(p *Proc, delNode *Node[K, V]) {
 	var bo casBackoff
 	for {
 		s := delNode.loadSucc()
-		if s.marked {
+		if s.marked() {
 			return
 		}
-		if s.flagged {
+		if s.flagged() {
 			// Failure due to flagging: help that deletion first.
-			l.helpFlagged(p, delNode, s.right)
+			l.helpFlagged(p, delNode, s.right())
 			continue
 		}
 		p.At(PtBeforeMarkCAS)
-		ok := delNode.succ.CompareAndSwap(s, s.right.asMarked())
+		ok := delNode.succ.cas(s, marked(s.right()))
 		st.IncCAS(ok)
 		if ok {
 			l.size.Add(-1) // linearization point of the deletion
@@ -347,18 +343,18 @@ func (l *List[K, V]) tryFlag(p *Proc, prev, target *Node[K, V]) (*Node[K, V], bo
 	var bo casBackoff
 	for {
 		prevSucc := prev.loadSucc()
-		if prevSucc.right == target && !prevSucc.marked && prevSucc.flagged {
+		if prevSucc == flagged(target) {
 			return prev, false // predecessor already flagged (line 2-3)
 		}
-		if prevSucc.right == target && !prevSucc.marked && !prevSucc.flagged {
+		if prevSucc == clean(target) {
 			p.At(PtBeforeFlagCAS)
-			ok := prev.succ.CompareAndSwap(prevSucc, target.asFlagged())
+			ok := prev.succ.cas(prevSucc, flagged(target))
 			st.IncCAS(ok)
 			if ok {
 				return prev, true // successful flagging (lines 5-6)
 			}
 			result := prev.loadSucc()
-			if result.right == target && !result.marked && result.flagged {
+			if result == flagged(target) {
 				return prev, false // concurrent flagging won (lines 7-8)
 			}
 			bo.onFail(st)

@@ -7,28 +7,19 @@
 // concurrent deletion recover by walking backlinks instead of restarting
 // from the head.
 //
-// Go has no spare pointer bits, so the paper's composite successor word
-// (right pointer + mark bit + flag bit) is represented by an immutable
-// successor record swapped with a single-word CAS on an atomic.Pointer.
-// A record is never mutated after publication, so the paper's central
-// invariant - a marked successor field never changes - holds by
-// construction.
-//
-// Records are interned: every node carries the three records that can ever
-// point at it - clean {right: n}, flagged {right: n, flagged} and marked
-// {right: n, marked} - built once, inside the node's own allocation. Each
-// C&S site installs the target node's interned record instead of
-// allocating a fresh one, so the steady-state hot path (Search, Delete,
-// failed Insert retries) performs zero heap allocations. Because the
-// (right, marked, flagged) triple determines the record pointer uniquely,
-// CAS identity comparison on interned records is exactly the paper's
-// structural comparison on its tagged successor word; see DESIGN.md §2.1
-// for the ABA argument this relies on.
+// The paper's composite successor field - right pointer, mark bit, flag
+// bit, read together and swapped by one C&S - is kept as the paper has it:
+// one machine word. The two bits ride in the low bits of the successor's
+// address, which makes the word a pointer to byte 0, 1 or 2 inside the
+// successor node; Go's collector understands such interior pointers, so no
+// side record and no allocation stand between a node and its successor
+// (word.go holds the encoding and the two rules that keep it legal). A
+// marked word is never the expected value of any C&S, so the paper's
+// central invariant - a marked successor field never changes - holds as it
+// does in the paper; DESIGN.md §2.1 restates the ABA argument for the word.
 package core
 
-import (
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // nodeKind distinguishes the two sentinel nodes from interior nodes.
 // Sentinels let the list hold arbitrary ordered keys without reserving
@@ -41,76 +32,15 @@ const (
 	kindTail              // compares greater than every key
 )
 
-// succ is the paper's composite successor field: (right, mark, flag).
-// Records are immutable after publication; every record that points at a
-// live node is one of that node's three interned records (see Node.refs),
-// so installing one is allocation-free.
-type succ[K comparable, V any] struct {
-	right   *Node[K, V]
-	marked  bool
-	flagged bool
-}
-
-// Indices into a node's interned record array.
-const (
-	refClean   = iota // {right: n}
-	refFlagged        // {right: n, flagged: true}
-	refMarked         // {right: n, marked: true}
-	numRefs
-)
-
 // Node is a single cell of the lock-free linked list. Key and value are
 // fixed at creation; succ and backlink are the only mutable fields.
 type Node[K comparable, V any] struct {
 	key  K
-	val  V
+	succ succField[Node[K, V]]
 	kind nodeKind
 
-	succ     atomic.Pointer[succ[K, V]]
 	backlink atomic.Pointer[Node[K, V]]
-
-	// refs holds the node's interned successor records: the only records
-	// whose right pointer is this node. They are written once by intern,
-	// before the node is published, and immutable afterwards. Embedding
-	// them costs 3 records (48 bytes) inside the node's single allocation
-	// and buys zero-allocation C&S everywhere.
-	refs [numRefs]succ[K, V]
-}
-
-// intern builds the node's interned successor records. It must run exactly
-// once, after allocation and before the node is reachable by any other
-// goroutine; every constructor below and in skiplist.go does so.
-func (n *Node[K, V]) intern() {
-	n.refs[refClean] = succ[K, V]{right: n}
-	n.refs[refFlagged] = succ[K, V]{right: n, flagged: true}
-	n.refs[refMarked] = succ[K, V]{right: n, marked: true}
-}
-
-// asClean returns the interned record (n, unmarked, unflagged): "successor
-// is n". This is the interning API used by every C&S site; the returned
-// record must never be mutated.
-func (n *Node[K, V]) asClean() *succ[K, V] { return &n.refs[refClean] }
-
-// asFlagged returns the interned record (n, unmarked, flagged): "successor
-// is n and n is being deleted".
-func (n *Node[K, V]) asFlagged() *succ[K, V] { return &n.refs[refFlagged] }
-
-// asMarked returns the interned record (n, marked, unflagged): "successor
-// is n and the holder is logically deleted".
-func (n *Node[K, V]) asMarked() *succ[K, V] { return &n.refs[refMarked] }
-
-// makeNode allocates and interns an interior node in one heap allocation.
-func makeNode[K comparable, V any](key K, val V) *Node[K, V] {
-	n := &Node[K, V]{key: key, val: val}
-	n.intern()
-	return n
-}
-
-// makeSentinel allocates and interns a head or tail sentinel.
-func makeSentinel[K comparable, V any](kind nodeKind) *Node[K, V] {
-	n := &Node[K, V]{kind: kind}
-	n.intern()
-	return n
+	val      V
 }
 
 // Key returns the node's key. Calling Key on a sentinel is invalid; the
@@ -122,18 +52,14 @@ func (n *Node[K, V]) Key() K { return n.key }
 // semantics (no update operation).
 func (n *Node[K, V]) Value() V { return n.val }
 
-// loadSucc returns the current successor record. It is never nil after the
-// node is published.
-func (n *Node[K, V]) loadSucc() *succ[K, V] { return n.succ.Load() }
+// loadSucc returns the current successor word.
+func (n *Node[K, V]) loadSucc() word[Node[K, V]] { return n.succ.load() }
 
 // marked reports whether the node is logically deleted (its mark bit set).
-func (n *Node[K, V]) marked() bool {
-	s := n.succ.Load()
-	return s != nil && s.marked
-}
+func (n *Node[K, V]) marked() bool { return n.succ.load().marked() }
 
 // right returns the current right pointer, ignoring mark/flag bits.
-func (n *Node[K, V]) right() *Node[K, V] { return n.succ.Load().right }
+func (n *Node[K, V]) right() *Node[K, V] { return n.succ.load().right() }
 
 // Key comparisons treating sentinels as -inf/+inf live on the List (it
 // owns the compare function); see List.cmpNode and List.nodeLeq.

@@ -25,15 +25,16 @@ import (
 //     down/towerRoot edges into the root — superfluous() dereferences
 //     towerRoot — so per-node grace periods would free a root while its
 //     tower is still reachable. Instead every tower carries a live count
-//     on its root (1 for the root + 1 per upper node); each unlinked
-//     upper node is pushed onto an intrusive chain hanging off the root,
-//     and whichever unlink drops the count to zero retires the whole
-//     chain plus the root in one batch. A pinned holder of ANY tower
-//     node therefore blocks reuse of EVERY node of that tower.
+//     on its root (1 for the root + 1 per upper node) and the root
+//     remembers the tower's topmost node; whichever unlink drops the
+//     count to zero retires the whole tower, top to root along the down
+//     edges, in one batch. A pinned holder of ANY tower node therefore
+//     blocks reuse of EVERY node of that tower.
 //
-// Node identity survives reuse trivially for the interned-successor ABA
-// argument: refs[...] depend only on the node's address, so a recycled
-// node is NOT re-interned — its records are already correct.
+// Node identity survives reuse trivially for the successor word's ABA
+// argument: a word naming a node depends only on the node's address, and
+// the grace period guarantees no pinned operation still holds a word
+// naming a node when it is reused.
 
 // recycler bundles a structure's reclamation domain with its free list.
 // One per structure; towers and list nodes are uniform in size (a tower
@@ -108,9 +109,8 @@ func (l *List[K, V]) RecyclingEnabled() bool { return l.rec != nil }
 func (l *SkipList[K, V]) RecyclingEnabled() bool { return l.rec != nil }
 
 // newNode returns a node for k/v, reusing a recycled node when one is
-// free. A recycled node keeps its interned records (address-dependent,
-// immutable); only the mutable state is reset, and succ is (re)stored by
-// the insert loop before publication.
+// free. Beyond key and value only the backlink is reset; succ is (re)stored by the insert
+// loop before publication.
 func (l *List[K, V]) newNode(p *Proc, k K, v V) *Node[K, V] {
 	if l.rec != nil {
 		if raw := l.rec.pool.Get(p.StatsOrNil()); raw != nil {
@@ -120,7 +120,7 @@ func (l *List[K, V]) newNode(p *Proc, k K, v V) *Node[K, V] {
 			return n
 		}
 	}
-	return makeNode(k, v)
+	return &Node[K, V]{key: k, val: v}
 }
 
 // freeNode returns a node that was never published (duplicate-key insert
@@ -197,40 +197,42 @@ func (l *SkipList[K, V]) newRoot(p *Proc, k K, v V) *SLNode[K, V] {
 	if l.rec != nil {
 		if raw := l.rec.pool.Get(p.StatsOrNil()); raw != nil {
 			n := raw.(*SLNode[K, V])
-			n.key, n.val, n.level = k, v, 1
+			n.key, n.val = k, v
 			n.down = nil
 			n.towerRoot = n
 			n.backlink.Store(nil)
-			n.reLink.Store(nil)
 			n.towerLive.Store(1)
 			return n
 		}
 	}
-	root := &SLNode[K, V]{key: k, val: v, level: 1}
+	root := &SLNode[K, V]{key: k, val: v}
 	root.towerRoot = root
 	root.towerLive.Store(1)
-	root.intern()
 	return root
 }
 
-// newUpper returns a level-lv tower node above down, recycled when
-// possible. The caller must have acquired a tower reference (towerAcquire)
-// for it first.
-func (l *SkipList[K, V]) newUpper(p *Proc, k K, lv int, down, root *SLNode[K, V]) *SLNode[K, V] {
-	if l.rec != nil {
-		if raw := l.rec.pool.Get(p.StatsOrNil()); raw != nil {
-			n := raw.(*SLNode[K, V])
-			var zero V
-			n.key, n.val, n.level = k, zero, lv
-			n.down = down
-			n.towerRoot = root
-			n.backlink.Store(nil)
-			n.reLink.Store(nil)
-			return n
-		}
+// newUpper returns a tower node one level above down, recycled when
+// possible. When the skip list recycles, the caller must have acquired a
+// tower reference (towerAcquire) for it first, and the root's otherwise
+// unused down records it as the tower's top BEFORE it is published: once
+// published it can be unlinked, and the unlink that drops the live count
+// to zero walks the tower from that top (towerCollapse). Only the one
+// process building the tower writes the field, always holding a
+// reference, so a collapse never runs concurrently with the write.
+func (l *SkipList[K, V]) newUpper(p *Proc, k K, down, root *SLNode[K, V]) *SLNode[K, V] {
+	if l.rec == nil {
+		return &SLNode[K, V]{key: k, down: down, towerRoot: root}
 	}
-	n := &SLNode[K, V]{key: k, level: lv, down: down, towerRoot: root}
-	n.intern()
+	n, _ := l.rec.pool.Get(p.StatsOrNil()).(*SLNode[K, V])
+	if n == nil {
+		n = new(SLNode[K, V])
+	}
+	var zero V
+	n.key, n.val = k, zero
+	n.down = down
+	n.towerRoot = root
+	n.backlink.Store(nil)
+	root.down = n
 	return n
 }
 
@@ -254,8 +256,7 @@ func (l *SkipList[K, V]) towerAcquire(root *SLNode[K, V]) bool {
 	}
 }
 
-// towerRetire records the physical unlink of one tower node. Interior
-// nodes are pushed onto the root's intrusive retired chain; whichever
+// towerRetire records the physical unlink of one tower node. Whichever
 // unlink drops the live count to zero retires the whole tower as one
 // batch, so towerRoot/down edges stay valid for every pinned holder for
 // the full grace period.
@@ -263,27 +264,19 @@ func (l *SkipList[K, V]) towerRetire(p *Proc, n *SLNode[K, V]) {
 	if l.rec == nil {
 		return
 	}
-	root := n.towerRoot
-	if n != root {
-		for {
-			head := root.reLink.Load()
-			n.reLink.Store(head)
-			if root.reLink.CompareAndSwap(head, n) {
-				break
-			}
-		}
-	}
-	if root.towerLive.Add(-1) == 0 {
+	if root := n.towerRoot; root.towerLive.Add(-1) == 0 {
 		l.towerCollapse(p, root)
 	}
 }
 
 // towerAbandon undoes a towerAcquire whose upper node was never
 // published: the node goes straight back to the free list (no grace
-// period — no other goroutine ever saw it), and the dropped reference may
-// complete the tower's collapse.
+// period — no other goroutine ever saw it), the tower's top drops back to
+// the node below it, and the dropped reference may complete the tower's
+// collapse.
 func (l *SkipList[K, V]) towerAbandon(p *Proc, n *SLNode[K, V]) {
 	root := n.towerRoot
+	root.down = n.down
 	l.rec.pool.Put(n)
 	if root.towerLive.Add(-1) == 0 {
 		l.towerCollapse(p, root)
@@ -291,16 +284,17 @@ func (l *SkipList[K, V]) towerAbandon(p *Proc, n *SLNode[K, V]) {
 }
 
 // towerCollapse retires the fully unlinked tower rooted at root: every
-// chained upper node, then the root itself, stamped into the current
-// epoch. Runs exactly once per tower (only one decrement reaches zero).
+// upper node from the recorded top down, then the root itself, stamped
+// into the current epoch. Runs exactly once per tower (only one decrement
+// reaches zero), after the builder's last write of the top (the decrement
+// that reached zero is ordered after it).
 func (l *SkipList[K, V]) towerCollapse(p *Proc, root *SLNode[K, V]) {
 	st := p.StatsOrNil()
 	rec := l.rec
-	n := root.reLink.Load()
-	for n != nil {
-		next := n.reLink.Load()
+	for n := root.down; n != nil && n != root; {
+		below := n.down
 		rec.dom.RetireNode(rec.pool, n, st)
-		n = next
+		n = below
 	}
 	rec.dom.RetireNode(rec.pool, root, st)
 }

@@ -18,11 +18,11 @@ func (l *SkipList[K, V]) slHelpMarked(p *Proc, prevNode, delNode *SLNode[K, V]) 
 	p.StatsOrNil().IncHelp()
 	next := delNode.right() // frozen: delNode is marked
 	prevSucc := prevNode.loadSucc()
-	if prevSucc.right != delNode || prevSucc.marked || !prevSucc.flagged {
+	if prevSucc.right() != delNode || prevSucc.marked() || !prevSucc.flagged() {
 		return
 	}
 	p.At(PtBeforePhysicalCAS)
-	ok := prevNode.succ.CompareAndSwap(prevSucc, next.asClean())
+	ok := prevNode.succ.cas(prevSucc, clean(next))
 	p.StatsOrNil().IncCAS(ok)
 	if ok {
 		// Unique removal point of delNode from its level. Reclamation
@@ -60,15 +60,15 @@ func (l *SkipList[K, V]) slTryMark(p *Proc, delNode *SLNode[K, V]) {
 	var bo casBackoff
 	for {
 		s := delNode.loadSucc()
-		if s.marked {
+		if s.marked() {
 			return
 		}
-		if s.flagged {
-			l.slHelpFlagged(p, delNode, s.right)
+		if s.flagged() {
+			l.slHelpFlagged(p, delNode, s.right())
 			continue
 		}
 		p.At(PtBeforeMarkCAS)
-		ok := delNode.succ.CompareAndSwap(s, s.right.asMarked())
+		ok := delNode.succ.cas(s, marked(s.right()))
 		st.IncCAS(ok)
 		if ok {
 			if delNode.isRoot() {
@@ -93,18 +93,18 @@ func (l *SkipList[K, V]) tryFlagNode(p *Proc, prev, target *SLNode[K, V]) (*SLNo
 	var bo casBackoff
 	for {
 		prevSucc := prev.loadSucc()
-		if prevSucc.right == target && !prevSucc.marked && prevSucc.flagged {
+		if prevSucc == flagged(target) {
 			return prev, flagStatusIn, false // already flagged
 		}
-		if prevSucc.right == target && !prevSucc.marked && !prevSucc.flagged {
+		if prevSucc == clean(target) {
 			p.At(PtBeforeFlagCAS)
-			ok := prev.succ.CompareAndSwap(prevSucc, target.asFlagged())
+			ok := prev.succ.cas(prevSucc, flagged(target))
 			st.IncCAS(ok)
 			if ok {
 				return prev, flagStatusIn, true
 			}
 			result := prev.loadSucc()
-			if result.right == target && !result.marked && result.flagged {
+			if result == flagged(target) {
 				return prev, flagStatusIn, false
 			}
 			bo.onFail(st)
@@ -138,14 +138,12 @@ func (l *SkipList[K, V]) insertNode(p *Proc, newNode, prev, next *SLNode[K, V]) 
 	var bo casBackoff
 	for {
 		prevSucc := prev.loadSucc()
-		if prevSucc.flagged {
-			l.slHelpFlagged(p, prev, prevSucc.right)
-		} else if !prevSucc.marked && prevSucc.right == next {
-			// Re-pointing newNode at next is a plain store of next's
-			// interned record: failed C&S retries allocate nothing.
-			newNode.succ.Store(next.asClean())
+		if prevSucc.flagged() {
+			l.slHelpFlagged(p, prev, prevSucc.right())
+		} else if !prevSucc.marked() && prevSucc.right() == next {
+			newNode.succ.store(clean(next))
 			p.At(PtBeforeInsertCAS)
-			ok := prev.succ.CompareAndSwap(prevSucc, newNode.asClean())
+			ok := prev.succ.cas(prevSucc, clean(newNode))
 			st.IncCAS(ok)
 			if ok {
 				if newNode.isRoot() {
@@ -156,8 +154,8 @@ func (l *SkipList[K, V]) insertNode(p *Proc, newNode, prev, next *SLNode[K, V]) 
 			p.At(PtAfterInsertCASFail)
 			bo.onFail(st)
 			result := prev.loadSucc()
-			if result.flagged {
-				l.slHelpFlagged(p, prev, result.right)
+			if result.flagged() {
+				l.slHelpFlagged(p, prev, result.right())
 			}
 			for prev.marked() {
 				st.IncBacklink()
@@ -167,7 +165,7 @@ func (l *SkipList[K, V]) insertNode(p *Proc, newNode, prev, next *SLNode[K, V]) 
 		} else {
 			st.IncCAS(false)
 			bo.onFail(st)
-			if prevSucc.marked {
+			if prevSucc.marked() {
 				for prev.marked() {
 					st.IncBacklink()
 					p.At(PtBacklinkStep)
@@ -187,9 +185,9 @@ func (l *SkipList[K, V]) insertNode(p *Proc, newNode, prev, next *SLNode[K, V]) 
 // call's deletion succeeded (false: delNode was already being deleted or
 // was gone).
 func (l *SkipList[K, V]) deleteNode(p *Proc, prev, delNode *SLNode[K, V]) bool {
-	pred, status, flagged := l.tryFlagNode(p, prev, delNode)
+	pred, status, won := l.tryFlagNode(p, prev, delNode)
 	if status == flagStatusIn {
 		l.slHelpFlagged(p, pred, delNode)
 	}
-	return flagged
+	return won
 }

@@ -127,23 +127,13 @@ func NewSkipListFunc[K comparable, V any](compare func(K, K) int, opts ...SkipLi
 		l.rec = newRecycler()
 	}
 	for i := 0; i < cfg.maxLevel; i++ {
-		l.heads[i] = &SLNode[K, V]{kind: kindHead, level: i + 1}
-		l.tails[i] = &SLNode[K, V]{kind: kindTail, level: i + 1}
-		l.heads[i].intern()
-		l.tails[i].intern()
-	}
-	for i := 0; i < cfg.maxLevel; i++ {
-		h, t := l.heads[i], l.tails[i]
+		h := &SLNode[K, V]{kind: kindHead}
+		t := &SLNode[K, V]{kind: kindTail} // its successor word stays (nil, 0, 0)
+		l.heads[i], l.tails[i] = h, t
 		h.towerRoot, t.towerRoot = l.heads[0], l.tails[0]
-		h.succ.Store(t.asClean())
-		t.succ.Store(&slSucc[K, V]{right: nil}) // the one record no node interns
+		h.succ.store(clean(t))
 		if i > 0 {
 			h.down, t.down = l.heads[i-1], l.tails[i-1]
-		}
-		if i < cfg.maxLevel-1 {
-			h.up, t.up = l.heads[i+1], l.tails[i+1]
-		} else {
-			h.up, t.up = h, t // top of the towers
 		}
 	}
 	l.size.Init()
@@ -311,7 +301,7 @@ func (l *SkipList[K, V]) insertVia(p *Proc, s slSearcher[K, V], k K, v V) (*SLNo
 			// the root C&S long before.
 			return root, true
 		}
-		newNode = l.newUpper(p, k, lv, newNode, root)
+		newNode = l.newUpper(p, k, newNode, root)
 		prev, next = s.searchToLevel(p, k, lv, false)
 	}
 }

@@ -4,72 +4,36 @@ import (
 	"sync/atomic"
 )
 
-// slSucc is the composite successor field of a skip-list node, analogous to
-// succ for the plain list: (right, mark, flag) swapped atomically as an
-// immutable record. Like the list's records, they are interned per node
-// (see SLNode.refs), so C&S sites never allocate.
-type slSucc[K comparable, V any] struct {
-	right   *SLNode[K, V]
-	marked  bool
-	flagged bool
-}
-
 // SLNode is one node of the lock-free skip list. Following the paper's
 // Figure 6, every key is represented by a tower of nodes; the bottom node
 // of a tower is its root and carries the element. Nodes on the same level
 // form an instance of the paper's lock-free linked list.
 //
-// down and towerRoot are fixed at creation. up pointers exist only inside
-// the head and tail towers (the top node's up points to itself).
+// The fields a search reads on every hop - key, the successor word, the
+// tower root whose mark makes the node superfluous, the way down and the
+// kind - come first, so with an 8-byte key they share the node's first 40
+// bytes; SLNode[int, string] is 64 bytes, one cache line.
 type SLNode[K comparable, V any] struct {
-	key  K
-	val  V // meaningful only on root nodes
+	key       K
+	succ      succField[SLNode[K, V]]
+	towerRoot *SLNode[K, V] // root of this node's tower (self on roots); fixed at creation
+	// down is the node one level below, fixed at creation. A root has no
+	// level below; when the skip list recycles nodes, a root's down holds
+	// the topmost node of its tower instead (see newUpper in recycle.go),
+	// which no search reads: a descent stops at level 1.
+	down *SLNode[K, V]
 	kind nodeKind
-
-	// level is 1 for root nodes, counting upward. Recorded for structure
-	// validation and statistics; the algorithms themselves never read it.
-	level int
-
-	succ     atomic.Pointer[slSucc[K, V]]
-	backlink atomic.Pointer[SLNode[K, V]]
-
-	down      *SLNode[K, V] // node one level below, nil on roots
-	towerRoot *SLNode[K, V] // root of this node's tower (self on roots)
-	up        *SLNode[K, V] // head/tail towers only
-
-	// Recycling state (recycle.go), meaningful only when the owning skip
-	// list recycles nodes. towerLive — used on roots — counts the tower's
-	// not-yet-unlinked nodes (1 for the root plus 1 per upper node,
-	// acquired before each upper node is created); the tower retires as
-	// one batch when it reaches zero, because down/towerRoot edges point
-	// at earlier-unlinked nodes (the sweep unlinks the root first).
-	// reLink is the intrusive chain of unlinked upper nodes: the head
-	// hangs off the root, each interior's reLink is its chain successor.
+	// towerLive - used on roots, and only when the owning skip list
+	// recycles nodes (recycle.go) - counts the tower's not-yet-unlinked
+	// nodes: 1 for the root plus 1 per upper node, acquired before each
+	// upper node is created. The tower retires as one batch when it
+	// reaches zero, because down/towerRoot edges point at earlier-unlinked
+	// nodes (the sweep unlinks the root first).
 	towerLive atomic.Int32
-	reLink    atomic.Pointer[SLNode[K, V]]
 
-	// refs holds the node's interned successor records (clean, flagged,
-	// marked - the only records whose right pointer is this node), written
-	// once by intern before publication; see Node.refs in node.go.
-	refs [numRefs]slSucc[K, V]
+	backlink atomic.Pointer[SLNode[K, V]]
+	val      V // meaningful only on root nodes
 }
-
-// intern builds the node's interned successor records. It must run exactly
-// once, after allocation and before the node is published.
-func (n *SLNode[K, V]) intern() {
-	n.refs[refClean] = slSucc[K, V]{right: n}
-	n.refs[refFlagged] = slSucc[K, V]{right: n, flagged: true}
-	n.refs[refMarked] = slSucc[K, V]{right: n, marked: true}
-}
-
-// asClean returns the interned record (n, unmarked, unflagged).
-func (n *SLNode[K, V]) asClean() *slSucc[K, V] { return &n.refs[refClean] }
-
-// asFlagged returns the interned record (n, unmarked, flagged).
-func (n *SLNode[K, V]) asFlagged() *slSucc[K, V] { return &n.refs[refFlagged] }
-
-// asMarked returns the interned record (n, marked, unflagged).
-func (n *SLNode[K, V]) asMarked() *slSucc[K, V] { return &n.refs[refMarked] }
 
 // Key returns the node's key.
 func (n *SLNode[K, V]) Key() K { return n.key }
@@ -77,30 +41,27 @@ func (n *SLNode[K, V]) Key() K { return n.key }
 // Value returns the element stored in the node's tower root.
 func (n *SLNode[K, V]) Value() V { return n.towerRoot.val }
 
-// Level returns the node's level (1 = root level).
-func (n *SLNode[K, V]) Level() int { return n.level }
+// Level returns the node's level (1 = root level) by walking down its
+// tower; structure validators and tests call it, the algorithms never do.
+func (n *SLNode[K, V]) Level() int {
+	lv := 1
+	for ; !n.isRoot(); n = n.down {
+		lv++
+	}
+	return lv
+}
 
 // TowerRoot returns the root node of this node's tower.
 func (n *SLNode[K, V]) TowerRoot() *SLNode[K, V] { return n.towerRoot }
 
-func (n *SLNode[K, V]) loadSucc() *slSucc[K, V] { return n.succ.Load() }
+func (n *SLNode[K, V]) loadSucc() word[SLNode[K, V]] { return n.succ.load() }
 
-func (n *SLNode[K, V]) marked() bool {
-	s := n.succ.Load()
-	return s != nil && s.marked
-}
+func (n *SLNode[K, V]) marked() bool { return n.succ.load().marked() }
 
-func (n *SLNode[K, V]) right() *SLNode[K, V] { return n.succ.Load().right }
+func (n *SLNode[K, V]) right() *SLNode[K, V] { return n.succ.load().right() }
 
 // isRoot reports whether n is the root node of its tower.
 func (n *SLNode[K, V]) isRoot() bool { return n.towerRoot == n }
-
-// superfluous reports whether n belongs to a tower whose root has been
-// marked (Section 4): such nodes are removed by searches that encounter
-// them.
-func (n *SLNode[K, V]) superfluous() bool {
-	return n.kind == kindInterior && n.towerRoot.marked()
-}
 
 // Key comparisons treating sentinels as -inf/+inf live on the SkipList
 // (it owns the compare function); see SkipList.cmpNode and SkipList.nodeLeq.

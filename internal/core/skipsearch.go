@@ -20,20 +20,11 @@ func (l *SkipList[K, V]) searchToLevel(p *Proc, k K, v int, strict bool) (*SLNod
 // holds no interior nodes. Because interior towers are capped at
 // maxLevel-1, the climb always terminates at or below the top head node.
 func (l *SkipList[K, V]) findStart(v int) (*SLNode[K, V], int) {
-	curr := l.heads[0]
 	lv := 1
-	for {
-		up := curr.up
-		if up == curr {
-			break // top of the head tower
-		}
-		if lv >= v && up.right().kind == kindTail {
-			break // the level above is empty and we are high enough
-		}
-		curr = up
+	for lv < l.maxLevel && (lv < v || l.heads[lv].right() != l.tails[lv]) {
 		lv++
 	}
-	return curr, lv
+	return l.heads[lv-1], lv
 }
 
 // searchRight is SEARCHRIGHT: traverse one level rightward from curr until
@@ -47,22 +38,25 @@ func (l *SkipList[K, V]) searchRight(p *Proc, k K, curr *SLNode[K, V], strict bo
 	next := curr.right()
 	for l.nodeLeq(next, k, strict) {
 		nextSucc := next.loadSucc()
-		if nextSucc.marked {
+		if nextSucc.marked() {
 			// Same recovery as SearchFrom lines 3-6: either help the
 			// physical deletion, or step through a marked chain when
 			// curr itself was marked first.
 			currSucc := curr.loadSucc()
-			if !(currSucc.marked && currSucc.right == next) {
-				if currSucc.right == next {
+			if !(currSucc.marked() && currSucc.right() == next) {
+				if currSucc.right() == next {
 					l.slHelpMarked(p, curr, next)
 				}
 				next = curr.right()
 				st.IncNext()
 				continue
 			}
-		} else if next.superfluous() {
-			// next belongs to a deleted tower but is not yet marked on
-			// this level: perform all three deletion steps here.
+		} else if root := next.towerRoot; root != next && root.marked() {
+			// next is superfluous (Section 4): its tower's root is marked
+			// but next is not yet marked on this level. On level 1 next
+			// is its own root and nextSucc already said it is unmarked;
+			// a sentinel's root is a sentinel, which is never marked.
+			// Perform all three deletion steps here.
 			pred, status, _ := l.tryFlagNode(p, curr, next)
 			if status == flagStatusIn {
 				l.slHelpFlagged(p, pred, next)

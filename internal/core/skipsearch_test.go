@@ -23,8 +23,8 @@ func TestSearchToLevelPostconditions(t *testing.T) {
 	for v := 1; v <= 4; v++ {
 		for k := -1; k <= 201; k++ {
 			curr, next := l.searchToLevel(nil, k, v, false)
-			if curr.level != v && curr.kind == kindInterior {
-				t.Fatalf("level %d: curr on level %d", v, curr.level)
+			if curr.Level() != v && curr.kind == kindInterior {
+				t.Fatalf("level %d: curr on level %d", v, curr.Level())
 			}
 			if !(l.cmpNode(curr, k) <= 0) || !(l.cmpNode(next, k) > 0) {
 				t.Fatalf("level %d, k=%d: postcondition violated", v, k)

@@ -33,10 +33,8 @@ func (l *List[K, V]) Snapshot() []NodeState[K] {
 		case kindTail:
 			st.Sentinel = "tail"
 		}
-		if s != nil {
-			st.Marked = s.marked
-			st.Flagged = s.flagged
-		}
+		st.Marked = s.marked()
+		st.Flagged = s.flagged()
 		st.BacklinkSet = n.backlink.Load() != nil
 		out = append(out, st)
 		if n.kind == kindTail {
@@ -88,10 +86,8 @@ func (l *SkipList[K, V]) LevelSnapshot(level int) []NodeState[K] {
 		case kindTail:
 			st.Sentinel = "tail"
 		}
-		if s != nil {
-			st.Marked = s.marked
-			st.Flagged = s.flagged
-		}
+		st.Marked = s.marked()
+		st.Flagged = s.flagged()
 		st.BacklinkSet = n.backlink.Load() != nil
 		out = append(out, st)
 		if n.kind == kindTail {

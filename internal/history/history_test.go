@@ -1,6 +1,7 @@
 package history
 
 import (
+	"errors"
 	"math/rand/v2"
 	"runtime"
 	"sync"
@@ -148,41 +149,58 @@ func TestCheckSegmentationCarriesState(t *testing.T) {
 }
 
 // TestRecorderWithCoreList runs a real concurrent workload against the
-// core list and checks the recorded history end to end.
+// core list and checks the recorded history end to end. A goroutine
+// preempted mid-operation can make one key's concurrent segment denser than
+// the checker's window, which says nothing about the list, so the test
+// runs several rounds: any non-linearizable round fails it, and so does
+// finding every round too dense to check.
 func TestRecorderWithCoreList(t *testing.T) {
-	l := core.NewList[int, int]()
-	const workers, ops, keyRange = 8, 400, 16
-	rec := NewRecorder(workers, ops)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			th := rec.Thread(w)
-			rng := rand.New(rand.NewPCG(uint64(w), 77))
-			p := &core.Proc{ID: w}
-			for i := 0; i < ops; i++ {
-				k := int(rng.Uint64N(keyRange))
-				switch rng.Uint64N(3) {
-				case 0:
-					o := th.Begin(KindInsert, k)
-					_, ok := l.Insert(p, k, k)
-					th.End(o, ok)
-				case 1:
-					o := th.Begin(KindDelete, k)
-					_, ok := l.Delete(p, k)
-					th.End(o, ok)
-				default:
-					o := th.Begin(KindSearch, k)
-					ok := l.Search(p, k) != nil
-					th.End(o, ok)
+	const rounds, workers, ops, keyRange = 6, 8, 400, 16
+	checked := 0
+	for round := 0; round < rounds; round++ {
+		l := core.NewList[int, int]()
+		rec := NewRecorder(workers, ops)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				th := rec.Thread(w)
+				rng := rand.New(rand.NewPCG(uint64(w), 77+uint64(round)))
+				p := &core.Proc{ID: w}
+				for i := 0; i < ops; i++ {
+					k := int(rng.Uint64N(keyRange))
+					switch rng.Uint64N(3) {
+					case 0:
+						o := th.Begin(KindInsert, k)
+						_, ok := l.Insert(p, k, k)
+						th.End(o, ok)
+					case 1:
+						o := th.Begin(KindDelete, k)
+						_, ok := l.Delete(p, k)
+						th.End(o, ok)
+					default:
+						o := th.Begin(KindSearch, k)
+						ok := l.Search(p, k) != nil
+						th.End(o, ok)
+					}
 				}
-			}
-		}(w)
+			}(w)
+		}
+		wg.Wait()
+		err := Check(rec.Ops())
+		var dense *ErrTooDense
+		switch {
+		case err == nil:
+			checked++
+		case errors.As(err, &dense):
+			t.Logf("round %d inconclusive: %v", round, err)
+		default:
+			t.Fatalf("round %d: core list produced a non-linearizable history: %v", round, err)
+		}
 	}
-	wg.Wait()
-	if err := Check(rec.Ops()); err != nil {
-		t.Fatalf("core list produced a non-linearizable history: %v", err)
+	if checked == 0 {
+		t.Fatalf("all %d rounds were too dense for the checker", rounds)
 	}
 }
 

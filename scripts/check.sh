@@ -8,7 +8,8 @@
 #      (internal/sharded, internal/server, internal/instrument,
 #      internal/ebr, internal/wal, internal/snapshot) at GOMAXPROCS=2
 #      and 8, plus the allocation pins without the race detector at
-#      GOMAXPROCS=2,
+#      GOMAXPROCS=2, plus the unsafe gate: internal/core's successor word
+#      lives in one file (steps 1 and 3 vet it and run it under checkptr),
 #   5. a ten-second FuzzRESP run over the wire-protocol readers: hostile
 #      bytes must fail requests, never hang or kill the serving goroutine,
 #   6. a short lflstress -server smoke run: an in-process TCP server per
@@ -48,6 +49,17 @@ go test -race ./...
 echo "== race: concurrent sharded batches at GOMAXPROCS=2 and GOMAXPROCS=8 =="
 GOMAXPROCS=2 go test -race -count=1 ./internal/sharded
 GOMAXPROCS=8 go test -race -count=1 ./internal/sharded
+
+# The successor word is the one piece of unsafe code in the repo's core:
+# tagged interior pointers. Keep it in one file, so the two rules in
+# word.go have one place to be enforced. (The vet leg above runs the
+# unsafeptr pass over it, and the race leg turns on checkptr for every
+# package that swaps words: a word decoded or tagged outside its node
+# fails there.)
+echo "== unsafe: only word.go imports it in internal/core =="
+unsafe_files=$(grep -l '"unsafe"' internal/core/*.go | grep -v '_test\.go$' || true)
+[ "$unsafe_files" = "internal/core/word.go" ] \
+    || { echo "unsafe gate: non-test files importing unsafe in internal/core: $unsafe_files (want only word.go)"; exit 1; }
 
 # The allocation pins skip themselves under the race detector (it drops
 # sync.Pool puts at random), so run them once more without it, at the
