@@ -183,12 +183,11 @@ func TestRecycleDelayedFlagCAS(t *testing.T) {
 
 // TestRecycleDelayedSkipListTower: a parked skip-list inserter has
 // traversed every level of key 20's height-4 tower when the main goroutine
-// deletes the tower. Tower-atomic retirement must hold ALL four nodes —
-// the root is unlinked first, and upper nodes keep down/towerRoot edges
-// into it — until the parked operation unpins; then the whole tower
-// recycles and rebuilds a fresh equal-height tower with zero allocations.
+// deletes the tower. The tower is one object: it must retire once, after
+// its LAST level is unlinked - the root goes first - and stay parked until
+// the inserter unpins; then it recycles and comes back as a fresh
+// equal-height tower with zero allocations.
 func TestRecycleDelayedSkipListTower(t *testing.T) {
-	const height = 4
 	l := core.NewSkipList[int, int](
 		core.WithRecycling(),
 		core.WithRandomSource(func() uint64 { return 0b0111 }), // every tower height 4
@@ -204,17 +203,17 @@ func TestRecycleDelayedSkipListTower(t *testing.T) {
 	go func() { _, ok := l.Insert(p, 25, 25); done <- ok }()
 	ctl.AwaitParked(1, instrument.PtBeforeInsertCAS)
 
-	// Delete the tower the parked search walked through. All four nodes
-	// retire as one batch, stamped inside pid 1's pinned window.
+	// Delete the tower the parked search walked through. It retires at
+	// its fourth unlink, stamped inside pid 1's pinned window.
 	if _, ok := l.Delete(nil, 20); !ok {
 		t.Fatal("interfering delete failed")
 	}
 	reclaim(l)
 	if recycled, _ := l.RecycleCounts(); recycled != 0 {
-		t.Fatalf("recycled %d tower nodes while the parked inserter could still hold them", recycled)
+		t.Fatalf("recycled %d towers while the parked inserter could still hold one", recycled)
 	}
-	if pending := l.RetirePending(); pending != height {
-		t.Fatalf("RetirePending = %d, want the whole tower (%d) parked in retire lists", pending, height)
+	if pending := l.RetirePending(); pending != 1 {
+		t.Fatalf("RetirePending = %d, want the one tower parked in a retire list", pending)
 	}
 
 	ctl.ClearAllPauses()
@@ -224,18 +223,16 @@ func TestRecycleDelayedSkipListTower(t *testing.T) {
 	}
 
 	reclaim(l)
-	if recycled, dropped := l.RecycleCounts(); recycled != height || dropped != 0 {
-		t.Fatalf("recycled %d, dropped %d after quiescence, want the whole tower (%d) recycled",
-			recycled, dropped, height)
+	if recycled, dropped := l.RecycleCounts(); recycled != 1 || dropped != 0 {
+		t.Fatalf("recycled %d, dropped %d after quiescence, want the tower recycled", recycled, dropped)
 	}
-	// The rebuilt tower comes entirely from the free list.
+	// The rebuilt tower comes from the free list, all four levels of it.
 	st := &core.OpStats{}
 	if _, ok := l.Insert(&core.Proc{Stats: st}, 40, 40); !ok {
 		t.Fatal("post-quiescence insert failed")
 	}
-	if st.FreelistHits != height || st.FreelistMisses != 0 {
-		t.Fatalf("tower rebuild: %d hits / %d misses, want %d / 0",
-			st.FreelistHits, st.FreelistMisses, height)
+	if st.FreelistHits != 1 || st.FreelistMisses != 0 {
+		t.Fatalf("tower rebuild: %d hits / %d misses, want 1 / 0", st.FreelistHits, st.FreelistMisses)
 	}
 	for _, k := range []int{10, 25, 30, 40} {
 		if _, ok := l.Get(nil, k); !ok {

@@ -153,27 +153,34 @@ func TestAllocsSkipListDelete(t *testing.T) {
 	}
 }
 
+// TestAllocsSkipListInsert: a tower is one object whatever its height, so
+// with the height rigged to 1, 2, 5 and 12 a successful insert allocates
+// exactly once (a node per level would cost the height).
 func TestAllocsSkipListInsert(t *testing.T) {
-	// Fixed height-1 towers make the alloc count deterministic: one root
-	// node per successful insert.
-	l := NewSkipList[int, int](WithRandomSource(zeroRng))
-	for k := 0; k < 64; k++ {
-		l.Insert(nil, k, k)
-	}
-	if allocs := testing.AllocsPerRun(200, func() { l.Insert(nil, 17, 17) }); allocs != 0 {
-		t.Fatalf("skip-list Insert(duplicate) allocates %v objects per op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		l.Insert(nil, 1000, 1000)
-		l.Delete(nil, 1000)
-	}); allocs != 1 {
-		t.Fatalf("skip-list Insert+Delete pair allocates %v objects, want exactly 1 (the root node)", allocs)
+	for _, height := range []int{1, 2, 5, 12} {
+		flips := uint64(1)<<(height-1) - 1 // height-1 heads, then a tail
+		l := NewSkipList[int, int](WithRandomSource(func() uint64 { return flips }))
+		for k := 0; k < 64; k++ {
+			l.Insert(nil, k, k)
+		}
+		if n := l.Search(nil, 17); n.Height() != height || l.Heights()[height-1] != 64 {
+			t.Fatalf("rigged height %d: towers are %d high, linked %v", height, n.Height(), l.Heights())
+		}
+		if allocs := testing.AllocsPerRun(200, func() { l.Insert(nil, 17, 17) }); allocs != 0 {
+			t.Fatalf("height %d: skip-list Insert(duplicate) allocates %v objects per op, want 0", height, allocs)
+		}
+		if allocs := testing.AllocsPerRun(200, func() {
+			l.Insert(nil, 1000, 1000)
+			l.Delete(nil, 1000)
+		}); allocs != 1 {
+			t.Fatalf("height %d: skip-list Insert+Delete pair allocates %v objects, want exactly 1 (the tower)", height, allocs)
+		}
 	}
 }
 
 // TestAllocsSkipListInsertRetry is the skip-list twin of
 // TestAllocsListInsertRetry: a forced level-1 C&S failure per insert must
-// not allocate beyond the root node.
+// not allocate beyond the tower.
 func TestAllocsSkipListInsertRetry(t *testing.T) {
 	l := NewSkipList[int, int](WithRandomSource(zeroRng))
 	const runs = 200
@@ -199,7 +206,7 @@ func TestAllocsSkipListInsertRetry(t *testing.T) {
 		i++
 	})
 	if allocs != 1 {
-		t.Fatalf("contended skip-list Insert allocates %v objects per op, want exactly 1 (the root node)", allocs)
+		t.Fatalf("contended skip-list Insert allocates %v objects per op, want exactly 1 (the tower)", allocs)
 	}
 	if retried.CASAttempts <= retried.CASSuccesses {
 		t.Fatalf("schedule did not force failed C&S attempts: %+v", retried)

@@ -85,21 +85,26 @@ func (l *List[K, V]) ascend(fn func(k K, v V) bool) {
 }
 
 // CheckStructure validates the skip list's structure in a quiescent state:
-// every level satisfies INV 1-5 (via the same per-level checks as the
-// list), towers are vertically consistent (Figure 6) - each node's down
-// pointer leads to a node with the same key one level below, towerRoot
-// pointers reach level 1 - and every node present on level v+1 has its
-// whole tower below it present.
+// every level satisfies INV 1-5 (the same per-level checks as the list),
+// and towers are vertically consistent - Figure 6, restated on heights: a
+// tower linked on level v has height >= v and is linked on every level
+// below; no linked tower's level-1 word is marked (none is superfluous);
+// the cells a tower owns above its height hold the zero word; and both
+// sentinels span maxLevel.
 func (l *SkipList[K, V]) CheckStructure() error {
 	defer l.opPin(nil).Unpin()
-	// Per-level linked-list invariants plus key sets per level.
-	levelKeys := make([]map[K]*SLNode[K, V], l.maxLevel)
+	if int(l.head.height) != l.maxLevel || int(l.tail.height) != l.maxLevel {
+		return fmt.Errorf("sentinel towers have heights %d and %d, want %d", l.head.height, l.tail.height, l.maxLevel)
+	}
+	if !l.head.spareZero() || !l.tail.spareZero() {
+		return fmt.Errorf("a sentinel tower has a nonzero cell above its height")
+	}
+	var below map[K]*SLNode[K, V] // the towers linked one level down
 	for lv := 1; lv <= l.maxLevel; lv++ {
-		keys := make(map[K]*SLNode[K, V])
-		prev := l.heads[lv-1]
-		seen := 0
-		for {
-			s := prev.loadSucc()
+		linked := make(map[K]*SLNode[K, V])
+		prev := l.head
+		for seen := 0; ; seen++ {
+			s := prev.cell(lv).loadSucc()
 			if s.marked() && s.flagged() {
 				return fmt.Errorf("level %d: INV5 violated", lv)
 			}
@@ -108,7 +113,7 @@ func (l *SkipList[K, V]) CheckStructure() error {
 			}
 			next := s.right()
 			if next == nil {
-				if prev != l.tails[lv-1] {
+				if prev != l.tail {
 					return fmt.Errorf("level %d: nil right pointer before tail", lv)
 				}
 				break
@@ -116,57 +121,46 @@ func (l *SkipList[K, V]) CheckStructure() error {
 			if err := checkOrder(prev.kind, next.kind, func() int { return l.compare(prev.key, next.key) }); err != nil {
 				return fmt.Errorf("level %d: INV1 violated: %w", lv, err)
 			}
+			if int(next.height) < lv {
+				return fmt.Errorf("level %d: a tower of height %d is linked here", lv, next.height)
+			}
 			if next.kind == kindInterior {
-				if got := next.Level(); got != lv {
-					return fmt.Errorf("level %d: node with key %v sits %d levels up its tower", lv, next.key, got)
+				switch k := next.key; {
+				case next.marked():
+					return fmt.Errorf("level %d: key %v is superfluous in a quiescent state", lv, k)
+				case lv > 1 && below[k] != next:
+					return fmt.Errorf("level %d: key %v is linked here but its tower is not on level %d", lv, k, lv-1)
+				case lv == 1 && !next.spareZero():
+					return fmt.Errorf("key %v: a cell above the tower's height %d is not zero", k, next.height)
 				}
-				keys[next.key] = next
+				linked[next.key] = next
 			}
 			prev = next
-			seen++
 			if seen > 1<<30 {
 				return fmt.Errorf("level %d: does not terminate (cycle?)", lv)
 			}
 		}
-		levelKeys[lv-1] = keys
-	}
-	// Vertical structure: down pointers, tower roots, and the staircase
-	// property (a key on level v+1 is also on level v in quiescence).
-	for lv := 2; lv <= l.maxLevel; lv++ {
-		for k, n := range levelKeys[lv-1] {
-			below, ok := levelKeys[lv-2][k]
-			if !ok {
-				return fmt.Errorf("level %d: key %v present but absent on level %d", lv, k, lv-1)
-			}
-			if n.down != below {
-				return fmt.Errorf("level %d: key %v down pointer does not reach the level-%d node", lv, k, lv-1)
-			}
-			if n.towerRoot == nil || !n.towerRoot.isRoot() || n.towerRoot.key != k {
-				return fmt.Errorf("level %d: key %v has a bad towerRoot", lv, k)
-			}
-			if n.towerRoot.marked() {
-				return fmt.Errorf("level %d: key %v is superfluous in a quiescent state", lv, k)
-			}
-		}
-	}
-	// Head/tail tower wiring.
-	for lv := 1; lv <= l.maxLevel; lv++ {
-		h, t := l.heads[lv-1], l.tails[lv-1]
-		var wantDownH, wantDownT *SLNode[K, V]
-		if lv > 1 {
-			wantDownH, wantDownT = l.heads[lv-2], l.tails[lv-2]
-		}
-		if h.down != wantDownH || t.down != wantDownT || h.towerRoot != l.heads[0] || t.towerRoot != l.tails[0] {
-			return fmt.Errorf("level %d: sentinel towers are miswired", lv)
-		}
+		below = linked
 	}
 	return nil
+}
+
+// spareZero reports whether every cell the tower owns above its height
+// holds the zero word and no backlink.
+func (n *SLNode[K, V]) spareZero() bool {
+	sp := n.spare()
+	for i := range sp {
+		if sp[i].loadSucc() != (word[SLNode[K, V]]{}) || sp[i].backlink.Load() != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // ascend calls fn for each key/value in ascending order by walking level 1,
 // skipping marked roots. Weakly consistent under concurrency.
 func (l *SkipList[K, V]) ascend(fn func(k K, v V) bool) {
-	n := l.heads[0].right()
+	n := l.head.right()
 	for n.kind != kindTail {
 		if !n.marked() {
 			if !fn(n.key, n.val) {
@@ -201,14 +195,10 @@ func (l *SkipList[K, V]) Heights() []int {
 	defer l.opPin(nil).Unpin()
 	top := make(map[K]int)
 	for lv := 1; lv <= l.maxLevel; lv++ {
-		n := l.heads[lv-1].right()
-		for n.kind != kindTail {
-			if !n.towerRoot.marked() {
-				if lv > top[n.key] {
-					top[n.key] = lv
-				}
+		for n := l.head.cell(lv).right(); n.kind != kindTail; n = n.cell(lv).right() {
+			if !n.marked() {
+				top[n.key] = lv
 			}
-			n = n.right()
 		}
 	}
 	hist := make([]int, l.maxLevel)

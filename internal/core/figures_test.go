@@ -239,9 +239,8 @@ func TestF6TowerStructure(t *testing.T) {
 	if err := l.CheckStructure(); err != nil {
 		t.Fatal(err)
 	}
-	// Figure 6 head-tower wiring: descending down pointers from the top
-	// head must reach the level-1 head in MaxLevel-1 hops.
-	if got := l.HeadAt(l.MaxLevel()).Level(); got != l.MaxLevel() {
+	// Figure 6's head tower: one tower spanning every level.
+	if got := l.head.Height(); got != l.MaxLevel() {
 		t.Fatalf("head tower height = %d, want %d", got, l.MaxLevel())
 	}
 }
@@ -263,8 +262,8 @@ func TestSkipListSuperfluousCleanup(t *testing.T) {
 	// Delete_SL's trailing SearchToLevel(k, 2) should already have removed
 	// the tower; verify no node with key 5 survives on any level.
 	for lv := 1; lv <= l.MaxLevel(); lv++ {
-		for n := l.HeadAt(lv).right(); n.kind == kindInterior; n = n.right() {
-			if n.key == 5 && !n.marked() {
+		for n := l.head.cell(lv).right(); n.kind == kindInterior; n = n.cell(lv).right() {
+			if n.key == 5 && !n.cell(lv).marked() {
 				t.Fatalf("level %d: superfluous node with key 5 still linked", lv)
 			}
 		}

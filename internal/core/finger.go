@@ -275,18 +275,6 @@ func (f *SkipFinger[K, V]) ensurePin() {
 	}
 }
 
-// recover walks n's backlinks (within one level) to the first unmarked
-// node - the finger invariant's validation step.
-func (f *SkipFinger[K, V]) recover(p *Proc, n *SLNode[K, V]) *SLNode[K, V] {
-	st := p.StatsOrNil()
-	for n.marked() {
-		st.IncBacklink()
-		p.At(PtBacklinkStep)
-		n = n.backlink.Load()
-	}
-	return n
-}
-
 // start resolves the finger to a search start for key k on level v by
 // climbing the remembered tower: from level v upward, it skips every level
 // whose remembered successor still orders below k - k lies beyond that
@@ -312,7 +300,7 @@ func (f *SkipFinger[K, V]) recover(p *Proc, n *SLNode[K, V]) *SLNode[K, V] {
 // dead (superfluous), complete its three-step deletion. Starting on the
 // node itself would skip that duty, stranding the tower after a finger
 // Delete's sweep and livelocking an Insert retrying against it. On level
-// 1 a dead node is marked, not superfluous, so recover() already rules it
+// 1 a dead node is marked, not superfluous, so backtrack already rules it
 // out and an exact-key start is safe.
 func (f *SkipFinger[K, V]) start(p *Proc, k K, v int, strict bool) (*SLNode[K, V], int) {
 	st := p.StatsOrNil()
@@ -321,15 +309,14 @@ func (f *SkipFinger[K, V]) start(p *Proc, k K, v int, strict bool) (*SLNode[K, V
 		if i < f.top && l.nodeLeq(f.nexts[i-1], k, true) {
 			continue
 		}
-		if n := f.recover(p, f.prevs[i-1]); l.nodeLeq(n, k, strict || i > 1) {
+		if n := l.backtrack(p, f.prevs[i-1], i); l.nodeLeq(n, k, strict || i > 1) {
 			st.IncFinger(true)
 			return n, i
 		}
 	}
 	st.IncFinger(false)
-	curr, lv := l.findStart(v)
-	f.top = lv
-	return curr, lv
+	f.top = l.findStart(v)
+	return l.head, f.top
 }
 
 // sweep implements slSearcher's post-deletion cleanup. Unlike start, it
@@ -341,20 +328,19 @@ func (f *SkipFinger[K, V]) start(p *Proc, k K, v int, strict bool) (*SLNode[K, V
 // short hop instead of a scan from the head.
 func (f *SkipFinger[K, V]) sweep(p *Proc, k K) {
 	l := f.l
-	curr, lv := l.findStart(2)
+	curr, lv := l.head, l.findStart(2)
 	if lv > f.top {
 		f.top = lv
 	}
 	for ; lv >= 2; lv-- {
 		if c := f.prevs[lv-1]; c != nil {
-			c = f.recover(p, c)
+			c = l.backtrack(p, c, lv)
 			if l.nodeLeq(c, k, true) {
 				curr = c
 			}
 		}
-		curr, f.nexts[lv-1] = l.searchRight(p, k, curr, false)
+		curr, f.nexts[lv-1] = l.searchRight(p, k, curr, lv, false)
 		f.prevs[lv-1] = curr
-		curr = curr.down
 	}
 }
 
@@ -363,18 +349,16 @@ func (f *SkipFinger[K, V]) sweep(p *Proc, k K) {
 // corresponding finger predecessor.
 func (f *SkipFinger[K, V]) searchToLevel(p *Proc, k K, v int, strict bool) (*SLNode[K, V], *SLNode[K, V]) {
 	curr, lv := f.start(p, k, v, strict)
-	for lv > v {
-		curr, f.nexts[lv-1] = f.l.searchRight(p, k, curr, strict)
+	for ; lv > v; lv-- {
+		curr, f.nexts[lv-1] = f.l.searchRight(p, k, curr, lv, strict)
 		f.prevs[lv-1] = curr
-		curr = curr.down
-		lv--
 	}
-	curr, next := f.l.searchRight(p, k, curr, strict)
+	curr, next := f.l.searchRight(p, k, curr, v, strict)
 	f.prevs[v-1], f.nexts[v-1] = curr, next
 	return curr, next
 }
 
-// Search looks up k starting from the finger and returns its root node,
+// Search looks up k starting from the finger and returns its tower,
 // or nil if k is absent.
 func (f *SkipFinger[K, V]) Search(p *Proc, k K) *SLNode[K, V] {
 	f.ensurePin()

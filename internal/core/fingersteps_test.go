@@ -91,9 +91,9 @@ func TestFingerStepsClusteredBatch(t *testing.T) {
 // and to: the level on which from's predecessor also brackets to.
 func lowestBracketingLevel(l *SkipList[int, int], from, to int) int {
 	for lv := 1; ; lv++ {
-		n := l.HeadAt(lv).right()
+		n := l.head.cell(lv).right()
 		for n.kind != kindTail && n.key <= from {
-			n = n.right()
+			n = n.cell(lv).right()
 		}
 		if n.kind == kindTail || n.key >= to {
 			return lv
@@ -121,11 +121,12 @@ func TestFingerStartLowestBracketingLevel(t *testing.T) {
 				t.Errorf("k0=%d gap=%d: start resumed on level %d, lowest bracketing level is %d", k0, gap, lv, want)
 				continue
 			}
-			if n != f.prevs[lv-1] || n.Level() != lv {
+			if n != f.prevs[lv-1] || n.Height() < lv {
 				t.Errorf("k0=%d gap=%d: start node is not the level-%d remembered predecessor", k0, gap, lv)
+				continue
 			}
-			if !l.nodeLeq(n, k, lv > 1) || (lv < f.top && l.nodeLeq(n.right(), k, true)) {
-				t.Errorf("k0=%d gap=%d: level-%d start [%v, %v) does not bracket %d", k0, gap, lv, n.key, n.right().key, k)
+			if r := n.cell(lv).right(); !l.nodeLeq(n, k, lv > 1) || (lv < f.top && l.nodeLeq(r, k, true)) {
+				t.Errorf("k0=%d gap=%d: level-%d start [%v, %v) does not bracket %d", k0, gap, lv, n.key, r.key, k)
 			}
 			if st.FingerHits != 1 || st.FingerMisses != 0 {
 				t.Errorf("k0=%d gap=%d: hits/misses = %d/%d, want 1/0", k0, gap, st.FingerHits, st.FingerMisses)

@@ -71,6 +71,37 @@ func TestGCWordAloneKeepsNode(t *testing.T) {
 	}
 }
 
+// TestGCWordInUpperCellKeepsTower: the cells behind a tower's header are
+// reached by pointer arithmetic (cell, word.go) but belong to a real struct
+// type, so the collector scans them. A tower whose ONLY reference is a
+// word, under each tag, in another tower's level-3 cell is kept alive, and
+// its header and its own level-3 cell read back intact.
+func TestGCWordInUpperCellKeepsTower(t *testing.T) {
+	type tower = SLNode[int, string]
+	for tag, mk := range []func(*tower) word[tower]{clean[tower], flagged[tower], marked[tower]} {
+		holder := newTower[int, string](3)
+		freed := func() *atomic.Bool {
+			n := newTower[int, string](3)
+			n.key, n.val = 7+tag, fmt.Sprint("value-", tag)
+			n.cell(3).succ.store(mk(holder))
+			holder.cell(3).succ.store(mk(n))
+			return watch(n)
+		}()
+		collectHard()
+		if freed.Load() {
+			t.Fatalf("tag %d: tower referenced only from another tower's level-3 cell was collected", tag)
+		}
+		n := holder.cell(3).loadSucc().right()
+		if n.key != 7+tag || n.val != fmt.Sprint("value-", tag) || n.Height() != 3 {
+			t.Fatalf("tag %d: tower behind the word reads (%d,%q), height %d", tag, n.key, n.val, n.Height())
+		}
+		if w := n.cell(3).loadSucc(); w != mk(holder) || n.cell(2).loadSucc() != (word[tower]{}) {
+			t.Fatalf("tag %d: the tower's own cells did not survive the collections", tag)
+		}
+		runtime.KeepAlive(holder)
+	}
+}
+
 // gcSubject lets one schedule drive both structures and node types.
 type gcSubject[N any] struct {
 	insert func(k int, v string) *N
@@ -298,7 +329,7 @@ func TestGCChurnSoak(t *testing.T) {
 					go func() { // a fresh, small stack every round
 						pin := l.PinEpoch()
 						defer pin.Unpin()
-						walked <- climbHolding(l.heads[0], keys)
+						walked <- climbHolding(l.head, keys)
 					}()
 					<-walked
 				}

@@ -20,33 +20,35 @@ import (
 //     releases it), and a caller that installs its Pin in Proc.Epoch is
 //     trusted to span the whole call.
 //
-//  2. Skip-list towers retire atomically. The sweep unlinks the root
-//     FIRST (level 1), then the upper levels, and upper nodes keep
-//     down/towerRoot edges into the root — superfluous() dereferences
-//     towerRoot — so per-node grace periods would free a root while its
-//     tower is still reachable. Instead every tower carries a live count
-//     on its root (1 for the root + 1 per upper node) and the root
-//     remembers the tower's topmost node; whichever unlink drops the
-//     count to zero retires the whole tower, top to root along the down
-//     edges, in one batch. A pinned holder of ANY tower node therefore
-//     blocks reuse of EVERY node of that tower.
+//  2. A skip-list tower retires once, after its LAST unlink. The sweep
+//     unlinks level 1 FIRST, then the upper levels, and all of them are
+//     cells of one object, so retiring at the first unlink would recycle
+//     a tower that is still linked above. Instead every tower carries a
+//     live count (1 for level 1 + 1 per higher level, taken before that
+//     level is linked) and whichever unlink drops it to zero retires the
+//     object. A pinned holder of the tower on ANY level therefore blocks
+//     its reuse on EVERY level.
 //
 // Node identity survives reuse trivially for the successor word's ABA
 // argument: a word naming a node depends only on the node's address, and
 // the grace period guarantees no pinned operation still holds a word
 // naming a node when it is reused.
 
-// recycler bundles a structure's reclamation domain with its free list.
-// One per structure; towers and list nodes are uniform in size (a tower
-// is a chain of SLNodes, not an array), so a single pool covers every
-// level class.
+// recycler bundles a structure's reclamation domain with its free lists,
+// one per size of object: a list has one, a skip list one per tower bucket
+// (towerCaps), because a recycled tower can only stand in for a tower
+// allocated as the same struct type.
 type recycler struct {
-	dom  *ebr.Domain
-	pool *ebr.Pool
+	dom   *ebr.Domain
+	pools []*ebr.Pool
 }
 
-func newRecycler() *recycler {
-	return &recycler{dom: ebr.NewDomain(), pool: ebr.NewPool(0)}
+func newRecycler(sizes int) *recycler {
+	r := &recycler{dom: ebr.NewDomain(), pools: make([]*ebr.Pool, sizes)}
+	for i := range r.pools {
+		r.pools[i] = ebr.NewPool(0)
+	}
+	return r
 }
 
 // pin opens a critical section for one operation, or returns nil (a
@@ -100,7 +102,7 @@ func (l *SkipList[K, V]) PinEpoch() *ebr.Pin {
 // EnableRecycling switches the list to epoch-based node recycling. Must
 // be called before the list is shared (the field is read without
 // synchronization on operation entry); it cannot be disabled again.
-func (l *List[K, V]) EnableRecycling() { l.rec = newRecycler() }
+func (l *List[K, V]) EnableRecycling() { l.rec = newRecycler(1) }
 
 // RecyclingEnabled reports whether the list recycles nodes.
 func (l *List[K, V]) RecyclingEnabled() bool { return l.rec != nil }
@@ -113,7 +115,7 @@ func (l *SkipList[K, V]) RecyclingEnabled() bool { return l.rec != nil }
 // loop before publication.
 func (l *List[K, V]) newNode(p *Proc, k K, v V) *Node[K, V] {
 	if l.rec != nil {
-		if raw := l.rec.pool.Get(p.StatsOrNil()); raw != nil {
+		if raw := l.rec.pools[0].Get(p.StatsOrNil()); raw != nil {
 			n := raw.(*Node[K, V])
 			n.key, n.val = k, v
 			n.backlink.Store(nil)
@@ -128,7 +130,7 @@ func (l *List[K, V]) newNode(p *Proc, k K, v V) *Node[K, V] {
 // goroutine ever saw it.
 func (l *List[K, V]) freeNode(n *Node[K, V]) {
 	if l.rec != nil {
-		l.rec.pool.Put(n)
+		l.rec.pools[0].Put(n)
 	}
 }
 
@@ -136,7 +138,7 @@ func (l *List[K, V]) freeNode(n *Node[K, V]) {
 // the winning physical-deletion C&S, inside the operation's pin.
 func (l *List[K, V]) retireNode(p *Proc, n *Node[K, V]) {
 	if l.rec != nil {
-		l.rec.dom.RetireNode(l.rec.pool, n, p.StatsOrNil())
+		l.rec.dom.RetireNode(l.rec.pools[0], n, p.StatsOrNil())
 	}
 }
 
@@ -191,110 +193,67 @@ func (l *SkipList[K, V]) RetirePending() int {
 	return l.rec.dom.Pending()
 }
 
-// newRoot returns a level-1 tower root for k/v, recycled when possible.
-// The tower's live count starts at 1 (the root itself).
-func (l *SkipList[K, V]) newRoot(p *Proc, k K, v V) *SLNode[K, V] {
+// newTower returns an unlinked tower of the given height for k/v, recycled
+// from the height's bucket when possible. A recycled tower has every cell
+// its previous life used reset - the cells above that were never written -
+// so cells above the new height hold the zero word like a fresh one's. The
+// live count starts at 1: level 1, which the caller is about to link.
+func (l *SkipList[K, V]) newTower(p *Proc, k K, v V, height int) *SLNode[K, V] {
+	var n *SLNode[K, V]
 	if l.rec != nil {
-		if raw := l.rec.pool.Get(p.StatsOrNil()); raw != nil {
-			n := raw.(*SLNode[K, V])
-			n.key, n.val = k, v
-			n.down = nil
-			n.towerRoot = n
-			n.backlink.Store(nil)
-			n.towerLive.Store(1)
-			return n
-		}
+		n, _ = l.rec.pools[towerBucket(height)].Get(p.StatsOrNil()).(*SLNode[K, V])
 	}
-	root := &SLNode[K, V]{key: k, val: v}
-	root.towerRoot = root
-	root.towerLive.Store(1)
-	return root
-}
-
-// newUpper returns a tower node one level above down, recycled when
-// possible. When the skip list recycles, the caller must have acquired a
-// tower reference (towerAcquire) for it first, and the root's otherwise
-// unused down records it as the tower's top BEFORE it is published: once
-// published it can be unlinked, and the unlink that drops the live count
-// to zero walks the tower from that top (towerCollapse). Only the one
-// process building the tower writes the field, always holding a
-// reference, so a collapse never runs concurrently with the write.
-func (l *SkipList[K, V]) newUpper(p *Proc, k K, down, root *SLNode[K, V]) *SLNode[K, V] {
-	if l.rec == nil {
-		return &SLNode[K, V]{key: k, down: down, towerRoot: root}
-	}
-	n, _ := l.rec.pool.Get(p.StatsOrNil()).(*SLNode[K, V])
 	if n == nil {
-		n = new(SLNode[K, V])
+		n = newTower[K, V](height)
+	} else {
+		for lv := int(n.height); lv >= 1; lv-- {
+			c := n.cell(lv)
+			c.succ.store(word[SLNode[K, V]]{})
+			c.backlink.Store(nil)
+		}
+		n.height = uint8(height)
 	}
-	var zero V
-	n.key, n.val = k, zero
-	n.down = down
-	n.towerRoot = root
-	n.backlink.Store(nil)
-	root.down = n
+	n.key, n.val = k, v
+	n.towerLive.Store(1)
 	return n
 }
 
-// towerAcquire takes one reference on root's tower before creating an
-// upper node. It refuses (false) once the count has reached zero: the
-// tower has fully retired, and resurrecting the count would let the new
-// node outlive its root's grace period. The CAS loop is safe because the
-// caller is pinned, so root's memory cannot be recycled mid-loop.
-func (l *SkipList[K, V]) towerAcquire(root *SLNode[K, V]) bool {
+// freeTower returns a tower that was never published (duplicate-key insert
+// race) straight to its free list - no grace period needed, no other
+// goroutine ever saw it.
+func (l *SkipList[K, V]) freeTower(n *SLNode[K, V]) {
+	if l.rec != nil {
+		l.rec.pools[towerBucket(int(n.height))].Put(n)
+	}
+}
+
+// towerAcquire takes one reference on the tower before linking its next
+// level. It refuses (false) once the count has reached zero: the tower has
+// fully retired, and resurrecting the count would link a retired object.
+// The CAS loop is safe because the caller is pinned, so the tower's memory
+// cannot be recycled mid-loop.
+func (l *SkipList[K, V]) towerAcquire(n *SLNode[K, V]) bool {
 	if l.rec == nil {
 		return true
 	}
 	for {
-		c := root.towerLive.Load()
+		c := n.towerLive.Load()
 		if c == 0 {
 			return false
 		}
-		if root.towerLive.CompareAndSwap(c, c+1) {
+		if n.towerLive.CompareAndSwap(c, c+1) {
 			return true
 		}
 	}
 }
 
-// towerRetire records the physical unlink of one tower node. Whichever
-// unlink drops the live count to zero retires the whole tower as one
-// batch, so towerRoot/down edges stay valid for every pinned holder for
-// the full grace period.
+// towerRetire drops one reference: a level of the tower was physically
+// unlinked, or a reference taken by towerAcquire goes unused because its
+// level was never linked (an unlinked cell has nothing else to hand
+// back). Whichever drop reaches zero retires the object, once, so it stays
+// intact for every pinned holder for the full grace period.
 func (l *SkipList[K, V]) towerRetire(p *Proc, n *SLNode[K, V]) {
-	if l.rec == nil {
-		return
+	if l.rec != nil && n.towerLive.Add(-1) == 0 {
+		l.rec.dom.RetireNode(l.rec.pools[towerBucket(int(n.height))], n, p.StatsOrNil())
 	}
-	if root := n.towerRoot; root.towerLive.Add(-1) == 0 {
-		l.towerCollapse(p, root)
-	}
-}
-
-// towerAbandon undoes a towerAcquire whose upper node was never
-// published: the node goes straight back to the free list (no grace
-// period — no other goroutine ever saw it), the tower's top drops back to
-// the node below it, and the dropped reference may complete the tower's
-// collapse.
-func (l *SkipList[K, V]) towerAbandon(p *Proc, n *SLNode[K, V]) {
-	root := n.towerRoot
-	root.down = n.down
-	l.rec.pool.Put(n)
-	if root.towerLive.Add(-1) == 0 {
-		l.towerCollapse(p, root)
-	}
-}
-
-// towerCollapse retires the fully unlinked tower rooted at root: every
-// upper node from the recorded top down, then the root itself, stamped
-// into the current epoch. Runs exactly once per tower (only one decrement
-// reaches zero), after the builder's last write of the top (the decrement
-// that reached zero is ordered after it).
-func (l *SkipList[K, V]) towerCollapse(p *Proc, root *SLNode[K, V]) {
-	st := p.StatsOrNil()
-	rec := l.rec
-	for n := root.down; n != nil && n != root; {
-		below := n.down
-		rec.dom.RetireNode(rec.pool, n, st)
-		n = below
-	}
-	rec.dom.RetireNode(rec.pool, root, st)
 }

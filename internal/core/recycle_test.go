@@ -145,9 +145,9 @@ func TestRecycleListReusesNodes(t *testing.T) {
 	}
 }
 
-// TestRecycleSkipListTowerAtomic: a deleted tower retires as one batch —
-// every level node plus the root — and the whole batch is reusable after
-// the grace period.
+// TestRecycleSkipListTowerAtomic: a deleted tower retires as ONE object,
+// after the last of its levels is unlinked and not before, and that object
+// is what the next insert of the same height gets back.
 func TestRecycleSkipListTowerAtomic(t *testing.T) {
 	const height = 4
 	// Constant rng with three low bits set → every tower is height 4.
@@ -155,8 +155,12 @@ func TestRecycleSkipListTowerAtomic(t *testing.T) {
 	st := &OpStats{}
 	p := &Proc{Stats: st}
 
-	if _, ok := l.Insert(p, 1, 10); !ok {
+	tower, ok := l.Insert(p, 1, 10)
+	if !ok {
 		t.Fatal("insert failed")
+	}
+	if got := tower.towerLive.Load(); got != height {
+		t.Fatalf("live count of a linked height-%d tower = %d", height, got)
 	}
 	if got := l.Heights()[height-1]; got != 1 {
 		t.Fatalf("height histogram %v, want one height-%d tower (rng contract changed?)", l.Heights(), height)
@@ -165,25 +169,31 @@ func TestRecycleSkipListTowerAtomic(t *testing.T) {
 		t.Fatal("delete failed")
 	}
 	// The tower is fully unlinked (single goroutine: Delete sweeps every
-	// level), so the collapse has stamped all `height` nodes into the
-	// current epoch together.
-	if got := l.RetirePending(); got != height {
-		t.Fatalf("RetirePending = %d after tower delete, want %d (tower must retire atomically)", got, height)
+	// level): the last of the four unlinks retired the one object.
+	if got := l.RetirePending(); got != 1 {
+		t.Fatalf("RetirePending = %d after tower delete, want 1 (a tower is one object)", got)
 	}
 	for i := 0; i < 6; i++ {
 		l.ForceReclaim(p)
 	}
 	recycled, dropped := l.RecycleCounts()
-	if recycled != height || dropped != 0 {
-		t.Fatalf("recycled %d, dropped %d, want the whole tower (%d) recycled", recycled, dropped, height)
+	if recycled != 1 || dropped != 0 {
+		t.Fatalf("recycled %d, dropped %d, want the tower recycled", recycled, dropped)
 	}
-	// Rebuilding an equal tower is now allocation-free.
+	// Rebuilding an equal tower is now allocation-free: the same object,
+	// every cell reset.
 	hits := st.FreelistHits
-	if _, ok := l.Insert(p, 2, 20); !ok {
+	again, ok := l.Insert(p, 2, 20)
+	if !ok {
 		t.Fatal("re-insert failed")
 	}
-	if st.FreelistHits-hits != height {
-		t.Fatalf("re-insert hit the free list %d times, want %d", st.FreelistHits-hits, height)
+	if st.FreelistHits-hits != 1 || again != tower {
+		t.Fatalf("re-insert hit the free list %d times and got %p, want 1 hit returning %p", st.FreelistHits-hits, again, tower)
+	}
+	for lv := 1; lv <= height; lv++ {
+		if c := again.cell(lv); c.loadSucc() != clean(l.tail) || c.backlink.Load() != nil {
+			t.Fatalf("level %d of the reused tower carries state from its previous life", lv)
+		}
 	}
 	if v, ok := l.Get(p, 2); !ok || v != 20 {
 		t.Fatalf("Get after recycled rebuild = %v, %v", v, ok)

@@ -18,10 +18,10 @@ const DefaultMaxLevel = 32
 
 // SkipList is the lock-free skip list of Fomitchev and Ruppert (Section 4).
 // Each level is an instance of the paper's lock-free linked list; a key is
-// a tower of nodes built bottom-up on insertion and torn down root-first,
-// then top-down, on deletion. Searches physically delete any superfluous
-// tower nodes they encounter so that backlink chains on a level cannot be
-// traversed repeatedly.
+// a tower (one object, skipnode.go) linked bottom-up on insertion and
+// unlinked root-first, then top-down, on deletion. Searches physically
+// delete any superfluous tower nodes they encounter so that backlink chains
+// on a level cannot be traversed repeatedly.
 //
 // All methods are safe for concurrent use and the implementation is
 // lock-free. Construct with NewSkipList.
@@ -30,15 +30,15 @@ type SkipList[K comparable, V any] struct {
 	// read-only afterwards: they share cache lines safely.
 	compare  func(K, K) int
 	maxLevel int
-	heads    []*SLNode[K, V] // head tower, index 0 = level 1
-	tails    []*SLNode[K, V] // tail tower, index 0 = level 1
-	rng      func() uint64   // thread-safe source of random bits
+	head     *SLNode[K, V] // sentinel towers of maxLevel cells: every
+	tail     *SLNode[K, V] // level starts at head and ends at tail
+	rng      func() uint64 // thread-safe source of random bits
 	// tel, when non-nil, receives one RecordOp flush per completed
 	// operation (see telemetry.go). Set before the skip list is shared.
 	tel *telemetry.Recorder
-	// retire, when non-nil, is called with each level node whose physical-
-	// deletion C&S succeeded - exactly once per node, from whichever
-	// goroutine won the C&S. Set before the skip list is shared.
+	// retire, when non-nil, is called with the tower at each of its
+	// levels' physical-deletion C&S - exactly once per level, from
+	// whichever goroutine won the C&S. Set before the skip list is shared.
 	retire func(node any)
 	// rec, when non-nil, recycles retired towers through epoch-based
 	// reclamation (recycle.go). Set by WithRecycling at construction.
@@ -79,16 +79,16 @@ func WithRandomSource(rng func() uint64) SkipListOption {
 }
 
 // WithRetireHook attaches fn to every level's physical-deletion C&S site:
-// fn is called with each level node (*SLNode) whose unlinking C&S
-// succeeds, exactly once per node, from the goroutine that won the C&S
-// (so fn must be safe for concurrent use). Note the retire ORDER: a
-// tower's root is usually retired FIRST (Delete unlinks the level-1 node
-// to linearize, then sweeps levels >= 2), so upper nodes arrive at the
-// hook after their root while still holding down/towerRoot edges to it —
-// a hook must not free a root eagerly on the assumption that its tower
-// is already gone. This is the seam memory-reclamation schemes such as
-// internal/ebr hang on; the built-in recycler (WithRecycling) handles
-// the ordering by retiring whole towers atomically.
+// fn is called with the tower (*SLNode) each time the C&S unlinking one of
+// its levels succeeds, from the goroutine that won the C&S (so fn must be
+// safe for concurrent use). A tower of height h arrives h times - once
+// per level it was linked on, the same pointer every time - and usually
+// level 1 FIRST (Delete unlinks the root to linearize, then sweeps levels
+// >= 2), so a hook must not free the tower on its first arrival: the
+// object is still linked on the levels above. This is the seam
+// memory-reclamation schemes such as internal/ebr hang on; the built-in
+// recycler (WithRecycling) counts the arrivals and retires the tower on
+// the last.
 func WithRetireHook(fn func(node any)) SkipListOption {
 	return func(c *skipListConfig) { c.retire = fn }
 }
@@ -118,23 +118,17 @@ func NewSkipListFunc[K comparable, V any](compare func(K, K) int, opts ...SkipLi
 	l := &SkipList[K, V]{
 		compare:  compare,
 		maxLevel: cfg.maxLevel,
-		heads:    make([]*SLNode[K, V], cfg.maxLevel),
-		tails:    make([]*SLNode[K, V], cfg.maxLevel),
+		head:     newTower[K, V](cfg.maxLevel),
+		tail:     newTower[K, V](cfg.maxLevel), // its successor words stay (nil, 0, 0)
 		rng:      cfg.rng,
 		retire:   cfg.retire,
 	}
 	if cfg.recycle {
-		l.rec = newRecycler()
+		l.rec = newRecycler(len(towerCaps))
 	}
-	for i := 0; i < cfg.maxLevel; i++ {
-		h := &SLNode[K, V]{kind: kindHead}
-		t := &SLNode[K, V]{kind: kindTail} // its successor word stays (nil, 0, 0)
-		l.heads[i], l.tails[i] = h, t
-		h.towerRoot, t.towerRoot = l.heads[0], l.tails[0]
-		h.succ.store(clean(t))
-		if i > 0 {
-			h.down, t.down = l.heads[i-1], l.tails[i-1]
-		}
+	l.head.kind, l.tail.kind = kindHead, kindTail
+	for lv := 1; lv <= cfg.maxLevel; lv++ {
+		l.head.cell(lv).succ.store(clean(l.tail))
 	}
 	l.size.Init()
 	return l
@@ -154,13 +148,6 @@ func (l *SkipList[K, V]) Len() int { return int(l.size.Load()) }
 
 // MaxLevel returns the configured head-tower height.
 func (l *SkipList[K, V]) MaxLevel() int { return l.maxLevel }
-
-// HeadAt returns the head sentinel of the given level (1-based); used by
-// the structure validator and statistics collectors.
-func (l *SkipList[K, V]) HeadAt(level int) *SLNode[K, V] { return l.heads[level-1] }
-
-// TailAt returns the tail sentinel of the given level (1-based).
-func (l *SkipList[K, V]) TailAt(level int) *SLNode[K, V] { return l.tails[level-1] }
 
 // randomHeight draws a tower height from the geometric(1/2) distribution,
 // capped at maxLevel-1: height h is chosen with probability 2^-h (mass of
@@ -238,10 +225,10 @@ func (l *SkipList[K, V]) get(p *Proc, k K) (V, bool) {
 	return zero, false
 }
 
-// insert adds k with value v, building the new tower bottom-up. It returns
-// the root node and true on success, or the existing root and false if k
-// is already present. The insertion is linearized at the root node's
-// insertion C&S. This is INSERT_SL.
+// insert adds k with value v, linking the new tower bottom-up. It returns
+// the tower and true on success, or the existing tower and false if k is
+// already present. The insertion is linearized at the level-1 insertion
+// C&S. This is INSERT_SL.
 func (l *SkipList[K, V]) insert(p *Proc, k K, v V) (*SLNode[K, V], bool) {
 	return l.insertVia(p, l, k, v)
 }
@@ -253,36 +240,30 @@ func (l *SkipList[K, V]) insertVia(p *Proc, s slSearcher[K, V], k K, v V) (*SLNo
 	if l.cmpNode(prev, k) == 0 {
 		return prev, false // duplicate key
 	}
-	root := l.newRoot(p, k, v)
 	height := l.randomHeight()
-	newNode := root
-	lv := 1
-	for {
+	tower := l.newTower(p, k, v, height)
+	for lv := 1; ; {
 		var inserted bool
-		prev, inserted = l.insertNode(p, newNode, prev, next)
+		prev, inserted = l.insertNode(p, tower, prev, next, lv)
 		if !inserted && lv == 1 {
-			// A concurrent insertion won with the same key; root was never
+			// A concurrent insertion won with the same key; tower was never
 			// published and can go straight back to the free list.
-			if l.rec != nil {
-				l.rec.pool.Put(root)
-			}
+			l.freeTower(tower)
 			return prev, false
 		}
-		if root.marked() {
+		if tower.marked() {
 			// Our tower became superfluous while we were building it: a
-			// concurrent deletion removed the root. Undo the node we may
+			// concurrent deletion removed the root. Undo the level we may
 			// just have added and report success (the insertion
-			// linearized at the root C&S, before the deletion).
-			if newNode != root {
+			// linearized at the level-1 C&S, before the deletion).
+			if lv > 1 {
 				if inserted {
-					l.deleteNode(p, prev, newNode)
-				} else if l.rec != nil {
-					// Never published: release its tower reference and
-					// recycle it directly.
-					l.towerAbandon(p, newNode)
+					l.deleteNode(p, prev, tower, lv)
+				} else {
+					l.towerRetire(p, tower) // the reference taken for this level
 				}
 			}
-			return root, true
+			return tower, true
 		}
 		if !inserted {
 			// Duplicate at an upper level: it can only belong to a
@@ -293,22 +274,21 @@ func (l *SkipList[K, V]) insertVia(p *Proc, s slSearcher[K, V], k K, v V) (*SLNo
 		}
 		lv++
 		if lv > height {
-			return root, true // tower construction finished
+			return tower, true // tower construction finished
 		}
-		if !l.towerAcquire(root) {
+		if !l.towerAcquire(tower) {
 			// The tower fully retired already (root deleted and every
-			// node unlinked): stop building. The insertion linearized at
-			// the root C&S long before.
-			return root, true
+			// level unlinked): stop building. The insertion linearized at
+			// the level-1 C&S long before.
+			return tower, true
 		}
-		newNode = l.newUpper(p, k, newNode, root)
 		prev, next = s.searchToLevel(p, k, lv, false)
 	}
 }
 
-// remove deletes k. It deletes the root node first (making the remaining
-// tower superfluous and linearizing the deletion when the root is marked),
-// then sweeps levels >= 2 to physically remove the rest of the tower.
+// remove deletes k. It deletes the tower on level 1 first (making the rest
+// of it superfluous and linearizing the deletion when level 1 is marked),
+// then sweeps levels >= 2 to physically unlink the tower there.
 // This is DELETE_SL.
 func (l *SkipList[K, V]) remove(p *Proc, k K) (*SLNode[K, V], bool) {
 	return l.removeVia(p, l, k)
@@ -320,7 +300,7 @@ func (l *SkipList[K, V]) removeVia(p *Proc, s slSearcher[K, V], k K) (*SLNode[K,
 	if l.cmpNode(delNode, k) != 0 {
 		return nil, false // no such key
 	}
-	if !l.deleteNode(p, prev, delNode) {
+	if !l.deleteNode(p, prev, delNode, 1) {
 		return nil, false // a concurrent deletion won
 	}
 	// Remove the superfluous nodes of the tower (top-down, as the

@@ -2,84 +2,92 @@ package core
 
 // searchToLevel is SEARCHTOLEVEL_SL: locate the two consecutive nodes on
 // level v with keys closest to k. It descends from the highest level in
-// use, traversing each level with searchRight. In strict mode it performs
-// the paper's "k - epsilon" search (curr.key < k <= next.key); otherwise
+// use, traversing each level with searchRight; moving down a level keeps
+// the tower and lowers the level. In strict mode it performs the paper's
+// "k - epsilon" search (curr.key < k <= next.key); otherwise
 // curr.key <= k < next.key.
 func (l *SkipList[K, V]) searchToLevel(p *Proc, k K, v int, strict bool) (*SLNode[K, V], *SLNode[K, V]) {
-	curr, lv := l.findStart(v)
-	for lv > v {
-		curr, _ = l.searchRight(p, k, curr, strict)
-		curr = curr.down
-		lv--
+	curr := l.head
+	for lv := l.findStart(v); lv > v; lv-- {
+		curr, _ = l.searchRight(p, k, curr, lv, strict)
 	}
-	return l.searchRight(p, k, curr, strict)
+	return l.searchRight(p, k, curr, v, strict)
 }
 
-// findStart returns the head-tower node to begin a descending search from:
-// the lowest head node whose level is at least v and whose level above
+// findStart returns the level of the head tower to begin a descending
+// search from: the lowest level that is at least v and whose level above
 // holds no interior nodes. Because interior towers are capped at
-// maxLevel-1, the climb always terminates at or below the top head node.
-func (l *SkipList[K, V]) findStart(v int) (*SLNode[K, V], int) {
+// maxLevel-1, the climb always terminates at or below the top level.
+func (l *SkipList[K, V]) findStart(v int) int {
 	lv := 1
-	for lv < l.maxLevel && (lv < v || l.heads[lv].right() != l.tails[lv]) {
+	for lv < l.maxLevel && (lv < v || l.head.cell(lv+1).right() != l.tail) {
 		lv++
 	}
-	return l.heads[lv-1], lv
+	return lv
 }
 
-// searchRight is SEARCHRIGHT: traverse one level rightward from curr until
+// searchRight is SEARCHRIGHT: traverse level lv rightward from curr until
 // the key bound is passed. Like the plain list's SearchFrom it physically
 // deletes logically deleted (marked) successors, and - this is the skip
 // list's extra duty from Section 4 - it performs the full three-step
 // deletion of any superfluous node it encounters (a node whose tower root
 // is marked), so that searches never repeatedly traverse dead towers.
-func (l *SkipList[K, V]) searchRight(p *Proc, k K, curr *SLNode[K, V], strict bool) (*SLNode[K, V], *SLNode[K, V]) {
+func (l *SkipList[K, V]) searchRight(p *Proc, k K, curr *SLNode[K, V], lv int, strict bool) (*SLNode[K, V], *SLNode[K, V]) {
 	st := p.StatsOrNil()
-	next := curr.right()
+	next := curr.cell(lv).right()
 	for l.nodeLeq(next, k, strict) {
-		nextSucc := next.loadSucc()
+		nextSucc := next.cell(lv).loadSucc()
 		if nextSucc.marked() {
 			// Same recovery as SearchFrom lines 3-6: either help the
 			// physical deletion, or step through a marked chain when
 			// curr itself was marked first.
-			currSucc := curr.loadSucc()
+			currSucc := curr.cell(lv).loadSucc()
 			if !(currSucc.marked() && currSucc.right() == next) {
 				if currSucc.right() == next {
-					l.slHelpMarked(p, curr, next)
+					l.slHelpMarked(p, curr, next, lv)
 				}
-				next = curr.right()
+				next = curr.cell(lv).right()
 				st.IncNext()
 				continue
 			}
-		} else if root := next.towerRoot; root != next && root.marked() {
-			// next is superfluous (Section 4): its tower's root is marked
-			// but next is not yet marked on this level. On level 1 next
-			// is its own root and nextSucc already said it is unmarked;
-			// a sentinel's root is a sentinel, which is never marked.
-			// Perform all three deletion steps here.
-			pred, status, _ := l.tryFlagNode(p, curr, next)
+		} else if lv > 1 && next.marked() {
+			// next is superfluous (Section 4): its tower's root - the
+			// level-1 word, beside the key just compared - is marked but
+			// next is not yet marked on this level. On level 1 nextSucc
+			// IS that word and already said unmarked; a sentinel is never
+			// marked. Perform all three deletion steps here.
+			pred, status, _ := l.tryFlagNode(p, curr, next, lv)
 			if status == flagStatusIn {
-				l.slHelpFlagged(p, pred, next)
+				l.slHelpFlagged(p, pred, next, lv)
 			}
 			// tryFlagNode may have moved us; resume from an unmarked
 			// position. (pred is unmarked when status == flagStatusIn.)
 			if status == flagStatusIn {
 				curr = pred
 			}
-			for curr.marked() {
-				st.IncBacklink()
-				p.At(PtBacklinkStep)
-				curr = curr.backlink.Load()
-			}
-			next = curr.right()
+			curr = l.backtrack(p, curr, lv)
+			next = curr.cell(lv).right()
 			st.IncNext()
 			continue
 		}
 		curr = next
 		st.IncCurr()
-		next = curr.right()
+		next = curr.cell(lv).right()
 		st.IncNext()
 	}
 	p.At(PtSearchDone)
 	return curr, next
+}
+
+// backtrack walks level lv's backlinks from n to the first node that is
+// not marked on that level - the paper's recovery from a failed C&S, and
+// the validation step of a finger's remembered node.
+func (l *SkipList[K, V]) backtrack(p *Proc, n *SLNode[K, V], lv int) *SLNode[K, V] {
+	st := p.StatsOrNil()
+	for c := n.cell(lv); c.marked(); c = n.cell(lv) {
+		st.IncBacklink()
+		p.At(PtBacklinkStep)
+		n = c.backlink.Load()
+	}
+	return n
 }

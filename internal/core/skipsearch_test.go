@@ -23,8 +23,8 @@ func TestSearchToLevelPostconditions(t *testing.T) {
 	for v := 1; v <= 4; v++ {
 		for k := -1; k <= 201; k++ {
 			curr, next := l.searchToLevel(nil, k, v, false)
-			if curr.Level() != v && curr.kind == kindInterior {
-				t.Fatalf("level %d: curr on level %d", v, curr.Level())
+			if curr.cell(v).right() != next {
+				t.Fatalf("level %d, k=%d: next is not curr's level-%d successor", v, k, v)
 			}
 			if !(l.cmpNode(curr, k) <= 0) || !(l.cmpNode(next, k) > 0) {
 				t.Fatalf("level %d, k=%d: postcondition violated", v, k)
@@ -45,18 +45,13 @@ func TestFindStartSkipsEmptyLevels(t *testing.T) {
 	for k := 0; k < 50; k++ {
 		l.Insert(nil, k, k)
 	}
-	start, lv := l.findStart(1)
 	// Towers are height 3, so level 4 is the first empty level; the climb
 	// must stop at level 4 or below.
-	if lv > 4 {
+	if lv := l.findStart(1); lv > 4 {
 		t.Fatalf("findStart climbed to level %d with towers of height 3", lv)
 	}
-	if start.kind != kindHead {
-		t.Fatal("findStart returned a non-head node")
-	}
 	// Requesting a level above the populated ones must still be honored.
-	_, lv8 := l.findStart(8)
-	if lv8 < 8 {
+	if lv8 := l.findStart(8); lv8 < 8 {
 		t.Fatalf("findStart(8) stopped at %d", lv8)
 	}
 }
@@ -69,11 +64,11 @@ func TestSearchRightStopsAtBound(t *testing.T) {
 	for k := 0; k < 30; k += 3 {
 		l.Insert(nil, k, k)
 	}
-	curr, next := l.searchRight(nil, 10, l.heads[0], false)
+	curr, next := l.searchRight(nil, 10, l.head, 1, false)
 	if curr.key != 9 || next.key != 12 {
 		t.Fatalf("searchRight(10) = (%d, %d), want (9, 12)", curr.key, next.key)
 	}
-	curr, next = l.searchRight(nil, 12, l.heads[0], true)
+	curr, next = l.searchRight(nil, 12, l.head, 1, true)
 	if curr.key != 9 || next.key != 12 {
 		t.Fatalf("strict searchRight(12) = (%d, %d), want (9, 12)", curr.key, next.key)
 	}
@@ -93,7 +88,7 @@ func TestSkipListGetAfterPartialTeardown(t *testing.T) {
 	if delNode.key != 5 {
 		t.Fatal("setup failed")
 	}
-	if !l.deleteNode(nil, prev, delNode) {
+	if !l.deleteNode(nil, prev, delNode, 1) {
 		t.Fatal("root deletion failed")
 	}
 	// The key is logically gone even though four superfluous nodes remain.

@@ -18,6 +18,19 @@ type NodeState[K comparable] struct {
 	BacklinkSet bool
 }
 
+// nodeState describes a node from its key, kind, successor word and
+// backlink.
+func nodeState[K comparable, N any](key K, kind nodeKind, s word[N], backlinkSet bool) NodeState[K] {
+	st := NodeState[K]{Key: key, Marked: s.marked(), Flagged: s.flagged(), BacklinkSet: backlinkSet}
+	switch kind {
+	case kindHead:
+		st.Sentinel = "head"
+	case kindTail:
+		st.Sentinel = "tail"
+	}
+	return st
+}
+
 // Snapshot walks the physical chain from head to tail - including
 // logically deleted nodes still linked - and reports each node's state.
 // It is a diagnostic; under concurrency it reflects some interleaving.
@@ -25,21 +38,7 @@ func (l *List[K, V]) Snapshot() []NodeState[K] {
 	defer l.opPin(nil).Unpin()
 	var out []NodeState[K]
 	for n := l.head; n != nil; n = n.right() {
-		s := n.loadSucc()
-		st := NodeState[K]{Key: n.key}
-		switch n.kind {
-		case kindHead:
-			st.Sentinel = "head"
-		case kindTail:
-			st.Sentinel = "tail"
-		}
-		st.Marked = s.marked()
-		st.Flagged = s.flagged()
-		st.BacklinkSet = n.backlink.Load() != nil
-		out = append(out, st)
-		if n.kind == kindTail {
-			break
-		}
+		out = append(out, nodeState(n.key, n.kind, n.loadSucc(), n.backlink.Load() != nil))
 	}
 	return out
 }
@@ -77,22 +76,11 @@ func RenderState[K comparable](states []NodeState[K]) string {
 func (l *SkipList[K, V]) LevelSnapshot(level int) []NodeState[K] {
 	defer l.opPin(nil).Unpin()
 	var out []NodeState[K]
-	for n := l.heads[level-1]; n != nil; n = n.right() {
-		s := n.loadSucc()
-		st := NodeState[K]{Key: n.key}
-		switch n.kind {
-		case kindHead:
-			st.Sentinel = "head"
-		case kindTail:
-			st.Sentinel = "tail"
-		}
-		st.Marked = s.marked()
-		st.Flagged = s.flagged()
-		st.BacklinkSet = n.backlink.Load() != nil
-		out = append(out, st)
-		if n.kind == kindTail {
-			break
-		}
+	for n := l.head; n != nil; {
+		c := n.cell(level)
+		s := c.loadSucc()
+		out = append(out, nodeState(n.key, n.kind, s, c.backlink.Load() != nil))
+		n = s.right()
 	}
 	return out
 }

@@ -176,7 +176,7 @@ func (l *List[K, V]) Ascend(fn func(k K, v V) bool) {
 	l.tel.RecordOp(telemetry.OpAscend, nil, time.Duration(telemetry.Nanotime()-start))
 }
 
-// Search looks up k and returns its root node, or nil if k is absent.
+// Search looks up k and returns its tower, or nil if k is absent.
 // This is SEARCH_SL.
 func (l *SkipList[K, V]) Search(p *Proc, k K) *SLNode[K, V] {
 	defer l.opPin(p).Unpin()
@@ -213,10 +213,10 @@ func (l *SkipList[K, V]) Get(p *Proc, k K) (V, bool) {
 	return v, ok
 }
 
-// Insert adds k with value v, building the new tower bottom-up. It returns
-// the root node and true on success, or the existing root and false if k
-// is already present. The insertion is linearized at the root node's
-// insertion C&S. This is INSERT_SL.
+// Insert adds k with value v, linking the new tower bottom-up. It returns
+// the tower and true on success, or the existing tower and false if k is
+// already present. The insertion is linearized at the level-1 insertion
+// C&S. This is INSERT_SL.
 func (l *SkipList[K, V]) Insert(p *Proc, k K, v V) (*SLNode[K, V], bool) {
 	defer l.opPin(p).Unpin()
 	if l.tel == nil {
@@ -234,9 +234,9 @@ func (l *SkipList[K, V]) Insert(p *Proc, k K, v V) (*SLNode[K, V], bool) {
 	return n, ok
 }
 
-// Delete removes k. It deletes the root node first (making the remaining
-// tower superfluous and linearizing the deletion when the root is marked),
-// then sweeps levels >= 2 to physically remove the rest of the tower.
+// Delete removes k. It deletes the tower on level 1 first (making the rest
+// of it superfluous and linearizing the deletion when level 1 is marked),
+// then sweeps levels >= 2 to physically unlink the tower there.
 // This is DELETE_SL.
 func (l *SkipList[K, V]) Delete(p *Proc, k K) (*SLNode[K, V], bool) {
 	defer l.opPin(p).Unpin()

@@ -28,6 +28,21 @@ import (
 //	(b) nil is never tagged. Only a tail sentinel has a nil right pointer
 //	    and a tail is never flagged or marked; a non-nil pointer below the
 //	    first page would be fatal to stack copying and the collector.
+//
+// The file's second job is the skip-list tower's cell accessor (at the
+// bottom): a tower keeps the cells of levels 2 and up behind its header in
+// the same allocation (skipnode.go), and reaching one is pointer arithmetic
+// under the same rule 3. A third rule keeps that legal:
+//
+//	(c) A cell is addressed only on a level the tower has: cell checks
+//	    1 <= level <= height as a slice index would be checked, and a
+//	    tower's height never exceeds the cells of the struct type it was
+//	    allocated as (newTower), so the result never leaves the tower's
+//	    allocation. The sum is one expression from the tower's pointer to
+//	    the cell's - nothing is parked in a uintptr here either - and it
+//	    is written as a uintptr sum rather than unsafe.Add because that is
+//	    the form checkptr instruments: under -race an address outside the
+//	    tower's allocation is fatal.
 
 // Tags of a successor word. A node is never both marked and flagged (INV 5),
 // so three values suffice and fit the two alignment bits.
@@ -83,4 +98,33 @@ func (f *succField[N]) store(w word[N]) { atomic.StorePointer(&f.p, w.p) }
 // cas is the paper's C&S on the whole (right, mark, flag) field.
 func (f *succField[N]) cas(old, new word[N]) bool {
 	return atomic.CompareAndSwapPointer(&f.p, old.p, new.p)
+}
+
+// cell returns the tower's cell on the given level: the level-1 cell is a
+// field of the header, the higher ones follow it. Rule (c) is enforced
+// here.
+func (n *SLNode[K, V]) cell(level int) *slCell[K, V] {
+	if uint(level-1) >= uint(n.height) {
+		panic("core: tower has no cell on that level") // rule (c)
+	}
+	if level == 1 {
+		return &n.slCell
+	}
+	return n.upper(level - 2)
+}
+
+// upper returns the i-th cell behind the header. The caller bounds i.
+func (n *SLNode[K, V]) upper(i int) *slCell[K, V] {
+	return (*slCell[K, V])(unsafe.Pointer(uintptr(unsafe.Pointer(n)) + unsafe.Sizeof(*n) + uintptr(i)*unsafe.Sizeof(n.slCell)))
+}
+
+// spare returns the cells of the tower's bucket above its height - memory
+// the tower owns and never uses - for the validator, which wants them
+// zero. The bucket's capacity bounds them as height bounds cell.
+func (n *SLNode[K, V]) spare() []slCell[K, V] {
+	h := int(n.height)
+	if c := towerCaps[towerBucket(h)]; c > h {
+		return unsafe.Slice(n.upper(h-1), c-h)
+	}
+	return nil
 }

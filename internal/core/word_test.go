@@ -61,16 +61,17 @@ func TestWordRoundTrip(t *testing.T) {
 	for _, k := range []int{10, 20, 30} {
 		sl.Insert(nil, k, "v")
 	}
-	checkWords(t, "skip head", sl.heads[1])
-	checkWords(t, "skip interior root", sl.Search(nil, 20))
-	checkWords(t, "skip interior upper", sl.heads[1].right().right())
+	checkWords(t, "skip head", sl.head)
+	checkWords(t, "skip interior", sl.Search(nil, 20))
+	checkWords(t, "skip interior via level 2", sl.head.cell(2).right().cell(2).right())
 	checkWords(t, "skip tail-adjacent", sl.Search(nil, 30))
-	checkWords(t, "skip tail", sl.tails[0])
+	checkWords(t, "skip tail", sl.tail)
 
 	// A tail keeps the zero word for life: nil right, no tag.
 	for _, w := range []bool{
 		l.tail.loadSucc() == clean[Node[int, string]](nil),
-		sl.tails[0].loadSucc() == clean[SLNode[int, string]](nil),
+		sl.tail.loadSucc() == clean[SLNode[int, string]](nil),
+		sl.tail.cell(sl.maxLevel).loadSucc() == clean[SLNode[int, string]](nil),
 		l.tail.right() == nil && !l.tail.marked(),
 	} {
 		if !w {
@@ -161,34 +162,121 @@ func TestWordsInstalledSkipList(t *testing.T) {
 	if _, ok := l.Delete(nil, 30); !ok {
 		t.Fatal("delete of 30 failed")
 	}
-	if got := n30.loadSucc(); got != marked(l.tails[0]) {
-		t.Fatalf("deleted 30.succ = %v, want (level-1 tail,1,0)", got)
+	if got := n30.loadSucc(); got != marked(l.tail) {
+		t.Fatalf("deleted 30.succ = %v, want (tail,1,0)", got)
 	}
 }
 
-// TestNodeSizeAndLayout pins what the word bought: no per-node records, and
-// every field a skip-list search reads on a hop in the first 40 bytes.
+// TestNodeSizeAndLayout pins what the word and the tower object bought: no
+// per-node records, a 48-byte tower header whose key sits against the
+// level-1 word, and a bucket family that wastes nothing of Go's size
+// classes up to height 16.
 func TestNodeSizeAndLayout(t *testing.T) {
 	var sn SLNode[int, string]
 	var ln Node[int, string]
-	if got := unsafe.Sizeof(sn); got > 64 {
-		t.Errorf("SLNode[int,string] is %d bytes, want <= 64 (one cache line)", got)
+	if got := unsafe.Sizeof(sn); got > 48 {
+		t.Errorf("SLNode[int,string] is %d bytes, want <= 48", got)
 	}
 	if got := unsafe.Sizeof(ln); got > 48 {
 		t.Errorf("Node[int,string] is %d bytes, want <= 48", got)
 	}
-	for name, off := range map[string]uintptr{
-		"key":       unsafe.Offsetof(sn.key),
-		"succ":      unsafe.Offsetof(sn.succ),
-		"towerRoot": unsafe.Offsetof(sn.towerRoot),
-		"down":      unsafe.Offsetof(sn.down),
-		"kind":      unsafe.Offsetof(sn.kind),
-	} {
-		if off >= 40 {
-			t.Errorf("SLNode[int,string].%s at offset %d, want < 40", name, off)
-		}
+	if got := unsafe.Offsetof(sn.succ) - unsafe.Offsetof(sn.key); got != 8 {
+		t.Errorf("SLNode[int,string]: the level-1 word is %d bytes after the key, want 8", got)
+	}
+	if unsafe.Offsetof(sn.kind)/8 != unsafe.Offsetof(sn.towerLive)/8 || unsafe.Offsetof(sn.height)/8 != unsafe.Offsetof(sn.kind)/8 {
+		t.Error("SLNode[int,string]: kind, height and towerLive do not share a word")
 	}
 	if unsafe.Alignof(sn) < 4 || unsafe.Alignof(ln) < 4 {
 		t.Error("node alignment leaves no room for two tag bits")
+	}
+	hdr, cell := unsafe.Sizeof(sn), unsafe.Sizeof(sn.slCell)
+	if cell != 16 {
+		t.Errorf("slCell is %d bytes, want 16", cell)
+	}
+	type cells = slCell[int, string]
+	var (
+		t2  towerOf[int, string, [1]cells]
+		t3  towerOf[int, string, [2]cells]
+		t4  towerOf[int, string, [3]cells]
+		t8  towerOf[int, string, [7]cells]
+		t16 towerOf[int, string, [15]cells]
+		t32 towerOf[int, string, [31]cells]
+		t64 towerOf[int, string, [63]cells]
+	)
+	for _, b := range []struct {
+		cells          int
+		size, upOffset uintptr
+		class          uintptr // the Go size class it must fill exactly; 0: none that small
+	}{
+		{2, unsafe.Sizeof(t2), unsafe.Offsetof(t2.up), 64},
+		{3, unsafe.Sizeof(t3), unsafe.Offsetof(t3.up), 80},
+		{4, unsafe.Sizeof(t4), unsafe.Offsetof(t4.up), 96},
+		{8, unsafe.Sizeof(t8), unsafe.Offsetof(t8.up), 160},
+		{16, unsafe.Sizeof(t16), unsafe.Offsetof(t16.up), 288},
+		{32, unsafe.Sizeof(t32), unsafe.Offsetof(t32.up), 0},
+		{64, unsafe.Sizeof(t64), unsafe.Offsetof(t64.up), 0},
+	} {
+		if want := hdr + cell*uintptr(b.cells-1); b.size != want {
+			t.Errorf("the %d-cell bucket of [int,string] is %d bytes, want header + %d cells = %d", b.cells, b.size, b.cells-1, want)
+		}
+		if b.class != 0 && b.size != b.class {
+			t.Errorf("the %d-cell bucket of [int,string] is %d bytes, want the %d-byte size class exactly", b.cells, b.size, b.class)
+		}
+		// cell() reaches level 2 at the header's end: the bucket types must
+		// put their cells exactly there.
+		if b.upOffset != hdr {
+			t.Errorf("the %d-cell bucket of [int,string]: cells start at offset %d, the header ends at %d", b.cells, b.upOffset, hdr)
+		}
+	}
+	for i, c := range towerCaps {
+		if i > 0 && towerCaps[i-1] >= c {
+			t.Fatalf("towerCaps %v is not increasing", towerCaps)
+		}
+		n := newTower[int, string](c)
+		if n.Height() != c || len(n.spare()) != 0 {
+			t.Errorf("newTower(%d): height %d, %d spare cells", c, n.Height(), len(n.spare()))
+		}
+		// Under -race, checkptr fails this store if newTower allocated a
+		// smaller struct than the bucket's.
+		n.cell(c).succ.store(clean(n))
+		if h := c - 1; i > 0 && h > towerCaps[i-1] {
+			if n := newTower[int, string](h); towerBucket(h) != i || len(n.spare()) != 1 {
+				t.Errorf("newTower(%d): bucket %d with %d spare cells, want bucket %d with 1", h, towerBucket(h), len(n.spare()), i)
+			}
+		}
+	}
+	if towerCaps[len(towerCaps)-1] != maxFingerLevels {
+		t.Errorf("largest bucket holds %d cells, the level clamp is %d", towerCaps[len(towerCaps)-1], maxFingerLevels)
+	}
+}
+
+// TestCellBounds: rule (c) of word.go - a cell is addressed only on a level
+// the tower has, whatever room its bucket has left.
+func TestCellBounds(t *testing.T) {
+	n := newTower[int, string](5) // bucket of 8
+	for lv := 1; lv <= 5; lv++ {
+		c := n.cell(lv)
+		c.succ.store(flagged(n))
+		if n.cell(lv).loadSucc() != flagged(n) {
+			t.Fatalf("level %d: the cell does not keep its word", lv)
+		}
+	}
+	if n.loadSucc() != flagged(n) || n.cell(1) != &n.slCell {
+		t.Fatal("cell(1) is not the header's cell")
+	}
+	for i, sp := 0, n.spare(); i < len(sp); i++ {
+		if sp[i].loadSucc() != (word[SLNode[int, string]]{}) {
+			t.Fatalf("writing levels 1-5 reached spare cell %d", i)
+		}
+	}
+	for _, lv := range []int{0, -1, 6, 8, 9, 1 << 40} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("cell(%d) on a tower of height 5 did not panic", lv)
+				}
+			}()
+			n.cell(lv)
+		}()
 	}
 }
