@@ -288,8 +288,8 @@ func (l *SkipList[K, V]) insertVia(p *Proc, s slSearcher[K, V], k K, v V) (*SLNo
 
 // remove deletes k. It deletes the tower on level 1 first (making the rest
 // of it superfluous and linearizing the deletion when level 1 is marked),
-// then sweeps levels >= 2 to physically unlink the tower there.
-// This is DELETE_SL.
+// then, if the tower has levels >= 2, sweeps them to physically unlink it
+// there. This is DELETE_SL.
 func (l *SkipList[K, V]) remove(p *Proc, k K) (*SLNode[K, V], bool) {
 	return l.removeVia(p, l, k)
 }
@@ -304,7 +304,10 @@ func (l *SkipList[K, V]) removeVia(p *Proc, s slSearcher[K, V], k K) (*SLNode[K,
 		return nil, false // a concurrent deletion won
 	}
 	// Remove the superfluous nodes of the tower (top-down, as the
-	// descending search encounters them).
-	s.sweep(p, k)
+	// descending search encounters them). A tower of height 1 has none:
+	// no level above the first was linked or ever will be.
+	if delNode.height > 1 {
+		s.sweep(p, k)
+	}
 	return delNode, true
 }

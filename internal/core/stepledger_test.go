@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand/v2"
 	"testing"
+
+	"repro/internal/instrument"
 )
 
 // TestStepLedger replays one seeded, single-threaded stream of skip-list
@@ -25,7 +27,7 @@ func TestStepLedger(t *testing.T) {
 	want := [3]row{
 		{steps: 2912634, cas: 0, backlinks: 0, helps: 0},           // Get
 		{steps: 4306115, cas: 141105, backlinks: 0, helps: 0},      // Insert
-		{steps: 4599987, cas: 373914, backlinks: 0, helps: 249276}, // Delete
+		{steps: 3970755, cas: 373914, backlinks: 0, helps: 249276}, // Delete (4599987 steps before the sweep skip)
 	}
 	names := [3]string{"Get", "Insert", "Delete"}
 
@@ -62,6 +64,67 @@ func TestStepLedger(t *testing.T) {
 		t.Logf("%-6s {steps: %d, cas: %d, backlinks: %d, helps: %d}", names[i], got.steps, got.cas, got.backlinks, got.helps)
 		if got != want[i] {
 			t.Errorf("%s paid %+v, the ledger says %+v", names[i], got, want[i])
+		}
+	}
+}
+
+// TestDeleteSweepsOnlyTowersWithUpperLevels: a tower of height 1 was never
+// linked above level 1 and never will be, so its deletion is the strict
+// search plus the three C&S and nothing else - no second descent. A taller
+// tower is still swept off every upper level. Through a finger likewise.
+func TestDeleteSweepsOnlyTowersWithUpperLevels(t *testing.T) {
+	type deleter func(l *SkipList[int, int], p *Proc, k int) bool
+	for name, del := range map[string]deleter{
+		"point":  func(l *SkipList[int, int], p *Proc, k int) bool { _, ok := l.Delete(p, k); return ok },
+		"finger": func(l *SkipList[int, int], p *Proc, k int) bool { _, ok := l.NewFinger().Delete(p, k); return ok },
+	} {
+		i := 0
+		l := NewSkipList[int, int](WithRandomSource(func() uint64 {
+			i++
+			return [4]uint64{0, 0b11, 0, 0b1}[(i-1)%4] // keys 4j+1 get height 3, 4j+3 height 2
+		}))
+		for k := 0; k < 64; k++ {
+			l.Insert(nil, k, k)
+		}
+		// count runs fn and returns what it paid and how many level
+		// traversals (searchRight calls) it made.
+		count := func(fn func(p *Proc)) (OpStats, int) {
+			var st OpStats
+			levels := 0
+			fn(&Proc{Stats: &st, Hooks: instrument.HookFunc(func(pt Point, _ int) {
+				if pt == PtSearchDone {
+					levels++
+				}
+			})})
+			return st, levels
+		}
+		for _, k := range []int{20, 21} {
+			height := l.Search(nil, k).Height()
+			search, searchLevels := count(func(p *Proc) { l.searchToLevel(p, k, 1, true) })
+			paid, levels := count(func(p *Proc) {
+				if !del(l, p, k) {
+					t.Fatalf("%s: Delete(%d) failed", name, k)
+				}
+			})
+			if height == 1 {
+				if paid.CASAttempts != 3 || paid.EssentialSteps() != search.EssentialSteps()+3 || levels != searchLevels {
+					t.Errorf("%s: deleting height-1 key %d paid %d steps, %d C&S over %d level traversals; the strict search alone pays %d over %d",
+						name, k, paid.EssentialSteps(), paid.CASAttempts, levels, search.EssentialSteps(), searchLevels)
+				}
+			} else if levels <= searchLevels || paid.CASAttempts != uint64(3*height) {
+				t.Errorf("%s: deleting height-%d key %d made %d level traversals (search: %d) and %d C&S: no sweep?",
+					name, height, k, levels, searchLevels, paid.CASAttempts)
+			}
+			for lv := 1; lv <= 3; lv++ {
+				for _, st := range l.LevelSnapshot(lv) {
+					if st.Sentinel == "" && st.Key == k {
+						t.Errorf("%s: deleted key %d is still linked on level %d", name, k, lv)
+					}
+				}
+			}
+		}
+		if err := l.CheckStructure(); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }
