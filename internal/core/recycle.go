@@ -37,7 +37,10 @@ import (
 // recycler bundles a structure's reclamation domain with its free lists,
 // one per size of object: a list has one, a skip list one per tower bucket
 // (towerCaps), because a recycled tower can only stand in for a tower
-// allocated as the same struct type.
+// allocated as the same struct type. Taller buckets are drawn ever more
+// rarely (1/2, 1/4, 1/8, 1/16, 1/16, 1/256, ...), so each free list gets
+// half the room of the one before: eight of them hold twice what one does,
+// not eight times.
 type recycler struct {
 	dom   *ebr.Domain
 	pools []*ebr.Pool
@@ -46,7 +49,7 @@ type recycler struct {
 func newRecycler(sizes int) *recycler {
 	r := &recycler{dom: ebr.NewDomain(), pools: make([]*ebr.Pool, sizes)}
 	for i := range r.pools {
-		r.pools[i] = ebr.NewPool(0)
+		r.pools[i] = ebr.NewPool(max(ebr.DefaultPoolCap>>i, 1))
 	}
 	return r
 }

@@ -34,19 +34,21 @@ func (l *SkipList[K, V]) findStart(v int) int {
 // is marked), so that searches never repeatedly traverse dead towers.
 func (l *SkipList[K, V]) searchRight(p *Proc, k K, curr *SLNode[K, V], lv int, strict bool) (*SLNode[K, V], *SLNode[K, V]) {
 	st := p.StatsOrNil()
-	next := curr.cell(lv).right()
+	currCell := curr.cell(lv) // kept beside curr: one cell lookup per node visited
+	next := currCell.right()
 	for l.nodeLeq(next, k, strict) {
-		nextSucc := next.cell(lv).loadSucc()
+		nextCell := next.cell(lv)
+		nextSucc := nextCell.loadSucc()
 		if nextSucc.marked() {
 			// Same recovery as SearchFrom lines 3-6: either help the
 			// physical deletion, or step through a marked chain when
 			// curr itself was marked first.
-			currSucc := curr.cell(lv).loadSucc()
+			currSucc := currCell.loadSucc()
 			if !(currSucc.marked() && currSucc.right() == next) {
 				if currSucc.right() == next {
 					l.slHelpMarked(p, curr, next, lv)
 				}
-				next = curr.cell(lv).right()
+				next = currCell.right()
 				st.IncNext()
 				continue
 			}
@@ -66,13 +68,14 @@ func (l *SkipList[K, V]) searchRight(p *Proc, k K, curr *SLNode[K, V], lv int, s
 				curr = pred
 			}
 			curr = l.backtrack(p, curr, lv)
-			next = curr.cell(lv).right()
+			currCell = curr.cell(lv)
+			next = currCell.right()
 			st.IncNext()
 			continue
 		}
-		curr = next
+		curr, currCell = next, nextCell
 		st.IncCurr()
-		next = curr.cell(lv).right()
+		next = currCell.right()
 		st.IncNext()
 	}
 	p.At(PtSearchDone)

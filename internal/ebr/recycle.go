@@ -250,12 +250,16 @@ type Pool struct {
 	cap    int
 }
 
+// DefaultPoolCap is the per-stripe capacity NewPool falls back to: sized
+// generously above the retire cadence, so a single-goroutine churn loop
+// never starves between drains.
+const DefaultPoolCap = 4 * advanceEvery
+
 // NewPool returns a free list with the given per-stripe capacity (values
-// < 1 select a default sized generously above the retire cadence, so a
-// single-goroutine churn loop never starves between drains).
+// < 1 select DefaultPoolCap).
 func NewPool(perShard int) *Pool {
 	if perShard < 1 {
-		perShard = 4 * advanceEvery
+		perShard = DefaultPoolCap
 	}
 	n := stripeCount()
 	p := &Pool{shards: make([]poolShard, n), mask: uint32(n - 1), cap: perShard}

@@ -39,9 +39,9 @@ type OpStats struct {
 	WireFlushes        uint64 // reply flushes (one vectored write per coalesced run)
 	UnitsGrouped       uint64 // command units merged into cross-connection group batches
 	EpochAdvances      uint64 // global-epoch advances of a reclamation domain (internal/ebr)
-	NodesRecycled      uint64 // retired nodes returned to a free list after their grace period
-	FreelistHits       uint64 // node constructions served from a free list (no heap allocation)
-	FreelistMisses     uint64 // node constructions that fell back to the heap allocator
+	NodesRecycled      uint64 // retired nodes (a skip-list tower counts once) returned to a free list after their grace period
+	FreelistHits       uint64 // node or whole-tower constructions served from a free list (no heap allocation)
+	FreelistMisses     uint64 // node or whole-tower constructions that fell back to the heap allocator
 	StalledEpochs      uint64 // retirements abandoned to the GC because the epoch was stalled
 	WALAppends         uint64 // mutation records published to the write-ahead log's hand-off ring
 	WALFsyncs          uint64 // group-commit fsyncs by the write-ahead log's writer goroutine

@@ -56,9 +56,9 @@ var counterHelp = [itel.NumCounters]string{
 	"Total reply flushes by the serving layer (one vectored write per coalesced run).",
 	"Total command units merged into cross-connection group batches by the serving layer.",
 	"Total global epoch advances of the reclamation domain (epoch-based recycling).",
-	"Total retired nodes pushed onto recycling free lists after their grace period.",
-	"Total node constructions served from a recycling free list instead of the allocator.",
-	"Total node constructions that missed the free list and allocated.",
+	"Total retired objects (list nodes; whole skip-list towers, whatever their height) pushed onto recycling free lists after their grace period.",
+	"Total constructions (a list node, or a whole skip-list tower) served from a recycling free list instead of the allocator.",
+	"Total constructions (a list node, or a whole skip-list tower) that missed the free list and allocated.",
 	"Total retirements abandoned to the GC because a stalled epoch pinned the retire list at its cap.",
 	"Total mutation records published to the write-ahead log's hand-off ring.",
 	"Total group-commit fsyncs by the write-ahead log's writer goroutine.",

@@ -2,7 +2,10 @@
 # check.sh - the full local gate, mirroring what CI would run:
 #
 #   1. go vet over every package,
-#   2. the tier-1 gate (build + tests, as recorded in ROADMAP.md),
+#   2. the tier-1 gate (build + tests, as recorded in ROADMAP.md), then
+#      the repo benchmark's own module (benchmark/, which tier-1 does not
+#      build): vet, tests, and a 3 s lib_churn run that must come back
+#      correct with no failed operation,
 #   3. the test suite again under the race detector,
 #   4. targeted race passes over the parallelism-shaped packages
 #      (internal/sharded, internal/server, internal/instrument,
@@ -38,6 +41,16 @@ echo "== tier-1: go build ./... && go test ./... =="
 go build ./...
 go test ./...
 
+# The repo benchmark (BENCHMARK.json) is a nested module, so nothing above
+# builds it: a change can pass tier-1 and vet and still break the harness
+# the pipeline measures it with. Vet and test the module, then run its
+# shortest workload end to end; the last line is the result object.
+echo "== benchmark module: vet, test, 3 s lib_churn smoke =="
+(cd benchmark && go vet ./... && go test ./...)
+smoke=$(bash benchmark/run.sh --workload lib_churn --seed 1 --seconds 3 --trace 0 | tail -n 1)
+{ echo "$smoke" | grep -q '"correct":true' && echo "$smoke" | grep -q '"failed":0[,}]'; } \
+    || { echo "benchmark smoke: want \"correct\":true and \"failed\":0, last line is: $smoke"; exit 1; }
+
 echo "== race: go test -race ./... =="
 go test -race ./...
 
@@ -50,12 +63,13 @@ echo "== race: concurrent sharded batches at GOMAXPROCS=2 and GOMAXPROCS=8 =="
 GOMAXPROCS=2 go test -race -count=1 ./internal/sharded
 GOMAXPROCS=8 go test -race -count=1 ./internal/sharded
 
-# The successor word is the one piece of unsafe code in the repo's core:
-# tagged interior pointers. Keep it in one file, so the two rules in
-# word.go have one place to be enforced. (The vet leg above runs the
-# unsafeptr pass over it, and the race leg turns on checkptr for every
-# package that swaps words: a word decoded or tagged outside its node
-# fails there.)
+# The successor word (tagged interior pointers) and the tower's cell
+# accessor (cells stored behind the tower header) are the only unsafe code
+# in the repo's core. Keep both in one file, so the three rules in word.go
+# have one place to be enforced. (The vet leg above runs the unsafeptr
+# pass over it, and the race leg turns on checkptr for every package that
+# swaps words: a word decoded or tagged outside its node, or a cell
+# addressed outside its tower's allocation, fails there.)
 echo "== unsafe: only word.go imports it in internal/core =="
 unsafe_files=$(grep -l '"unsafe"' internal/core/*.go | grep -v '_test\.go$' || true)
 [ "$unsafe_files" = "internal/core/word.go" ] \
