@@ -25,7 +25,7 @@ func TestCheckStructureVerticalInvariants(t *testing.T) {
 			n.height = 2
 		}},
 		{"nonzero cell above the height", "above the tower's height", func(l *SkipList[int, int], n *SLNode[int, int]) {
-			tall := newTower[int, int](5) // a bucket of 8: three spare cells
+			tall := allocTower[int, int](5) // a bucket of 8: three spare cells
 			tall.key = 1000
 			tall.spare()[2].backlink.Store(n)
 			prev, next := l.searchToLevel(nil, 1000, 1, false)

@@ -79,9 +79,9 @@ func TestGCWordAloneKeepsNode(t *testing.T) {
 func TestGCWordInUpperCellKeepsTower(t *testing.T) {
 	type tower = SLNode[int, string]
 	for tag, mk := range []func(*tower) word[tower]{clean[tower], flagged[tower], marked[tower]} {
-		holder := newTower[int, string](3)
+		holder := allocTower[int, string](3)
 		freed := func() *atomic.Bool {
-			n := newTower[int, string](3)
+			n := allocTower[int, string](3)
 			n.key, n.val = 7+tag, fmt.Sprint("value-", tag)
 			n.cell(3).succ.store(mk(holder))
 			holder.cell(3).succ.store(mk(n))

@@ -49,7 +49,7 @@ type recycler struct {
 func newRecycler(sizes int) *recycler {
 	r := &recycler{dom: ebr.NewDomain(), pools: make([]*ebr.Pool, sizes)}
 	for i := range r.pools {
-		r.pools[i] = ebr.NewPool(max(ebr.DefaultPoolCap>>i, 1))
+		r.pools[i] = ebr.NewPool(ebr.DefaultPoolCap >> i)
 	}
 	return r
 }
@@ -207,7 +207,7 @@ func (l *SkipList[K, V]) newTower(p *Proc, k K, v V, height int) *SLNode[K, V] {
 		n, _ = l.rec.pools[towerBucket(height)].Get(p.StatsOrNil()).(*SLNode[K, V])
 	}
 	if n == nil {
-		n = newTower[K, V](height)
+		n = allocTower[K, V](height)
 	} else {
 		for lv := int(n.height); lv >= 1; lv-- {
 			c := n.cell(lv)

@@ -118,8 +118,8 @@ func NewSkipListFunc[K comparable, V any](compare func(K, K) int, opts ...SkipLi
 	l := &SkipList[K, V]{
 		compare:  compare,
 		maxLevel: cfg.maxLevel,
-		head:     newTower[K, V](cfg.maxLevel),
-		tail:     newTower[K, V](cfg.maxLevel), // its successor words stay (nil, 0, 0)
+		head:     allocTower[K, V](cfg.maxLevel),
+		tail:     allocTower[K, V](cfg.maxLevel), // its successor words stay (nil, 0, 0)
 		rng:      cfg.rng,
 		retire:   cfg.retire,
 	}
@@ -242,7 +242,8 @@ func (l *SkipList[K, V]) insertVia(p *Proc, s slSearcher[K, V], k K, v V) (*SLNo
 	}
 	height := l.randomHeight()
 	tower := l.newTower(p, k, v, height)
-	for lv := 1; ; {
+	lv := 1
+	for {
 		var inserted bool
 		prev, inserted = l.insertNode(p, tower, prev, next, lv)
 		if !inserted && lv == 1 {

@@ -74,10 +74,10 @@ func towerBucket(height int) int {
 	return b
 }
 
-// newTower allocates a zeroed tower of the given height from its bucket.
+// allocTower allocates a zeroed tower of the given height from its bucket.
 // It is the only place a tower is allocated, which is what lets cell
 // trust height as a bound on the allocation.
-func newTower[K comparable, V any](height int) *SLNode[K, V] {
+func allocTower[K comparable, V any](height int) *SLNode[K, V] {
 	var n *SLNode[K, V]
 	switch towerBucket(height) {
 	case 0:

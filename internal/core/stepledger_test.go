@@ -27,7 +27,7 @@ func TestStepLedger(t *testing.T) {
 	want := [3]row{
 		{steps: 2912634, cas: 0, backlinks: 0, helps: 0},           // Get
 		{steps: 4306115, cas: 141105, backlinks: 0, helps: 0},      // Insert
-		{steps: 3970755, cas: 373914, backlinks: 0, helps: 249276}, // Delete (4599987 steps before the sweep skip)
+		{steps: 3970755, cas: 373914, backlinks: 0, helps: 249276}, // Delete
 	}
 	names := [3]string{"Get", "Insert", "Delete"}
 

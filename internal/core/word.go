@@ -37,7 +37,7 @@ import (
 //	(c) A cell is addressed only on a level the tower has: cell checks
 //	    1 <= level <= height as a slice index would be checked, and a
 //	    tower's height never exceeds the cells of the struct type it was
-//	    allocated as (newTower), so the result never leaves the tower's
+//	    allocated as (allocTower), so the result never leaves the tower's
 //	    allocation. The sum is one expression from the tower's pointer to
 //	    the cell's - nothing is parked in a uintptr here either - and it
 //	    is written as a uintptr sum rather than unsafe.Add because that is

@@ -232,16 +232,16 @@ func TestNodeSizeAndLayout(t *testing.T) {
 		if i > 0 && towerCaps[i-1] >= c {
 			t.Fatalf("towerCaps %v is not increasing", towerCaps)
 		}
-		n := newTower[int, string](c)
+		n := allocTower[int, string](c)
 		if n.Height() != c || len(n.spare()) != 0 {
-			t.Errorf("newTower(%d): height %d, %d spare cells", c, n.Height(), len(n.spare()))
+			t.Errorf("allocTower(%d): height %d, %d spare cells", c, n.Height(), len(n.spare()))
 		}
-		// Under -race, checkptr fails this store if newTower allocated a
+		// Under -race, checkptr fails this store if allocTower allocated a
 		// smaller struct than the bucket's.
 		n.cell(c).succ.store(clean(n))
 		if h := c - 1; i > 0 && h > towerCaps[i-1] {
-			if n := newTower[int, string](h); towerBucket(h) != i || len(n.spare()) != 1 {
-				t.Errorf("newTower(%d): bucket %d with %d spare cells, want bucket %d with 1", h, towerBucket(h), len(n.spare()), i)
+			if n := allocTower[int, string](h); towerBucket(h) != i || len(n.spare()) != 1 {
+				t.Errorf("allocTower(%d): bucket %d with %d spare cells, want bucket %d with 1", h, towerBucket(h), len(n.spare()), i)
 			}
 		}
 	}
@@ -253,7 +253,7 @@ func TestNodeSizeAndLayout(t *testing.T) {
 // TestCellBounds: rule (c) of word.go - a cell is addressed only on a level
 // the tower has, whatever room its bucket has left.
 func TestCellBounds(t *testing.T) {
-	n := newTower[int, string](5) // bucket of 8
+	n := allocTower[int, string](5) // bucket of 8
 	for lv := 1; lv <= 5; lv++ {
 		c := n.cell(lv)
 		c.succ.store(flagged(n))
