@@ -26,8 +26,8 @@ type OpStats struct {
 	HelpCalls          uint64 // helping-routine invocations (diagnostic)
 	Restarts           uint64 // restart-from-head events (Harris-style)
 	AuxTraversals      uint64 // auxiliary-cell steps (Valois-style)
-	FingerHits         uint64 // finger searches started at the remembered node
-	FingerMisses       uint64 // finger searches that fell back to head/top
+	FingerHits         uint64 // searches not started alone at head/top: from a finger's node, or in a batched get's descent group behind its first key
+	FingerMisses       uint64 // finger searches that fell back to head/top; the first key of a descent group on each list
 	BackoffWaits       uint64 // adaptive-backoff wait events after repeated C&S failures
 	ShardOps           uint64 // operations routed to a shard of a range-sharded map
 	ConnAccepted       uint64 // network connections accepted by a serving layer

@@ -25,6 +25,7 @@
 package telemetry
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"time"
@@ -307,6 +308,68 @@ func (r *Recorder) FinishOp(tok OpToken, op Op, st *instrument.OpStats) {
 	o.latency[latencyBucket(time.Duration(el))].Add(1)
 	o.retrySum.Add(retries)
 	o.retries[retryBucket(retries)].Add(1)
+}
+
+// GroupToken carries one group's state from StartGroup to FinishGroup.
+type GroupToken struct {
+	sh      *shard
+	start   int64  // Nanotime at StartGroup, or -1 when no member is sampled
+	sampled uint64 // members that fall on the sampling period
+}
+
+// Sampled reports whether the group was selected for full recording; see
+// OpToken.Sampled.
+func (t GroupToken) Sampled() bool { return t.start >= 0 }
+
+// StartGroup begins the recording of n operations of one kind that run as
+// one unit and cannot be told apart while they run - the keys of a batched
+// Get going down the skip list together. It is StartOp's rule applied to
+// every member: the members take the shard's next n places in the
+// completed-op count, and those whose place is a multiple of the sampling
+// period are sampled. A group without a sampled member pays what an
+// unsampled operation pays; at period 1 every member is sampled.
+func (r *Recorder) StartGroup(op Op, n int) GroupToken {
+	sh := &r.shards[shardIndex()&r.mask]
+	tok := GroupToken{sh: sh, start: -1}
+	place := sh.ops[op].count.Load() & r.sampleMask
+	tok.sampled = (place + uint64(n)) >> bits.Len64(r.sampleMask)
+	if tok.sampled > 0 {
+		tok.start = Nanotime()
+	}
+	return tok
+}
+
+// FinishGroup completes a group begun with StartGroup. The completed-op
+// count grows by n exactly. A sampled group is recorded ONCE: its members
+// shared their steps, so there is one step vector, st, and one elapsed
+// time for all n. Each member is taken to have paid an n-th of both: the
+// sampled members add their share of the vector, scaled by the period as
+// in FinishOp, and one latency and one retry sample each, in the bucket
+// of elapsed / n. At period 1 that is the exact vector added once, the
+// elapsed time added once to the latency sum, and n samples.
+func (r *Recorder) FinishGroup(tok GroupToken, op Op, n int, st *instrument.OpStats) {
+	sh := tok.sh
+	o := &sh.ops[op]
+	members := uint64(n)
+	o.count.Add(members)
+	if tok.start < 0 {
+		return
+	}
+	weight := tok.sampled * (r.sampleMask + 1)
+	var retries uint64
+	if st != nil {
+		for i, v := range st.Vector() {
+			if v != 0 {
+				sh.counters[i].Add(v * weight / members)
+			}
+		}
+		retries = st.CASAttempts - st.CASSuccesses
+	}
+	el := uint64(max(Nanotime()-tok.start, 0))
+	o.latencySum.Add(el * tok.sampled / members)
+	o.latency[latencyBucket(time.Duration(el/members))].Add(tok.sampled)
+	o.retrySum.Add(retries * tok.sampled / members)
+	o.retries[retryBucket(retries/members)].Add(tok.sampled)
 }
 
 // Snapshot is a consistent-enough point-in-time copy of every metric (each

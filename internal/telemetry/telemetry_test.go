@@ -281,6 +281,69 @@ func TestSetSampleEveryOne(t *testing.T) {
 	}
 }
 
+// TestGroupRecordedOnce drives the group calls serially on one shard. At
+// period 1 a group is exact: the count grows by its members, its step
+// vector is added once, its elapsed time once, and every member gets a
+// latency and a retry sample. At a longer period the members sampled are
+// the ones whose place in the count falls on the period - what StartOp
+// would have picked had they come one by one - and the vector is scaled
+// so that the totals stay unbiased.
+func TestGroupRecordedOnce(t *testing.T) {
+	r := NewRecorder(1)
+	r.SetSampleEvery(1)
+	st := instrument.OpStats{CASAttempts: 7, CASSuccesses: 2, NextUpdates: 90, CurrUpdates: 90}
+	tok := r.StartGroup(OpGet, 13)
+	if !tok.Sampled() {
+		t.Fatal("period 1: group not sampled")
+	}
+	r.FinishGroup(tok, OpGet, 13, &st)
+	s := r.Snapshot()
+	get := s.Ops[OpGet]
+	if get.Count != 13 || get.LatencySamples() != 13 || get.RetrySamples() != 13 {
+		t.Fatalf("count/latency/retry samples = %d/%d/%d, want 13 each", get.Count, get.LatencySamples(), get.RetrySamples())
+	}
+	if s.Counters.NextUpdates != 90 || s.Counters.CASAttempts != 7 || get.RetrySum != 5 {
+		t.Fatalf("vector not added exactly once: %+v, retry sum %d", s.Counters, get.RetrySum)
+	}
+	// 5 failed C&S over 13 members: every member's share rounds to none.
+	if get.Retries[retryBucket(0)] != 13 {
+		t.Fatalf("retry samples: %+v", get.Retries)
+	}
+
+	// Period 16, groups of 5: of 80 members, the 16th, 32nd ... 80th are
+	// sampled, one per sampled group, each standing for 16 operations that
+	// paid a fifth of its group's steps.
+	r = NewRecorder(1)
+	sampledGroups := 0
+	for g := 0; g < 16; g++ {
+		tok := r.StartGroup(OpGet, 5)
+		if tok.Sampled() {
+			sampledGroups++
+		}
+		r.FinishGroup(tok, OpGet, 5, &instrument.OpStats{NextUpdates: 100})
+	}
+	s = r.Snapshot()
+	if got := s.Ops[OpGet]; got.Count != 80 || got.LatencySamples() != 5 || sampledGroups != 5 {
+		t.Fatalf("count %d, %d latency samples, %d sampled groups; want 80, 5, 5", got.Count, got.LatencySamples(), sampledGroups)
+	}
+	if want := uint64(5 * 100 * DefaultSampleEvery / 5); s.Counters.NextUpdates != want {
+		t.Fatalf("scaled steps = %d, want %d (the true total is 1600)", s.Counters.NextUpdates, want)
+	}
+
+	// A group as wide as the period always holds exactly one sampled
+	// member, wherever the count stands.
+	r = NewRecorder(1)
+	r.FinishOp(r.StartOp(OpGet), OpGet, nil)
+	for g := 0; g < 4; g++ {
+		tok := r.StartGroup(OpGet, DefaultSampleEvery)
+		r.FinishGroup(tok, OpGet, DefaultSampleEvery, &instrument.OpStats{NextUpdates: 32})
+	}
+	s = r.Snapshot()
+	if got := s.Ops[OpGet]; got.Count != 65 || got.LatencySamples() != 4 || s.Counters.NextUpdates != 4*32 {
+		t.Fatalf("count %d, %d samples, %d steps; want 65, 4, 128", got.Count, got.LatencySamples(), s.Counters.NextUpdates)
+	}
+}
+
 // TestConcurrentStartFinishNoLostUpdates is the token-path twin of
 // TestConcurrentRecordNoLostUpdates: counts exact, scaled counter
 // estimates internally consistent, sampled histogram totals bounded by the

@@ -43,8 +43,8 @@ var counterHelp = [itel.NumCounters]string{
 	"Total helping-routine invocations (HelpFlagged/HelpMarked).",
 	"Total restart-from-head events (Harris-style baselines; 0 for FR structures).",
 	"Total auxiliary-cell traversals (Valois-style baselines; 0 for FR structures).",
-	"Total finger searches started at the remembered node instead of the head/top.",
-	"Total finger searches that fell back to the head/top (key below the finger, or cold finger).",
+	"Total searches that did not start alone at the head/top: finger searches started at the remembered node, and every key but the first of a batched-get descent group on each list.",
+	"Total searches that started at the head/top with a finger or batch at hand: finger fallbacks (key below the finger, or cold finger), and the first key of a batched-get descent group on each list.",
 	"Total adaptive-backoff waits (spin or yield) taken after repeated C&S failures.",
 	"Total operations routed to shards of range-sharded maps (one per point op, one per batch element).",
 	"Total network connections accepted by the serving layer.",
@@ -107,7 +107,7 @@ func WriteMetrics(w io.Writer, instances ...*Telemetry) error {
 	}
 
 	// Latency histogram.
-	bw.printf("# HELP lockfree_op_latency_seconds Operation wall-clock latency by kind.\n")
+	bw.printf("# HELP lockfree_op_latency_seconds Operation wall-clock latency by kind; a key of a batched get counts its share of its descent group's time (group time / group size).\n")
 	bw.printf("# TYPE lockfree_op_latency_seconds histogram\n")
 	for _, in := range snaps {
 		for op := Op(0); op < NumOps; op++ {
