@@ -75,41 +75,76 @@ func TestShardedBoundaryKeyDeletedMidDeleteBatch(t *testing.T) {
 }
 
 // TestShardedBoundaryKeyDeletedDuringGetBatch deletes the boundary key
-// from inside the batch's own first search (an inline hook, the
-// finger_test idiom): the deletion happens in shard 1 while the batch is
-// still working shard 0, so when the batch's sub-run reaches shard 1 the
-// key is deterministically gone.
+// from inside the batch's own descent (an inline hook, the finger_test
+// idiom). The sub-runs of both shards go down in the same rounds, so what
+// decides the answer for key 16 is not which shard the batch is working on
+// but which round it is in. One tower of shard 1, beyond the batch's keys,
+// is two levels high: round 1 spends shard 1's turn on level 2, and it is
+// round 2 that steps from the head onto 16. Deleted between the two rounds,
+// 16 is found marked and the three keys that would step onto it finish
+// through searchRight: a miss, linearized after the deletion. Deleted after
+// round 2, 16 has been read unmarked - the batched Get's linearization
+// point, before the deletion - and is reported found, while 17 and 18 walk
+// on from a tower that is no longer in the list.
 func TestShardedBoundaryKeyDeletedDuringGetBatch(t *testing.T) {
-	m := sharded.New[int, int]([]int{16}, core.WithRandomSource(oneRng))
-	for k := 10; k <= 22; k++ {
-		m.Insert(nil, k, k)
-	}
-	fired := false
-	p := &core.Proc{Hooks: core.HookFunc(func(pt core.Point, pid int) {
-		if pt == core.PtSearchDone && !fired {
-			fired = true
-			if _, ok := m.Delete(nil, 16); !ok {
-				t.Errorf("hook delete of boundary key 16 failed")
+	for _, tc := range []struct {
+		name        string
+		deleteAfter int // the round whose end deletes key 16
+		found16     bool
+	}{
+		{"before the round that steps onto 16", 1, false},
+		{"after the round that steps onto 16", 2, true},
+	} {
+		draws := 0
+		m := sharded.New[int, int]([]int{16}, core.WithRandomSource(func() uint64 {
+			draws++
+			if draws == 11 { // keys go in in order, one draw each: key 20
+				return 1
+			}
+			return 0
+		}))
+		for k := 10; k <= 22; k++ {
+			m.Insert(nil, k, k)
+		}
+		if h := m.Search(nil, 20).Height(); h != 2 {
+			t.Fatalf("%s: key 20 is %d levels high, want 2: the heights are not the rigged ones", tc.name, h)
+		}
+		rounds := 0
+		p := &core.Proc{Hooks: core.HookFunc(func(pt core.Point, pid int) {
+			if pt != core.PtSearchDone {
+				return
+			}
+			if rounds++; rounds == tc.deleteAfter {
+				if _, ok := m.Delete(nil, 16); !ok {
+					t.Errorf("%s: hook delete of boundary key 16 failed", tc.name)
+				}
+			}
+		})}
+
+		keys := []int{16, 18, 14, 17, 15}
+		vals := make([]int, len(keys))
+		found := make([]bool, len(keys))
+		want := []bool{true, true, tc.found16, true, true}
+		wantN := 4
+		if tc.found16 {
+			wantN = 5
+		}
+		if n := m.GetBatch(p, keys, vals, found); n != wantN {
+			t.Fatalf("%s: GetBatch = %d, want %d", tc.name, n, wantN)
+		}
+		for i, w := range want {
+			if found[i] != w {
+				t.Fatalf("%s: found = %v, want %v (sorted keys %v)", tc.name, found, want, keys)
+			}
+			if w && vals[i] != keys[i] {
+				t.Fatalf("%s: vals[%d] = %d, want %d", tc.name, i, vals[i], keys[i])
 			}
 		}
-	})}
-
-	keys := []int{16, 18, 14, 17, 15}
-	vals := make([]int, len(keys))
-	found := make([]bool, len(keys))
-	if n := m.GetBatch(p, keys, vals, found); n != 4 {
-		t.Fatalf("GetBatch = %d, want 4", n)
-	}
-	want := []bool{true, true, false, true, true}
-	for i, w := range want {
-		if found[i] != w {
-			t.Fatalf("found = %v, want %v (sorted keys %v)", found, want, keys)
+		if got := m.Len(); got != 12 {
+			t.Fatalf("%s: Len = %d, want 12", tc.name, got)
 		}
-		if w && vals[i] != keys[i] {
-			t.Fatalf("vals[%d] = %d, want %d", i, vals[i], keys[i])
+		if err := m.CheckStructure(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-	}
-	if err := m.CheckStructure(); err != nil {
-		t.Fatal(err)
 	}
 }

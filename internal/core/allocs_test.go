@@ -379,6 +379,15 @@ func TestAllocsSkipListBatch(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("skip-list GetBatch allocates %v objects per batch, want 0", allocs)
 	}
+	vals, found := make([]int, len(keys)), make([]bool, len(keys))
+	if allocs := testing.AllocsPerRun(300, func() {
+		for i := range keys {
+			keys[i] = (i * 37) % 256
+		}
+		l.GetBatch(nil, keys, vals, found)
+	}); allocs != 0 {
+		t.Fatalf("skip-list GetBatch with result slices allocates %v objects per batch, want 0", allocs)
+	}
 	items := make([]KV[int, int], 16)
 	allocs = testing.AllocsPerRun(300, func() {
 		for i := range items {
@@ -474,5 +483,37 @@ func TestAllocsSkipListRecorded(t *testing.T) {
 	}
 	if got := rec.Snapshot().TotalOps(); got == 0 {
 		t.Fatal("recorder saw no operations: the pin measured the unrecorded path")
+	}
+}
+
+// TestAllocsGetBatchAcross pins the shared descent where the sharded map
+// runs it - several lists in one group, every group recorded, result
+// slices present or nil: the segment and pin arrays stay on the stack.
+func TestAllocsGetBatchAcross(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random, so pooled scratch reallocates")
+	}
+	lists, cutsOf := rangedLists(4, 256, WithRandomSource(zeroRng))
+	rec := telemetry.NewRecorder(1)
+	rec.SetSampleEvery(1)
+	for _, l := range lists {
+		l.SetTelemetry(rec)
+	}
+	keys := make([]int, 40) // three groups, the middle ones across two lists
+	for i := range keys {
+		keys[i] = 2 * 13 * i
+	}
+	cuts := cutsOf(keys)
+	vals, found := make([]int, len(keys)), make([]bool, len(keys))
+	before := rec.Snapshot().Ops[telemetry.OpGet].Count
+	if allocs := testing.AllocsPerRun(300, func() {
+		if GetBatchAcross(nil, lists, cuts, keys, vals, found) != len(keys) || GetBatchAcross(nil, lists, cuts, keys, nil, nil) != len(keys) {
+			t.Fatal("a key went missing")
+		}
+	}); allocs != 0 {
+		t.Fatalf("recorded GetBatchAcross allocates %v objects per pair of 40-key batches, want 0", allocs)
+	}
+	if got := rec.Snapshot().Ops[telemetry.OpGet].Count - before; got != 301*2*uint64(len(keys)) {
+		t.Fatalf("recorder counted %d gets, want %d", got, 301*2*len(keys))
 	}
 }

@@ -2,22 +2,26 @@ package core
 
 import "slices"
 
-// Batch operations: sort the keys once, then thread a single finger
-// through them so each element pays only the short hop from its
-// predecessor instead of a full search. A batch of k keys costs one full
-// search plus, per further element, the gap to its predecessor on the
-// list and the logarithm of that gap on the skip list - the amortized
-// bounds DESIGN.md Section 8 derives from the paper's SearchFrom
-// analysis. Each element is still an independent linearizable operation;
-// the batch as a whole is NOT atomic.
+// Batch operations: sort the keys once, then let the searches share what
+// sorted keys have in common. The list's batches and the skip list's
+// insert and delete batches thread a single finger through the keys, so
+// each element pays only the short hop from its predecessor instead of a
+// full search: a batch of k keys costs one full search plus, per further
+// element, the gap to its predecessor on the list and the logarithm of
+// that gap on the skip list. The skip list's get batch does not move from
+// key to key at all: its keys go down the structure together
+// (descent.go). DESIGN.md Section 8 derives both bounds from the paper's
+// SearchFrom analysis. Each element is still an independent linearizable
+// operation; the batch as a whole is NOT atomic.
 //
 // All batch methods sort their argument slice in place and report results
 // positionally against the sorted order. Result slices may be nil (the
 // caller only wants the count) but must have len >= len(keys) otherwise.
 // The methods allocate nothing beyond what the operations themselves
 // require (inserted nodes): the list's threading finger lives on the
-// stack, and the skip list's - which would escape through the slSearcher
-// interface - is recycled through a pool.
+// stack, the skip list's - which would escape through the slSearcher
+// interface - is recycled through a pool, and a descent's segments are a
+// fixed array on the stack.
 
 // KV pairs a key with a value for InsertBatch.
 type KV[K comparable, V any] struct {
@@ -108,25 +112,11 @@ func (l *SkipList[K, V]) putBatchFinger(f *SkipFinger[K, V]) {
 }
 
 // GetBatch looks up every key in keys, sorting keys in place first; see
-// List.GetBatch.
+// List.GetBatch for the contract. The sorted keys do not thread a finger:
+// they go down the structure together (descent.go).
 func (l *SkipList[K, V]) GetBatch(p *Proc, keys []K, vals []V, found []bool) int {
 	slices.SortFunc(keys, l.compare)
-	f := l.batchFinger()
-	n := 0
-	for i, k := range keys {
-		v, ok := f.Get(p, k)
-		if ok {
-			n++
-		}
-		if vals != nil {
-			vals[i] = v
-		}
-		if found != nil {
-			found[i] = ok
-		}
-	}
-	l.putBatchFinger(f)
-	return n
+	return GetBatchAcross(p, []*SkipList[K, V]{l}, []int{0, len(keys)}, keys, vals, found)
 }
 
 // InsertBatch inserts every pair in items, sorting items in place by key

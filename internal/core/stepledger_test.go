@@ -68,6 +68,46 @@ func TestStepLedger(t *testing.T) {
 	}
 }
 
+// TestStepLedgerGetBatch is the ledger's read-batch page: seeded batches on
+// the seeded 2^17-key structure of fingersteps_test.go, 16384 keys a row.
+// The rows were recorded when GetBatch became a shared descent (descent.go);
+// the commit before, which threaded a finger through each batch, paid
+// 418980, 367552 and 153048 steps for the same batches.
+func TestStepLedgerGetBatch(t *testing.T) {
+	const lookups = 1 << 14
+	type row struct{ steps, cas, helps uint64 }
+	for _, tc := range []struct {
+		name   string
+		width  int
+		window int // keys of one batch fall in a window this wide
+		want   row
+	}{
+		{"uniform 16", 16, fingerStepKeys, row{steps: 403830}},
+		{"uniform 64", 64, fingerStepKeys, row{steps: 349966}},
+		{"clustered 64", 64, 1024, row{steps: 142126}},
+	} {
+		l := seededSkipList(fingerStepKeys)
+		rng := rand.New(rand.NewPCG(19, 2004))
+		st := &OpStats{}
+		p := &Proc{Stats: st}
+		keys := make([]int, tc.width)
+		for b := 0; b < lookups/tc.width; b++ {
+			base := rng.IntN(fingerStepKeys - tc.window + 1)
+			for i := range keys {
+				keys[i] = base + rng.IntN(tc.window)
+			}
+			if n := l.GetBatch(p, keys, nil, nil); n != len(keys) {
+				t.Fatalf("%s: GetBatch found %d of %d keys", tc.name, n, len(keys))
+			}
+		}
+		got := row{st.EssentialSteps(), st.CASAttempts, st.HelpCalls}
+		t.Logf("%-12s {steps: %d, cas: %d, helps: %d}", tc.name, got.steps, got.cas, got.helps)
+		if got != tc.want {
+			t.Errorf("%s paid %+v, the ledger says %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestDeleteSweepsOnlyTowersWithUpperLevels: a tower of height 1 was never
 // linked above level 1 and never will be, so its deletion is the strict
 // search plus the three C&S and nothing else - no second descent. A taller

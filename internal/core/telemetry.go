@@ -76,6 +76,12 @@ func beginSampled(p *Proc) *sampledOp {
 // instrumented benchmark sees exactly what the live metrics see.
 func finishSampled(rec *telemetry.Recorder, tok telemetry.OpToken, op telemetry.Op, p *Proc, s *sampledOp) {
 	rec.FinishOp(tok, op, &s.st)
+	endSampled(p, s)
+}
+
+// endSampled mirrors the steps s collected into p's own counters and
+// returns s to the pool.
+func endSampled(p *Proc, s *sampledOp) {
 	if outer := p.StatsOrNil(); outer != nil {
 		outer.Add(&s.st)
 	}

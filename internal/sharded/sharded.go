@@ -20,10 +20,12 @@
 // range, cross-shard iteration is a concatenation of per-shard iterations
 // in shard order — no merging is needed.
 //
-// Batch operations sort once at the map level, partition the sorted run
-// into per-shard sub-runs with one binary search per splitter, and execute
-// each sub-run, in shard order on the caller's goroutine, through the
-// owning shard's pooled search finger. The map starts no goroutines:
+// Batch operations sort once at the map level and partition the sorted run
+// into per-shard sub-runs with one binary search per splitter. Insert and
+// delete batches execute each sub-run, in shard order, through the owning
+// shard's pooled search finger; a get batch sends all its sub-runs down
+// their shards together, in one shared descent. Either way the work is
+// done on the caller's goroutine. The map starts no goroutines:
 // concurrency comes from the callers (connections, group-batch executors),
 // which already own one each — a sub-run averages a handful of keys, less
 // work than handing it to another goroutine costs.
@@ -242,23 +244,23 @@ func (m *Map[K, V]) cutsForItems(items []core.KV[K, V], cuts []int) {
 
 // GetBatch looks up every key in keys, sorting keys in place first; the
 // same positional contract as the skip list's GetBatch (results land
-// against the sorted order). Each sub-run threads the owning shard's
-// pooled finger. Returns the number of keys found.
+// against the sorted order). The sub-runs are not looked up shard after
+// shard: all of them go down their shards in the same rounds of one
+// shared descent (core.GetBatchAcross), so a batch that leaves three keys
+// in each shard still keeps a full group of searches in flight. Returns
+// the number of keys found.
 func (m *Map[K, V]) GetBatch(p *core.Proc, keys []K, vals []V, found []bool) int {
 	slices.SortFunc(keys, m.compare)
 	cp := m.cutsPool.Get().(*[]int)
 	cuts := *cp
 	m.cutsForKeys(keys, cuts)
 	st := p.StatsOrNil()
-	n := 0
-	for i, sh := range m.shards {
-		lo, hi := cuts[i], cuts[i+1]
-		if lo == hi {
-			continue
+	for i := range m.shards {
+		if n := cuts[i+1] - cuts[i]; n > 0 {
+			m.countShard(st, uint64(n))
 		}
-		m.countShard(st, uint64(hi-lo))
-		n += sh.GetBatch(p, keys[lo:hi], sub(vals, lo, hi), sub(found, lo, hi))
 	}
+	n := core.GetBatchAcross(p, m.shards, cuts, keys, vals, found)
 	m.cutsPool.Put(cp)
 	return n
 }

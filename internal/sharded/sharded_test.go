@@ -311,6 +311,22 @@ func TestBatchAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("GetBatch allocates %v objects per batch, want 0", allocs)
 	}
+	// The same with result slices and every descent group recorded - the
+	// way lflserver calls it.
+	rec := telemetry.NewRecorder(1)
+	rec.SetSampleEvery(1)
+	m.SetTelemetry(rec)
+	vals, found := make([]int, len(keys)), make([]bool, len(keys))
+	allocs = testing.AllocsPerRun(300, func() {
+		for i := range keys {
+			keys[i] = (i * 131) % 1024
+		}
+		m.GetBatch(nil, keys, vals, found)
+	})
+	if allocs != 0 {
+		t.Fatalf("recorded GetBatch with result slices allocates %v objects per batch, want 0", allocs)
+	}
+	m.SetTelemetry(nil)
 	items := make([]core.KV[int, int], 16)
 	allocs = testing.AllocsPerRun(300, func() {
 		for i := range items {

@@ -119,10 +119,15 @@ func (s *SkipListFinger[K, V]) Delete(key K) bool {
 // Reset forgets the remembered position.
 func (s *SkipListFinger[K, V]) Reset() { s.f.Reset() }
 
-// The batch methods sort their argument slice IN PLACE, then thread one
-// finger through the sorted keys, so a batch over a clustered key range
+// The batch methods sort their argument slice IN PLACE. On the list, and
+// for the skip list's InsertBatch and DeleteBatch, one finger is then
+// threaded through the sorted keys, so a batch over a clustered key range
 // costs one full search plus short hops - instead of one full search per
-// element. Each element remains an independent linearizable operation;
+// element. The skip list's GetBatch sends its sorted keys down the
+// structure together instead (sixteen at a time): a step that several keys
+// share is taken once, and the steps they do not share wait for memory
+// side by side instead of one after another. Each element remains an
+// independent linearizable operation;
 // the batch as a whole is not atomic. Result slices may be nil; when
 // non-nil they must have len >= len(keys) and are filled positionally
 // against the SORTED order.

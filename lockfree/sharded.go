@@ -17,10 +17,13 @@ import (
 // splitters match, both shrink by ~S (see DESIGN.md Section 9 and the
 // README's Sharding section for how to choose splitters).
 //
-// Batches sort once, split into per-shard sub-runs, and thread each
-// sub-run through the owning shard's pooled search finger, in shard order
-// on the caller's goroutine — the map itself starts none; callers that
-// want shards worked concurrently batch from several goroutines.
+// Batches sort once and split into per-shard sub-runs. Insert and delete
+// batches thread each sub-run through the owning shard's pooled search
+// finger, in shard order; a get batch sends all its sub-runs down their
+// shards together, sixteen keys at a time, so their cache misses overlap
+// (DESIGN.md Section 8). All of it happens on the caller's goroutine —
+// the map itself starts none; callers that want shards worked
+// concurrently batch from several goroutines.
 // Ordered iteration concatenates the shards in key order — a range
 // partition needs no merge — with the skip list's weak-consistency
 // contract. Create with NewShardedSkipList.
