@@ -26,9 +26,10 @@ import (
 //     never blocking to wait for more commands than the client has
 //     already sent;
 //   - the writer (the goroutine that called serve) executes work items —
-//     turning same-verb stretches into one sorted batch call against the
-//     store — and writes responses back in request order, flushing each
-//     run with a single vectored write.
+//     turning each stretch of point commands into at most one sorted
+//     batch call per verb against the store, cut only where a key recurs
+//     under another verb — and writes responses back in request order,
+//     flushing each run with a single vectored write.
 //
 // The split is what makes pipelining pay: while the writer executes run k,
 // the reader is already parsing run k+1 off the socket.
@@ -56,10 +57,11 @@ type conn struct {
 	rep *replySet   // interned reply literals for the connection's dialect
 	w   replyWriter // per-run reply buffer, flushed vectored
 
-	// writer-owned batch scratch, reused across coalesced runs: the sort
-	// permutation, its inverse, the sorted inputs, and the result slices.
+	// writer-owned batch scratch, reused across coalesced runs: a stretch's
+	// positions in key order, each position's result slot, the sorted
+	// inputs, and the result slices.
 	ord    []int
-	ord2   []int
+	slot   []int
 	keys   []int
 	items  []core.KV[int, string]
 	vals   []string
@@ -357,10 +359,11 @@ func (c *conn) readLine() ([]byte, error) {
 	}
 }
 
-// execute answers one run: parse errors answer -ERR in place, stretches of
-// two or more same-verb point commands coalesce into one batch call, and
-// everything else executes singly. Responses land in request order.
-// Returns true when the run asked to close the connection.
+// execute answers one run. Parse errors answer -ERR in place and the
+// non-point verbs execute singly, in place; both are barriers. What lies
+// between two barriers is a stretch of point commands (SET/GET/DEL), and a
+// stretch of two or more goes to executePoints. Responses land in request
+// order. Returns true when the run asked to close the connection.
 func (c *conn) execute(r workRun) (quit bool) {
 	if c.srv.obs != nil {
 		c.queueWait = telemetry.Nanotime() - r.enq
@@ -374,18 +377,14 @@ func (c *conn) execute(r workRun) (quit bool) {
 			i++
 			continue
 		}
-		v := e[i].cmd.Verb
-		if v.batchable() {
-			j := i + 1
-			for j < len(e) && e[j].err == nil && e[j].cmd.Verb == v {
-				j++
-			}
-			if j-i >= 2 {
-				c.executeBatch(v, e[i:j])
-				c.srv.addCounter(instrument.CtrCmdsCoalesced, uint64(j-i))
-				i = j
-				continue
-			}
+		j := i
+		for j < len(e) && e[j].err == nil && e[j].cmd.Verb.batchable() {
+			j++
+		}
+		if j-i >= 2 {
+			c.executePoints(e[i:j])
+			i = j
+			continue
 		}
 		if c.executeSingle(e[i].cmd) {
 			return true
@@ -395,14 +394,22 @@ func (c *conn) execute(r workRun) (quit bool) {
 	return false
 }
 
-// executeBatch turns a same-verb stretch into one sorted batch call. The
-// batch methods report results positionally against the sorted key order,
-// so the stretch is pre-sorted through an index permutation and the
-// responses are written back through its inverse — the client sees answers
-// in the order it sent the requests. Among duplicate keys in one stretch
-// the assignment of success to request is arbitrary, exactly as it is for
-// concurrent single commands on separate connections.
-func (c *conn) executeBatch(v Verb, e []entry) {
+// executePoints answers a stretch of point commands, whatever their verbs.
+// The unit of ordering is the key. The commands of a run were all received
+// before any of them was answered, so they are pairwise concurrent and any
+// order among commands on DIFFERENT keys is a linearization; commands on
+// the same key must take effect in request order. The stretch is therefore
+// cut into segments in which no key occurs under two verbs, and a segment
+// executes as three classes - its GETs, its SETs, its DELs - each in one
+// store call, whatever the order the client interleaved them in. Inside a
+// class, commands on one key are same-verb duplicates and resolve as
+// concurrent single commands would: one arbitrary winner.
+//
+// One sort of the positions by (key, position) serves both purposes: it is
+// the order the batch calls want, and it puts a command that conflicts with
+// an earlier one right behind it, so finding the cuts is a scan of
+// neighbours, not of pairs.
+func (c *conn) executePoints(e []entry) {
 	n := len(e)
 	ord := c.ord[:0]
 	for i := 0; i < n; i++ {
@@ -415,87 +422,166 @@ func (c *conn) executeBatch(v Verb, e []entry) {
 		return cmp.Compare(a, b)
 	})
 	c.ord = ord
-	flags := growTo(&c.flags, n)
-
-	// A trace-sampled batch runs through the store's attribution surface
-	// with the connection's pre-allocated Proc, so its trace carries exact
-	// step counts; every other batch takes the plain path untouched.
-	obs := c.srv.obs
-	var sampled, attrib bool
-	var start int64
-	if obs != nil {
-		sampled = obs.sampleNext()
-		attrib = sampled && c.srv.procStore != nil
-		if attrib {
-			c.procStats.Reset()
-		}
-		start = telemetry.Nanotime()
-	}
-
-	switch v {
-	case VerbSet:
-		items := c.items[:0]
-		for _, oi := range ord {
-			items = append(items, core.KV[int, string]{Key: e[oi].cmd.Key, Value: e[oi].cmd.Value})
-		}
-		c.items = items
-		if attrib {
-			c.srv.procStore.InsertBatchProc(&c.proc, items, flags)
-		} else {
-			c.srv.store.InsertBatch(items, flags)
-		}
-	case VerbDel:
-		keys := c.keys[:0]
-		for _, oi := range ord {
-			keys = append(keys, e[oi].cmd.Key)
-		}
-		c.keys = keys
-		if attrib {
-			c.srv.procStore.DeleteBatchProc(&c.proc, keys, flags)
-		} else {
-			c.srv.store.DeleteBatch(keys, flags)
-		}
-	default: // VerbGet
-		keys := c.keys[:0]
-		for _, oi := range ord {
-			keys = append(keys, e[oi].cmd.Key)
-		}
-		c.keys = keys
-		vals := growTo(&c.vals, n)
-		if attrib {
-			c.srv.procStore.GetBatchProc(&c.proc, keys, vals, flags)
-		} else {
-			c.srv.store.GetBatch(keys, vals, flags)
-		}
-	}
-
-	if obs != nil {
-		c.noteUnit(v, e[ord[0]].cmd.Key, n, telemetry.Nanotime()-start, sampled, attrib)
-	}
-
-	// Invert the permutation on the fly: request i's result sits at the
-	// sorted position m with ord[m] == i. Walk requests in order via a
-	// position lookup built into the (otherwise idle) half of ord.
-	pos := growTo(&c.ord2, n)
-	for m, oi := range ord {
-		pos[oi] = m
-	}
-	for i := 0; i < n; i++ {
-		m := pos[i]
-		switch v {
-		case VerbGet:
-			c.writeValue(c.vals[m], flags[m])
-		case VerbSet:
-			if flags[m] && c.srv.wal != nil {
-				c.logMutation(wal.OpSet, c.items[m].Key, c.items[m].Value)
+	for from, to := 0, 0; from < n; from = to {
+		// The segment ends before the first command that repeats, under
+		// another verb, the key of a command at or after from.
+		to = n
+		for m := 1; m < n; m++ {
+			a, b := ord[m-1], ord[m]
+			if a >= from && b < to && e[a].cmd.Key == e[b].cmd.Key && e[a].cmd.Verb != e[b].cmd.Verb {
+				to = b
 			}
-			c.writeSetReply(flags[m])
+		}
+		c.executeSegment(e, from, to)
+	}
+}
+
+// executeSegment answers e[from:to], a segment in which no key occurs
+// under two verbs; c.ord holds the stretch's positions in key order. A
+// class of one command uses the point method - a one-key batch would pay
+// the batch's set-up for nothing - and an empty class makes no call.
+// Replies, and the log records of the mutations that took effect, are
+// written in request order once all three classes have executed.
+func (c *conn) executeSegment(e []entry, from, to int) {
+	var gets, dels int
+	for _, en := range e[from:to] {
+		switch en.cmd.Verb {
+		case VerbGet:
+			gets++
+		case VerbDel:
+			dels++
+		}
+	}
+	// Result slots: the GETs' first, then the DELs', then the SETs'; slot[p]
+	// is where the command at position p finds its result.
+	keys := growTo(&c.keys, gets+dels)
+	items := c.items[:0]
+	slot := growTo(&c.slot, len(e))
+	g, d := 0, gets
+	for _, p := range c.ord {
+		if p < from || p >= to {
+			continue
+		}
+		switch cmd := &e[p].cmd; cmd.Verb {
+		case VerbGet:
+			keys[g], slot[p] = cmd.Key, g
+			g++
+		case VerbDel:
+			keys[d], slot[p] = cmd.Key, d
+			d++
 		default:
+			slot[p] = gets + dels + len(items)
+			items = append(items, core.KV[int, string]{Key: cmd.Key, Value: cmd.Value})
+		}
+	}
+	c.items = items
+	flags := growTo(&c.flags, to-from)
+	vals := growTo(&c.vals, gets)
+	c.storeGets(keys[:gets], vals, flags[:gets])
+	c.storeDels(keys[gets:], flags[gets:gets+dels])
+	c.storeSets(items, flags[gets+dels:])
+
+	for p := from; p < to; p++ {
+		m := slot[p]
+		switch e[p].cmd.Verb {
+		case VerbGet:
+			c.writeValue(vals[m], flags[m])
+		case VerbDel:
 			if flags[m] && c.srv.wal != nil {
-				c.logMutation(wal.OpDel, c.keys[m], "")
+				c.logMutation(wal.OpDel, keys[m], "")
 			}
 			c.writeBool(flags[m])
+		default:
+			if it := items[m-gets-dels]; flags[m] && c.srv.wal != nil {
+				c.logMutation(wal.OpSet, it.Key, it.Value)
+			}
+			c.writeSetReply(flags[m])
 		}
+	}
+}
+
+// storeGets runs one class of a segment against the store: sorted keys in,
+// results positional. storeDels and storeSets are its twins.
+func (c *conn) storeGets(keys []int, vals []string, found []bool) {
+	if len(keys) == 0 {
+		return
+	}
+	sampled, attrib, start := c.beginUnit(true)
+	switch ps := c.srv.procStore; {
+	case len(keys) == 1 && attrib:
+		vals[0], found[0] = ps.GetProc(&c.proc, keys[0])
+	case len(keys) == 1:
+		vals[0], found[0] = c.srv.store.Get(keys[0])
+	case attrib:
+		ps.GetBatchProc(&c.proc, keys, vals, found)
+	default:
+		c.srv.store.GetBatch(keys, vals, found)
+	}
+	c.endUnit(VerbGet, keys[0], len(keys), sampled, attrib, start)
+}
+
+func (c *conn) storeDels(keys []int, deleted []bool) {
+	if len(keys) == 0 {
+		return
+	}
+	sampled, attrib, start := c.beginUnit(true)
+	switch ps := c.srv.procStore; {
+	case len(keys) == 1 && attrib:
+		deleted[0] = ps.DeleteProc(&c.proc, keys[0])
+	case len(keys) == 1:
+		deleted[0] = c.srv.store.Delete(keys[0])
+	case attrib:
+		ps.DeleteBatchProc(&c.proc, keys, deleted)
+	default:
+		c.srv.store.DeleteBatch(keys, deleted)
+	}
+	c.endUnit(VerbDel, keys[0], len(keys), sampled, attrib, start)
+}
+
+func (c *conn) storeSets(items []core.KV[int, string], inserted []bool) {
+	if len(items) == 0 {
+		return
+	}
+	sampled, attrib, start := c.beginUnit(true)
+	switch ps := c.srv.procStore; {
+	case len(items) == 1 && attrib:
+		inserted[0] = ps.InsertProc(&c.proc, items[0].Key, items[0].Value)
+	case len(items) == 1:
+		inserted[0] = c.srv.store.Insert(items[0].Key, items[0].Value)
+	case attrib:
+		ps.InsertBatchProc(&c.proc, items, inserted)
+	default:
+		c.srv.store.InsertBatch(items, inserted)
+	}
+	c.endUnit(VerbSet, items[0].Key, len(items), sampled, attrib, start)
+}
+
+// beginUnit opens one unit - a point command or one class of a segment -
+// for observability: it ticks the trace sampler and, for a sampled unit
+// whose execution is attributable (store calls that can carry a Proc),
+// readies the connection's pre-allocated Proc, so the unit's trace carries
+// exact step counts; every other unit takes the plain path untouched.
+func (c *conn) beginUnit(attributable bool) (sampled, attrib bool, start int64) {
+	obs := c.srv.obs
+	if obs == nil {
+		return false, false, 0
+	}
+	sampled = obs.sampleNext()
+	attrib = sampled && attributable && c.srv.procStore != nil
+	if attrib {
+		c.procStats.Reset()
+	}
+	return sampled, attrib, telemetry.Nanotime()
+}
+
+// endUnit closes a unit of n commands of verb v: commands that rode in a
+// batch call count as coalesced, and the unit is noted for observability.
+func (c *conn) endUnit(v Verb, key, n int, sampled, attrib bool, start int64) {
+	if n >= 2 {
+		c.srv.addCounter(instrument.CtrCmdsCoalesced, uint64(n))
+	}
+	if c.srv.obs != nil {
+		c.noteUnit(v, key, n, telemetry.Nanotime()-start, sampled, attrib)
 	}
 }
 
@@ -510,22 +596,11 @@ func growTo[T any](s *[]T, n int) []T {
 
 // executeSingle answers one non-coalesced command. Returns true for QUIT.
 func (c *conn) executeSingle(cmd Command) (quit bool) {
-	// Sampling ticks on every unit; attribution additionally needs a
-	// store that can carry a Proc and a verb whose execution is one store
-	// call (the point commands). A sampled PING or RANGE still produces a
-	// trace record — wall time, batch size, queue wait — with zero step
-	// counts.
-	obs := c.srv.obs
-	var sampled, attrib bool
-	var start int64
-	if obs != nil {
-		sampled = obs.sampleNext()
-		attrib = sampled && c.srv.procStore != nil && cmd.Verb.batchable()
-		if attrib {
-			c.procStats.Reset()
-		}
-		start = telemetry.Nanotime()
-	}
+	// Sampling ticks on every unit; attribution additionally needs a verb
+	// whose execution is one store call (the point commands). A sampled
+	// PING or RANGE still produces a trace record — wall time, batch size,
+	// queue wait — with zero step counts.
+	sampled, attrib, start := c.beginUnit(cmd.Verb.batchable())
 	switch cmd.Verb {
 	case VerbPing:
 		c.w.literal(c.rep.pong)
@@ -568,9 +643,7 @@ func (c *conn) executeSingle(cmd Command) (quit bool) {
 		c.w.literal(c.rep.ok)
 		quit = true
 	}
-	if obs != nil {
-		c.noteUnit(cmd.Verb, cmd.Key, 1, telemetry.Nanotime()-start, sampled, attrib)
-	}
+	c.endUnit(cmd.Verb, cmd.Key, 1, sampled, attrib, start)
 	return quit
 }
 
