@@ -43,7 +43,7 @@
 // suffixes may have applied any prefix. -batch sets the pipeline depth.
 //
 // With -batch N, workers issue their operations as sorted N-key batches
-// through the finger-threaded batch API instead of one key at a time.
+// through the batch API instead of one key at a time.
 // Every batch element is still recorded and history-checked individually;
 // with telemetry attached, the delta summary reports the finger hit rate.
 package main
@@ -288,7 +288,7 @@ func run(args []string) error {
 	keys := fs.Int("keys", 16, "key-space size (small = high contention)")
 	rounds := fs.Int("rounds", 20, "independent rounds")
 	seed := fs.Uint64("seed", 1, "base random seed")
-	batch := fs.Int("batch", 0, "issue operations as sorted N-key batches through the finger-threaded batch API (fr-list/fr-skiplist only); every element is still history-checked, so raise -keys to keep per-key segments under the checker limit")
+	batch := fs.Int("batch", 0, "issue operations as sorted N-key batches through the batch API (fr-list/fr-skiplist only); every element is still history-checked, so raise -keys to keep per-key segments under the checker limit")
 	shards := fs.Int("shards", 0, "run fr-skiplist behind the range-sharded map with this many shards (a power of two); 0 = unsharded")
 	recycle := fs.Bool("recycle", false, "enable EBR-backed node recycling on the fr-* structures (and the -server self store): histories are then checked with node identities repeating")
 	srvAddr := fs.String("server", "", "drive a lflserver over TCP at this address instead of an in-process structure; \"self\" starts and gracefully drains an in-process server each round")
@@ -333,7 +333,7 @@ func run(args []string) error {
 		return fmt.Errorf("-groupbatch requires -server self (it configures the served execution mode)")
 	}
 
-	totalOps := 0
+	totalOps, checkedRounds := 0, 0
 	var totalRecycled, totalDropped uint64
 	for round := 0; round < *rounds; round++ {
 		d, err := newChecked(*impl, *shards, *keys, *recycle, tel)
@@ -385,6 +385,7 @@ func run(args []string) error {
 			return fmt.Errorf("round %d: %w", round, err)
 		}
 		totalOps += *threads * *ops
+		checkedRounds++
 		if *recycle {
 			// Quiesce the round's domain and fold in its reuse totals: the
 			// histories just checked were produced over recycled identities.
@@ -398,14 +399,26 @@ func run(args []string) error {
 			printTelemetryDelta(round+1, tel.Delta())
 		}
 	}
-	fmt.Printf("ok: %s passed %d rounds, %d checked operations, all histories linearizable\n",
-		*impl, *rounds, totalOps)
+	if err := someRoundChecked(checkedRounds, *rounds); err != nil {
+		return err
+	}
+	fmt.Printf("ok: %s passed, %d of %d rounds checked, %d checked operations, all histories linearizable\n",
+		*impl, checkedRounds, *rounds, totalOps)
 	if *recycle {
 		fmt.Printf("ok: node recycling live during every round: %d node identities reused, %d dropped to GC\n",
 			totalRecycled, totalDropped)
 		if totalRecycled == 0 {
 			return fmt.Errorf("-recycle run reused no node identities; the rounds never exercised reuse (raise -ops or lower -keys)")
 		}
+	}
+	return nil
+}
+
+// someRoundChecked refuses a run in which every round was too dense for the
+// history checker: such a run has verified nothing and must not pass.
+func someRoundChecked(checked, rounds int) error {
+	if checked == 0 {
+		return fmt.Errorf("0 of %d rounds checked: every history was too dense for the checker, nothing was verified (lower -ops or raise -keys)", rounds)
 	}
 	return nil
 }

@@ -99,6 +99,20 @@ func TestRunBatchSmoke(t *testing.T) {
 	}
 }
 
+// TestRunFailsWhenNoRoundChecked: a batch of 64 operations on ONE key is 64
+// overlapping operations in one per-key segment, one more than the history
+// checker takes, so every round of these runs is inconclusive - and a run
+// that checked nothing must fail, in library mode and over the wire alike,
+// instead of reporting "all histories linearizable".
+func TestRunFailsWhenNoRoundChecked(t *testing.T) {
+	for _, mode := range [][]string{{"-impl", "fr-skiplist"}, {"-server", "self", "-shards", "1"}} {
+		err := run(append(mode, "-threads", "1", "-ops", "64", "-keys", "1", "-rounds", "2", "-batch", "64"))
+		if err == nil || !strings.Contains(err.Error(), "0 of 2 rounds checked") {
+			t.Fatalf("%v: err = %v, want a refusal naming 0 of 2 rounds checked", mode, err)
+		}
+	}
+}
+
 // TestRunBatchUnsupportedImpl checks -batch refuses implementations
 // without a batch API instead of silently ignoring the flag.
 func TestRunBatchUnsupportedImpl(t *testing.T) {
