@@ -4,8 +4,8 @@
 #   1. go vet over every package,
 #   2. the tier-1 gate (build + tests, as recorded in ROADMAP.md), then
 #      the repo benchmark's own module (benchmark/, which tier-1 does not
-#      build): vet, tests, and a 3 s lib_churn run that must come back
-#      correct with no failed operation,
+#      build): vet, tests, and 3 s runs of lib_churn and wire_pipe16 that
+#      must come back correct with no failed operation,
 #   3. the test suite again under the race detector,
 #   4. targeted race passes over the parallelism-shaped packages
 #      (internal/sharded, internal/server, internal/instrument,
@@ -43,13 +43,18 @@ go test ./...
 
 # The repo benchmark (BENCHMARK.json) is a nested module, so nothing above
 # builds it: a change can pass tier-1 and vet and still break the harness
-# the pipeline measures it with. Vet and test the module, then run its
-# shortest workload end to end; the last line is the result object.
-echo "== benchmark module: vet, test, 3 s lib_churn smoke =="
+# the pipeline measures it with. Vet and test the module, then run two
+# workloads end to end - the shortest library one, and wire_pipe16, the
+# only thing in this gate that drives lflserver the way the pipeline's
+# benchmark does: 16-deep RESP bursts whose every reply is checked against
+# a model. The last line of a run is the result object.
+echo "== benchmark module: vet, test, 3 s lib_churn and wire_pipe16 smokes =="
 (cd benchmark && go vet ./... && go test ./...)
-smoke=$(bash benchmark/run.sh --workload lib_churn --seed 1 --seconds 3 --trace 0 | tail -n 1)
-{ echo "$smoke" | grep -q '"correct":true' && echo "$smoke" | grep -q '"failed":0[,}]'; } \
-    || { echo "benchmark smoke: want \"correct\":true and \"failed\":0, last line is: $smoke"; exit 1; }
+for workload in lib_churn wire_pipe16; do
+    smoke=$(bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 3 --trace 0 | tail -n 1)
+    { echo "$smoke" | grep -q '"correct":true' && echo "$smoke" | grep -q '"failed":0[,}]'; } \
+        || { echo "benchmark smoke ($workload): want \"correct\":true and \"failed\":0, last line is: $smoke"; exit 1; }
+done
 
 echo "== race: go test -race ./... =="
 go test -race ./...
