@@ -70,7 +70,7 @@ type benchRow struct {
 	// Workload is "uniform" (independent uniform keys) or "clustered"
 	// (sorted runs of clusterOps keys inside a clusterWindow-wide window).
 	// Batch is 0 for per-key operations or the batch length when the run
-	// goes through the finger-threaded batch API — the per-key row of the
+	// goes through the batch API — the per-key row of the
 	// same workload, key range and thread count is the baseline the batch
 	// row's ops/sec is judged against. The clustered pairs sit at the
 	// small end of the inter-key gap range; the uniform pairs on the
