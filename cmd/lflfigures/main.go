@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -29,7 +30,10 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) error { return runTo(os.Stdout, args) }
+
+// runTo renders the figures args select onto w.
+func runTo(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("lflfigures", flag.ContinueOnError)
 	fig := fs.String("fig", "all", "figure to render: 1, 2, 6, or all")
 	if err := fs.Parse(args); err != nil {
@@ -37,17 +41,17 @@ func run(args []string) error {
 	}
 	switch *fig {
 	case "1":
-		figure1()
+		figure1(w)
 	case "2":
-		figure2()
+		figure2(w)
 	case "6":
-		figure6()
+		figure6(w)
 	case "all":
-		figure1()
-		fmt.Println()
-		figure2()
-		fmt.Println()
-		figure6()
+		figure1(w)
+		fmt.Fprintln(w)
+		figure2(w)
+		fmt.Fprintln(w)
+		figure6(w)
 	default:
 		return fmt.Errorf("unknown -fig %q", *fig)
 	}
@@ -56,13 +60,13 @@ func run(args []string) error {
 
 // figure1 renders Harris's two-step deletion (paper Figure 1) by freezing
 // a real deleter between its marking C&S and its unlinking C&S.
-func figure1() {
-	fmt.Println("Figure 1: Harris's two-step deletion of node B")
+func figure1(w io.Writer) {
+	fmt.Fprintln(w, "Figure 1: Harris's two-step deletion of node B")
 	l := harris.NewList[string, int]()
 	l.Insert(nil, "A", 0)
 	l.Insert(nil, "B", 0)
 	l.Insert(nil, "C", 0)
-	fmt.Println("  initial:       ", harrisState(l))
+	fmt.Fprintln(w, "  initial:       ", harrisState(l))
 
 	ctl := adversary.NewController()
 	ctl.PauseAt(1, instrument.PtBeforePhysicalCAS)
@@ -72,11 +76,11 @@ func figure1() {
 		close(done)
 	}()
 	ctl.AwaitParked(1, instrument.PtBeforePhysicalCAS)
-	fmt.Println("  step 1 (mark): ", harrisState(l), "   <- B logically deleted")
+	fmt.Fprintln(w, "  step 1 (mark): ", harrisState(l), "   <- B logically deleted")
 	ctl.ClearAllPauses()
 	ctl.Release(1)
 	<-done
-	fmt.Println("  step 2 (unlink):", harrisState(l), "       <- B physically deleted")
+	fmt.Fprintln(w, "  step 2 (unlink):", harrisState(l), "       <- B physically deleted")
 }
 
 // harrisState renders the Harris list's physical chain read-only (a
@@ -97,13 +101,13 @@ func harrisState(l *harris.List[string, int]) string {
 
 // figure2 renders the paper's three-step deletion (Figure 2), freezing the
 // deleter after the flagging C&S and after the marking C&S.
-func figure2() {
-	fmt.Println("Figure 2: three-step deletion of node B (the paper's protocol)")
+func figure2(w io.Writer) {
+	fmt.Fprintln(w, "Figure 2: three-step deletion of node B (the paper's protocol)")
 	l := core.NewList[string, int]()
 	l.Insert(nil, "A", 0)
 	l.Insert(nil, "B", 0)
 	l.Insert(nil, "C", 0)
-	fmt.Println("  initial:          ", core.RenderState(l.Snapshot()))
+	fmt.Fprintln(w, "  initial:          ", core.RenderState(l.Snapshot()))
 
 	ctl := adversary.NewController()
 	ctl.PauseAt(1, instrument.PtBeforeMarkCAS)
@@ -114,20 +118,20 @@ func figure2() {
 		close(done)
 	}()
 	ctl.AwaitParked(1, instrument.PtBeforeMarkCAS)
-	fmt.Println("  step 1 (flag A):  ", core.RenderState(l.Snapshot()), "  <- A's successor field flagged (*)")
+	fmt.Fprintln(w, "  step 1 (flag A):  ", core.RenderState(l.Snapshot()), "  <- A's successor field flagged (*)")
 	ctl.Release(1)
 	ctl.AwaitParked(1, instrument.PtBeforePhysicalCAS)
-	fmt.Println("  step 2 (mark B):  ", core.RenderState(l.Snapshot()), "  <- B marked (X), backlink set (~)")
+	fmt.Fprintln(w, "  step 2 (mark B):  ", core.RenderState(l.Snapshot()), "  <- B marked (X), backlink set (~)")
 	ctl.ClearAllPauses()
 	ctl.Release(1)
 	<-done
-	fmt.Println("  step 3 (unlink B):", core.RenderState(l.Snapshot()), "   <- B removed, flag cleared")
+	fmt.Fprintln(w, "  step 3 (unlink B):", core.RenderState(l.Snapshot()), "   <- B removed, flag cleared")
 }
 
 // figure6 renders the skip list's tower structure (Figure 6) after a few
 // insertions with deterministic heights.
-func figure6() {
-	fmt.Println("Figure 6: skip-list towers (deterministic heights)")
+func figure6(w io.Writer) {
+	fmt.Fprintln(w, "Figure 6: skip-list towers (deterministic heights)")
 	heights := []uint64{0b0, 0b1, 0b11, 0b0, 0b111, 0b1, 0b0}
 	i := 0
 	rng := func() uint64 { h := heights[i%len(heights)]; i++; return h }
@@ -136,6 +140,6 @@ func figure6() {
 		l.Insert(nil, k, k)
 	}
 	for lv := 4; lv >= 1; lv-- {
-		fmt.Printf("  level %d: %s\n", lv, core.RenderState(l.LevelSnapshot(lv)))
+		fmt.Fprintf(w, "  level %d: %s\n", lv, core.RenderState(l.LevelSnapshot(lv)))
 	}
 }

@@ -77,11 +77,16 @@ func TestE2HarrisQuadraticFRLinear(t *testing.T) {
 		t.Fatalf("row %s/%d missing", impl, n)
 		return 0
 	}
-	frRatio := get("fomitchev-ruppert", 256) / get("fomitchev-ruppert", 128)
-	harrisRatio := get("harris", 256) / get("harris", 128)
-	if frRatio > 3 {
-		t.Fatalf("FR inserter cost grew superlinearly: ratio %.2f", frRatio)
+	// Each FR inserter pays its search plus O(1) per round: 3n steps on
+	// this schedule, and up to two more per inserter for the race between
+	// the inserters once the last round releases them.
+	const q = 3
+	for _, n := range []int{128, 256} {
+		if mean := get("fomitchev-ruppert", n); mean < 3*float64(n) || mean > 3*float64(n)+2*q {
+			t.Fatalf("FR inserter at n=%d paid %.1f steps, want within [3n, 3n+2q] = [%d, %d]", n, mean, 3*n, 3*n+2*q)
+		}
 	}
+	harrisRatio := get("harris", 256) / get("harris", 128)
 	if harrisRatio < 3 {
 		t.Fatalf("Harris inserter cost did not grow quadratically: ratio %.2f", harrisRatio)
 	}
@@ -115,6 +120,46 @@ func TestE3DebtLinearAndRecovered(t *testing.T) {
 	// Second search must be near the clean baseline (debt paid once).
 	if v128.SecondSearch > v128.Baseline*2+16 {
 		t.Fatalf("valois second search still expensive: %+v", v128)
+	}
+}
+
+// TestE3FRExactConstants pins the FR columns of E3's tables at the
+// harness's own configuration. Every one is a count of essential steps on
+// a schedule the adversary fixes, so it repeats exactly from run to run: a
+// change to the list's search or helping cost moves a number here.
+func TestE3FRExactConstants(t *testing.T) {
+	res := RunE3(DefaultE3Config())
+	overhead := map[int]float64{256: 257, 1024: 1022, 4096: 4082}
+	for _, row := range res.Overhead {
+		if want := overhead[row.N]; row.FRSteps != want {
+			t.Errorf("E3a n=%d: FR paid %v steps per search, want %v", row.N, row.FRSteps, want)
+		}
+	}
+	type debt struct{ first, second, baseline float64 }
+	debts := map[int]debt{16: {68, 36, 36}, 64: {260, 132, 132}, 256: {1028, 516, 516}, 1024: {4100, 2052, 2052}}
+	for _, row := range res.Debt {
+		if row.Impl != "fomitchev-ruppert" {
+			continue
+		}
+		if got := (debt{row.FirstSearch, row.SecondSearch, row.Baseline}); got != debts[row.M] {
+			t.Errorf("E3b m=%d: FR (first, second, baseline) = %v, want %v", row.M, got, debts[row.M])
+		}
+	}
+}
+
+// TestE7FRExactConstants pins E7's FR rows: the victim walks exactly one
+// backlink at every chain length, and its total steps are its search plus
+// that one recovery.
+func TestE7FRExactConstants(t *testing.T) {
+	steps := map[int]uint64{8: 19, 32: 67, 128: 259, 512: 1027}
+	for _, row := range RunE7(DefaultE7Config()).Rows {
+		if row.Impl != "fomitchev-ruppert" {
+			continue
+		}
+		if !row.InsertRecovered || row.VictimWalk != 1 || row.VictimSteps != steps[row.K] {
+			t.Errorf("E7 k=%d: FR victim walked %d backlinks in %d steps (recovered %t), want 1 in %d",
+				row.K, row.VictimWalk, row.VictimSteps, row.InsertRecovered, steps[row.K])
+		}
 	}
 }
 
