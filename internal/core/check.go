@@ -4,53 +4,6 @@ import (
 	"fmt"
 )
 
-// CheckInvariants validates the paper's invariants INV 1-5 (Section 3.3)
-// over the reachable part of the list. It must be called in a quiescent
-// state (no concurrent operations); stress tests call it between phases.
-// It returns nil if every invariant holds.
-//
-//	INV 1: keys are strictly sorted along right pointers.
-//	INV 2: regular and logically deleted nodes form a single linked list
-//	       from head to tail.
-//	INV 3: the predecessor of a logically deleted node is flagged and
-//	       unmarked, and the deleted node's successor is unmarked.
-//	INV 4: a logically deleted node's backlink points to its predecessor.
-//	INV 5: no node is both marked and flagged.
-//
-// In a quiescent state no node reachable from the head should be marked or
-// flagged at all (every deletion has fully completed), which this checker
-// also enforces.
-func (l *List[K, V]) CheckInvariants() error {
-	defer l.opPin(nil).Unpin()
-	prev := l.head
-	seen := 0
-	for {
-		s := prev.loadSucc()
-		if s.marked() && s.flagged() {
-			return fmt.Errorf("INV5 violated: node %d is both marked and flagged", seen)
-		}
-		if s.marked() || s.flagged() {
-			return fmt.Errorf("quiescence violated: reachable node %d has mark=%t flag=%t",
-				seen, s.marked(), s.flagged())
-		}
-		next := s.right()
-		if next == nil {
-			if prev != l.tail {
-				return fmt.Errorf("INV2 violated: nil right pointer before tail (node %d)", seen)
-			}
-			return nil
-		}
-		if err := checkOrder(prev.kind, next.kind, func() int { return l.compare(prev.key, next.key) }); err != nil {
-			return fmt.Errorf("INV1 violated at node %d: %w", seen, err)
-		}
-		prev = next
-		seen++
-		if seen > 1<<30 {
-			return fmt.Errorf("INV2 violated: list does not terminate (cycle?)")
-		}
-	}
-}
-
 // checkOrder verifies strict ordering between two adjacent nodes given
 // their kinds, using keyCmp only when both are interior.
 func checkOrder(a, b nodeKind, keyCmp func() int) error {
@@ -68,29 +21,27 @@ func checkOrder(a, b nodeKind, keyCmp func() int) error {
 	}
 }
 
-// ascend calls fn for each key/value in ascending order, skipping
-// logically deleted nodes. Iteration is weakly consistent: it reflects
-// some interleaving of concurrent updates. fn returning false stops the
-// iteration. Ascend in telemetry.go wraps it with the metrics flush.
-func (l *List[K, V]) ascend(fn func(k K, v V) bool) {
-	n := l.head.right()
-	for n.kind != kindTail {
-		if !n.marked() {
-			if !fn(n.key, n.val) {
-				return
-			}
-		}
-		n = n.right()
-	}
-}
-
-// CheckStructure validates the skip list's structure in a quiescent state:
-// every level satisfies INV 1-5 (the same per-level checks as the list),
-// and towers are vertically consistent - Figure 6, restated on heights: a
-// tower linked on level v has height >= v and is linked on every level
-// below; no linked tower's level-1 word is marked (none is superfluous);
-// the cells a tower owns above its height hold the zero word; and both
-// sentinels span maxLevel.
+// CheckStructure validates the skip list's structure. It must be called in
+// a quiescent state (no concurrent operations); stress tests call it
+// between phases. Every level must satisfy the paper's invariants INV 1-5
+// (Section 3.3):
+//
+//	INV 1: keys are strictly sorted along right pointers.
+//	INV 2: regular and logically deleted nodes form a single linked list
+//	       from head to tail.
+//	INV 3: the predecessor of a logically deleted node is flagged and
+//	       unmarked, and the deleted node's successor is unmarked.
+//	INV 4: a logically deleted node's backlink points to its predecessor.
+//	INV 5: no node is both marked and flagged.
+//
+// In a quiescent state no node reachable from the head is marked or
+// flagged at all (every deletion has fully completed), which the checker
+// enforces, and that makes INV 3 and 4 hold vacuously. Towers must be
+// vertically consistent - Figure 6, restated on heights: a tower linked on
+// level v has height >= v and is linked on every level below; no linked
+// tower's level-1 word is marked (none is superfluous); the cells a tower
+// owns above its height hold the zero word; and both sentinels span
+// maxLevel.
 func (l *SkipList[K, V]) CheckStructure() error {
 	defer l.opPin(nil).Unpin()
 	if int(l.head.height) != l.maxLevel || int(l.tail.height) != l.maxLevel {

@@ -141,8 +141,8 @@ func TestF2MidDeletionInvariants(t *testing.T) {
 }
 
 // TestF3F5TryFlagThreeReturnModes exercises TryFlag's three documented
-// outcomes (Figure 5): it flags the predecessor itself; a concurrent
-// deletion already flagged it; or the target was deleted.
+// outcomes (Figure 5), run on level 1: it flags the predecessor itself; a
+// concurrent deletion already flagged it; or the target was deleted.
 func TestF3F5TryFlagThreeReturnModes(t *testing.T) {
 	l := NewList[int, int]()
 	l.Insert(nil, 1, 1)
@@ -150,20 +150,20 @@ func TestF3F5TryFlagThreeReturnModes(t *testing.T) {
 	a, b := l.Search(nil, 1), l.Search(nil, 2)
 
 	// Mode 1: this call flags the predecessor.
-	prev, result := l.tryFlag(nil, a, b)
+	prev, result := l.tryFlag(nil, a, b, 1)
 	if prev != a || !result {
 		t.Fatalf("mode 1: tryFlag = (%v, %t), want (A, true)", prev, result)
 	}
 	// Mode 2: the predecessor is already flagged (by mode 1 above).
-	prev, result = l.tryFlag(nil, a, b)
+	prev, result = l.tryFlag(nil, a, b, 1)
 	if prev != a || result {
 		t.Fatalf("mode 2: tryFlag = (%v, %t), want (A, false)", prev, result)
 	}
 	// Finish the stalled deletion so the flag does not dangle.
-	l.helpFlagged(nil, a, b)
+	l.helpFlagged(nil, a, b, 1)
 
 	// Mode 3: the target is gone.
-	prev, result = l.tryFlag(nil, a, b)
+	prev, result = l.tryFlag(nil, a, b, 1)
 	if prev != nil || result {
 		t.Fatalf("mode 3: tryFlag = (%v, %t), want (nil, false)", prev, result)
 	}
@@ -173,15 +173,16 @@ func TestF3F5TryFlagThreeReturnModes(t *testing.T) {
 }
 
 // TestF3F5SearchFromPostconditions checks SEARCHFROM's postcondition
-// (Section 3.3): SearchFrom(k, n) returns (n1, n2) with n1.key <= k <
-// n2.key in both plain and strict ("k - epsilon") modes, from arbitrary
-// interior starting points.
+// (Section 3.3) on level 1, where searchRight is SearchFrom:
+// SearchFrom(k, n) returns (n1, n2) with n1.key <= k < n2.key in both
+// plain and strict ("k - epsilon") modes, from arbitrary interior starting
+// points.
 func TestF3F5SearchFromPostconditions(t *testing.T) {
 	l := NewList[int, int]()
 	for i := 0; i < 100; i += 2 {
 		l.Insert(nil, i, i)
 	}
-	starts := []*Node[int, int]{l.head, l.Search(nil, 10), l.Search(nil, 48)}
+	starts := []*SLNode[int, int]{l.head, l.Search(nil, 10), l.Search(nil, 48)}
 	for _, start := range starts {
 		lo := -1
 		if start.kind != kindHead {
@@ -191,11 +192,11 @@ func TestF3F5SearchFromPostconditions(t *testing.T) {
 			if l.cmpNode(start, k) > 0 {
 				continue
 			}
-			n1, n2 := l.searchFrom(nil, k, start, false)
+			n1, n2 := l.searchRight(nil, k, start, 1, false)
 			if !(l.cmpNode(n1, k) <= 0) || !(l.cmpNode(n2, k) > 0) {
 				t.Fatalf("searchFrom(%d): postcondition violated", k)
 			}
-			m1, m2 := l.searchFrom(nil, k, start, true)
+			m1, m2 := l.searchRight(nil, k, start, 1, true)
 			if !(l.cmpNode(m1, k) < 0) || !(l.cmpNode(m2, k) >= 0) {
 				t.Fatalf("strict searchFrom(%d): postcondition violated", k)
 			}
@@ -204,7 +205,8 @@ func TestF3F5SearchFromPostconditions(t *testing.T) {
 }
 
 // TestF3F5HelpMarkedIdempotent checks that a duplicate physical-deletion
-// attempt (HELPMARKED, Figure 3) is harmless after the real one completed.
+// attempt (HELPMARKED, Figure 3, on level 1) is harmless after the real one
+// completed.
 func TestF3F5HelpMarkedIdempotent(t *testing.T) {
 	l := NewList[int, int]()
 	l.Insert(nil, 1, 1)
@@ -212,8 +214,8 @@ func TestF3F5HelpMarkedIdempotent(t *testing.T) {
 	a, b := l.Search(nil, 1), l.Search(nil, 2)
 	l.Delete(nil, 2)
 	// b is long gone; helping again must not corrupt anything.
-	l.helpMarked(nil, a, b)
-	l.helpMarked(nil, a, b)
+	l.helpMarked(nil, a, b, 1)
+	l.helpMarked(nil, a, b, 1)
 	if err := l.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

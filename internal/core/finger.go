@@ -7,7 +7,8 @@ import (
 
 // This file implements search fingers: cursor handles that remember where
 // the previous operation ended and start the next search there instead of
-// at the head (list) or the top of the head tower (skip list).
+// at the top of the head tower. One finger type serves both structures: a
+// List's finger remembers level 1 only, because that is all a List has.
 //
 // The mechanism is exactly the paper's: SEARCHFROM (Figure 3) is proved
 // correct from ANY start node that orders <= k (strictly < k for the
@@ -31,195 +32,9 @@ import (
 // fully delete (flag -> mark -> physical) the finger's node between
 // operations; DESIGN.md Section 8 maps the amortized batch bounds - O(n +
 // k*d + c) on the list, O(log d + c) per element on the skip list - to
-// the paper's O(n(S) + c(S)) analysis.
-
-// Finger is a cursor over a List. It is owned by a single goroutine (one
-// finger per goroutine, like a Proc); the list itself remains safe for any
-// number of concurrent fingers and plain operations. The zero value is
-// unusable; obtain one from List.NewFinger, or embed one per worker.
-//
-// Operations through a finger cost one short hop sequence when keys
-// arrive in nearly ascending order (the clustered/batched regime) and
-// degrade gracefully to a full from-head search otherwise. A finger keeps
-// its remembered node - and, transitively, that node's frozen successors -
-// reachable for the garbage collector, so park long-lived idle fingers
-// with Reset.
-type Finger[K comparable, V any] struct {
-	l    *List[K, V]
-	prev *Node[K, V]
-	// pin keeps the remembered node's memory out of the recycler between
-	// operations (a per-op pin would leave a gap in which prev could be
-	// recycled and re-keyed mid-read). Acquired lazily on the first
-	// operation, released by Reset; nil when the list does not recycle.
-	pin *ebr.Pin
-}
-
-// NewFinger returns a finger positioned at the head (the first operation
-// searches from the head and remembers where it ended).
-func (l *List[K, V]) NewFinger() *Finger[K, V] { return &Finger[K, V]{l: l} }
-
-// List returns the list this finger traverses.
-func (f *Finger[K, V]) List() *List[K, V] { return f.l }
-
-// Reset forgets the remembered position: the next operation searches from
-// the head, drops the finger's reference into the structure, and releases
-// the finger's recycling pin — park long-lived idle fingers with Reset,
-// or their pin stalls the epoch and retire lists hit their drop-to-GC cap.
-func (f *Finger[K, V]) Reset() {
-	f.prev = nil
-	f.pin.Unpin()
-	f.pin = nil
-}
-
-// ensurePin takes the finger's lifetime pin on first use. Unlike the
-// per-op wrappers it never borrows the caller's Proc.Epoch pin: the
-// finger outlives any single call.
-func (f *Finger[K, V]) ensurePin() {
-	if f.pin == nil && f.l.rec != nil {
-		f.pin = f.l.rec.dom.Pin()
-	}
-}
-
-// startNode resolves the finger to a valid search start for key k: the
-// remembered node after backlink recovery when it still orders <= k
-// (< k in strict mode), the head otherwise. Hits and misses are recorded
-// in the Proc's stats under the finger_hits/finger_misses counters.
-func (f *Finger[K, V]) startNode(p *Proc, k K, strict bool) *Node[K, V] {
-	st := p.StatsOrNil()
-	n := f.prev
-	if n == nil {
-		st.IncFinger(false)
-		return f.l.head
-	}
-	// A deleted finger node walks backlinks - never restarts from head.
-	for n.marked() {
-		st.IncBacklink()
-		p.At(PtBacklinkStep)
-		n = n.backlink.Load()
-	}
-	if f.l.nodeLeq(n, k, strict) {
-		st.IncFinger(true)
-		return n
-	}
-	st.IncFinger(false)
-	return f.l.head
-}
-
-// search looks up k from the finger; see List.search.
-func (f *Finger[K, V]) search(p *Proc, k K) *Node[K, V] {
-	curr, _ := f.l.searchFrom(p, k, f.startNode(p, k, false), false)
-	f.prev = curr
-	if f.l.cmpNode(curr, k) == 0 {
-		return curr
-	}
-	return nil
-}
-
-// get looks up k from the finger; see List.get.
-func (f *Finger[K, V]) get(p *Proc, k K) (V, bool) {
-	if n := f.search(p, k); n != nil {
-		return n.val, true
-	}
-	var zero V
-	return zero, false
-}
-
-// insert adds k from the finger; see List.insert. The finger ends on the
-// node carrying k (freshly inserted or the existing duplicate).
-func (f *Finger[K, V]) insert(p *Proc, k K, v V) (*Node[K, V], bool) {
-	n, ok := f.l.insertFrom(p, k, v, f.startNode(p, k, false))
-	f.prev = n
-	return n, ok
-}
-
-// remove deletes k from the finger; see List.remove. The finger ends on
-// the last observed predecessor of k, which survives the deletion.
-func (f *Finger[K, V]) remove(p *Proc, k K) (*Node[K, V], bool) {
-	prev, delNode := f.l.searchFrom(p, k, f.startNode(p, k, true), true)
-	f.prev = prev
-	if f.l.cmpNode(delNode, k) != 0 {
-		return nil, false
-	}
-	return f.l.removeAt(p, prev, delNode)
-}
-
-// Search looks up k starting from the finger and returns its node, or nil
-// if k is absent. The finger moves to where the search ended.
-func (f *Finger[K, V]) Search(p *Proc, k K) *Node[K, V] {
-	f.ensurePin()
-	l := f.l
-	if l.tel == nil {
-		return f.search(p, k)
-	}
-	tok := l.tel.StartOp(telemetry.OpGet)
-	if !tok.Sampled() {
-		n := f.search(p, k)
-		l.tel.FinishOp(tok, telemetry.OpGet, nil)
-		return n
-	}
-	s := beginSampled(p)
-	n := f.search(&s.pr, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, s)
-	return n
-}
-
-// Get looks up k starting from the finger.
-func (f *Finger[K, V]) Get(p *Proc, k K) (V, bool) {
-	f.ensurePin()
-	l := f.l
-	if l.tel == nil {
-		return f.get(p, k)
-	}
-	tok := l.tel.StartOp(telemetry.OpGet)
-	if !tok.Sampled() {
-		v, ok := f.get(p, k)
-		l.tel.FinishOp(tok, telemetry.OpGet, nil)
-		return v, ok
-	}
-	s := beginSampled(p)
-	v, ok := f.get(&s.pr, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, s)
-	return v, ok
-}
-
-// Insert adds k with value v starting the search from the finger. Returns
-// the new node and true, or the existing node and false on a duplicate.
-func (f *Finger[K, V]) Insert(p *Proc, k K, v V) (*Node[K, V], bool) {
-	f.ensurePin()
-	l := f.l
-	if l.tel == nil {
-		return f.insert(p, k, v)
-	}
-	tok := l.tel.StartOp(telemetry.OpInsert)
-	if !tok.Sampled() {
-		n, ok := f.insert(p, k, v)
-		l.tel.FinishOp(tok, telemetry.OpInsert, nil)
-		return n, ok
-	}
-	s := beginSampled(p)
-	n, ok := f.insert(&s.pr, k, v)
-	finishSampled(l.tel, tok, telemetry.OpInsert, p, s)
-	return n, ok
-}
-
-// Delete removes k starting the search from the finger.
-func (f *Finger[K, V]) Delete(p *Proc, k K) (*Node[K, V], bool) {
-	f.ensurePin()
-	l := f.l
-	if l.tel == nil {
-		return f.remove(p, k)
-	}
-	tok := l.tel.StartOp(telemetry.OpDelete)
-	if !tok.Sampled() {
-		n, ok := f.remove(p, k)
-		l.tel.FinishOp(tok, telemetry.OpDelete, nil)
-		return n, ok
-	}
-	s := beginSampled(p)
-	n, ok := f.remove(&s.pr, k)
-	finishSampled(l.tel, tok, telemetry.OpDelete, p, s)
-	return n, ok
-}
+// the paper's O(n(S) + c(S)) analysis. The shared descent of GetBatch
+// (descent.go) keeps one of these records too, for the last key of a
+// group, and resumes the next group from it.
 
 // maxFingerLevels bounds the per-level predecessor memory of a SkipFinger;
 // it equals the WithMaxLevel clamp, so every configuration fits.
@@ -229,9 +44,17 @@ const maxFingerLevels = 64
 // the last search crossed, the two nodes that search ended between, and
 // resumes the next search from the lowest remembered level that still
 // brackets the new key - descending from the head tower only when no
-// remembered predecessor orders below it. Owned by a single goroutine,
-// like Finger. The zero value is unusable; obtain one from
-// SkipList.NewFinger.
+// remembered predecessor orders below it. It is owned by a single
+// goroutine (one finger per goroutine, like a Proc); the structure itself
+// remains safe for any number of concurrent fingers and plain operations.
+// The zero value is unusable; obtain one from NewFinger.
+//
+// Operations through a finger cost one short hop sequence when keys arrive
+// in nearly ascending order (the clustered/batched regime) and degrade
+// gracefully to a full search from the head tower otherwise. A finger
+// keeps its remembered towers - and, transitively, their frozen
+// successors - reachable for the garbage collector, so park long-lived
+// idle fingers with Reset.
 type SkipFinger[K comparable, V any] struct {
 	l *SkipList[K, V]
 	// top is the highest level with a recorded predecessor; 0 when cold.
@@ -244,7 +67,10 @@ type SkipFinger[K comparable, V any] struct {
 	prevs [maxFingerLevels]*SLNode[K, V]
 	nexts [maxFingerLevels]*SLNode[K, V]
 	// pin keeps the remembered towers out of the recycler between
-	// operations; see Finger.pin.
+	// operations (a per-op pin would leave a gap in which a remembered
+	// tower could be recycled and re-keyed mid-read). Acquired lazily on
+	// the first operation, released by Reset; nil when the structure does
+	// not recycle.
 	pin *ebr.Pin
 }
 
@@ -253,12 +79,11 @@ func (l *SkipList[K, V]) NewFinger() *SkipFinger[K, V] {
 	return &SkipFinger[K, V]{l: l}
 }
 
-// SkipList returns the skip list this finger traverses.
-func (f *SkipFinger[K, V]) SkipList() *SkipList[K, V] { return f.l }
-
-// Reset forgets the remembered position, drops the finger's references
-// into the structure, and releases the finger's recycling pin (see
-// Finger.Reset).
+// Reset forgets the remembered position: the next operation searches from
+// the head tower, drops the finger's references into the structure, and
+// releases the finger's recycling pin - park long-lived idle fingers with
+// Reset, or their pin stalls the epoch and retire lists hit their
+// drop-to-GC cap.
 func (f *SkipFinger[K, V]) Reset() {
 	f.top = 0
 	clear(f.prevs[:])
@@ -267,8 +92,9 @@ func (f *SkipFinger[K, V]) Reset() {
 	f.pin = nil
 }
 
-// ensurePin takes the finger's lifetime pin on first use; see
-// Finger.ensurePin.
+// ensurePin takes the finger's lifetime pin on first use. Unlike the
+// per-op wrappers it never borrows the caller's Proc.Epoch pin: the
+// finger outlives any single call.
 func (f *SkipFinger[K, V]) ensurePin() {
 	if f.pin == nil && f.l.rec != nil {
 		f.pin = f.l.rec.dom.Pin()
@@ -303,20 +129,30 @@ func (f *SkipFinger[K, V]) ensurePin() {
 // 1 a dead node is marked, not superfluous, so backtrack already rules it
 // out and an exact-key start is safe.
 func (f *SkipFinger[K, V]) start(p *Proc, k K, v int, strict bool) (*SLNode[K, V], int) {
-	st := p.StatsOrNil()
+	n, lv := f.climb(p, k, k, v, strict)
+	p.StatsOrNil().IncFinger(lv != 0)
+	if lv == 0 {
+		f.top = f.l.findStart(v)
+		return f.l.head, f.top
+	}
+	return n, lv
+}
+
+// climb is start for a run of keys first..last going down together: the
+// brackets it skips are those that end at or before last, and the
+// predecessor it stops on orders before first. It returns level 0 when no
+// remembered level serves.
+func (f *SkipFinger[K, V]) climb(p *Proc, first, last K, v int, strict bool) (*SLNode[K, V], int) {
 	l := f.l
 	for i := v; i <= f.top && f.prevs[i-1] != nil; i++ {
-		if i < f.top && l.nodeLeq(f.nexts[i-1], k, true) {
+		if i < f.top && l.nodeLeq(f.nexts[i-1], last, true) {
 			continue
 		}
-		if n := l.backtrack(p, f.prevs[i-1], i); l.nodeLeq(n, k, strict || i > 1) {
-			st.IncFinger(true)
+		if n := l.backtrack(p, f.prevs[i-1], i); l.nodeLeq(n, first, strict || i > 1) {
 			return n, i
 		}
 	}
-	st.IncFinger(false)
-	f.top = l.findStart(v)
-	return l.head, f.top
+	return nil, 0
 }
 
 // sweep implements slSearcher's post-deletion cleanup. Unlike start, it
@@ -387,21 +223,30 @@ func (f *SkipFinger[K, V]) Get(p *Proc, k K) (V, bool) {
 	return zero, false
 }
 
+// insert is insertVia through the finger, which then remembers the tower
+// carrying k - new or the duplicate found - as its level-1 predecessor:
+// the next key of an ascending run starts there instead of one node back.
+func (f *SkipFinger[K, V]) insert(p *Proc, k K, v V) (*SLNode[K, V], bool) {
+	n, ok := f.l.insertVia(p, f, k, v)
+	f.prevs[0] = n
+	return n, ok
+}
+
 // Insert adds k with value v starting every level search from the finger.
 func (f *SkipFinger[K, V]) Insert(p *Proc, k K, v V) (*SLNode[K, V], bool) {
 	f.ensurePin()
 	l := f.l
 	if l.tel == nil {
-		return l.insertVia(p, f, k, v)
+		return f.insert(p, k, v)
 	}
 	tok := l.tel.StartOp(telemetry.OpInsert)
 	if !tok.Sampled() {
-		n, ok := l.insertVia(p, f, k, v)
+		n, ok := f.insert(p, k, v)
 		l.tel.FinishOp(tok, telemetry.OpInsert, nil)
 		return n, ok
 	}
 	s := beginSampled(p)
-	n, ok := l.insertVia(&s.pr, f, k, v)
+	n, ok := f.insert(&s.pr, k, v)
 	finishSampled(l.tel, tok, telemetry.OpInsert, p, s)
 	return n, ok
 }

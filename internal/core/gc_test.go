@@ -49,13 +49,15 @@ func watch[N any](n *N) *atomic.Bool {
 // TestGCWordAloneKeepsNode: a node whose ONLY reference is a successor
 // word, under each tag, is kept alive and decodes to the same node.
 func TestGCWordAloneKeepsNode(t *testing.T) {
-	type cell struct{ f succField[Node[int, string]] }
-	for tag, mk := range []func(*Node[int, string]) word[Node[int, string]]{
-		clean[Node[int, string]], flagged[Node[int, string]], marked[Node[int, string]],
+	type cell struct {
+		f succField[SLNode[int, string]]
+	}
+	for tag, mk := range []func(*SLNode[int, string]) word[SLNode[int, string]]{
+		clean[SLNode[int, string]], flagged[SLNode[int, string]], marked[SLNode[int, string]],
 	} {
 		c := new(cell)
 		freed := func() *atomic.Bool {
-			n := &Node[int, string]{key: 7 + tag, val: fmt.Sprint("value-", tag)}
+			n := &SLNode[int, string]{key: 7 + tag, val: fmt.Sprint("value-", tag)}
 			c.f.store(mk(n))
 			return watch(n)
 		}()
@@ -193,7 +195,7 @@ func TestGCKeepsNodesBehindTaggedWordsList(t *testing.T) {
 			if recycle {
 				l.EnableRecycling()
 			}
-			type node = Node[int, string]
+			type node = SLNode[int, string]
 			gcDeletionSchedule(t, gcSubject[node]{
 				insert: func(k int, v string) *node { n, _ := l.Insert(nil, k, v); return n },
 				del:    func(p *Proc, k int) bool { _, ok := l.Delete(p, k); return ok },

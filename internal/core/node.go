@@ -1,11 +1,13 @@
 // Package core implements the lock-free sorted linked list and skip list of
 // Fomitchev and Ruppert, "Lock-Free Linked Lists and Skip Lists" (PODC 2004).
 //
-// The linked list follows the paper's Figures 3-5: deletion is a three-step
-// protocol (flag the predecessor, set the victim's backlink and mark it,
-// physically unlink it), and operations that fail a C&S because of a
-// concurrent deletion recover by walking backlinks instead of restarting
-// from the head.
+// The paper's list algorithm is implemented once, on one level of the skip
+// list (skipinternal.go, skipsearch.go - Figures 3-5): deletion is a
+// three-step protocol (flag the predecessor, set the victim's backlink and
+// mark it, physically unlink it), and operations that fail a C&S because
+// of a concurrent deletion recover by walking backlinks instead of
+// restarting from the head. The linked list (list.go) is the skip list with
+// every interior tower one level high.
 //
 // The paper's composite successor field - right pointer, mark bit, flag
 // bit, read together and swapped by one C&S - is kept as the paper has it:
@@ -19,8 +21,6 @@
 // does in the paper; DESIGN.md §2.1 restates the ABA argument for the word.
 package core
 
-import "sync/atomic"
-
 // nodeKind distinguishes the two sentinel nodes from interior nodes.
 // Sentinels let the list hold arbitrary ordered keys without reserving
 // -inf/+inf key values.
@@ -31,35 +31,3 @@ const (
 	kindHead              // compares less than every key
 	kindTail              // compares greater than every key
 )
-
-// Node is a single cell of the lock-free linked list. Key and value are
-// fixed at creation; succ and backlink are the only mutable fields.
-type Node[K comparable, V any] struct {
-	key  K
-	succ succField[Node[K, V]]
-	kind nodeKind
-
-	backlink atomic.Pointer[Node[K, V]]
-	val      V
-}
-
-// Key returns the node's key. Calling Key on a sentinel is invalid; the
-// list never hands sentinels to callers.
-func (n *Node[K, V]) Key() K { return n.key }
-
-// Value returns the element stored when the node was inserted. Values are
-// immutable for the lifetime of a node, matching the paper's dictionary
-// semantics (no update operation).
-func (n *Node[K, V]) Value() V { return n.val }
-
-// loadSucc returns the current successor word.
-func (n *Node[K, V]) loadSucc() word[Node[K, V]] { return n.succ.load() }
-
-// marked reports whether the node is logically deleted (its mark bit set).
-func (n *Node[K, V]) marked() bool { return n.succ.load().marked() }
-
-// right returns the current right pointer, ignoring mark/flag bits.
-func (n *Node[K, V]) right() *Node[K, V] { return n.succ.load().right() }
-
-// Key comparisons treating sentinels as -inf/+inf live on the List (it
-// owns the compare function); see List.cmpNode and List.nodeLeq.

@@ -5,7 +5,7 @@ import (
 )
 
 // This file wires internal/ebr's node recycling into the structures. With
-// recycling enabled (List.EnableRecycling / WithRecycling), every node
+// recycling enabled (WithRecycling, or List.EnableRecycling), every node
 // whose physical-deletion C&S succeeds is routed through the domain's
 // epoch-stamped retire lists instead of being left to the garbage
 // collector, and the insert paths consult the structure's free list
@@ -35,12 +35,12 @@ import (
 // naming a node when it is reused.
 
 // recycler bundles a structure's reclamation domain with its free lists,
-// one per size of object: a list has one, a skip list one per tower bucket
-// (towerCaps), because a recycled tower can only stand in for a tower
-// allocated as the same struct type. Taller buckets are drawn ever more
-// rarely (1/2, 1/4, 1/8, 1/16, 1/16, 1/256, ...), so each free list gets
-// half the room of the one before: eight of them hold twice what one does,
-// not eight times.
+// one per tower bucket (towerCaps) its towers can be drawn from - a List,
+// whose towers are one level high, has one - because a recycled tower can
+// only stand in for a tower allocated as the same struct type. Taller
+// buckets are drawn ever more rarely (1/2, 1/4, 1/8, 1/16, 1/16, 1/256,
+// ...), so each free list gets half the room of the one before: eight of
+// them hold twice what one does, not eight times.
 type recycler struct {
 	dom   *ebr.Domain
 	pools []*ebr.Pool
@@ -69,13 +69,6 @@ func (r *recycler) pin(p *Proc) *ebr.Pin {
 
 // opPin pins one exported operation; nil-tolerant on both sides so the
 // wrappers can unconditionally `defer l.opPin(p).Unpin()`.
-func (l *List[K, V]) opPin(p *Proc) *ebr.Pin {
-	if l.rec == nil {
-		return nil
-	}
-	return l.rec.pin(p)
-}
-
 func (l *SkipList[K, V]) opPin(p *Proc) *ebr.Pin {
 	if l.rec == nil {
 		return nil
@@ -83,18 +76,11 @@ func (l *SkipList[K, V]) opPin(p *Proc) *ebr.Pin {
 	return l.rec.pin(p)
 }
 
-// PinEpoch opens a caller-held critical section on the list's reclamation
-// domain, or returns nil (Unpin-safe) when recycling is off. Install the
-// pin in Proc.Epoch and the exported operations skip their own pin/unpin
-// — the batch-amortized fast path the lockfree facades expose as PinProc.
-func (l *List[K, V]) PinEpoch() *ebr.Pin {
-	if l.rec == nil {
-		return nil
-	}
-	return l.rec.dom.Pin()
-}
-
-// PinEpoch: see List.PinEpoch.
+// PinEpoch opens a caller-held critical section on the skip list's
+// reclamation domain, or returns nil (Unpin-safe) when recycling is off.
+// Install the pin in Proc.Epoch and the exported operations skip their own
+// pin/unpin - the batch-amortized fast path the lockfree facades expose as
+// PinProc.
 func (l *SkipList[K, V]) PinEpoch() *ebr.Pin {
 	if l.rec == nil {
 		return nil
@@ -102,85 +88,21 @@ func (l *SkipList[K, V]) PinEpoch() *ebr.Pin {
 	return l.rec.dom.Pin()
 }
 
-// EnableRecycling switches the list to epoch-based node recycling. Must
-// be called before the list is shared (the field is read without
-// synchronization on operation entry); it cannot be disabled again.
-func (l *List[K, V]) EnableRecycling() { l.rec = newRecycler(1) }
-
-// RecyclingEnabled reports whether the list recycles nodes.
-func (l *List[K, V]) RecyclingEnabled() bool { return l.rec != nil }
-
 // RecyclingEnabled reports whether the skip list recycles nodes.
 func (l *SkipList[K, V]) RecyclingEnabled() bool { return l.rec != nil }
-
-// newNode returns a node for k/v, reusing a recycled node when one is
-// free. Beyond key and value only the backlink is reset; succ is (re)stored by the insert
-// loop before publication.
-func (l *List[K, V]) newNode(p *Proc, k K, v V) *Node[K, V] {
-	if l.rec != nil {
-		if raw := l.rec.pools[0].Get(p.StatsOrNil()); raw != nil {
-			n := raw.(*Node[K, V])
-			n.key, n.val = k, v
-			n.backlink.Store(nil)
-			return n
-		}
-	}
-	return &Node[K, V]{key: k, val: v}
-}
-
-// freeNode returns a node that was never published (duplicate-key insert
-// race) straight to the free list — no grace period needed, no other
-// goroutine ever saw it.
-func (l *List[K, V]) freeNode(n *Node[K, V]) {
-	if l.rec != nil {
-		l.rec.pools[0].Put(n)
-	}
-}
-
-// retireNode hands an unlinked node to the epoch machinery. Called from
-// the winning physical-deletion C&S, inside the operation's pin.
-func (l *List[K, V]) retireNode(p *Proc, n *Node[K, V]) {
-	if l.rec != nil {
-		l.rec.dom.RetireNode(l.rec.pools[0], n, p.StatsOrNil())
-	}
-}
 
 // ForceReclaim attempts an epoch advance and drains every quiesced retire
 // batch; call a few times in a quiescent state to recycle everything
 // pending. No-op without recycling.
-func (l *List[K, V]) ForceReclaim(p *Proc) {
-	if l.rec != nil {
-		l.rec.dom.Reclaim(p.StatsOrNil())
-	}
-}
-
-// RecycleCounts reports (recycled, dropped) totals: nodes pushed onto the
-// free list vs. abandoned to the GC (stalled epoch, contention, or full
-// pool). Zeros without recycling.
-func (l *List[K, V]) RecycleCounts() (recycled, dropped uint64) {
-	if l.rec == nil {
-		return 0, 0
-	}
-	return l.rec.dom.Recycled(), l.rec.dom.Dropped()
-}
-
-// RetirePending reports how many nodes sit in retire lists awaiting their
-// grace period. Zero without recycling.
-func (l *List[K, V]) RetirePending() int {
-	if l.rec == nil {
-		return 0
-	}
-	return l.rec.dom.Pending()
-}
-
-// ForceReclaim: see List.ForceReclaim.
 func (l *SkipList[K, V]) ForceReclaim(p *Proc) {
 	if l.rec != nil {
 		l.rec.dom.Reclaim(p.StatsOrNil())
 	}
 }
 
-// RecycleCounts: see List.RecycleCounts.
+// RecycleCounts reports (recycled, dropped) totals: towers pushed onto the
+// free lists vs. abandoned to the GC (stalled epoch, contention, or full
+// pool). Zeros without recycling.
 func (l *SkipList[K, V]) RecycleCounts() (recycled, dropped uint64) {
 	if l.rec == nil {
 		return 0, 0
@@ -188,7 +110,8 @@ func (l *SkipList[K, V]) RecycleCounts() (recycled, dropped uint64) {
 	return l.rec.dom.Recycled(), l.rec.dom.Dropped()
 }
 
-// RetirePending: see List.RetirePending.
+// RetirePending reports how many towers sit in retire lists awaiting their
+// grace period. Zero without recycling.
 func (l *SkipList[K, V]) RetirePending() int {
 	if l.rec == nil {
 		return 0

@@ -103,8 +103,8 @@ func TestRecycleSkipListChurnZeroAlloc(t *testing.T) {
 func TestRecycleListReusesNodes(t *testing.T) {
 	l := NewList[int, int]()
 	l.EnableRecycling()
-	retired := map[*Node[int, int]]bool{}
-	l.SetRetireHook(func(n any) { retired[n.(*Node[int, int])] = true })
+	retired := map[*SLNode[int, int]]bool{}
+	l.SetRetireHook(func(n any) { retired[n.(*SLNode[int, int])] = true })
 
 	st := &OpStats{}
 	p := &Proc{Stats: st}

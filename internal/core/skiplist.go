@@ -44,13 +44,18 @@ type SkipList[K comparable, V any] struct {
 	// reclamation (recycle.go). Set by WithRecycling at construction.
 	rec *recycler
 
-	// _ keeps the read-mostly header above off mutable lines; size stripes
-	// its writes across padded per-P shards (see List.size).
+	// _ keeps the read-mostly header above off whatever line the allocator
+	// places after it; size stripes its writes across padded per-P shards,
+	// so Len maintenance does not serialize concurrent writers on one line.
 	_    [cacheLinePad]byte
 	size instrument.ShardedInt64
 	// fpool recycles the fingers threading batch operations (batch.go).
 	fpool sync.Pool
 }
+
+// cacheLinePad separates read-mostly struct headers from mutable state.
+// 64 bytes is the line size of every amd64/arm64 part this will run on.
+const cacheLinePad = 64
 
 // SkipListOption configures a SkipList.
 type SkipListOption func(*skipListConfig)
@@ -115,14 +120,20 @@ func NewSkipListFunc[K comparable, V any](compare func(K, K) int, opts ...SkipLi
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	l := &SkipList[K, V]{
-		compare:  compare,
-		maxLevel: cfg.maxLevel,
-		head:     allocTower[K, V](cfg.maxLevel),
-		tail:     allocTower[K, V](cfg.maxLevel), // its successor words stay (nil, 0, 0)
-		rng:      cfg.rng,
-		retire:   cfg.retire,
-	}
+	l := new(SkipList[K, V])
+	l.init(compare, cfg)
+	return l
+}
+
+// init sets up an empty skip list in place: sentinel towers of
+// cfg.maxLevel cells, every level linking head to tail.
+func (l *SkipList[K, V]) init(compare func(K, K) int, cfg skipListConfig) {
+	l.compare = compare
+	l.maxLevel = cfg.maxLevel
+	l.head = allocTower[K, V](cfg.maxLevel)
+	l.tail = allocTower[K, V](cfg.maxLevel) // its successor words stay (nil, 0, 0)
+	l.rng = cfg.rng
+	l.retire = cfg.retire
 	if cfg.recycle {
 		l.rec = newRecycler(len(towerCaps))
 	}
@@ -131,7 +142,6 @@ func NewSkipListFunc[K comparable, V any](compare func(K, K) int, opts ...SkipLi
 		l.head.cell(lv).succ.store(clean(l.tail))
 	}
 	l.size.Init()
-	return l
 }
 
 // SetRetireHook attaches fn to every level's physical-deletion C&S site;
@@ -151,8 +161,12 @@ func (l *SkipList[K, V]) MaxLevel() int { return l.maxLevel }
 
 // randomHeight draws a tower height from the geometric(1/2) distribution,
 // capped at maxLevel-1: height h is chosen with probability 2^-h (mass of
-// the cap absorbs the tail), exactly the paper's repeated coin flips.
+// the cap absorbs the tail), exactly the paper's repeated coin flips. A
+// cap of 1 (a List) leaves no coin to flip.
 func (l *SkipList[K, V]) randomHeight() int {
+	if l.maxLevel == 2 {
+		return 1
+	}
 	r := l.rng()
 	h := 1 + bits.TrailingZeros64(^r) // count leading "heads" flips
 	return min(h, l.maxLevel-1)

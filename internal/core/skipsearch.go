@@ -27,11 +27,21 @@ func (l *SkipList[K, V]) findStart(v int) int {
 }
 
 // searchRight is SEARCHRIGHT: traverse level lv rightward from curr until
-// the key bound is passed. Like the plain list's SearchFrom it physically
-// deletes logically deleted (marked) successors, and - this is the skip
-// list's extra duty from Section 4 - it performs the full three-step
-// deletion of any superfluous node it encounters (a node whose tower root
-// is marked), so that searches never repeatedly traverse dead towers.
+// the key bound is passed. Starting from curr (whose key must order <= k,
+// or < k in strict mode, and which must have been on the level at some
+// point), it returns two nodes n1, n2 such that at some instant during the
+// call n1 preceded n2 on the level and n1.key <= k < n2.key (strict:
+// n1.key < k <= n2.key).
+//
+// On level 1 this is the paper's SEARCHFROM (Figure 3): it physically
+// deletes every logically deleted (marked) node it passes by calling
+// helpMarked. It differs in one respect: it re-checks the key bound after
+// helping, so a marked successor ordered beyond k is left for the search
+// that needs to pass it, where SEARCHFROM's inner loop would help it too.
+// Above level 1 it has the skip list's extra duty from Section 4: it
+// performs the full three-step deletion of any superfluous node it meets
+// (a node whose tower root is marked), so that searches never repeatedly
+// traverse dead towers.
 func (l *SkipList[K, V]) searchRight(p *Proc, k K, curr *SLNode[K, V], lv int, strict bool) (*SLNode[K, V], *SLNode[K, V]) {
 	st := p.StatsOrNil()
 	currCell := curr.cell(lv) // kept beside curr: one cell lookup per node visited
@@ -40,13 +50,14 @@ func (l *SkipList[K, V]) searchRight(p *Proc, k K, curr *SLNode[K, V], lv int, s
 		nextCell := next.cell(lv)
 		nextSucc := nextCell.loadSucc()
 		if nextSucc.marked() {
-			// Same recovery as SearchFrom lines 3-6: either help the
-			// physical deletion, or step through a marked chain when
-			// curr itself was marked first.
+			// Ensure that either next is unmarked, or both curr and next
+			// are marked and curr was marked earlier (SearchFrom lines
+			// 3-6): help the physical deletion, or step through a marked
+			// chain when curr itself was marked first.
 			currSucc := currCell.loadSucc()
 			if !(currSucc.marked() && currSucc.right() == next) {
 				if currSucc.right() == next {
-					l.slHelpMarked(p, curr, next, lv)
+					l.helpMarked(p, curr, next, lv)
 				}
 				next = currCell.right()
 				st.IncNext()
@@ -58,13 +69,11 @@ func (l *SkipList[K, V]) searchRight(p *Proc, k K, curr *SLNode[K, V], lv int, s
 			// next is not yet marked on this level. On level 1 nextSucc
 			// IS that word and already said unmarked; a sentinel is never
 			// marked. Perform all three deletion steps here.
-			pred, status, _ := l.tryFlagNode(p, curr, next, lv)
-			if status == flagStatusIn {
-				l.slHelpFlagged(p, pred, next, lv)
-			}
-			// tryFlagNode may have moved us; resume from an unmarked
-			// position. (pred is unmarked when status == flagStatusIn.)
-			if status == flagStatusIn {
+			pred, _ := l.tryFlag(p, curr, next, lv)
+			if pred != nil {
+				// pred is unmarked when tryFlag leaves next on the level;
+				// otherwise resume from where we stood.
+				l.helpFlagged(p, pred, next, lv)
 				curr = pred
 			}
 			curr = l.backtrack(p, curr, lv)

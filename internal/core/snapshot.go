@@ -13,34 +13,8 @@ type NodeState[K comparable] struct {
 	Sentinel string // "head", "tail", or "" for interior nodes
 	Marked   bool
 	Flagged  bool
-	// BacklinkTo holds the backlink target's key when set on an interior
-	// node whose target is interior.
+	// BacklinkSet reports whether the node's backlink is set.
 	BacklinkSet bool
-}
-
-// nodeState describes a node from its key, kind, successor word and
-// backlink.
-func nodeState[K comparable, N any](key K, kind nodeKind, s word[N], backlinkSet bool) NodeState[K] {
-	st := NodeState[K]{Key: key, Marked: s.marked(), Flagged: s.flagged(), BacklinkSet: backlinkSet}
-	switch kind {
-	case kindHead:
-		st.Sentinel = "head"
-	case kindTail:
-		st.Sentinel = "tail"
-	}
-	return st
-}
-
-// Snapshot walks the physical chain from head to tail - including
-// logically deleted nodes still linked - and reports each node's state.
-// It is a diagnostic; under concurrency it reflects some interleaving.
-func (l *List[K, V]) Snapshot() []NodeState[K] {
-	defer l.opPin(nil).Unpin()
-	var out []NodeState[K]
-	for n := l.head; n != nil; n = n.right() {
-		out = append(out, nodeState(n.key, n.kind, n.loadSucc(), n.backlink.Load() != nil))
-	}
-	return out
 }
 
 // RenderState draws a snapshot as the paper's figures do: shaded boxes
@@ -71,15 +45,24 @@ func RenderState[K comparable](states []NodeState[K]) string {
 	return b.String()
 }
 
-// LevelSnapshot reports the physical chain of one skip-list level
-// (1-based), including marked nodes, for Figure 6 style rendering.
+// LevelSnapshot walks the physical chain of one level (1-based) from head
+// to tail - including logically deleted nodes still linked - and reports
+// each node's state, for Figure 2 and Figure 6 style rendering. It is a
+// diagnostic; under concurrency it reflects some interleaving.
 func (l *SkipList[K, V]) LevelSnapshot(level int) []NodeState[K] {
 	defer l.opPin(nil).Unpin()
 	var out []NodeState[K]
 	for n := l.head; n != nil; {
 		c := n.cell(level)
 		s := c.loadSucc()
-		out = append(out, nodeState(n.key, n.kind, s, c.backlink.Load() != nil))
+		st := NodeState[K]{Key: n.key, Marked: s.marked(), Flagged: s.flagged(), BacklinkSet: c.backlink.Load() != nil}
+		switch n.kind {
+		case kindHead:
+			st.Sentinel = "head"
+		case kindTail:
+			st.Sentinel = "tail"
+		}
+		out = append(out, st)
 		n = s.right()
 	}
 	return out

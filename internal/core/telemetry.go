@@ -32,16 +32,10 @@ import (
 // A caller-supplied Proc always sees exact stats: unsampled operations
 // write straight into it, sampled ones mirror the scratch back.
 
-// SetTelemetry attaches rec to the list; every subsequent operation flushes
-// its step counts and latency into it. Attach before the list is shared
-// with other goroutines (the field is read without synchronization on
-// operation entry). A nil rec detaches.
-func (l *List[K, V]) SetTelemetry(rec *telemetry.Recorder) { l.tel = rec }
-
-// Telemetry returns the attached recorder, or nil.
-func (l *List[K, V]) Telemetry() *telemetry.Recorder { return l.tel }
-
-// SetTelemetry attaches rec to the skip list; see List.SetTelemetry.
+// SetTelemetry attaches rec to the skip list; every subsequent operation
+// flushes its step counts and latency into it. Attach before the skip list
+// is shared with other goroutines (the field is read without
+// synchronization on operation entry). A nil rec detaches.
 func (l *SkipList[K, V]) SetTelemetry(rec *telemetry.Recorder) { l.tel = rec }
 
 // Telemetry returns the attached recorder, or nil.
@@ -87,99 +81,6 @@ func endSampled(p *Proc, s *sampledOp) {
 	}
 	s.pr = Proc{} // a pooled Proc must not keep the caller's hooks or pin alive
 	sampledPool.Put(s)
-}
-
-// Search looks up k and returns its node, or nil if k is absent.
-// This is the paper's SEARCH routine (Figure 3).
-func (l *List[K, V]) Search(p *Proc, k K) *Node[K, V] {
-	defer l.opPin(p).Unpin()
-	if l.tel == nil {
-		return l.search(p, k)
-	}
-	tok := l.tel.StartOp(telemetry.OpGet)
-	if !tok.Sampled() {
-		n := l.search(p, k)
-		l.tel.FinishOp(tok, telemetry.OpGet, nil)
-		return n
-	}
-	s := beginSampled(p)
-	n := l.search(&s.pr, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, s)
-	return n
-}
-
-// Get looks up k and returns its value. Convenience wrapper over Search.
-func (l *List[K, V]) Get(p *Proc, k K) (V, bool) {
-	defer l.opPin(p).Unpin()
-	if l.tel == nil {
-		return l.get(p, k)
-	}
-	tok := l.tel.StartOp(telemetry.OpGet)
-	if !tok.Sampled() {
-		v, ok := l.get(p, k)
-		l.tel.FinishOp(tok, telemetry.OpGet, nil)
-		return v, ok
-	}
-	s := beginSampled(p)
-	v, ok := l.get(&s.pr, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, s)
-	return v, ok
-}
-
-// Insert adds k with value v. It returns the new node and true on success,
-// or the existing node and false if k is already present.
-// This is the paper's INSERT routine (Figure 5).
-func (l *List[K, V]) Insert(p *Proc, k K, v V) (*Node[K, V], bool) {
-	defer l.opPin(p).Unpin()
-	if l.tel == nil {
-		return l.insert(p, k, v)
-	}
-	tok := l.tel.StartOp(telemetry.OpInsert)
-	if !tok.Sampled() {
-		n, ok := l.insert(p, k, v)
-		l.tel.FinishOp(tok, telemetry.OpInsert, nil)
-		return n, ok
-	}
-	s := beginSampled(p)
-	n, ok := l.insert(&s.pr, k, v)
-	finishSampled(l.tel, tok, telemetry.OpInsert, p, s)
-	return n, ok
-}
-
-// Delete removes k. It returns the deleted node and true on success, or
-// nil and false if k was absent (or a concurrent deletion won the race).
-// This is the paper's DELETE routine (Figure 4).
-func (l *List[K, V]) Delete(p *Proc, k K) (*Node[K, V], bool) {
-	defer l.opPin(p).Unpin()
-	if l.tel == nil {
-		return l.remove(p, k)
-	}
-	tok := l.tel.StartOp(telemetry.OpDelete)
-	if !tok.Sampled() {
-		n, ok := l.remove(p, k)
-		l.tel.FinishOp(tok, telemetry.OpDelete, nil)
-		return n, ok
-	}
-	s := beginSampled(p)
-	n, ok := l.remove(&s.pr, k)
-	finishSampled(l.tel, tok, telemetry.OpDelete, p, s)
-	return n, ok
-}
-
-// Ascend calls fn for each key/value in ascending order, skipping
-// logically deleted nodes. Iteration is weakly consistent: it reflects
-// some interleaving of concurrent updates. fn returning false stops the
-// iteration.
-func (l *List[K, V]) Ascend(fn func(k K, v V) bool) {
-	defer l.opPin(nil).Unpin()
-	if l.tel == nil {
-		l.ascend(fn)
-		return
-	}
-	// Iterations are rare, whole-structure walks: always time them.
-	start := telemetry.Nanotime()
-	l.ascend(fn)
-	l.tel.RecordOp(telemetry.OpAscend, nil, time.Duration(telemetry.Nanotime()-start))
 }
 
 // Search looks up k and returns its tower, or nil if k is absent.

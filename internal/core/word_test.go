@@ -69,7 +69,7 @@ func TestWordRoundTrip(t *testing.T) {
 
 	// A tail keeps the zero word for life: nil right, no tag.
 	for _, w := range []bool{
-		l.tail.loadSucc() == clean[Node[int, string]](nil),
+		l.tail.loadSucc() == clean[SLNode[int, string]](nil),
 		sl.tail.loadSucc() == clean[SLNode[int, string]](nil),
 		sl.tail.cell(sl.maxLevel).loadSucc() == clean[SLNode[int, string]](nil),
 		l.tail.right() == nil && !l.tail.marked(),
@@ -85,7 +85,7 @@ func TestWordRoundTrip(t *testing.T) {
 // the collector and to stack copying).
 func TestWordNeverTagsNil(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"flagged": func() { flagged[Node[int, int]](nil) },
+		"flagged": func() { flagged[SLNode[int, int]](nil) },
 		"marked":  func() { marked[SLNode[int, int]](nil) },
 	} {
 		func() {
@@ -173,12 +173,12 @@ func TestWordsInstalledSkipList(t *testing.T) {
 // classes up to height 16.
 func TestNodeSizeAndLayout(t *testing.T) {
 	var sn SLNode[int, string]
-	var ln Node[int, string]
+	var ln SLNode[int, string]
 	if got := unsafe.Sizeof(sn); got > 48 {
 		t.Errorf("SLNode[int,string] is %d bytes, want <= 48", got)
 	}
 	if got := unsafe.Sizeof(ln); got > 48 {
-		t.Errorf("Node[int,string] is %d bytes, want <= 48", got)
+		t.Errorf("SLNode[int,string] is %d bytes, want <= 48", got)
 	}
 	if got := unsafe.Offsetof(sn.succ) - unsafe.Offsetof(sn.key); got != 8 {
 		t.Errorf("SLNode[int,string]: the level-1 word is %d bytes after the key, want 8", got)

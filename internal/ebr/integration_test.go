@@ -24,8 +24,8 @@ func TestRetireHookCountsListDeletions(t *testing.T) {
 	h := d.Register()
 	l := core.NewList[int, int]()
 	l.SetRetireHook(func(node any) {
-		if _, ok := node.(*core.Node[int, int]); !ok {
-			t.Errorf("retire hook got %T, want *core.Node", node)
+		if _, ok := node.(*core.SLNode[int, int]); !ok {
+			t.Errorf("retire hook got %T, want *core.SLNode", node)
 		}
 		h.Retire(func() {})
 	})

@@ -29,10 +29,12 @@ func WithRetireHook(fn func(node any)) Option {
 // every operation through a finger is as linearizable as its plain
 // counterpart. If the remembered node is concurrently deleted the finger
 // recovers over the deletion's backlinks - it never restarts from the
-// head unless the key ordering forces it. Obtain one from List.Finger or
-// ListFunc.Finger.
+// head unless the key ordering forces it. It is the skip list's finger
+// (see SkipListFinger) over the list's one level: after an Insert it stands
+// on the new node, so an ascending run of inserts pays one hop each.
+// Obtain one from List.Finger or ListFunc.Finger.
 type ListFinger[K comparable, V any] struct {
-	f *core.Finger[K, V]
+	f *core.SkipFinger[K, V]
 }
 
 // Finger returns a new finger over the list, positioned at the head.
@@ -119,18 +121,18 @@ func (s *SkipListFinger[K, V]) Delete(key K) bool {
 // Reset forgets the remembered position.
 func (s *SkipListFinger[K, V]) Reset() { s.f.Reset() }
 
-// The batch methods sort their argument slice IN PLACE. On the list, and
-// for the skip list's InsertBatch and DeleteBatch, one finger is then
-// threaded through the sorted keys, so a batch over a clustered key range
-// costs one full search plus short hops - instead of one full search per
-// element. The skip list's GetBatch sends its sorted keys down the
-// structure together instead (sixteen at a time): a step that several keys
-// share is taken once, and the steps they do not share wait for memory
-// side by side instead of one after another. Each element remains an
-// independent linearizable operation;
-// the batch as a whole is not atomic. Result slices may be nil; when
-// non-nil they must have len >= len(keys) and are filled positionally
-// against the SORTED order.
+// The batch methods sort their argument slice IN PLACE. InsertBatch and
+// DeleteBatch then thread one finger through the sorted keys, so a batch
+// over a clustered key range costs one full search plus short hops -
+// instead of one full search per element. GetBatch sends its sorted keys
+// down the structure together instead (sixteen at a time, each sixteen
+// resuming where the previous ones went down): a step that several keys
+// share is taken once, and on a skip list the steps they do not share wait
+// for memory side by side instead of one after another. The List's batches
+// are the SkipList's, on its one level. Each element remains an
+// independent linearizable operation; the batch as a whole is not atomic.
+// Result slices may be nil; when non-nil they must have len >= len(keys)
+// and are filled positionally against the SORTED order.
 
 // GetBatch looks up every key, sorting keys in place first; vals[i] and
 // found[i] (when non-nil) report the result for the i-th sorted key.

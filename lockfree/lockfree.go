@@ -54,7 +54,10 @@ type Map[K cmp.Ordered, V any] interface {
 
 // List is a lock-free sorted linked list dictionary. Operations take time
 // linear in the list length; the amortized cost under contention is
-// O(n + c) (paper, Section 3.4). Create with NewList.
+// O(n + c) (paper, Section 3.4). As in the paper, where every level of the
+// skip list is an instance of this list, the two share one implementation:
+// a List is a SkipList whose towers are one level high. Create with
+// NewList.
 type List[K cmp.Ordered, V any] struct {
 	l *core.List[K, V]
 }
