@@ -15,11 +15,12 @@
 // runs (depth -batch, default 16), and every response is still checked for
 // linearizability — the serving layer, like sharding, must be invisible to
 // the checker. -server self starts a fresh in-process server per round
-// (sharded by -shards, default 4) and additionally asserts that graceful
-// shutdown drains with zero dropped in-flight responses. -groupbatch runs
-// the self-mode servers in cross-connection group-batching mode, so the
-// checker validates histories whose commands were merged and re-sorted
-// across connections by the executor pool.
+// (sharded by -shards: default 4, or as many as -keys fills when that is
+// fewer; more shards than keys is a usage error) and additionally asserts
+// that graceful shutdown drains with zero dropped in-flight responses.
+// -groupbatch runs the self-mode servers in cross-connection
+// group-batching mode, so the checker validates histories whose commands
+// were merged and re-sorted across connections by the executor pool.
 //
 // With -shards S (a power of two), the fr-skiplist implementation runs
 // behind the range-sharded map: the key space [0, keys) is split across S
@@ -234,6 +235,9 @@ func newChecked(impl string, shards, keyRange int, recycle bool, tel *ltel.Telem
 		}
 		if shards&(shards-1) != 0 {
 			return nil, fmt.Errorf("-shards %d: shard count must be a power of two", shards)
+		}
+		if shards > keyRange {
+			return nil, fmt.Errorf("-shards %d exceeds -keys %d: every shard must own at least one key", shards, keyRange)
 		}
 		var coreOpts []core.SkipListOption
 		if recycle {

@@ -154,6 +154,25 @@ func TestRunServerBadShards(t *testing.T) {
 	}
 }
 
+// TestRunServerSelfOneKey: the default shard count of -server self fits
+// itself to a key range smaller than four shards (it used to hand the
+// sharded map non-increasing splitters and panic), and an explicit -shards
+// larger than -keys is a usage error, in-process or served.
+func TestRunServerSelfOneKey(t *testing.T) {
+	if err := run([]string{"-server", "self", "-threads", "2", "-ops", "10",
+		"-keys", "1", "-rounds", "1", "-batch", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-server", "self", "-keys", "2", "-shards", "4", "-rounds", "1"},
+		{"-impl", "fr-skiplist", "-keys", "2", "-shards", "4", "-rounds", "1"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "exceeds -keys") {
+			t.Fatalf("%v: err = %v, want a shards-exceed-keys usage error", args, err)
+		}
+	}
+}
+
 // TestRunRecycleSmoke drives the primary structures with EBR-backed node
 // recycling live: small key space, heavy churn, so node identities repeat
 // across the checked histories — point ops, batches, and the sharded

@@ -39,10 +39,17 @@ func runServerMode(addr string, threads, ops, keyRange, rounds int, seed uint64,
 		pipeline = 16
 	}
 	if shards == 0 {
+		// Four shards, or as many as the key range fills.
 		shards = 4
+		for shards > 1 && shards > keyRange {
+			shards /= 2
+		}
 	}
 	if shards < 1 || shards&(shards-1) != 0 {
 		return fmt.Errorf("-shards %d: shard count must be a power of two", shards)
+	}
+	if shards > keyRange {
+		return fmt.Errorf("-shards %d exceeds -keys %d: every shard must own at least one key", shards, keyRange)
 	}
 	if recycle && addr != "self" {
 		return fmt.Errorf("-recycle with -server applies only to \"self\" (the store of an external server is not ours to configure)")

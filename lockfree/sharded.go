@@ -2,6 +2,7 @@ package lockfree
 
 import (
 	"cmp"
+	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/sharded"
@@ -123,10 +124,15 @@ func (s *ShardedSkipList[K, V]) Map() *sharded.Map[K, V] { return s.m }
 
 // EqualSplitters returns S-1 evenly spaced integer splitters partitioning
 // [lo, hi) into S ranges — the right choice when keys are uniform over a
-// known interval. S must be a power of two >= 1.
+// known interval. S must be a power of two >= 1, and the interval must
+// hold at least S keys, or some range would own none and the splitters
+// would not increase strictly.
 func EqualSplitters(lo, hi int, s int) []int {
 	if s < 1 || s&(s-1) != 0 {
 		panic("lockfree: shard count must be a power of two")
+	}
+	if hi-lo < s {
+		panic(fmt.Sprintf("lockfree: EqualSplitters(%d, %d, %d): hi-lo = %d < s = %d, some shard would own no key", lo, hi, s, hi-lo, s))
 	}
 	out := make([]int, 0, s-1)
 	span := hi - lo

@@ -3,6 +3,7 @@ package lockfree
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -184,4 +185,18 @@ func TestEqualSplitters(t *testing.T) {
 		}
 	}()
 	EqualSplitters(0, 100, 3)
+}
+
+// TestEqualSplittersTooFewKeys: an interval holding fewer keys than shards
+// has no strictly increasing splitters; EqualSplitters says so by name
+// instead of returning duplicates for the sharded map to reject.
+func TestEqualSplittersTooFewKeys(t *testing.T) {
+	msg := func() (msg string) {
+		defer func() { msg, _ = recover().(string) }()
+		EqualSplitters(0, 1, 4)
+		return ""
+	}()
+	if !strings.Contains(msg, "hi-lo = 1 < s = 4") {
+		t.Fatalf("EqualSplitters(0, 1, 4) panicked with %q, want a message naming hi-lo < s", msg)
+	}
 }
