@@ -15,11 +15,12 @@
 #      lives in one file (steps 1 and 3 vet it and run it under checkptr),
 #   5. a ten-second FuzzRESP run over the wire-protocol readers: hostile
 #      bytes must fail requests, never hang or kill the serving goroutine,
-#   6. a short lflstress -server smoke run: an in-process TCP server per
-#      round, pipelined mixed workloads, linearizability-checked, with
-#      the graceful drain asserted at each round's end — plus a
-#      race-built kill-and-recover smoke: SIGKILL a wal-sync child
-#      server mid-burst and verify every acked write survives recovery,
+#   6. short lflstress runs: a -server smoke (an in-process TCP server
+#      per round, pipelined mixed workloads, linearizability-checked, with
+#      the graceful drain asserted at each round's end), fr-list with and
+#      without node recycling and fr-skiplist with it — plus a race-built
+#      kill-and-recover smoke: SIGKILL a wal-sync child server mid-burst
+#      and verify every acked write survives recovery,
 #   7. an observability smoke: a real lflserver with its admin listener
 #      up, the /metrics, /debug/trace, and /debug/pprof surfaces curled
 #      and sanity-checked, then a clean SIGTERM drain — plus, when a
@@ -137,11 +138,20 @@ go test -fuzz=FuzzRESP -fuzztime=10s -run '^$' ./internal/server
 echo "== lflstress -server self smoke =="
 go run ./cmd/lflstress -server self -threads 6 -ops 500 -keys 64 -rounds 4 -batch 8
 
+# Structure-level list legs: the linked list is the skip list's level 1,
+# so it shares every routine, batch and finger path with it - and gets its
+# own linearizability-checked rounds, point ops and sorted batches mixed.
+# lflstress exits non-zero when no round could be checked, so a pass
+# means at least one round was verified.
+echo "== lflstress fr-list smoke =="
+go run ./cmd/lflstress -impl fr-list -threads 6 -ops 500 -keys 16 -rounds 3 -batch 8
+
 # Recycling smoke: the same linearizability checking with EBR-backed node
 # recycling live — a small key space under heavy churn, so node identities
 # repeat across the checked histories. The run fails unless identities
 # actually recycled, so this asserts the machinery is on, not just tolerated.
 echo "== lflstress -recycle smoke =="
+go run ./cmd/lflstress -impl fr-list -recycle -threads 6 -ops 500 -keys 16 -rounds 3 -batch 8
 go run ./cmd/lflstress -impl fr-skiplist -recycle -threads 6 -ops 500 -keys 16 -rounds 3 -batch 8
 go run ./cmd/lflstress -server self -recycle -threads 4 -ops 400 -keys 32 -rounds 2 -batch 8
 
