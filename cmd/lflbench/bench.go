@@ -48,9 +48,6 @@ type benchJSON struct {
 	// Wire is written by the -wire stage (see wire.go), preserved here
 	// for the same reason.
 	Wire *wireResult `json:"wire,omitempty"`
-	// GroupBatch is written by the -group stage (see groupbatch.go),
-	// preserved here for the same reason.
-	GroupBatch *groupBatchResult `json:"group_batch,omitempty"`
 	// Durability is written by the -durability stage (see durability.go),
 	// preserved here for the same reason.
 	Durability *durabilityResult `json:"durability,omitempty"`
@@ -391,7 +388,6 @@ func runBenchJSON(path string, quick bool) (string, error) {
 		if json.Unmarshal(data, &prev) == nil {
 			out.OpenLoop = prev.OpenLoop     // keep the -openloop stage's section
 			out.Wire = prev.Wire             // the -wire stage's
-			out.GroupBatch = prev.GroupBatch // the -group stage's
 			out.Durability = prev.Durability // and the -durability stage's
 		}
 	}

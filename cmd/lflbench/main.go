@@ -10,7 +10,6 @@
 //	lflbench -openloop [-openloop-rate 20000] [-openloop-duration 5s]
 //	         [-openloop-conns 4] [-openloop-keyrange 65536]
 //	lflbench -wire
-//	lflbench -group
 //	lflbench -durability
 //
 // -quick shrinks every sweep for a fast smoke run; the defaults are the
@@ -32,14 +31,6 @@
 // crossed with pipeline depth 1/16 for GET and SET, recording ns/op and
 // allocs/op into the wire section of the JSON file. Steady-state GETs are
 // expected allocation-free on both dialects.
-//
-// -group runs the cross-connection group-batching stage: the same
-// in-process server driven by 64 net.Pipe connections at pipeline depth
-// 1, once in the default per-connection mode and once with -groupbatch
-// semantics (Config.GroupBatch), recording aggregate ops/sec and
-// allocs/op for both into the group_batch section of the JSON file. The
-// grouped rows are expected to beat the per-connection rows: depth-1
-// traffic is exactly the regime per-connection coalescing cannot help.
 //
 // -durability runs the WAL cost stage: the wire harness driven with
 // strictly alternating SET/DEL pairs (so every command mutates and
@@ -79,7 +70,6 @@ func run(args []string) error {
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file when the run completes")
 	openLoop := fs.Bool("openloop", false, "run the fixed-arrival-rate serving-latency stage")
 	wire := fs.Bool("wire", false, "run the wire-protocol per-op cost stage (line vs RESP, depth 1/16)")
-	group := fs.Bool("group", false, "run the cross-connection group-batching stage (64 conns, depth 1)")
 	durability := fs.Bool("durability", false, "run the WAL cost stage (wal-off vs wal-async vs wal-sync, depth 1/16)")
 	olRate := fs.Int("openloop-rate", 20_000, "open-loop offered rate, total ops/sec across connections")
 	olDur := fs.Duration("openloop-duration", 5*time.Second, "open-loop measured window")
@@ -104,8 +94,8 @@ func run(args []string) error {
 	}
 
 	want := map[string]bool{}
-	if (*openLoop || *wire || *group || *durability) && !expSet {
-		// -openloop / -wire / -group / -durability alone run just their
+	if (*openLoop || *wire || *durability) && !expSet {
+		// -openloop / -wire / -durability alone run just their
 		// stage; combine with an explicit -exp to run experiments in the
 		// same invocation.
 	} else if *expFlag == "all" {
@@ -183,16 +173,6 @@ func run(args []string) error {
 		fmt.Printf("[wire finished in %v]\n\n", time.Since(begin).Round(time.Millisecond))
 		ran++
 	}
-	if *group {
-		begin := time.Now()
-		out, err := runGroupBatch(*jsonPath, *quick)
-		if err != nil {
-			return fmt.Errorf("group: %w", err)
-		}
-		fmt.Print(out)
-		fmt.Printf("[group finished in %v]\n\n", time.Since(begin).Round(time.Millisecond))
-		ran++
-	}
 	if *durability {
 		begin := time.Now()
 		out, err := runDurability(*jsonPath, *quick)
@@ -204,7 +184,7 @@ func run(args []string) error {
 		ran++
 	}
 	if ran == 0 {
-		return fmt.Errorf("no experiments selected (use -exp e1..e8, bench, all, -openloop, -wire, -group, or -durability)")
+		return fmt.Errorf("no experiments selected (use -exp e1..e8, bench, all, -openloop, -wire, or -durability)")
 	}
 
 	if *memProfile != "" {

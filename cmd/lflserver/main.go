@@ -16,7 +16,6 @@
 //	          [-shards 4] [-key-lo 0] [-key-hi 1048576]
 //	          [-max-conns 1024] [-max-batch 256] [-max-range 4096]
 //	          [-trace-sample 64] [-trace-cap 1024] [-slow-ms 10]
-//	          [-groupbatch] [-group-executors 0] [-group-window 50us]
 //	          [-idle-timeout 5m] [-drain-timeout 10s]
 //	          [-wal-dir DIR] [-wal-mode async|sync] [-fsync-window 2ms]
 //	          [-snapshot-every 0]
@@ -31,13 +30,10 @@
 // -snapshot-every streams a fuzzy snapshot (DESIGN.md §13) to DIR at
 // that cadence and prunes WAL segments the snapshot covers.
 //
-// -groupbatch switches execution to cross-connection group batching:
-// connections publish parsed commands into per-shard lock-free
-// submission rings and a pool of executors (-group-executors, default
-// one per shard) merges them into sorted store batches, closing each
-// group at -max-batch units or after -group-window. The win regime is
-// many connections at shallow pipeline depth, where per-connection
-// coalescing cannot fire; see README "Group batching".
+// Each connection executes its own commands; there is no executor pool.
+// Depth-1 traffic from many connections is served point by point, which
+// measured about twice as fast as merging it across connections
+// (DESIGN.md §12).
 //
 // With -admin-addr, an observability listener serves Prometheus /metrics
 // (store and connection counters, per-verb latency histograms, and the
@@ -95,9 +91,6 @@ func run(args []string) error {
 	traceSample := fs.Int("trace-sample", 64, "trace every Nth command unit (a power of two; 1 = every unit)")
 	traceCap := fs.Int("trace-cap", 1024, "capacity of the sampled-operation trace ring")
 	slowMS := fs.Int("slow-ms", 10, "always trace command units whose store execution exceeds this many milliseconds")
-	groupBatch := fs.Bool("groupbatch", false, "merge commands across connections into group batches (per-shard submission rings)")
-	groupExecutors := fs.Int("group-executors", 0, "cap the group-batching executor pool (0 = one per shard)")
-	groupWindow := fs.Duration("group-window", 50*time.Microsecond, "group-batching gather window (close a group at max-batch units or this age)")
 	walDir := fs.String("wal-dir", "", "enable durability: WAL segments and snapshots live in this directory")
 	walMode := fs.String("wal-mode", "async", "with -wal-dir: async (ack before fsync) or sync (hold acks for fsync)")
 	fsyncWindow := fs.Duration("fsync-window", 2*time.Millisecond, "WAL group-commit window; 0 fsyncs every writer batch")
@@ -167,16 +160,13 @@ func run(args []string) error {
 	}
 
 	srv := server.New(server.Config{
-		Addr:           *addr,
-		MaxConns:       *maxConns,
-		MaxBatch:       *maxBatch,
-		MaxRange:       *maxRange,
-		ReadTimeout:    *idle,
-		GroupBatch:     *groupBatch,
-		GroupExecutors: *groupExecutors,
-		BatchWindow:    *groupWindow,
-		Durability:     durability,
-		WAL:            walLog,
+		Addr:        *addr,
+		MaxConns:    *maxConns,
+		MaxBatch:    *maxBatch,
+		MaxRange:    *maxRange,
+		ReadTimeout: *idle,
+		Durability:  durability,
+		WAL:         walLog,
 	}, store)
 	srv.SetTelemetry(tel.Recorder())
 

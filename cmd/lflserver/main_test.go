@@ -126,18 +126,17 @@ func TestRunServesAndDrainsOnSignal(t *testing.T) {
 	}
 }
 
-// TestRunGroupBatchDrainsMidBurst is the end-to-end graceful-shutdown
-// contract of group-batching mode: SIGTERM lands while several
-// connections are mid-burst, and every command written before the
-// writers stand down is answered — the drain grace serves commands
-// already on the wire, executors complete every published unit before
-// the pool stops, and zero replies are dropped.
-func TestRunGroupBatchDrainsMidBurst(t *testing.T) {
+// TestRunDrainsMidBurst is the end-to-end graceful-shutdown contract:
+// SIGTERM lands while several connections are mid-burst, and every
+// command written before the writers stand down is answered — the drain
+// grace serves commands already on the wire, each connection finishes
+// its queued runs before it closes, and zero replies are dropped.
+func TestRunDrainsMidBurst(t *testing.T) {
 	addr := freePort(t)
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{"-addr", addr, "-shards", "2", "-key-hi", "4096",
-			"-groupbatch", "-group-window", "100us", "-drain-timeout", "5s"})
+			"-drain-timeout", "5s"})
 	}()
 
 	const conns = 4

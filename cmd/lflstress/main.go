@@ -7,7 +7,7 @@
 //
 //	lflstress [-impl fr-skiplist] [-threads 8] [-ops 2000] [-keys 16]
 //	          [-rounds 20] [-seed 1] [-batch N] [-shards S]
-//	          [-server ADDR|self] [-groupbatch]
+//	          [-server ADDR|self]
 //	          [-telemetry-addr HOST:PORT] [-telemetry-every 5]
 //
 // With -server, lflstress becomes a network client: every worker opens its
@@ -18,9 +18,6 @@
 // (sharded by -shards: default 4, or as many as -keys fills when that is
 // fewer; more shards than keys is a usage error) and additionally asserts
 // that graceful shutdown drains with zero dropped in-flight responses.
-// -groupbatch runs the self-mode servers in cross-connection
-// group-batching mode, so the checker validates histories whose commands
-// were merged and re-sorted across connections by the executor pool.
 //
 // With -shards S (a power of two), the fr-skiplist implementation runs
 // behind the range-sharded map: the key space [0, keys) is split across S
@@ -296,7 +293,6 @@ func run(args []string) error {
 	shards := fs.Int("shards", 0, "run fr-skiplist behind the range-sharded map with this many shards (a power of two); 0 = unsharded")
 	recycle := fs.Bool("recycle", false, "enable EBR-backed node recycling on the fr-* structures (and the -server self store): histories are then checked with node identities repeating")
 	srvAddr := fs.String("server", "", "drive a lflserver over TCP at this address instead of an in-process structure; \"self\" starts and gracefully drains an in-process server each round")
-	groupBatch := fs.Bool("groupbatch", false, "run the -server self rounds in cross-connection group-batching mode; the history checker is unchanged — grouped execution must be invisible to linearizability")
 	telAddr := fs.String("telemetry-addr", "", "serve /metrics and /debug/vars on this address; attaches telemetry to fr-* impls")
 	telEvery := fs.Int("telemetry-every", 5, "print a telemetry delta summary every N rounds (with -telemetry-addr)")
 	killRecover := fs.Bool("killrecover", false, "run kill-and-recover rounds: re-exec this binary as a wal-sync child server, SIGKILL it mid-burst, restart it from the same WAL directory, and verify every client-acked write survived")
@@ -331,10 +327,7 @@ func run(args []string) error {
 
 	if *srvAddr != "" {
 		return runServerMode(*srvAddr, *threads, *ops, *keys, *rounds, *seed,
-			*batch, *shards, *recycle, *groupBatch, tel, *telEvery)
-	}
-	if *groupBatch {
-		return fmt.Errorf("-groupbatch requires -server self (it configures the served execution mode)")
+			*batch, *shards, *recycle, tel, *telEvery)
 	}
 
 	totalOps, checkedRounds := 0, 0

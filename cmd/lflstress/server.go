@@ -34,7 +34,7 @@ import (
 // not see each other's leftovers, and sweeps its slice with DELs first so
 // state from before the run (the checker assumes an empty history per key)
 // cannot fail round 0.
-func runServerMode(addr string, threads, ops, keyRange, rounds int, seed uint64, pipeline, shards int, recycle, groupBatch bool, tel *ltel.Telemetry, telEvery int) error {
+func runServerMode(addr string, threads, ops, keyRange, rounds int, seed uint64, pipeline, shards int, recycle bool, tel *ltel.Telemetry, telEvery int) error {
 	if pipeline <= 0 {
 		pipeline = 16
 	}
@@ -53,9 +53,6 @@ func runServerMode(addr string, threads, ops, keyRange, rounds int, seed uint64,
 	}
 	if recycle && addr != "self" {
 		return fmt.Errorf("-recycle with -server applies only to \"self\" (the store of an external server is not ours to configure)")
-	}
-	if groupBatch && addr != "self" {
-		return fmt.Errorf("-groupbatch with -server applies only to \"self\" (the execution mode of an external server is not ours to configure)")
 	}
 	// In self mode one Obs spans every round's server, so the per-verb
 	// latency histograms accumulate across rounds and the periodic delta
@@ -87,7 +84,7 @@ func runServerMode(addr string, threads, ops, keyRange, rounds int, seed uint64,
 				store = lockfree.NewSkipList[int, string](opts...)
 			}
 			roundStore = store
-			srv = server.New(server.Config{GroupBatch: groupBatch}, store)
+			srv = server.New(server.Config{}, store)
 			if tel != nil {
 				srv.SetTelemetry(tel.Recorder())
 			}

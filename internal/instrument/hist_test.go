@@ -123,10 +123,10 @@ func TestHistSubAndMerge(t *testing.T) {
 
 func TestHistOctaves(t *testing.T) {
 	var h Hist
-	h.Record(3)            // exact cell
-	h.Record(20)           // octave e=4
-	h.Record(40)           // octave e=5
-	h.Record(45)           // same octave
+	h.Record(3)             // exact cell
+	h.Record(20)            // octave e=4
+	h.Record(40)            // octave e=5
+	h.Record(45)            // same octave
 	h.Record(math.MaxInt64) // overflow
 	oct := h.Snapshot().Octaves()
 	bounds := OctaveBounds()

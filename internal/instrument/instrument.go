@@ -37,7 +37,6 @@ type OpStats struct {
 	CmdsSlow           uint64 // commands whose store execution crossed the slow-trace threshold
 	ConnResp           uint64 // connections auto-detected as RESP2 by their first byte
 	WireFlushes        uint64 // reply flushes (one vectored write per coalesced run)
-	UnitsGrouped       uint64 // command units merged into cross-connection group batches
 	EpochAdvances      uint64 // global-epoch advances of a reclamation domain (internal/ebr)
 	NodesRecycled      uint64 // retired nodes (a skip-list tower counts once) returned to a free list after their grace period
 	FreelistHits       uint64 // node or whole-tower constructions served from a free list (no heap allocation)
@@ -76,7 +75,6 @@ const (
 	CtrCmdsSlow
 	CtrConnResp
 	CtrWireFlushes
-	CtrUnitsGrouped
 	CtrEpochAdvances
 	CtrNodesRecycled
 	CtrFreelistHits
@@ -112,7 +110,6 @@ var CounterNames = [NumCounters]string{
 	CtrCmdsSlow:           "cmds_slow",
 	CtrConnResp:           "conn_resp",
 	CtrWireFlushes:        "wire_flushes",
-	CtrUnitsGrouped:       "units_grouped",
 	CtrEpochAdvances:      "ebr_epoch_advances",
 	CtrNodesRecycled:      "nodes_recycled",
 	CtrFreelistHits:       "freelist_hits",
@@ -149,7 +146,6 @@ func (s *OpStats) Vector() Vector {
 		CtrCmdsSlow:           s.CmdsSlow,
 		CtrConnResp:           s.ConnResp,
 		CtrWireFlushes:        s.WireFlushes,
-		CtrUnitsGrouped:       s.UnitsGrouped,
 		CtrEpochAdvances:      s.EpochAdvances,
 		CtrNodesRecycled:      s.NodesRecycled,
 		CtrFreelistHits:       s.FreelistHits,
@@ -183,7 +179,6 @@ func (s *OpStats) FromVector(v Vector) {
 	s.CmdsSlow = v[CtrCmdsSlow]
 	s.ConnResp = v[CtrConnResp]
 	s.WireFlushes = v[CtrWireFlushes]
-	s.UnitsGrouped = v[CtrUnitsGrouped]
 	s.EpochAdvances = v[CtrEpochAdvances]
 	s.NodesRecycled = v[CtrNodesRecycled]
 	s.FreelistHits = v[CtrFreelistHits]

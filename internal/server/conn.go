@@ -86,14 +86,6 @@ type conn struct {
 	// have been assigned; in sync-durability mode flush holds the run's
 	// replies until the log reports it durable.
 	walMax uint64
-
-	// group-batching state (GroupBatch mode only): the run's published
-	// units (executors hold pointers into gbUnits, so it is pre-sized
-	// before any publish and never appended mid-run), the outstanding
-	// completion count, and the capacity-1 completion wake channel.
-	gbUnits     []gbUnit
-	gbRemaining atomic.Int32
-	gbWake      chan struct{}
 }
 
 // kvPair is one RANGE result, buffered so an oversized scan can fail
@@ -139,9 +131,6 @@ func newConn(s *Server, nc net.Conn) *conn {
 		rep:  &lineReplies,
 	}
 	c.proc.Stats = &c.procStats
-	if s.gb != nil {
-		c.gbWake = make(chan struct{}, 1)
-	}
 	return c
 }
 
@@ -155,11 +144,7 @@ func (c *conn) serve() {
 	quit := false
 	for r := range c.runs {
 		if !quit {
-			if c.srv.gb != nil {
-				quit = c.executeGrouped(r)
-			} else {
-				quit = c.execute(r)
-			}
+			quit = c.execute(r)
 			if c.flush() != nil {
 				quit = true
 			}
@@ -506,82 +491,68 @@ func (c *conn) storeGets(keys []int, vals []string, found []bool) {
 	if len(keys) == 0 {
 		return
 	}
-	sampled, attrib, start := c.beginUnit(true)
-	switch ps := c.srv.procStore; {
-	case len(keys) == 1 && attrib:
-		vals[0], found[0] = ps.GetProc(&c.proc, keys[0])
-	case len(keys) == 1:
-		vals[0], found[0] = c.srv.store.Get(keys[0])
-	case attrib:
-		ps.GetBatchProc(&c.proc, keys, vals, found)
-	default:
-		c.srv.store.GetBatch(keys, vals, found)
+	p, sampled, start := c.beginUnit(true)
+	if len(keys) == 1 {
+		vals[0], found[0] = c.srv.ps.GetProc(p, keys[0])
+	} else {
+		c.srv.ps.GetBatchProc(p, keys, vals, found)
 	}
-	c.endUnit(VerbGet, keys[0], len(keys), sampled, attrib, start)
+	c.endUnit(VerbGet, keys[0], len(keys), sampled, p, start)
 }
 
 func (c *conn) storeDels(keys []int, deleted []bool) {
 	if len(keys) == 0 {
 		return
 	}
-	sampled, attrib, start := c.beginUnit(true)
-	switch ps := c.srv.procStore; {
-	case len(keys) == 1 && attrib:
-		deleted[0] = ps.DeleteProc(&c.proc, keys[0])
-	case len(keys) == 1:
-		deleted[0] = c.srv.store.Delete(keys[0])
-	case attrib:
-		ps.DeleteBatchProc(&c.proc, keys, deleted)
-	default:
-		c.srv.store.DeleteBatch(keys, deleted)
+	p, sampled, start := c.beginUnit(true)
+	if len(keys) == 1 {
+		deleted[0] = c.srv.ps.DeleteProc(p, keys[0])
+	} else {
+		c.srv.ps.DeleteBatchProc(p, keys, deleted)
 	}
-	c.endUnit(VerbDel, keys[0], len(keys), sampled, attrib, start)
+	c.endUnit(VerbDel, keys[0], len(keys), sampled, p, start)
 }
 
 func (c *conn) storeSets(items []core.KV[int, string], inserted []bool) {
 	if len(items) == 0 {
 		return
 	}
-	sampled, attrib, start := c.beginUnit(true)
-	switch ps := c.srv.procStore; {
-	case len(items) == 1 && attrib:
-		inserted[0] = ps.InsertProc(&c.proc, items[0].Key, items[0].Value)
-	case len(items) == 1:
-		inserted[0] = c.srv.store.Insert(items[0].Key, items[0].Value)
-	case attrib:
-		ps.InsertBatchProc(&c.proc, items, inserted)
-	default:
-		c.srv.store.InsertBatch(items, inserted)
+	p, sampled, start := c.beginUnit(true)
+	if len(items) == 1 {
+		inserted[0] = c.srv.ps.InsertProc(p, items[0].Key, items[0].Value)
+	} else {
+		c.srv.ps.InsertBatchProc(p, items, inserted)
 	}
-	c.endUnit(VerbSet, items[0].Key, len(items), sampled, attrib, start)
+	c.endUnit(VerbSet, items[0].Key, len(items), sampled, p, start)
 }
 
 // beginUnit opens one unit - a point command or one class of a segment -
 // for observability: it ticks the trace sampler and, for a sampled unit
 // whose execution is attributable (store calls that can carry a Proc),
-// readies the connection's pre-allocated Proc, so the unit's trace carries
-// exact step counts; every other unit takes the plain path untouched.
-func (c *conn) beginUnit(attributable bool) (sampled, attrib bool, start int64) {
+// returns the connection's pre-allocated Proc, reset, so the unit's trace
+// carries exact step counts. Every other unit gets a nil Proc, which the
+// store treats as its plain method.
+func (c *conn) beginUnit(attributable bool) (p *core.Proc, sampled bool, start int64) {
 	obs := c.srv.obs
 	if obs == nil {
-		return false, false, 0
+		return nil, false, 0
 	}
 	sampled = obs.sampleNext()
-	attrib = sampled && attributable && c.srv.procStore != nil
-	if attrib {
+	if sampled && attributable && c.srv.attrib {
 		c.procStats.Reset()
+		p = &c.proc
 	}
-	return sampled, attrib, telemetry.Nanotime()
+	return p, sampled, telemetry.Nanotime()
 }
 
 // endUnit closes a unit of n commands of verb v: commands that rode in a
 // batch call count as coalesced, and the unit is noted for observability.
-func (c *conn) endUnit(v Verb, key, n int, sampled, attrib bool, start int64) {
+func (c *conn) endUnit(v Verb, key, n int, sampled bool, p *core.Proc, start int64) {
 	if n >= 2 {
 		c.srv.addCounter(instrument.CtrCmdsCoalesced, uint64(n))
 	}
 	if c.srv.obs != nil {
-		c.noteUnit(v, key, n, telemetry.Nanotime()-start, sampled, attrib)
+		c.noteUnit(v, key, n, telemetry.Nanotime()-start, sampled, p)
 	}
 }
 
@@ -600,37 +571,20 @@ func (c *conn) executeSingle(cmd Command) (quit bool) {
 	// whose execution is one store call (the point commands). A sampled
 	// PING or RANGE still produces a trace record — wall time, batch size,
 	// queue wait — with zero step counts.
-	sampled, attrib, start := c.beginUnit(cmd.Verb.batchable())
+	p, sampled, start := c.beginUnit(cmd.Verb.batchable())
 	switch cmd.Verb {
 	case VerbPing:
 		c.w.literal(c.rep.pong)
 	case VerbSet:
-		var ok bool
-		if attrib {
-			ok = c.srv.procStore.InsertProc(&c.proc, cmd.Key, cmd.Value)
-		} else {
-			ok = c.srv.store.Insert(cmd.Key, cmd.Value)
-		}
+		ok := c.srv.ps.InsertProc(p, cmd.Key, cmd.Value)
 		if ok && c.srv.wal != nil {
 			c.logMutation(wal.OpSet, cmd.Key, cmd.Value)
 		}
 		c.writeSetReply(ok)
 	case VerbGet:
-		var v string
-		var ok bool
-		if attrib {
-			v, ok = c.srv.procStore.GetProc(&c.proc, cmd.Key)
-		} else {
-			v, ok = c.srv.store.Get(cmd.Key)
-		}
-		c.writeValue(v, ok)
+		c.writeValue(c.srv.ps.GetProc(p, cmd.Key))
 	case VerbDel:
-		var ok bool
-		if attrib {
-			ok = c.srv.procStore.DeleteProc(&c.proc, cmd.Key)
-		} else {
-			ok = c.srv.store.Delete(cmd.Key)
-		}
+		ok := c.srv.ps.DeleteProc(p, cmd.Key)
 		if ok && c.srv.wal != nil {
 			c.logMutation(wal.OpDel, cmd.Key, "")
 		}
@@ -643,7 +597,7 @@ func (c *conn) executeSingle(cmd Command) (quit bool) {
 		c.w.literal(c.rep.ok)
 		quit = true
 	}
-	c.endUnit(cmd.Verb, cmd.Key, 1, sampled, attrib, start)
+	c.endUnit(cmd.Verb, cmd.Key, 1, sampled, p, start)
 	return quit
 }
 
@@ -657,10 +611,10 @@ func (c *conn) stampRun(r *workRun) {
 
 // noteUnit records one executed unit: its batch-size sample, its pending
 // latency record (completed after the flush), the slow-command counter,
-// and — when the unit is trace-sampled or slow — its trace record. attrib
-// marks units whose store call ran with the connection's Proc attached,
-// i.e. whose step counts in the trace are exact rather than zero.
-func (c *conn) noteUnit(v Verb, key, n int, elapsed int64, sampled, attrib bool) {
+// and — when the unit is trace-sampled or slow — its trace record. p is
+// the Proc the unit's store call ran with: when non-nil, the trace's step
+// counts are exact rather than zero.
+func (c *conn) noteUnit(v Verb, key, n int, elapsed int64, sampled bool, p *core.Proc) {
 	obs := c.srv.obs
 	obs.recordBatch(v, n)
 	c.pend = append(c.pend, pendUnit{verb: v, class: uint8(batchClass(n)), n: uint32(n)})
@@ -672,8 +626,8 @@ func (c *conn) noteUnit(v Verb, key, n int, elapsed int64, sampled, attrib bool)
 		return
 	}
 	var stats *core.OpStats
-	if attrib {
-		stats = &c.procStats
+	if p != nil {
+		stats = p.Stats
 	}
 	obs.trace(v, key, n, elapsed, c.queueWait, sampled, slow, stats)
 }

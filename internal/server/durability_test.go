@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -111,43 +110,6 @@ func TestDurabilitySyncAckImpliesDurable(t *testing.T) {
 		}
 		if d := l.Durable(); d < uint64(i) {
 			t.Fatalf("ack for LSN %d read but Durable() = %d", i, d)
-		}
-	}
-}
-
-// TestDurabilityGroupBatchLogs covers the third reply path: group-batch
-// executors apply the units, the owning connection logs them at its
-// reply walk.
-func TestDurabilityGroupBatchLogs(t *testing.T) {
-	dir := t.TempDir()
-	l, err := wal.Open(wal.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := startTCP(t, Config{Durability: DurabilityAsync, WAL: l, GroupBatch: true}, lockfree.NewSkipList[int, string](), nil)
-	nc, br := dial(t, srv)
-	for i := 1; i <= 4; i++ {
-		if _, err := nc.Write([]byte(fmt.Sprintf("SET %d gv%d\n", i, i))); err != nil {
-			t.Fatal(err)
-		}
-		if got := mustReadLine(t, br); got != ":1" {
-			t.Fatalf("SET %d = %q", i, got)
-		}
-	}
-	nc.Close()
-	if err := l.WaitDurable(l.LastLSN()); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := replayAll(t, dir)
-	if len(got) != 4 {
-		t.Fatalf("log holds %d records, want 4: %+v", len(got), got)
-	}
-	for i, r := range got {
-		if r.op != wal.OpSet || !strings.HasPrefix(r.val, "gv") {
-			t.Fatalf("log[%d] = %+v", i, r)
 		}
 	}
 }

@@ -34,12 +34,10 @@ type Obs struct {
 	keyMask    int64
 	ring       *instrument.TraceRing
 
-	lat    [NumVerbs][NumBatchClasses]instrument.Hist
-	batch  [NumVerbs]instrument.Hist
-	queue  instrument.Hist
-	flush  instrument.Hist
-	gbatch instrument.Hist
-	gwait  instrument.Hist
+	lat   [NumVerbs][NumBatchClasses]instrument.Hist
+	batch [NumVerbs]instrument.Hist
+	queue instrument.Hist
+	flush instrument.Hist
 }
 
 // ObsConfig bounds an Obs. The zero value is usable: every field falls
@@ -139,17 +137,6 @@ func (o *Obs) recordQueueWait(nanos int64) { o.queue.Record(nanos) }
 // single reply's size.
 func (o *Obs) recordFlush(bytes int64) { o.flush.Record(bytes) }
 
-// recordGroupBatch records the unit count of one cross-connection group
-// batch — the payoff histogram of group batching: sizes near 1 mean the
-// window closes before traffic clusters, larger sizes mean the amortized
-// bound is being paid once per group rather than once per connection.
-func (o *Obs) recordGroupBatch(n int) { o.gbatch.Record(int64(n)) }
-
-// recordGroupWait records one unit's publish-to-execute wait inside a
-// submission ring — the latency cost the group-batching window trades
-// for amortization; bounded by ~BatchWindow under load.
-func (o *Obs) recordGroupWait(nanos int64) { o.gwait.Record(nanos) }
-
 // VerbLatency returns the latency snapshot of one verb, merged across
 // batch-size classes.
 func (o *Obs) VerbLatency(v Verb) instrument.HistSnapshot {
@@ -165,12 +152,6 @@ func (o *Obs) QueueWait() instrument.HistSnapshot { return o.queue.Snapshot() }
 
 // FlushBytes returns the reply-flush size snapshot.
 func (o *Obs) FlushBytes() instrument.HistSnapshot { return o.flush.Snapshot() }
-
-// GroupBatchSize returns the cross-connection group-batch size snapshot.
-func (o *Obs) GroupBatchSize() instrument.HistSnapshot { return o.gbatch.Snapshot() }
-
-// GroupWait returns the group-batching publish-to-execute wait snapshot.
-func (o *Obs) GroupWait() instrument.HistSnapshot { return o.gwait.Snapshot() }
 
 // TraceSnapshot returns up to max of the newest trace records (0 = all
 // retained), newest first.
@@ -222,18 +203,6 @@ func (o *Obs) WritePrometheus(w io.Writer) error {
 	ew.writeString("# TYPE lockfree_server_flush_bytes histogram\n")
 	if s := o.flush.Snapshot(); s.Count > 0 {
 		writeHistSeries(ew, "lockfree_server_flush_bytes", "{", s, bounds[:], false)
-	}
-
-	ew.writeString("# HELP lockfree_server_group_batch_size Command units per cross-connection group batch (group-batching mode).\n")
-	ew.writeString("# TYPE lockfree_server_group_batch_size histogram\n")
-	if s := o.gbatch.Snapshot(); s.Count > 0 {
-		writeHistSeries(ew, "lockfree_server_group_batch_size", "{", s, bounds[:], false)
-	}
-
-	ew.writeString("# HELP lockfree_server_group_wait_seconds Publish-to-execute wait of command units in group-batching submission rings.\n")
-	ew.writeString("# TYPE lockfree_server_group_wait_seconds histogram\n")
-	if s := o.gwait.Snapshot(); s.Count > 0 {
-		writeHistSeries(ew, "lockfree_server_group_wait_seconds", "{", s, bounds[:], true)
 	}
 
 	ew.writeString("# HELP lockfree_server_trace_records_total Operation trace records written to the sampling ring.\n")

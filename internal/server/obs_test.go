@@ -129,6 +129,37 @@ func TestObsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestObsPlainStoreTracesZeroSteps: a store without the *Proc methods is
+// called through the same store calls, but its sampled traces report zero
+// step counts rather than claiming exact ones.
+func TestObsPlainStoreTracesZeroSteps(t *testing.T) {
+	cs := &countingStore{Store: lockfree.NewSkipList[int, string]()}
+	srv := New(Config{}, cs)
+	obs := NewObs(ObsConfig{SampleEvery: 1})
+	srv.SetObs(obs)
+	cl, br := pipeConn(t, srv)
+
+	// A batch of each verb, then a point command of each.
+	if _, err := cl.Write([]byte("SET 1 a\nSET 2 b\nGET 1\nGET 2\nDEL 1\nDEL 2\nSET 3 c\nGET 3\nDEL 3\n")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 9; i++ {
+		mustReadLine(t, br)
+	}
+	if got, want := cs.calls(), [6]int64{1, 1, 1, 1, 1, 1}; got != want {
+		t.Fatalf("store calls = %v, want %v", got, want)
+	}
+	recs := obs.TraceSnapshot(0)
+	if len(recs) != 6 {
+		t.Fatalf("%d trace records, want 6: %+v", len(recs), recs)
+	}
+	for _, r := range recs {
+		if r.CASAttempts != 0 || r.EssentialSteps != 0 {
+			t.Fatalf("plain-store trace claims step counts: %+v", r)
+		}
+	}
+}
+
 func TestObsSlowCaptureAndCounter(t *testing.T) {
 	rec := telemetry.NewRecorder(1)
 	// SampleEvery huge + 1ns threshold: units are captured only via the

@@ -34,10 +34,11 @@ type Store interface {
 // ProcStore is the optional attribution capability of a Store: the same
 // operations with a per-process instrumentation context attached, so a
 // sampled request can report exactly which essential steps, CAS retries
-// and backoff waits it paid. The lockfree facade types (SkipList,
-// ShardedSkipList) implement it; the server detects it with a type
-// assertion at construction and falls back to unattributed traces when
-// the store lacks it.
+// and backoff waits it paid. A nil Proc must behave exactly like the
+// plain method. The lockfree facade types (SkipList, ShardedSkipList)
+// implement it; the server detects it with a type assertion at
+// construction and falls back to unattributed traces when the store
+// lacks it.
 type ProcStore interface {
 	InsertProc(p *core.Proc, key int, value string) bool
 	GetProc(p *core.Proc, key int) (string, bool)
@@ -45,6 +46,24 @@ type ProcStore interface {
 	InsertBatchProc(p *core.Proc, items []core.KV[int, string], inserted []bool) int
 	GetBatchProc(p *core.Proc, keys []int, vals []string, found []bool) int
 	DeleteBatchProc(p *core.Proc, keys []int, deleted []bool) int
+}
+
+// plainProcs gives a Store without attribution the ProcStore method set,
+// so the server makes every point and batch call one way; each method
+// ignores p.
+type plainProcs struct{ Store }
+
+func (s plainProcs) InsertProc(_ *core.Proc, k int, v string) bool { return s.Insert(k, v) }
+func (s plainProcs) GetProc(_ *core.Proc, k int) (string, bool)    { return s.Get(k) }
+func (s plainProcs) DeleteProc(_ *core.Proc, k int) bool           { return s.Delete(k) }
+func (s plainProcs) InsertBatchProc(_ *core.Proc, items []core.KV[int, string], inserted []bool) int {
+	return s.InsertBatch(items, inserted)
+}
+func (s plainProcs) GetBatchProc(_ *core.Proc, keys []int, vals []string, found []bool) int {
+	return s.GetBatch(keys, vals, found)
+}
+func (s plainProcs) DeleteBatchProc(_ *core.Proc, keys []int, deleted []bool) int {
+	return s.DeleteBatch(keys, deleted)
 }
 
 // Config bounds a Server. The zero value is usable: every limit falls
@@ -79,30 +98,6 @@ type Config struct {
 	// Shutdown begins, so commands already on the wire are served rather
 	// than dropped (default 250ms).
 	DrainGrace time.Duration
-	// GroupBatch opts the server into cross-connection group batching:
-	// connections publish parsed SET/GET/DEL units into per-key-range
-	// lock-free submission rings and a small pool of executor goroutines
-	// merges same-verb units across connections into one sorted store
-	// batch per group (default off). The trade is bounded added latency
-	// (at most ~BatchWindow) for the amortized per-element search cost of
-	// the batch path — the win regime is many connections at shallow
-	// pipeline depth, where per-connection coalescing never fires.
-	GroupBatch bool
-	// GroupExecutors caps the executor pool size in group-batching mode.
-	// Zero derives the pool from the routing splitters: one executor per
-	// key range (the store's shard count when it exposes Splitters). With
-	// no splitters available the pool is a single executor.
-	GroupExecutors int
-	// GroupSplitters overrides the key-range routing of group batching:
-	// len(GroupSplitters)+1 executors, each owning one contiguous range,
-	// so executor batches are sorted single-range sub-runs. Nil asks the
-	// store for its own shard splitters (ShardedSkipList exposes them),
-	// aligning executor ranges with shard ranges.
-	GroupSplitters []int
-	// BatchWindow is the group-batching gather window: an executor closes
-	// a group at MaxBatch units or after ~BatchWindow from the group's
-	// first unit, whichever comes first (default 50µs).
-	BatchWindow time.Duration
 	// Durability selects the write-ahead-log mode: DurabilityOff (or "")
 	// serves purely in memory; DurabilityAsync publishes every applied
 	// mutation to WAL but acks without waiting for the disk;
@@ -149,9 +144,6 @@ func (c Config) withDefaults() Config {
 	if c.DrainGrace <= 0 {
 		c.DrainGrace = 250 * time.Millisecond
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 50 * time.Microsecond
-	}
 	return c
 }
 
@@ -159,14 +151,14 @@ func (c Config) withDefaults() Config {
 // connection) over TCP. Construct with New; a Server serves one Store and
 // may not be reused after Shutdown.
 type Server struct {
-	cfg       Config
-	store     Store
-	procStore ProcStore           // store's attribution capability; nil when absent
-	tel       *telemetry.Recorder // optional; nil disables counters
-	obs       *Obs                // optional; nil disables request observability
-	gb        *groupBatcher       // group-batching engine; nil unless cfg.GroupBatch
-	wal       *wal.Log            // mutation log; nil when durability is off
-	walSync   bool                // hold reply flushes for fsync (DurabilitySync)
+	cfg     Config
+	store   Store
+	ps      ProcStore           // every point and batch call: the store, or plainProcs over it
+	attrib  bool                // store implements ProcStore: sampled traces carry exact step counts
+	tel     *telemetry.Recorder // optional; nil disables counters
+	obs     *Obs                // optional; nil disables request observability
+	wal     *wal.Log            // mutation log; nil when durability is off
+	walSync bool                // hold reply flushes for fsync (DurabilitySync)
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -187,8 +179,9 @@ func New(cfg Config, store Store) *Server {
 		conns: make(map[*conn]struct{}),
 	}
 	s.connGone = sync.NewCond(&s.mu)
-	if ps, ok := store.(ProcStore); ok {
-		s.procStore = ps
+	s.ps, s.attrib = store.(ProcStore)
+	if !s.attrib {
+		s.ps = plainProcs{store}
 	}
 	switch s.cfg.Durability {
 	case DurabilityAsync:
@@ -196,10 +189,6 @@ func New(cfg Config, store Store) *Server {
 	case DurabilitySync:
 		s.wal = s.cfg.WAL
 		s.walSync = s.wal != nil
-	}
-	if s.cfg.GroupBatch {
-		s.gb = newGroupBatcher(s)
-		s.gb.start()
 	}
 	return s
 }
@@ -417,13 +406,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 		s.mu.Unlock()
 		<-drained
-	}
-	// Executors stop only after every connection is gone: a connection
-	// always waits out its published units before finishing a run, so once
-	// the set drains the rings hold no live work and stopping cannot drop
-	// a reply. stop is a sync.Once — concurrent Shutdowns both reach here.
-	if s.gb != nil {
-		s.gb.stop()
 	}
 	s.mu.Lock()
 	s.done = true

@@ -26,8 +26,8 @@
 // shard's pooled search finger; a get batch sends all its sub-runs down
 // their shards together, in one shared descent. Either way the work is
 // done on the caller's goroutine. The map starts no goroutines:
-// concurrency comes from the callers (connections, group-batch executors),
-// which already own one each — a sub-run averages a handful of keys, less
+// concurrency comes from the callers (connections, workers), which
+// already own one each — a sub-run averages a handful of keys, less
 // work than handing it to another goroutine costs.
 package sharded
 
@@ -108,9 +108,6 @@ func (m *Map[K, V]) Shards() int { return len(m.shards) }
 // bypasses the map's routing counters but is otherwise safe — the shard
 // accepts any key, though keys outside its range break ordered iteration.
 func (m *Map[K, V]) Shard(i int) *core.SkipList[K, V] { return m.shards[i] }
-
-// Splitters returns a copy of the splitter set.
-func (m *Map[K, V]) Splitters() []K { return slices.Clone(m.splitters) }
 
 // SetTelemetry attaches rec to the map and every shard: the shards flush
 // their per-operation step counts and latencies, the map layer adds the

@@ -6,8 +6,9 @@
 // The design keeps the store's zero-allocation CAS paths untouched
 // (DESIGN.md Section 2.1): publishing a record is one fetch-and-add
 // ticket claim plus one slot write — no lock, no allocation, no
-// syscall — exactly the ticket-cursor/per-slot-sequence discipline of
-// the group-batching submission rings (internal/server/groupbatch.go).
+// syscall: a ticket cursor claims a slot, and a per-slot sequence number
+// hands it between producer and consumer (see Append and drain). It is
+// the repo's only MPSC hand-off ring.
 // All file I/O, CRC framing, group-commit fsync batching and segment
 // rotation happen on the writer goroutine, so the serving layer pays
 // for durability only what the hand-off costs.
@@ -137,9 +138,10 @@ type Log struct {
 	enq   atomic.Uint64
 	deq   uint64
 
-	// Dekker-style park handshake, as in the group-batching rings: the
-	// writer sets sleeping before its final emptiness check, producers
-	// check it after their final seq store.
+	// Dekker-style park handshake: the writer sets sleeping before its
+	// final emptiness check, producers check it after their final seq
+	// store. Go atomics are sequentially consistent, so one side always
+	// sees the other.
 	sleeping atomic.Bool
 	wake     chan struct{}
 
@@ -289,7 +291,7 @@ func (l *Log) FsyncLatency() instrument.HistSnapshot { return l.fsyncHist.Snapsh
 // Append publishes one mutation record and returns its LSN. It is
 // lock-free, allocation-free, and safe for any number of concurrent
 // producers; a full ring yields until the writer frees a slot (bounded
-// backpressure, mirroring the submission rings). val must be immutable
+// backpressure). val must be immutable
 // for the life of the call's hand-off (Go strings are).
 func (l *Log) Append(op Op, key int64, val string) uint64 {
 	t := l.enq.Add(1) - 1

@@ -53,12 +53,6 @@ func NewShardedSkipList[K cmp.Ordered, V any](splitters []K, opts ...Option) *Sh
 // Shards returns the shard count S = len(splitters)+1.
 func (s *ShardedSkipList[K, V]) Shards() int { return s.m.Shards() }
 
-// Splitters returns a copy of the splitter keys partitioning the map.
-// Serving layers use it to align their own key-range routing (e.g. the
-// group-batching executors of internal/server) with the shard layout, so
-// a batch built for one executor is also a single-shard sub-run.
-func (s *ShardedSkipList[K, V]) Splitters() []K { return s.m.Splitters() }
-
 // Insert adds key with value to key's shard; false if key is already
 // present.
 func (s *ShardedSkipList[K, V]) Insert(key K, value V) bool {

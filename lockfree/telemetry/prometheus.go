@@ -54,7 +54,6 @@ var counterHelp = [itel.NumCounters]string{
 	"Total commands whose store execution crossed the serving layer's slow-trace threshold.",
 	"Total connections auto-detected as RESP2 by their first byte.",
 	"Total reply flushes by the serving layer (one vectored write per coalesced run).",
-	"Total command units merged into cross-connection group batches by the serving layer.",
 	"Total global epoch advances of the reclamation domain (epoch-based recycling).",
 	"Total retired objects (list nodes; whole skip-list towers, whatever their height) pushed onto recycling free lists after their grace period.",
 	"Total constructions (a list node, or a whole skip-list tower) served from a recycling free list instead of the allocator.",

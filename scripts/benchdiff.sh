@@ -163,8 +163,8 @@ awk -v maxreg="$MAXREG" -v maxallocreg="$MAXALLOCREG" '
                 printf "benchdiff: %s allocates (%.2f allocs/op): the recycling write path must be 0\n", name, na > "/dev/stderr"
                 fails++
             }
-            if (name ~ /ServerWire(Group)?(Get|Del)/ && na > 0) {
-                printf "benchdiff: %s allocates (%.2f allocs/op): the read/delete wire path must be 0 (grouped or not)\n", name, na > "/dev/stderr"
+            if (name ~ /ServerWire(Get|Del)/ && na > 0) {
+                printf "benchdiff: %s allocates (%.2f allocs/op): the read/delete wire path must be 0\n", name, na > "/dev/stderr"
                 fails++
             }
             if (name ~ /WALPublish/ && na > 0) {

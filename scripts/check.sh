@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh - the full local gate, mirroring what CI would run:
 #
-#   1. go vet over every package,
+#   1. go vet over every package, and gofmt: no file may need reformatting,
 #   2. the tier-1 gate (build + tests, as recorded in ROADMAP.md), then
 #      the repo benchmark's own module (benchmark/, which tier-1 does not
 #      build): vet, tests, and 3 s runs of lib_churn and wire_pipe16 that
@@ -37,6 +37,10 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet ./... =="
 go vet ./...
+
+echo "== gofmt -l . =="
+unformatted=$(gofmt -l .)
+[ -z "$unformatted" ] || { echo "gofmt: these files need gofmt -w: $unformatted"; exit 1; }
 
 echo "== tier-1: go build ./... && go test ./... =="
 go build ./...
@@ -164,14 +168,6 @@ go run ./cmd/lflstress -server self -recycle -threads 4 -ops 400 -keys 32 -round
 # race-built binary).
 echo "== lflstress -killrecover smoke (race) =="
 go run -race ./cmd/lflstress -killrecover -threads 4 -ops 4000 -keys 32 -rounds 2
-
-# Group-batching smoke: the same in-process server rounds with execution
-# switched to cross-connection group batching — submission rings, the
-# executor pool, and the ring-draining shutdown all on the checked path.
-# Small key space over several workers makes cross-connection merges
-# actually happen, and every history must still linearize.
-echo "== lflstress -groupbatch smoke =="
-go run ./cmd/lflstress -server self -groupbatch -threads 6 -ops 500 -keys 64 -rounds 3 -batch 8
 
 # Observability smoke: a real lflserver with its admin listener and pprof
 # enabled, every debug surface curled and sanity-checked, then a SIGTERM
