@@ -97,6 +97,24 @@ func TestWireAllocsResp(t *testing.T) {
 	})
 }
 
+// TestWireAllocsPlainStore pins the line-protocol hot path on a store
+// without the *Proc methods, which the server calls through plainProcs:
+// the adapter adds no allocation to GET, DEL or SET.
+func TestWireAllocsPlainStore(t *testing.T) {
+	const depth = 16
+	cl := wirePair(t, struct{ Store }{lockfree.NewSkipList[int, string]()})
+
+	t.Run("get", func(t *testing.T) {
+		pinAllocs(t, cl, strings.Repeat("GET 42\n", depth), depth*len("_\n"), 0)
+	})
+	t.Run("del", func(t *testing.T) {
+		pinAllocs(t, cl, strings.Repeat("DEL 42\n", depth), depth*len(":0\n"), 0)
+	})
+	t.Run("set", func(t *testing.T) {
+		pinAllocs(t, cl, strings.Repeat("SET 7 valuevaluevaluevalue\n", depth), depth*len(":0\n"), 1)
+	})
+}
+
 // TestWireAllocsShardedRecorded pins the wire path on the store lflserver
 // actually runs - four range shards under a recorder that samples every
 // operation - with depth-16 bursts whose keys land in all four shards, so
