@@ -46,7 +46,8 @@ func TestNewCheckedUnknownImpl(t *testing.T) {
 // check (which includes the routing invariant), and every history must
 // still linearize — sharding has to be invisible to the checker.
 func TestRunShardedSmoke(t *testing.T) {
-	err := run([]string{"-impl", "fr-skiplist", "-threads", "4", "-ops", "200",
+	// About 30 ops per key per round: see TestRunRecycleSmoke.
+	err := run([]string{"-impl", "fr-skiplist", "-threads", "4", "-ops", "120",
 		"-keys", "16", "-rounds", "2", "-shards", "4"})
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +79,9 @@ func TestRunShardedBadFlags(t *testing.T) {
 }
 
 func TestRunSmoke(t *testing.T) {
+	// About 25 ops per key per round: see TestRunRecycleSmoke.
 	err := run([]string{"-impl", "fr-list", "-threads", "4", "-ops", "100",
-		"-keys", "8", "-rounds", "2"})
+		"-keys", "16", "-rounds", "2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,13 +180,16 @@ func TestRunServerSelfOneKey(t *testing.T) {
 // across the checked histories — point ops, batches, and the sharded
 // routing layer all stay linearizable over reused memory.
 func TestRunRecycleSmoke(t *testing.T) {
-	// Six rounds each: on a loaded box a preempted op makes a round too
-	// dense to check, and the run fails if no round is conclusive.
+	// A descheduled op overlaps every later op on its key, so on a loaded
+	// box a key that sees 64 ops in a round makes the round too dense to
+	// check (the checker takes 63); at 150 ops per key a loaded box could
+	// lose all six rounds. At about 30 ops per key (4 x 120 over 16 keys)
+	// no round gets near 64.
 	for _, args := range [][]string{
-		{"-impl", "fr-list", "-threads", "4", "-ops", "300", "-keys", "8", "-rounds", "6", "-recycle"},
-		{"-impl", "fr-skiplist", "-threads", "4", "-ops", "300", "-keys", "8", "-rounds", "6", "-recycle"},
+		{"-impl", "fr-list", "-threads", "4", "-ops", "120", "-keys", "16", "-rounds", "6", "-recycle"},
+		{"-impl", "fr-skiplist", "-threads", "4", "-ops", "120", "-keys", "16", "-rounds", "6", "-recycle"},
 		{"-impl", "fr-skiplist", "-threads", "4", "-ops", "256", "-keys", "128", "-rounds", "6", "-batch", "16", "-recycle"},
-		{"-impl", "fr-skiplist", "-threads", "4", "-ops", "300", "-keys", "16", "-rounds", "6", "-shards", "4", "-recycle"},
+		{"-impl", "fr-skiplist", "-threads", "4", "-ops", "120", "-keys", "16", "-rounds", "6", "-shards", "4", "-recycle"},
 	} {
 		if err := run(args); err != nil {
 			t.Fatalf("%v: %v", args, err)

@@ -38,7 +38,8 @@ type traceSlot struct {
 
 // TraceRecord is one sampled operation trace. Wall latency is the
 // operation's store-execution time; QueueNanos is how long the parsed
-// run waited between the reader's hand-off and the writer picking it up.
+// run waited between its last read completing and its execution starting
+// (the serving goroutine does both, so this is near zero).
 // The step counters are exact for sampled records (the operation ran with
 // a private stats sink attached) and zero for records captured only
 // because they crossed the slow threshold.
@@ -60,7 +61,7 @@ type TraceRecord struct {
 	Batch int64
 	// WallNanos is the unit's store-execution wall time.
 	WallNanos int64
-	// QueueNanos is the reader-to-writer queue wait of the unit's run.
+	// QueueNanos is the read-complete-to-execute-start wait of the unit's run.
 	QueueNanos int64
 	// Per-unit step attribution (exact when Sampled).
 	CASAttempts, CASSuccesses uint64

@@ -18,48 +18,41 @@ import (
 	"repro/internal/wal"
 )
 
-// conn is one client connection. Two goroutines serve it:
+// conn is one client connection, served start to finish by one goroutine
+// (the one that called serve). It detects the wire dialect (line
+// protocol, or RESP2 when the first byte is '*'), then loops: block for
+// one request, absorb — never blocking for more — every complete request
+// the client has already pipelined, execute the run — turning each
+// stretch of point commands into at most one sorted batch call per verb
+// against the store, cut only where a key recurs under another verb —
+// write the responses in request order, flush them with a single
+// vectored write, and read again.
 //
-//   - the reader detects the wire dialect (line protocol, or RESP2 when
-//     the first byte is '*'), parses requests, and coalesces every
-//     already-buffered run of pipelined commands into one work item,
-//     never blocking to wait for more commands than the client has
-//     already sent;
-//   - the writer (the goroutine that called serve) executes work items —
-//     turning each stretch of point commands into at most one sorted
-//     batch call per verb against the store, cut only where a key recurs
-//     under another verb — and writes responses back in request order,
-//     flushing each run with a single vectored write.
-//
-// The split is what makes pipelining pay: while the writer executes run k,
-// the reader is already parsing run k+1 off the socket.
-//
-// Steady-state operation allocates nothing: parsed entries live in run
-// slices recycled through the free channel, SET values intern into the
-// connection's chunk arena, batch scratch and the reply buffer are reused
-// across runs, and replies are assembled from interned literals.
+// Steady-state operation allocates nothing: parsed entries live in one
+// run slice reused across runs, SET values intern into the connection's
+// chunk arena, batch scratch and the reply buffer are reused across runs,
+// and replies are assembled from interned literals.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 	br  *bufio.Reader
 
-	runs     chan workRun
-	free     chan []entry // recycled run slices, writer -> reader
 	draining atomic.Bool
 
-	// reader-owned parse state.
+	// parse state.
 	resp    bool       // wire dialect: RESP2 when true, line protocol otherwise
 	lineBuf []byte     // scratch reused across readLine calls
 	respBuf []byte     // scratch reused across RESP bulk reads
 	arena   valueArena // SET values intern here, handed on to the store
+	run     []entry    // the current run's requests, cleared after it is answered
 
-	// writer-owned reply state.
+	// reply state.
 	rep *replySet   // interned reply literals for the connection's dialect
 	w   replyWriter // per-run reply buffer, flushed vectored
 
-	// writer-owned batch scratch, reused across coalesced runs: a stretch's
-	// positions in key order, each position's result slot, the sorted
-	// inputs, and the result slices.
+	// batch scratch, reused across coalesced runs: a stretch's positions in
+	// key order, each position's result slot, the sorted inputs, and the
+	// result slices.
 	ord    []int
 	slot   []int
 	keys   []int
@@ -73,10 +66,10 @@ type conn struct {
 	// observability state, touched only when srv.obs != nil. pend holds
 	// the current run's executed units so their shared read-complete-to-
 	// write-flushed latency can be recorded once the flush lands;
-	// queueWait is the current run's reader-to-writer wait, copied into
-	// trace records. proc/procStats are the pre-allocated attribution
-	// context attached to sampled store calls — per-connection, so the
-	// sampled hot path never allocates.
+	// queueWait is the current run's read-complete-to-execute-start wait,
+	// copied into trace records. proc/procStats are the pre-allocated
+	// attribution context attached to sampled store calls — per-connection,
+	// so the sampled hot path never allocates.
 	pend      []pendUnit
 	queueWait int64
 	proc      core.Proc
@@ -109,58 +102,70 @@ type entry struct {
 	err error
 }
 
-// workRun is a pipelined run of requests handed from reader to writer.
-// enq is the hand-off Nanotime — the run's read-complete instant, the
-// zero point of its commands' latency — stamped only when observability
-// is attached.
-type workRun struct {
-	entries []entry
-	enq     int64
-}
-
 func newConn(s *Server, nc net.Conn) *conn {
 	c := &conn{
-		srv:  s,
-		nc:   nc,
-		br:   bufio.NewReaderSize(nc, 8<<10),
-		runs: make(chan workRun, 4),
-		// Capacity covers every run slice that can be in flight at once —
-		// the runs buffer, one in the reader's hands, one in the writer's —
-		// so recycling sends never block and never drop in steady state.
-		free: make(chan []entry, 8),
-		rep:  &lineReplies,
+		srv: s,
+		nc:  nc,
+		br:  bufio.NewReaderSize(nc, 8<<10),
+		rep: &lineReplies,
 	}
 	c.proc.Stats = &c.procStats
 	return c
 }
 
-// serve runs the writer loop to completion; it is the connection's
-// lifetime. The reader goroutine exits when the transport errors, the
-// client quits, or a drain deadline expires; closing the runs channel is
-// its last act.
+// serve is the connection's lifetime: read a run, answer it, flush, until
+// the transport errors, the client quits, or a drain deadline expires. A
+// run cut short by any of these is still answered before the close. The
+// run slice is cleared after each run so its parked capacity cannot pin
+// value strings (and through them arena chunks) past their run.
 func (c *conn) serve() {
 	defer c.srv.remove(c)
-	go c.readLoop()
-	quit := false
-	for r := range c.runs {
-		if !quit {
-			quit = c.execute(r)
-			if c.flush() != nil {
-				quit = true
-			}
-			c.finishObs(r.enq)
+	for more := c.detectDialect(); more; {
+		more = c.readRun()
+		if len(c.run) == 0 {
+			break
 		}
-		// After QUIT (or a dead transport) remaining runs are drained
-		// unanswered so the reader can never block on a full channel.
-		c.putEntries(r.entries)
+		var enq int64 // read-complete instant: the zero point of the run's latencies
+		if c.srv.obs != nil {
+			enq = telemetry.Nanotime()
+		}
+		c.execute(c.run, enq)
+		if c.flush() != nil {
+			more = false
+		}
+		c.finishObs(enq)
+		clear(c.run)
+		c.run = c.run[:0]
 	}
-	c.flush()
 	c.nc.Close()
+}
+
+// readRun blocks for one request, then absorbs into c.run — without
+// blocking — every complete request the client has already pipelined, up
+// to MaxBatch. A QUIT ends the run. Returns false when the connection
+// closes after this run: the client quit, or the transport died, an idle
+// deadline expired or the drain window closed (then c.run holds only what
+// was parsed before).
+func (c *conn) readRun() (more bool) {
+	c.armReadDeadline()
+	for {
+		e, err := c.readEntry()
+		if err != nil {
+			return false
+		}
+		c.run = append(c.run, e)
+		if e.err == nil && e.cmd.Verb == VerbQuit {
+			return false
+		}
+		if len(c.run) >= c.srv.cfg.MaxBatch || !c.bufferedEntry() {
+			return true
+		}
+	}
 }
 
 // startDrain puts the connection into shutdown draining: it keeps reading
 // for DrainGrace — answering commands already on the wire — then stops
-// accepting input, finishes queued runs, flushes, and closes.
+// accepting input, finishes the run in hand, flushes, and closes.
 func (c *conn) startDrain() {
 	c.draining.Store(true)
 	c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.DrainGrace))
@@ -179,42 +184,6 @@ func (c *conn) armReadDeadline() {
 	c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.ReadTimeout))
 	if c.draining.Load() {
 		c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.DrainGrace))
-	}
-}
-
-// readLoop is the reader goroutine: block for one request, then absorb —
-// without blocking — every complete request the client has already
-// pipelined, up to MaxBatch, and hand the run to the writer.
-func (c *conn) readLoop() {
-	defer close(c.runs)
-	if !c.detectDialect() {
-		return
-	}
-	for {
-		c.armReadDeadline()
-		e, err := c.readEntry()
-		if err != nil {
-			// Transport gone, idle timeout, or drain window closed: stop
-			// reading. Queued runs still get answers.
-			return
-		}
-		run := workRun{entries: append(c.getEntries(), e)}
-		sawQuit := e.err == nil && e.cmd.Verb == VerbQuit
-		for !sawQuit && len(run.entries) < c.srv.cfg.MaxBatch && c.bufferedEntry() {
-			e, err := c.readEntry()
-			if err != nil {
-				c.stampRun(&run)
-				c.runs <- run
-				return
-			}
-			run.entries = append(run.entries, e)
-			sawQuit = e.err == nil && e.cmd.Verb == VerbQuit
-		}
-		c.stampRun(&run)
-		c.runs <- run
-		if sawQuit {
-			return
-		}
 	}
 }
 
@@ -257,31 +226,6 @@ func (c *conn) readLineEntry() (entry, error) {
 		return entry{err: err}, nil
 	default:
 		return entry{}, err
-	}
-}
-
-// getEntries fetches a recycled run slice, empty but with its capacity
-// intact, or nil when the free list is dry (cold start).
-func (c *conn) getEntries() []entry {
-	select {
-	case e := <-c.free:
-		return e
-	default:
-		return nil
-	}
-}
-
-// putEntries recycles a finished run's slice. Entries are cleared first so
-// a parked slice cannot pin value strings (and through them arena chunks)
-// past their run.
-func (c *conn) putEntries(e []entry) {
-	if cap(e) == 0 {
-		return
-	}
-	clear(e)
-	select {
-	case c.free <- e[:0]:
-	default:
 	}
 }
 
@@ -348,14 +292,13 @@ func (c *conn) readLine() ([]byte, error) {
 // non-point verbs execute singly, in place; both are barriers. What lies
 // between two barriers is a stretch of point commands (SET/GET/DEL), and a
 // stretch of two or more goes to executePoints. Responses land in request
-// order. Returns true when the run asked to close the connection.
-func (c *conn) execute(r workRun) (quit bool) {
+// order. enq is the run's read-complete instant (0 without observability).
+func (c *conn) execute(e []entry, enq int64) {
 	if c.srv.obs != nil {
-		c.queueWait = telemetry.Nanotime() - r.enq
+		c.queueWait = telemetry.Nanotime() - enq
 		c.srv.obs.recordQueueWait(c.queueWait)
 		c.pend = c.pend[:0]
 	}
-	e := r.entries
 	for i := 0; i < len(e); {
 		if e[i].err != nil {
 			c.writeErr(e[i].err)
@@ -371,12 +314,9 @@ func (c *conn) execute(r workRun) (quit bool) {
 			i = j
 			continue
 		}
-		if c.executeSingle(e[i].cmd) {
-			return true
-		}
+		c.executeSingle(e[i].cmd)
 		i++
 	}
-	return false
 }
 
 // executePoints answers a stretch of point commands, whatever their verbs.
@@ -565,8 +505,9 @@ func growTo[T any](s *[]T, n int) []T {
 	return *s
 }
 
-// executeSingle answers one non-coalesced command. Returns true for QUIT.
-func (c *conn) executeSingle(cmd Command) (quit bool) {
+// executeSingle answers one non-coalesced command. A QUIT is only
+// answered: readRun ends the run at it and closes the connection after.
+func (c *conn) executeSingle(cmd Command) {
 	// Sampling ticks on every unit; attribution additionally needs a verb
 	// whose execution is one store call (the point commands). A sampled
 	// PING or RANGE still produces a trace record — wall time, batch size,
@@ -595,18 +536,8 @@ func (c *conn) executeSingle(cmd Command) (quit bool) {
 		c.executeRange(cmd.Key, cmd.Hi)
 	case VerbQuit:
 		c.w.literal(c.rep.ok)
-		quit = true
 	}
 	c.endUnit(cmd.Verb, cmd.Key, 1, sampled, p, start)
-	return quit
-}
-
-// stampRun records the run's read-complete instant when observability is
-// attached; the stamp is the zero point of the run's command latencies.
-func (c *conn) stampRun(r *workRun) {
-	if c.srv.obs != nil {
-		r.enq = telemetry.Nanotime()
-	}
 }
 
 // noteUnit records one executed unit: its batch-size sample, its pending

@@ -128,7 +128,10 @@ func (o *Obs) recordLatency(v Verb, class int, nanos int64, n uint64) {
 // recordBatch records one unit's command count under its verb.
 func (o *Obs) recordBatch(v Verb, n int) { o.batch[v].Record(int64(n)) }
 
-// recordQueueWait records one run's reader-to-writer hand-off wait.
+// recordQueueWait records one run's wait from read-complete to execute-
+// start. One goroutine reads and executes a connection's runs, so the
+// wait is near zero; a value that is not names a cost the structure does
+// not cause.
 func (o *Obs) recordQueueWait(nanos int64) { o.queue.Record(nanos) }
 
 // recordFlush records the byte size of one vectored reply flush — the
@@ -147,7 +150,8 @@ func (o *Obs) VerbLatency(v Verb) instrument.HistSnapshot {
 	return s
 }
 
-// QueueWait returns the queue-wait snapshot.
+// QueueWait returns the queue-wait snapshot: per run, read-complete to
+// execute-start on the connection's goroutine.
 func (o *Obs) QueueWait() instrument.HistSnapshot { return o.queue.Snapshot() }
 
 // FlushBytes returns the reply-flush size snapshot.
@@ -193,7 +197,7 @@ func (o *Obs) WritePrometheus(w io.Writer) error {
 		writeHistSeries(ew, "lockfree_server_cmd_batch_size", labels, s, bounds[:], false)
 	}
 
-	ew.writeString("# HELP lockfree_server_queue_wait_seconds Reader-to-writer hand-off wait of pipelined runs.\n")
+	ew.writeString("# HELP lockfree_server_queue_wait_seconds Wait of each pipelined run from read-complete to execute-start.\n")
 	ew.writeString("# TYPE lockfree_server_queue_wait_seconds histogram\n")
 	if s := o.queue.Snapshot(); s.Count > 0 {
 		writeHistSeries(ew, "lockfree_server_queue_wait_seconds", "{", s, bounds[:], true)

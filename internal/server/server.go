@@ -366,7 +366,7 @@ func (s *Server) Ready() error {
 // Shutdown gracefully stops the server: it stops accepting (readiness
 // goes false, the listener closes), then puts every connection into
 // draining — each keeps reading for DrainGrace so commands already on the
-// wire are answered, finishes its queued runs, flushes, and closes. If
+// wire are answered, finishes the run in hand, flushes, and closes. If
 // every connection drains before ctx expires Shutdown returns nil;
 // otherwise it force-closes the stragglers and returns ctx.Err().
 // Shutdown is idempotent; concurrent calls all wait for the same drain.

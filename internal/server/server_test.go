@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -454,6 +455,99 @@ func TestShutdownDrainsMidBurst(t *testing.T) {
 			t.Errorf("conn %d: %d replies for %d accepted commands (dropped %d)",
 				i, got[i], sent[i], sent[i]-got[i])
 		}
+	}
+}
+
+// settledGoroutines returns runtime.NumGoroutine once it has read the
+// same for several samples in a row (or after two seconds regardless).
+func settledGoroutines() int {
+	deadline := time.Now().Add(2 * time.Second)
+	n, same := runtime.NumGoroutine(), 0
+	for same < 5 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
+}
+
+// TestOneGoroutinePerConn: a connection is served by one goroutine that
+// reads, executes and flushes. N connections that have each answered a
+// PING raise the goroutine count by exactly N.
+func TestOneGoroutinePerConn(t *testing.T) {
+	const n = 8
+	srv := startTCP(t, Config{}, lockfree.NewSkipList[int, string](), nil)
+	base := settledGoroutines()
+	for i := 0; i < n; i++ {
+		nc, br := dial(t, srv)
+		if _, err := nc.Write([]byte("PING\n")); err != nil {
+			t.Fatal(err)
+		}
+		if got := mustReadLine(t, br); got != "+PONG" {
+			t.Fatalf("conn %d: PING answered %q", i, got)
+		}
+	}
+	if got := settledGoroutines() - base; got != n {
+		t.Fatalf("%d open connections added %d goroutines, want %d", n, got, n)
+	}
+}
+
+// TestQuitMidRun: a QUIT inside a pipelined run is answered after the
+// commands before it, closes the connection, and the command after it is
+// never executed.
+func TestQuitMidRun(t *testing.T) {
+	for _, d := range dialects {
+		t.Run(d.name, func(t *testing.T) {
+			cs := &countingStore{Store: lockfree.NewSkipList[int, string]()}
+			cl, br := pipeConn(t, New(Config{}, cs))
+			req := d.cmd("SET", "1", "a") + d.cmd("GET", "1") + d.cmd("QUIT") + d.cmd("GET", "1")
+			if _, err := cl.Write([]byte(req)); err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range []string{d.setOK, "$a", "+OK"} {
+				if got := d.read(t, br); got != want {
+					t.Fatalf("reply %d = %q, want %q", i, got, want)
+				}
+			}
+			if b, err := br.ReadByte(); err != io.EOF {
+				t.Fatalf("after QUIT: read %q, %v; want EOF", b, err)
+			}
+			if got, want := cs.calls(), [6]int64{1, 1, 0, 0, 0, 0}; got != want {
+				t.Fatalf("store calls (point i/g/d, batch i/g/d) = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestHalfCloseAnswersBufferedRun: a client that pipelines k commands and
+// then half-closes gets all k replies before the server closes.
+func TestHalfCloseAnswersBufferedRun(t *testing.T) {
+	const k = 40
+	srv := startTCP(t, Config{}, lockfree.NewSkipList[int, string](), nil)
+	nc, br := dial(t, srv)
+	var req strings.Builder
+	for i := 0; i < k/2; i++ {
+		fmt.Fprintf(&req, "SET %d v%d\nGET %d\n", i, i, i)
+	}
+	if _, err := nc.Write([]byte(req.String())); err != nil {
+		t.Fatal(err)
+	}
+	if err := nc.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < k/2; i++ {
+		if got := mustReadLine(t, br); got != ":1" {
+			t.Fatalf("SET %d answered %q", i, got)
+		}
+		if got, want := mustReadLine(t, br), fmt.Sprintf("$v%d", i); got != want {
+			t.Fatalf("GET %d answered %q, want %q", i, got, want)
+		}
+	}
+	if b, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("after %d replies: read %q, %v; want EOF", k, b, err)
 	}
 }
 

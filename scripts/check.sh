@@ -4,8 +4,9 @@
 #   1. go vet over every package, and gofmt: no file may need reformatting,
 #   2. the tier-1 gate (build + tests, as recorded in ROADMAP.md), then
 #      the repo benchmark's own module (benchmark/, which tier-1 does not
-#      build): vet, tests, and 3 s runs of lib_churn and wire_pipe16 that
-#      must come back correct with no failed operation,
+#      build): vet, tests, and 3 s runs of lib_churn, wire_pipe16 and
+#      wire_open_durable that must come back correct with no failed
+#      operation,
 #   3. the test suite again under the race detector,
 #   4. targeted race passes over the parallelism-shaped packages
 #      (internal/sharded, internal/server, internal/instrument,
@@ -48,14 +49,16 @@ go test ./...
 
 # The repo benchmark (BENCHMARK.json) is a nested module, so nothing above
 # builds it: a change can pass tier-1 and vet and still break the harness
-# the pipeline measures it with. Vet and test the module, then run two
-# workloads end to end - the shortest library one, and wire_pipe16, the
-# only thing in this gate that drives lflserver the way the pipeline's
-# benchmark does: 16-deep RESP bursts whose every reply is checked against
-# a model. The last line of a run is the result object.
-echo "== benchmark module: vet, test, 3 s lib_churn and wire_pipe16 smokes =="
+# the pipeline measures it with. Vet and test the module, then run three
+# workloads end to end - the shortest library one; wire_pipe16, which
+# drives lflserver the way the pipeline's benchmark does: 16-deep RESP
+# bursts whose every reply is checked against a model; and
+# wire_open_durable, whose restart-and-read-back is the one end-to-end
+# check that logged mutations survive. The last line of a run is the
+# result object.
+echo "== benchmark module: vet, test, 3 s lib_churn, wire_pipe16 and wire_open_durable smokes =="
 (cd benchmark && go vet ./... && go test ./...)
-for workload in lib_churn wire_pipe16; do
+for workload in lib_churn wire_pipe16 wire_open_durable; do
     smoke=$(bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 3 --trace 0 | tail -n 1)
     { echo "$smoke" | grep -q '"correct":true' && echo "$smoke" | grep -q '"failed":0[,}]'; } \
         || { echo "benchmark smoke ($workload): want \"correct\":true and \"failed\":0, last line is: $smoke"; exit 1; }
@@ -93,9 +96,10 @@ unsafe_files=$(grep -l '"unsafe"' internal/core/*.go | grep -v '_test\.go$' || t
 echo "== allocs: pins without the race detector at GOMAXPROCS=2 =="
 GOMAXPROCS=2 go test -count=1 -run 'Allocs' ./internal/core ./internal/server ./internal/snapshot
 
-# The serving layer's reader/writer split, accept-time shedding, and
-# shutdown drain are all goroutine-scheduling shaped: race them at both
-# core counts too.
+# The serving layer's per-connection goroutines, accept-time shedding,
+# and shutdown drain (Shutdown arming read deadlines on connections
+# mid-run) are all goroutine-scheduling shaped: race them at both core
+# counts too.
 echo "== race: serving layer at GOMAXPROCS=2 and GOMAXPROCS=8 =="
 GOMAXPROCS=2 go test -race -count=1 ./internal/server
 GOMAXPROCS=8 go test -race -count=1 ./internal/server
