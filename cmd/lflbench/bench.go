@@ -41,16 +41,6 @@ type benchJSON struct {
 	GoMaxProcs int        `json:"go_max_procs"`
 	Quick      bool       `json:"quick"`
 	Benchmarks []benchRow `json:"benchmarks"`
-	// OpenLoop is written by the -openloop stage (see openloop.go); the
-	// bench stage preserves whatever is already there, so the two stages
-	// can refresh their halves of the file independently.
-	OpenLoop *openLoopResult `json:"open_loop,omitempty"`
-	// Wire is written by the -wire stage (see wire.go), preserved here
-	// for the same reason.
-	Wire *wireResult `json:"wire,omitempty"`
-	// Durability is written by the -durability stage (see durability.go),
-	// preserved here for the same reason.
-	Durability *durabilityResult `json:"durability,omitempty"`
 }
 
 type benchRow struct {
@@ -382,14 +372,6 @@ func runBenchJSON(path string, quick bool) (string, error) {
 		Schema:     "lflbench/v1",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Quick:      quick,
-	}
-	if data, err := os.ReadFile(path); err == nil {
-		var prev benchJSON
-		if json.Unmarshal(data, &prev) == nil {
-			out.OpenLoop = prev.OpenLoop     // keep the -openloop stage's section
-			out.Wire = prev.Wire             // the -wire stage's
-			out.Durability = prev.Durability // and the -durability stage's
-		}
 	}
 	text := fmt.Sprintf("== bench: instrumented throughput (mix=%s uniform / %s clustered / %s churn, ops=%d) ==\n",
 		workload.Balanced, clusteredMix, churnMix, ops)

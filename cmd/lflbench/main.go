@@ -1,4 +1,4 @@
-// Command lflbench runs the paper-reproduction experiments E1-E7 (see
+// Command lflbench runs the paper-reproduction experiments E1-E8 (see
 // DESIGN.md for the experiment index) and prints their tables, plus the
 // "bench" stage, which drives the telemetry-instrumented structures and
 // writes machine-readable results to BENCH_lflbench.json.
@@ -7,10 +7,6 @@
 //
 //	lflbench [-exp e1,e2,...,bench|all] [-quick] [-json FILE] [-telemetry-addr HOST:PORT]
 //	         [-cpuprofile FILE] [-memprofile FILE]
-//	lflbench -openloop [-openloop-rate 20000] [-openloop-duration 5s]
-//	         [-openloop-conns 4] [-openloop-keyrange 65536]
-//	lflbench -wire
-//	lflbench -durability
 //
 // -quick shrinks every sweep for a fast smoke run; the defaults are the
 // full configurations recorded in EXPERIMENTS.md. -telemetry-addr serves
@@ -18,26 +14,6 @@
 // while the run is in progress. -cpuprofile records a pprof CPU profile
 // covering every selected experiment; -memprofile writes a heap profile
 // (after a forced GC) when the run completes. Both feed `go tool pprof`.
-//
-// -openloop runs the coordinated-omission-free serving-latency stage: an
-// in-process lflserver driven at a fixed arrival rate, with per-verb
-// client-observed p50/p99/p999 (measured from the scheduled send instant,
-// so stalls are charged to the ops that waited) and the server's own
-// per-verb histograms folded into the open_loop section of the JSON file.
-// With -openloop and no explicit -exp, only the open-loop stage runs.
-//
-// -wire runs the wire-protocol per-op cost stage: an in-process server on
-// a net.Pipe driven with pre-rendered requests, sweeping line vs RESP2
-// crossed with pipeline depth 1/16 for GET and SET, recording ns/op and
-// allocs/op into the wire section of the JSON file. Steady-state GETs are
-// expected allocation-free on both dialects.
-//
-// -durability runs the WAL cost stage: the wire harness driven with
-// strictly alternating SET/DEL pairs (so every command mutates and
-// therefore logs — duplicate SETs would be silently unlogged no-ops),
-// sweeping durability off/async/sync crossed with pipeline depth 1/16
-// and recording throughput plus fsync count and latency quantiles into
-// the durability section of the JSON file.
 package main
 
 import (
@@ -68,18 +44,9 @@ func run(args []string) error {
 	telAddr := fs.String("telemetry-addr", "", "serve /metrics and /debug/vars on this address during the run")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file when the run completes")
-	openLoop := fs.Bool("openloop", false, "run the fixed-arrival-rate serving-latency stage")
-	wire := fs.Bool("wire", false, "run the wire-protocol per-op cost stage (line vs RESP, depth 1/16)")
-	durability := fs.Bool("durability", false, "run the WAL cost stage (wal-off vs wal-async vs wal-sync, depth 1/16)")
-	olRate := fs.Int("openloop-rate", 20_000, "open-loop offered rate, total ops/sec across connections")
-	olDur := fs.Duration("openloop-duration", 5*time.Second, "open-loop measured window")
-	olConns := fs.Int("openloop-conns", 4, "open-loop client connections")
-	olRange := fs.Int("openloop-keyrange", 65536, "open-loop key range (half prefilled)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	expSet := false
-	fs.Visit(func(f *flag.Flag) { expSet = expSet || f.Name == "exp" })
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -94,11 +61,7 @@ func run(args []string) error {
 	}
 
 	want := map[string]bool{}
-	if (*openLoop || *wire || *durability) && !expSet {
-		// -openloop / -wire / -durability alone run just their
-		// stage; combine with an explicit -exp to run experiments in the
-		// same invocation.
-	} else if *expFlag == "all" {
+	if *expFlag == "all" {
 		for _, e := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "bench"} {
 			want[e] = true
 		}
@@ -151,40 +114,8 @@ func run(args []string) error {
 		fmt.Printf("[%s finished in %v]\n\n", r.name, time.Since(begin).Round(time.Millisecond))
 		ran++
 	}
-	if *openLoop {
-		begin := time.Now()
-		out, err := runOpenLoop(*jsonPath, openLoopConfig{
-			rate: *olRate, duration: *olDur, conns: *olConns, keyRange: *olRange,
-		}, *quick)
-		if err != nil {
-			return fmt.Errorf("openloop: %w", err)
-		}
-		fmt.Print(out)
-		fmt.Printf("[openloop finished in %v]\n\n", time.Since(begin).Round(time.Millisecond))
-		ran++
-	}
-	if *wire {
-		begin := time.Now()
-		out, err := runWire(*jsonPath, *quick)
-		if err != nil {
-			return fmt.Errorf("wire: %w", err)
-		}
-		fmt.Print(out)
-		fmt.Printf("[wire finished in %v]\n\n", time.Since(begin).Round(time.Millisecond))
-		ran++
-	}
-	if *durability {
-		begin := time.Now()
-		out, err := runDurability(*jsonPath, *quick)
-		if err != nil {
-			return fmt.Errorf("durability: %w", err)
-		}
-		fmt.Print(out)
-		fmt.Printf("[durability finished in %v]\n\n", time.Since(begin).Round(time.Millisecond))
-		ran++
-	}
 	if ran == 0 {
-		return fmt.Errorf("no experiments selected (use -exp e1..e8, bench, all, -openloop, -wire, or -durability)")
+		return fmt.Errorf("no experiments selected (use -exp e1..e8, bench, or all)")
 	}
 
 	if *memProfile != "" {

@@ -54,8 +54,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -242,7 +240,7 @@ func run(args []string) error {
 		ltel.RegisterCollector("lflserver-obs", obs.WritePrometheus)
 		ltel.RegisterRuntimeCollector()
 		if walLog != nil {
-			ltel.RegisterCollector("lflserver-wal", walFsyncCollector(walLog))
+			ltel.RegisterCollector("lflserver-wal", walFsyncCollector(walLog.FsyncLatency))
 		}
 		opts := []obshttp.Option{obshttp.WithHandler("/debug/trace", obs.TraceHandler())}
 		if *pprofOn {
@@ -283,34 +281,14 @@ func run(args []string) error {
 	}
 }
 
-// walFsyncCollector renders the WAL's fsync-latency histogram as a
-// Prometheus series on the shared /metrics endpoint, in the same octave
-// bucketing as the serving layer's latency histograms.
-func walFsyncCollector(l *wal.Log) ltel.Collector {
+// walFsyncCollector renders the WAL's fsync-latency histogram, as snap
+// returns it, as a Prometheus series on the shared /metrics endpoint, in the
+// same octave bucketing as the serving layer's latency histograms.
+func walFsyncCollector(snap func() instrument.HistSnapshot) ltel.Collector {
 	return func(w io.Writer) error {
-		s := l.FsyncLatency()
-		bounds := instrument.OctaveBounds()
-		oct := s.Octaves()
-		var b strings.Builder
-		b.WriteString("# HELP lockfree_wal_fsync_seconds Write-ahead-log group-commit fsync latency.\n")
-		b.WriteString("# TYPE lockfree_wal_fsync_seconds histogram\n")
-		last := -1
-		for i := 0; i < len(oct)-1; i++ {
-			if oct[i] != 0 {
-				last = i
-			}
-		}
-		var cum uint64
-		for i := 0; i <= last; i++ {
-			cum += oct[i]
-			le := strconv.FormatFloat(float64(bounds[i])/1e9, 'g', -1, 64)
-			b.WriteString("lockfree_wal_fsync_seconds_bucket{le=\"" + le + "\"} " + strconv.FormatUint(cum, 10) + "\n")
-		}
-		cum += oct[len(oct)-1]
-		b.WriteString("lockfree_wal_fsync_seconds_bucket{le=\"+Inf\"} " + strconv.FormatUint(cum, 10) + "\n")
-		b.WriteString("lockfree_wal_fsync_seconds_sum " + strconv.FormatFloat(float64(s.Sum)/1e9, 'g', -1, 64) + "\n")
-		b.WriteString("lockfree_wal_fsync_seconds_count " + strconv.FormatUint(s.Count, 10) + "\n")
-		_, err := io.WriteString(w, b.String())
+		b := []byte("# HELP lockfree_wal_fsync_seconds Write-ahead-log group-commit fsync latency.\n" +
+			"# TYPE lockfree_wal_fsync_seconds histogram\n")
+		_, err := w.Write(snap().AppendPrometheus(b, "lockfree_wal_fsync_seconds", "", true))
 		return err
 	}
 }

@@ -16,6 +16,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/instrument"
 )
 
 func TestRunBadFlags(t *testing.T) {
@@ -222,5 +224,35 @@ func TestRunDrainsMidBurst(t *testing.T) {
 			t.Errorf("conn %d: %d replies for %d sent commands (dropped %d)",
 				i, got[i], sent[i], sent[i]-got[i])
 		}
+	}
+}
+
+// TestWALFsyncCollector pins the lockfree_wal_fsync_seconds exposition of a
+// fixed snapshot: octave buckets in seconds up to the last non-empty one,
+// a value past the last bound counted only at +Inf, sum in seconds.
+func TestWALFsyncCollector(t *testing.T) {
+	var h instrument.Hist
+	for _, ns := range []int64{3, 20, 900, 1 << 50} {
+		h.Record(ns)
+	}
+	var sb strings.Builder
+	if err := walFsyncCollector(h.Snapshot)(&sb); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# HELP lockfree_wal_fsync_seconds Write-ahead-log group-commit fsync latency.
+# TYPE lockfree_wal_fsync_seconds histogram
+lockfree_wal_fsync_seconds_bucket{le="1.5e-08"} 1
+lockfree_wal_fsync_seconds_bucket{le="3.1e-08"} 2
+lockfree_wal_fsync_seconds_bucket{le="6.3e-08"} 2
+lockfree_wal_fsync_seconds_bucket{le="1.27e-07"} 2
+lockfree_wal_fsync_seconds_bucket{le="2.55e-07"} 2
+lockfree_wal_fsync_seconds_bucket{le="5.11e-07"} 2
+lockfree_wal_fsync_seconds_bucket{le="1.023e-06"} 3
+lockfree_wal_fsync_seconds_bucket{le="+Inf"} 4
+lockfree_wal_fsync_seconds_sum 1.125899906843547e+06
+lockfree_wal_fsync_seconds_count 4
+`
+	if got := sb.String(); got != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package instrument
 
 import (
 	"math/bits"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -231,4 +232,39 @@ func OctaveBounds() [NumOctaves - 1]int64 {
 		out[1+e-histExactExp] = int64(1)<<(e+1) - 1
 	}
 	return out
+}
+
+// AppendPrometheus appends s to b as one Prometheus histogram series over
+// the octave view: cumulative le buckets, then _sum and _count. labels is
+// the series' rendered label pairs without braces ("" for none); seconds
+// renders nanosecond bounds and sums in seconds. An empty octave cell
+// renders only when a later cell has data, keeping each series' bucket
+// list short but still cumulative and +Inf-terminated.
+func (s HistSnapshot) AppendPrometheus(b []byte, name, labels string, seconds bool) []byte {
+	format := func(v uint64) string {
+		if seconds {
+			return strconv.FormatFloat(float64(v)/1e9, 'g', -1, 64)
+		}
+		return strconv.FormatUint(v, 10)
+	}
+	sel, sep := "", ""
+	if labels != "" {
+		sel, sep = "{"+labels+"}", ","
+	}
+	bounds, oct := OctaveBounds(), s.Octaves()
+	last := -1 // the last non-empty finite cell; buckets past it add nothing
+	for i, c := range oct[:len(oct)-1] {
+		if c != 0 {
+			last = i
+		}
+	}
+	var cum uint64
+	for i := 0; i <= last; i++ {
+		cum += oct[i]
+		b = append(b, name+"_bucket{"+labels+sep+`le="`+format(uint64(bounds[i]))+`"} `+strconv.FormatUint(cum, 10)+"\n"...)
+	}
+	cum += oct[len(oct)-1]
+	b = append(b, name+"_bucket{"+labels+sep+`le="+Inf"} `+strconv.FormatUint(cum, 10)+"\n"...)
+	b = append(b, name+"_sum"+sel+" "+format(s.Sum)+"\n"...)
+	return append(b, name+"_count"+sel+" "+strconv.FormatUint(s.Count, 10)+"\n"...)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -110,6 +111,40 @@ func TestDurabilitySyncAckImpliesDurable(t *testing.T) {
 		}
 		if d := l.Durable(); d < uint64(i) {
 			t.Fatalf("ack for LSN %d read but Durable() = %d", i, d)
+		}
+	}
+}
+
+// BenchmarkServerWireDurable prices the write-ahead log on the wire path:
+// durability off, async and sync at pipeline depth 1 and 16, under
+// lflserver's default 2 ms group-commit window. Commands alternate SET k
+// and DEL k, so every one applies and therefore logs - a duplicate SET
+// applies nothing and logs nothing - and each pair of requests leaves the
+// store empty again. cmds/s counts commands, not exchanges.
+func BenchmarkServerWireDurable(b *testing.B) {
+	for _, mode := range []string{DurabilityOff, DurabilityAsync, DurabilitySync} {
+		for _, depth := range []int{1, 16} {
+			b.Run(fmt.Sprintf("%s/d%d", mode, depth), func(b *testing.B) {
+				cfg := Config{Durability: mode}
+				if mode != DurabilityOff {
+					l, err := wal.Open(wal.Options{Dir: b.TempDir(), FsyncWindow: 2 * time.Millisecond})
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.Cleanup(func() { l.Close() })
+					cfg.WAL = l
+				}
+				var reqs [2]strings.Builder
+				for c := 0; c < 2*depth; c++ {
+					if c%2 == 0 {
+						fmt.Fprintf(&reqs[c/depth], "SET %d valuevaluevalue\n", c/2)
+					} else {
+						fmt.Fprintf(&reqs[c/depth], "DEL %d\n", c/2)
+					}
+				}
+				benchWire(b, cfg, depth*len(":1\n"), reqs[0].String(), reqs[1].String())
+				b.ReportMetric(float64(b.N*depth)/b.Elapsed().Seconds(), "cmds/s")
+			})
 		}
 	}
 }

@@ -170,99 +170,47 @@ func (o *Obs) TraceSnapshot(max int) []instrument.TraceRecord {
 // Series render only for (verb, class) combinations that have data, so
 // the output stays proportional to the traffic actually seen.
 func (o *Obs) WritePrometheus(w io.Writer) error {
-	ew := &obsErrWriter{w: w}
-	bounds := instrument.OctaveBounds()
-
-	ew.writeString("# HELP lockfree_server_cmd_latency_seconds Server-side command latency (read-complete to write-flushed) by verb and coalesced-batch size class.\n")
-	ew.writeString("# TYPE lockfree_server_cmd_latency_seconds histogram\n")
+	var b []byte
+	b = append(b, "# HELP lockfree_server_cmd_latency_seconds Server-side command latency (read-complete to write-flushed) by verb and coalesced-batch size class.\n"...)
+	b = append(b, "# TYPE lockfree_server_cmd_latency_seconds histogram\n"...)
 	for v := 0; v < NumVerbs; v++ {
 		for c := 0; c < NumBatchClasses; c++ {
 			s := o.lat[v][c].Snapshot()
 			if s.Count == 0 {
 				continue
 			}
-			labels := `{verb="` + Verb(v).Label() + `",batch="` + batchClassLabels[c] + `"`
-			writeHistSeries(ew, "lockfree_server_cmd_latency_seconds", labels, s, bounds[:], true)
+			labels := `verb="` + Verb(v).Label() + `",batch="` + batchClassLabels[c] + `"`
+			b = s.AppendPrometheus(b, "lockfree_server_cmd_latency_seconds", labels, true)
 		}
 	}
 
-	ew.writeString("# HELP lockfree_server_cmd_batch_size Commands per executed unit of work by verb (1 = un-coalesced).\n")
-	ew.writeString("# TYPE lockfree_server_cmd_batch_size histogram\n")
+	b = append(b, "# HELP lockfree_server_cmd_batch_size Commands per executed unit of work by verb (1 = un-coalesced).\n"...)
+	b = append(b, "# TYPE lockfree_server_cmd_batch_size histogram\n"...)
 	for v := 0; v < NumVerbs; v++ {
 		s := o.batch[v].Snapshot()
 		if s.Count == 0 {
 			continue
 		}
-		labels := `{verb="` + Verb(v).Label() + `"`
-		writeHistSeries(ew, "lockfree_server_cmd_batch_size", labels, s, bounds[:], false)
+		b = s.AppendPrometheus(b, "lockfree_server_cmd_batch_size", `verb="`+Verb(v).Label()+`"`, false)
 	}
 
-	ew.writeString("# HELP lockfree_server_queue_wait_seconds Wait of each pipelined run from read-complete to execute-start.\n")
-	ew.writeString("# TYPE lockfree_server_queue_wait_seconds histogram\n")
+	b = append(b, "# HELP lockfree_server_queue_wait_seconds Wait of each pipelined run from read-complete to execute-start.\n"...)
+	b = append(b, "# TYPE lockfree_server_queue_wait_seconds histogram\n"...)
 	if s := o.queue.Snapshot(); s.Count > 0 {
-		writeHistSeries(ew, "lockfree_server_queue_wait_seconds", "{", s, bounds[:], true)
+		b = s.AppendPrometheus(b, "lockfree_server_queue_wait_seconds", "", true)
 	}
 
-	ew.writeString("# HELP lockfree_server_flush_bytes Reply bytes per vectored flush (one flush per coalesced run).\n")
-	ew.writeString("# TYPE lockfree_server_flush_bytes histogram\n")
+	b = append(b, "# HELP lockfree_server_flush_bytes Reply bytes per vectored flush (one flush per coalesced run).\n"...)
+	b = append(b, "# TYPE lockfree_server_flush_bytes histogram\n"...)
 	if s := o.flush.Snapshot(); s.Count > 0 {
-		writeHistSeries(ew, "lockfree_server_flush_bytes", "{", s, bounds[:], false)
+		b = s.AppendPrometheus(b, "lockfree_server_flush_bytes", "", false)
 	}
 
-	ew.writeString("# HELP lockfree_server_trace_records_total Operation trace records written to the sampling ring.\n")
-	ew.writeString("# TYPE lockfree_server_trace_records_total counter\n")
-	ew.writeString("lockfree_server_trace_records_total " + strconv.FormatUint(o.ring.Written(), 10) + "\n")
-	return ew.err
-}
-
-// writeHistSeries renders one histogram as cumulative le buckets plus
-// _sum and _count. labels is the rendered label set missing its closing
-// brace ("{" alone for a label-free series); seconds scales nanosecond
-// bounds and sums into seconds. Empty octave cells render only when a
-// later cell has data, keeping each series' bucket list short but still
-// cumulative and +Inf-terminated.
-func writeHistSeries(w *obsErrWriter, name, labels string, s instrument.HistSnapshot, bounds []int64, seconds bool) {
-	oct := s.Octaves()
-	// Find the last non-empty finite cell; buckets past it add nothing.
-	last := -1
-	for i := 0; i < len(oct)-1; i++ {
-		if oct[i] != 0 {
-			last = i
-		}
-	}
-	sep := ","
-	if labels == "{" {
-		sep = ""
-	}
-	var cum uint64
-	for i := 0; i <= last; i++ {
-		cum += oct[i]
-		var le string
-		if seconds {
-			le = strconv.FormatFloat(float64(bounds[i])/1e9, 'g', -1, 64)
-		} else {
-			le = strconv.FormatInt(bounds[i], 10)
-		}
-		w.writeString(name + "_bucket" + labels + sep + `le="` + le + `"} ` + strconv.FormatUint(cum, 10) + "\n")
-	}
-	cum += oct[len(oct)-1]
-	w.writeString(name + "_bucket" + labels + sep + `le="+Inf"} ` + strconv.FormatUint(cum, 10) + "\n")
-	var sum string
-	if seconds {
-		sum = strconv.FormatFloat(float64(s.Sum)/1e9, 'g', -1, 64)
-	} else {
-		sum = strconv.FormatUint(s.Sum, 10)
-	}
-	closeLabels := ""
-	if labels != "{" {
-		closeLabels = "}"
-	}
-	labelPart := labels + closeLabels
-	if labels == "{" {
-		labelPart = ""
-	}
-	w.writeString(name + "_sum" + labelPart + " " + sum + "\n")
-	w.writeString(name + "_count" + labelPart + " " + strconv.FormatUint(s.Count, 10) + "\n")
+	b = append(b, "# HELP lockfree_server_trace_records_total Operation trace records written to the sampling ring.\n"...)
+	b = append(b, "# TYPE lockfree_server_trace_records_total counter\n"...)
+	b = append(b, "lockfree_server_trace_records_total "+strconv.FormatUint(o.ring.Written(), 10)+"\n"...)
+	_, err := w.Write(b)
+	return err
 }
 
 // MetricsHandler serves WritePrometheus over HTTP; register it as a
@@ -361,19 +309,4 @@ func (o *Obs) trace(v Verb, key int, batch int, wall, queueWait int64, sampled, 
 		rec.EssentialSteps = stats.EssentialSteps()
 	}
 	o.ring.Add(&rec)
-}
-
-// obsErrWriter latches the first write error, like the telemetry
-// exporter's errWriter, but writes pre-built strings (no fmt) so the
-// renderer does no reflection.
-type obsErrWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *obsErrWriter) writeString(s string) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = io.WriteString(e.w, s)
 }

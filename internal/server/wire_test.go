@@ -11,12 +11,13 @@ import (
 	ltel "repro/lockfree/telemetry"
 )
 
-// wirePair serves a store over one end of a net.Pipe with deadlines
-// disabled: pipe deadlines allocate a timer per arm, which would charge
-// transport bookkeeping to the wire path being measured.
-func wirePair(tb testing.TB, store Store) net.Conn {
+// wirePair serves a store under cfg over one end of a net.Pipe with
+// deadlines disabled: pipe deadlines allocate a timer per arm, which would
+// charge transport bookkeeping to the wire path being measured.
+func wirePair(tb testing.TB, cfg Config, store Store) net.Conn {
 	tb.Helper()
-	srv := New(Config{ReadTimeout: -1, WriteTimeout: -1}, store)
+	cfg.ReadTimeout, cfg.WriteTimeout = -1, -1
+	srv := New(cfg, store)
 	cl, se := net.Pipe()
 	go srv.ServeConn(se)
 	tb.Cleanup(func() { cl.Close() })
@@ -59,7 +60,7 @@ func pinAllocs(t *testing.T, cl net.Conn, req string, respLen int, maxAllocs flo
 // under one allocation amortized (the value arena's chunk cycle).
 func TestWireAllocsLine(t *testing.T) {
 	const depth = 16
-	cl := wirePair(t, lockfree.NewSkipList[int, string]())
+	cl := wirePair(t, Config{}, lockfree.NewSkipList[int, string]())
 
 	// GET misses: 16 x "_\n" replies.
 	t.Run("get", func(t *testing.T) {
@@ -80,7 +81,7 @@ func TestWireAllocsLine(t *testing.T) {
 // TestWireAllocsResp pins the same paths through the RESP codec.
 func TestWireAllocsResp(t *testing.T) {
 	const depth = 16
-	cl := wirePair(t, lockfree.NewSkipList[int, string]())
+	cl := wirePair(t, Config{}, lockfree.NewSkipList[int, string]())
 
 	get := respCmd("GET", "42")
 	del := respCmd("DEL", "42")
@@ -102,7 +103,7 @@ func TestWireAllocsResp(t *testing.T) {
 // the adapter adds no allocation to GET, DEL or SET.
 func TestWireAllocsPlainStore(t *testing.T) {
 	const depth = 16
-	cl := wirePair(t, struct{ Store }{lockfree.NewSkipList[int, string]()})
+	cl := wirePair(t, Config{}, struct{ Store }{lockfree.NewSkipList[int, string]()})
 
 	t.Run("get", func(t *testing.T) {
 		pinAllocs(t, cl, strings.Repeat("GET 42\n", depth), depth*len("_\n"), 0)
@@ -128,7 +129,7 @@ func TestWireAllocsShardedRecorded(t *testing.T) {
 	const depth = 16
 	tel := ltel.New("wire-allocs-sharded", ltel.WithSampleEvery(1))
 	t.Cleanup(tel.Unregister)
-	cl := wirePair(t, lockfree.NewShardedSkipList[int, string](
+	cl := wirePair(t, Config{}, lockfree.NewShardedSkipList[int, string](
 		lockfree.EqualSplitters(0, 1<<20, 4), lockfree.WithTelemetry(tel)))
 
 	const value = "valuevaluevaluevalue"
@@ -169,47 +170,51 @@ func TestWireAllocsShardedRecorded(t *testing.T) {
 	}
 }
 
-// benchWire measures one pipelined exchange per iteration; with
+// benchWire measures one pipelined exchange per iteration, cycling
+// through reqs, each of which must draw respLen reply bytes; with
 // -benchmem the allocs/op column is the wire path's allocation floor,
 // gated hard by scripts/benchdiff.sh.
-func benchWire(b *testing.B, req string, respLen int) {
-	cl := wirePair(b, lockfree.NewSkipList[int, string]())
-	reqB := []byte(req)
+func benchWire(b *testing.B, cfg Config, respLen int, reqs ...string) {
+	cl := wirePair(b, cfg, lockfree.NewSkipList[int, string]())
+	reqB := make([][]byte, len(reqs))
+	for i, req := range reqs {
+		reqB[i] = []byte(req)
+	}
 	respB := make([]byte, respLen)
 	for i := 0; i < 20; i++ { // steady state before the clock starts
-		exchange(b, cl, reqB, respB)
+		exchange(b, cl, reqB[i%len(reqB)], respB)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exchange(b, cl, reqB, respB)
+		exchange(b, cl, reqB[i%len(reqB)], respB)
 	}
 }
 
 const benchDepth = 16
 
 func BenchmarkServerWireGetLine(b *testing.B) {
-	benchWire(b, strings.Repeat("GET 42\n", benchDepth), benchDepth*len("_\n"))
+	benchWire(b, Config{}, benchDepth*len("_\n"), strings.Repeat("GET 42\n", benchDepth))
 }
 
 func BenchmarkServerWireGetResp(b *testing.B) {
-	benchWire(b, strings.Repeat(respCmd("GET", "42"), benchDepth), benchDepth*len("$-1\r\n"))
+	benchWire(b, Config{}, benchDepth*len("$-1\r\n"), strings.Repeat(respCmd("GET", "42"), benchDepth))
 }
 
 func BenchmarkServerWireDelLine(b *testing.B) {
-	benchWire(b, strings.Repeat("DEL 42\n", benchDepth), benchDepth*len(":0\n"))
+	benchWire(b, Config{}, benchDepth*len(":0\n"), strings.Repeat("DEL 42\n", benchDepth))
 }
 
 func BenchmarkServerWireDelResp(b *testing.B) {
-	benchWire(b, strings.Repeat(respCmd("DEL", "42"), benchDepth), benchDepth*len(":0\r\n"))
+	benchWire(b, Config{}, benchDepth*len(":0\r\n"), strings.Repeat(respCmd("DEL", "42"), benchDepth))
 }
 
 func BenchmarkServerWireSetLine(b *testing.B) {
-	benchWire(b, strings.Repeat("SET 7 valuevaluevaluevalue\n", benchDepth), benchDepth*len(":0\n"))
+	benchWire(b, Config{}, benchDepth*len(":0\n"), strings.Repeat("SET 7 valuevaluevaluevalue\n", benchDepth))
 }
 
 func BenchmarkServerWireSetResp(b *testing.B) {
-	benchWire(b, strings.Repeat(respCmd("SET", "7", "valuevaluevaluevalue"), benchDepth), benchDepth*len("+OK\r\n"))
+	benchWire(b, Config{}, benchDepth*len("+OK\r\n"), strings.Repeat(respCmd("SET", "7", "valuevaluevaluevalue"), benchDepth))
 }
 
 // TestValueArenaIntern is the unit contract of the chunk-interning arena:

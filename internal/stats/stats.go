@@ -1,23 +1,20 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness needs: summaries, histograms, and least-squares fits for
-// verifying the linear and logarithmic cost shapes the paper claims.
+// harness needs: summaries and least-squares fits for verifying the
+// linear and logarithmic cost shapes the paper claims.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Summary describes a sample of float64 observations.
 type Summary struct {
-	N              int
-	Mean, Std      float64
-	Min, Max       float64
-	P50, P90, P99  float64
-	Total          float64
-	sortedSnapshot []float64
+	N             int
+	Mean, Std     float64
+	Min, Max      float64
+	P50, P90, P99 float64
+	Total         float64
 }
 
 // Summarize computes a Summary of xs. It copies xs and leaves it
@@ -50,14 +47,11 @@ func Summarize(xs []float64) Summary {
 		P90:   quantile(s, 0.90),
 		P99:   quantile(s, 0.99),
 		Total: sum,
-
-		sortedSnapshot: s,
 	}
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of the summarized sample.
-func (s Summary) Quantile(q float64) float64 { return quantile(s.sortedSnapshot, q) }
-
+// quantile returns the q-quantile (0 <= q <= 1) of a sorted sample,
+// interpolating linearly between neighbours.
 func quantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
@@ -70,12 +64,6 @@ func quantile(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// String formats the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f std=%.2f min=%.0f p50=%.0f p90=%.0f p99=%.0f max=%.0f",
-		s.N, s.Mean, s.Std, s.Min, s.P50, s.P90, s.P99, s.Max)
 }
 
 // LinearFit is a least-squares fit y = Slope*x + Intercept with the
@@ -127,73 +115,6 @@ func FitLogarithmic(xs, ys []float64) LinearFit {
 		lx[i] = math.Log2(x)
 	}
 	return FitLinear(lx, ys)
-}
-
-// Histogram is a set of integer-labelled buckets (for tower heights,
-// chain lengths, and similar small-integer observations).
-type Histogram struct {
-	Counts []int
-}
-
-// NewHistogram returns a histogram with the given number of buckets.
-func NewHistogram(buckets int) *Histogram {
-	return &Histogram{Counts: make([]int, buckets)}
-}
-
-// Observe records v, clamping to the last bucket.
-func (h *Histogram) Observe(v int) {
-	if v < 0 {
-		v = 0
-	}
-	if v >= len(h.Counts) {
-		v = len(h.Counts) - 1
-	}
-	h.Counts[v]++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Mean returns the mean bucket index.
-func (h *Histogram) Mean() float64 {
-	t := h.Total()
-	if t == 0 {
-		return 0
-	}
-	var sum float64
-	for i, c := range h.Counts {
-		sum += float64(i) * float64(c)
-	}
-	return sum / float64(t)
-}
-
-// Render draws the histogram as rows of "index count bar", skipping empty
-// trailing buckets.
-func (h *Histogram) Render(label string) string {
-	var b strings.Builder
-	last := 0
-	for i, c := range h.Counts {
-		if c > 0 {
-			last = i
-		}
-	}
-	total := h.Total()
-	fmt.Fprintf(&b, "%s (n=%d, mean=%.2f)\n", label, total, h.Mean())
-	for i := 0; i <= last; i++ {
-		c := h.Counts[i]
-		bar := ""
-		if total > 0 {
-			bar = strings.Repeat("#", c*50/total)
-		}
-		fmt.Fprintf(&b, "%4d %8d %s\n", i, c, bar)
-	}
-	return b.String()
 }
 
 // GeometricExpectation returns the expected histogram mass at height h

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand/v2"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -33,14 +32,14 @@ func TestSummarizeDoesNotMutateInput(t *testing.T) {
 }
 
 func TestQuantile(t *testing.T) {
-	s := Summarize([]float64{10, 20, 30, 40})
-	if got := s.Quantile(0); got != 10 {
+	s := []float64{10, 20, 30, 40}
+	if got := quantile(s, 0); got != 10 {
 		t.Fatalf("q0 = %f", got)
 	}
-	if got := s.Quantile(1); got != 40 {
+	if got := quantile(s, 1); got != 40 {
 		t.Fatalf("q1 = %f", got)
 	}
-	if got := s.Quantile(0.5); got != 25 {
+	if got := quantile(s, 0.5); got != 25 {
 		t.Fatalf("q0.5 = %f", got)
 	}
 }
@@ -86,26 +85,6 @@ func TestFitLogarithmic(t *testing.T) {
 	f := FitLogarithmic(xs, ys)
 	if math.Abs(f.Slope-7) > 1e-9 || f.R2 < 0.999999 {
 		t.Fatalf("fit = %+v", f)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(8)
-	for _, v := range []int{1, 1, 2, 100, -5} {
-		h.Observe(v)
-	}
-	if h.Total() != 5 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Counts[7] != 1 { // clamped overflow
-		t.Fatalf("overflow not clamped: %v", h.Counts)
-	}
-	if h.Counts[0] != 1 { // clamped negative
-		t.Fatalf("negative not clamped: %v", h.Counts)
-	}
-	out := h.Render("test")
-	if !strings.Contains(out, "test (n=5") {
-		t.Fatalf("render: %q", out)
 	}
 }
 

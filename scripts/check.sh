@@ -12,7 +12,8 @@
 #      (internal/sharded, internal/server, internal/instrument,
 #      internal/ebr, internal/wal, internal/snapshot) at GOMAXPROCS=2
 #      and 8, plus the allocation pins without the race detector at
-#      GOMAXPROCS=2, plus the unsafe gate: internal/core's successor word
+#      GOMAXPROCS=2 and one iteration of every BenchmarkServerWire*,
+#      plus the unsafe gate: internal/core's successor word
 #      lives in one file (steps 1 and 3 vet it and run it under checkptr),
 #   5. a ten-second FuzzRESP run over the wire-protocol readers: hostile
 #      bytes must fail requests, never hang or kill the serving goroutine,
@@ -95,6 +96,11 @@ unsafe_files=$(grep -l '"unsafe"' internal/core/*.go | grep -v '_test\.go$' || t
 # nothing.
 echo "== allocs: pins without the race detector at GOMAXPROCS=2 =="
 GOMAXPROCS=2 go test -count=1 -run 'Allocs' ./internal/core ./internal/server ./internal/snapshot
+
+# The wire benchmarks are where the docs' line-vs-RESP and durability
+# figures come from: run each once so none of them rots unnoticed.
+echo "== bench: BenchmarkServerWire* once =="
+go test -count=1 -run '^$' -bench 'ServerWire' -benchtime 1x ./internal/server
 
 # The serving layer's per-connection goroutines, accept-time shedding,
 # and shutdown drain (Shutdown arming read deadlines on connections
