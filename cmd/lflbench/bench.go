@@ -513,13 +513,9 @@ func benchOne(cfg benchConfig) (benchRow, error) {
 		if o.Count == 0 {
 			continue
 		}
-		l := latencyNS{Count: o.Count, MeanNS: int64(o.MeanLatency())}
-		if p50, ok := o.LatencyQuantile(0.50); ok {
-			l.P50NS = p50.Nanoseconds()
-		}
-		if p99, ok := o.LatencyQuantile(0.99); ok {
-			l.P99NS = p99.Nanoseconds()
-		}
+		l := latencyNS{Count: o.Count, MeanNS: o.Latency.Mean()}
+		l.P50NS, _ = o.Latency.Quantile(0.50)
+		l.P99NS, _ = o.Latency.Quantile(0.99)
 		row.Latency[op.String()] = l
 	}
 	return row, nil

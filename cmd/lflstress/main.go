@@ -484,12 +484,12 @@ func printTelemetryDelta(round int, s ltel.Snapshot) {
 		if o.Count == 0 {
 			continue
 		}
-		line := fmt.Sprintf("[telemetry]   %-7s n=%-7d mean=%v", op, o.Count, o.MeanLatency())
-		if p50, ok := o.LatencyQuantile(0.50); ok {
-			line += fmt.Sprintf(" p50=%v", p50)
+		line := fmt.Sprintf("[telemetry]   %-7s n=%-7d mean=%v", op, o.Count, time.Duration(o.Latency.Mean()))
+		if p50, ok := o.Latency.Quantile(0.50); ok {
+			line += fmt.Sprintf(" p50=%v", time.Duration(p50))
 		}
-		if p99, ok := o.LatencyQuantile(0.99); ok {
-			line += fmt.Sprintf(" p99=%v", p99)
+		if p99, ok := o.Latency.Quantile(0.99); ok {
+			line += fmt.Sprintf(" p99=%v", time.Duration(p99))
 		}
 		fmt.Println(line)
 	}

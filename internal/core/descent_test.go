@@ -97,10 +97,10 @@ func TestDescentRecordsAGroupOnce(t *testing.T) {
 	}
 	d := rec.Snapshot().Sub(before)
 	get := d.Ops[telemetry.OpGet]
-	if get.Count != uint64(len(keys)) || get.LatencySamples() != uint64(len(keys)) || get.RetrySamples() != uint64(len(keys)) {
-		t.Fatalf("recorded %d gets, %d latency and %d retry samples for %d keys", get.Count, get.LatencySamples(), get.RetrySamples(), len(keys))
+	if get.Count != uint64(len(keys)) || get.Latency.Count != uint64(len(keys)) || get.Retries.Count != uint64(len(keys)) {
+		t.Fatalf("recorded %d gets, %d latency and %d retry samples for %d keys", get.Count, get.Latency.Count, get.Retries.Count, len(keys))
 	}
-	if get.LatencySumNanos == 0 {
+	if get.Latency.Sum == 0 {
 		t.Fatal("no elapsed time recorded")
 	}
 	if st.EssentialSteps() == 0 || d.Counters.EssentialSteps() != st.EssentialSteps() {
@@ -120,8 +120,8 @@ func TestDescentRecordsAGroupOnce(t *testing.T) {
 	GetBatchAcross(nil, lists, cutsOf(keys), keys, nil, nil)
 	get = rec.Snapshot().Sub(before).Ops[telemetry.OpGet]
 	done := before.Ops[telemetry.OpGet].Count
-	if want := (done+uint64(len(keys)))/period - done/period; get.Count != uint64(len(keys)) || get.LatencySamples() != want {
-		t.Fatalf("period %d: %d gets, %d latency samples for %d keys after %d gets, want %d samples", period, get.Count, get.LatencySamples(), len(keys), done, want)
+	if want := (done+uint64(len(keys)))/period - done/period; get.Count != uint64(len(keys)) || get.Latency.Count != want {
+		t.Fatalf("period %d: %d gets, %d latency samples for %d keys after %d gets, want %d samples", period, get.Count, get.Latency.Count, len(keys), done, want)
 	}
 }
 

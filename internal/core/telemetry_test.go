@@ -127,7 +127,7 @@ func TestTelemetrySkipListOps(t *testing.T) {
 	// Uncontended run: every op retried 0 times, so all retry mass is in
 	// the first bucket.
 	ins := s.Ops[telemetry.OpInsert]
-	if ins.Retries[0] != 100 {
+	if ins.Retries.Buckets[0] != 100 {
 		t.Fatalf("uncontended retries: %+v", ins.Retries)
 	}
 }
@@ -196,10 +196,10 @@ func TestTelemetryNegativeElapsedClamped(t *testing.T) {
 	rec := telemetry.NewRecorder(1)
 	rec.RecordOp(telemetry.OpGet, nil, -time.Second)
 	s := rec.Snapshot()
-	if s.Ops[telemetry.OpGet].LatencySumNanos != 0 {
-		t.Fatalf("negative latency leaked: %d", s.Ops[telemetry.OpGet].LatencySumNanos)
+	if s.Ops[telemetry.OpGet].Latency.Sum != 0 {
+		t.Fatalf("negative latency leaked: %d", s.Ops[telemetry.OpGet].Latency.Sum)
 	}
-	if s.Ops[telemetry.OpGet].Latency[0] != 1 {
+	if s.Ops[telemetry.OpGet].Latency.Buckets[0] != 1 {
 		t.Fatalf("clamped sample missing: %+v", s.Ops[telemetry.OpGet].Latency)
 	}
 }

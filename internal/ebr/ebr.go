@@ -48,8 +48,9 @@ type Domain struct {
 	handles []*Handle
 
 	// pins are the striped shareable critical sections used by the node-
-	// recycling layer (recycle.go); sized and indexed like ShardedInt64
-	// shards. Fixed at construction, so reads need no lock.
+	// recycling layer (recycle.go); sized by instrument.Stripes and
+	// indexed by instrument.Stripe. Fixed at construction, so reads need
+	// no lock.
 	pins    []Pin
 	pinMask uint32
 
@@ -62,7 +63,7 @@ type Domain struct {
 // NewDomain returns an empty domain at epoch 0.
 func NewDomain() *Domain {
 	d := &Domain{}
-	n := stripeCount()
+	n := instrument.Stripes(0)
 	d.pins = make([]Pin, n)
 	d.pinMask = uint32(n - 1)
 	for i := range d.pins {

@@ -1,9 +1,7 @@
 package ebr
 
 import (
-	"runtime"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/instrument"
 )
@@ -64,31 +62,7 @@ type Pin struct {
 	slots  [epochSlots]nodeSlot
 	nsince int
 
-	_ [cacheLine - 8]byte
-}
-
-// cacheLine pads the striped structures; 64 bytes covers every amd64/arm64
-// part this will run on.
-const cacheLine = 64
-
-// stripeCount sizes a striped array to twice GOMAXPROCS, rounded up to a
-// power of two and capped at 256 - the ShardedInt64 policy.
-func stripeCount() int {
-	want := runtime.GOMAXPROCS(0) * 2
-	n := 1
-	for n < want && n < 256 {
-		n <<= 1
-	}
-	return n
-}
-
-// stripeIndex returns a goroutine-affine hash (the ShardedInt64 trick):
-// hash the address of a stack variable - distinct goroutines occupy
-// distinct stacks. The address is only hashed, never dereferenced.
-func stripeIndex() uint32 {
-	var marker byte
-	p := uintptr(unsafe.Pointer(&marker))
-	return uint32((p * 0x9E3779B97F4A7C15) >> 33)
+	_ [instrument.CacheLine - 8]byte
 }
 
 // Pin begins a critical section on a goroutine-affine stripe: until the
@@ -97,7 +71,7 @@ func stripeIndex() uint32 {
 // epoch is published only by the pinner that takes the stripe from idle,
 // with the same re-read loop as Handle.Enter.
 func (d *Domain) Pin() *Pin {
-	p := &d.pins[stripeIndex()&d.pinMask]
+	p := &d.pins[instrument.Stripe()&d.pinMask]
 	if p.count.Add(1) == 1 {
 		for {
 			e := d.epoch.Load()
@@ -131,7 +105,7 @@ func (p *Pin) Domain() *Domain { return p.d }
 // stripe contention or a stalled epoch the node is left to the GC.
 func (d *Domain) RetireNode(pool *Pool, n any, st *instrument.OpStats) {
 	d.retired.Add(1)
-	p := &d.pins[stripeIndex()&d.pinMask]
+	p := &d.pins[instrument.Stripe()&d.pinMask]
 	if !p.lock.CompareAndSwap(false, true) {
 		d.dropped.Add(1)
 		return // contended stripe: leave n to the GC
@@ -236,7 +210,7 @@ func (d *Domain) Recycled() uint64 { return d.recycled.Load() }
 type poolShard struct {
 	lock  atomic.Bool
 	items []any
-	_     [cacheLine - 25]byte
+	_     [instrument.CacheLine - 25]byte
 }
 
 // Pool is a striped free list of recycled nodes, the destination side of
@@ -261,7 +235,7 @@ func NewPool(perShard int) *Pool {
 	if perShard < 1 {
 		perShard = DefaultPoolCap
 	}
-	n := stripeCount()
+	n := instrument.Stripes(0)
 	p := &Pool{shards: make([]poolShard, n), mask: uint32(n - 1), cap: perShard}
 	for i := range p.shards {
 		p.shards[i].items = make([]any, 0, perShard)
@@ -273,7 +247,7 @@ func NewPool(perShard int) *Pool {
 // then allocates). The affine stripe is tried first, then the others are
 // scanned; every probe is a try-lock, so Get never blocks.
 func (p *Pool) Get(st *instrument.OpStats) any {
-	start := stripeIndex() & p.mask
+	start := instrument.Stripe() & p.mask
 	for i := uint32(0); i <= p.mask; i++ {
 		sh := &p.shards[(start+i)&p.mask]
 		// sh.items may only be examined under the try-lock (the length
@@ -300,7 +274,7 @@ func (p *Pool) Get(st *instrument.OpStats) any {
 // than the drain use it for nodes that were never published — those need
 // no grace period.
 func (p *Pool) Put(n any) bool {
-	sh := &p.shards[stripeIndex()&p.mask]
+	sh := &p.shards[instrument.Stripe()&p.mask]
 	if !sh.lock.CompareAndSwap(false, true) {
 		return false
 	}

@@ -7,25 +7,29 @@ import (
 )
 
 // Hist is a lock-free log-bucketed (HDR-style) histogram of non-negative
-// int64 values. It is the latency primitive of the serving layer's
-// request observability: recording is one bucket computation (a handful
-// of bit operations) plus three striped-free atomic adds — no allocation,
-// no lock, no clock read — so it can sit on the per-command hot path.
+// int64 values, and the repo's one histogram type: the serving layer's
+// request observability, the WAL's fsync times and the structures'
+// per-operation latency and retry histograms all record into it.
+// Recording is one bucket computation (a handful of bit operations) plus
+// two atomic adds, the sum and the bucket — no allocation, no lock, no
+// clock read — so it can sit on the per-command hot path. The count is
+// not a word of its own: a snapshot sums the buckets, so its Count always
+// equals its +Inf bucket.
 //
 // Bucket layout: values 0..15 get exact buckets; above that, each power
 // of two is split into four sub-buckets (two mantissa bits), bounding the
 // relative quantization error at ~12.5% — the HDR-histogram trade-off —
 // up to ~2^45 (≈ 9.7 hours in nanoseconds). Larger values clamp into the
 // last bucket. The same layout serves nanosecond latencies, queue waits,
-// and coalesced-batch sizes; only the unit interpretation differs.
+// coalesced-batch sizes and failed-C&S counts; only the unit
+// interpretation differs.
 //
 // The zero value is ready to use. All methods are safe for concurrent
-// use. Like the telemetry recorder's striped counters, concurrent Record
-// calls land on independent atomic words almost always (different
-// latencies → different buckets); the count/sum words are the only shared
-// hot words, which matches the serving layer's per-connection fan-in.
+// use. A Hist is not striped: concurrent Record calls land on independent
+// bucket words almost always, but share the sum word. Writers
+// hot enough for that to matter keep one Hist per stripe, as the
+// telemetry recorder does, and merge the snapshots.
 type Hist struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	buckets [HistNumBuckets]atomic.Uint64
 }
@@ -86,7 +90,6 @@ func (h *Hist) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.count.Add(1)
 	h.sum.Add(uint64(v))
 	h.buckets[histBucket(v)].Add(1)
 }
@@ -100,23 +103,37 @@ func (h *Hist) RecordN(v int64, n uint64) {
 	if v < 0 {
 		v = 0
 	}
-	h.count.Add(n)
 	h.sum.Add(uint64(v) * n)
 	h.buckets[histBucket(v)].Add(n)
 }
 
-// Count returns the number of recorded observations.
-func (h *Hist) Count() uint64 { return h.count.Load() }
+// RecordShare records k of the n members of a group that shared one
+// observation, total: k samples in the bucket of total/n, and total·k/n
+// added to the sum, so that k == n adds total exactly once. It is the
+// recording of a unit of work that n operations paid for together, of
+// which k are sampled. Negative totals clamp to zero.
+func (h *Hist) RecordShare(total int64, n, k uint64) {
+	if k == 0 || n == 0 {
+		return
+	}
+	v := max(total, 0)
+	sum := uint64(v) * k
+	if n > 1 { // a group; a single operation skips the divisions
+		v, sum = v/int64(n), sum/n
+	}
+	h.sum.Add(sum)
+	h.buckets[histBucket(v)].Add(k)
+}
 
 // Snapshot copies the histogram's current state. Like the telemetry
 // snapshots, it is consistent-enough: each word is read atomically, the
 // set is not read under a global lock.
 func (h *Hist) Snapshot() HistSnapshot {
 	var s HistSnapshot
-	s.Count = h.count.Load()
 	s.Sum = h.sum.Load()
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	return s
 }
@@ -239,7 +256,10 @@ func OctaveBounds() [NumOctaves - 1]int64 {
 // the series' rendered label pairs without braces ("" for none); seconds
 // renders nanosecond bounds and sums in seconds. An empty octave cell
 // renders only when a later cell has data, keeping each series' bucket
-// list short but still cumulative and +Inf-terminated.
+// list short but still cumulative and +Inf-terminated. A series in units
+// (seconds false) also renders each non-empty exact cell below 15 as its
+// own bucket ahead of le="15", so small counts keep their exact cut: a
+// retry histogram's le="0" is the share of operations without contention.
 func (s HistSnapshot) AppendPrometheus(b []byte, name, labels string, seconds bool) []byte {
 	format := func(v uint64) string {
 		if seconds {
@@ -256,6 +276,15 @@ func (s HistSnapshot) AppendPrometheus(b []byte, name, labels string, seconds bo
 	for i, c := range oct[:len(oct)-1] {
 		if c != 0 {
 			last = i
+		}
+	}
+	if !seconds {
+		var exact uint64
+		for v, c := range s.Buckets[:histExact-1] {
+			if c != 0 {
+				exact += c
+				b = append(b, name+"_bucket{"+labels+sep+`le="`+strconv.Itoa(v)+`"} `+strconv.FormatUint(exact, 10)+"\n"...)
+			}
 		}
 	}
 	var cum uint64

@@ -101,6 +101,75 @@ func TestHistRecordN(t *testing.T) {
 	}
 }
 
+// TestHistRecordShare: k of a group of n that shared one observation land
+// k samples in the bucket of the n-th share, and add their share of the
+// total to the sum — the whole total, exactly once, when k == n.
+func TestHistRecordShare(t *testing.T) {
+	var all Hist
+	all.RecordShare(1300, 13, 13)
+	if s := all.Snapshot(); s.Count != 13 || s.Sum != 1300 || s.Buckets[histBucket(100)] != 13 {
+		t.Fatalf("k = n: count %d, sum %d, %d in the bucket of 100; want 13, 1300, 13", s.Count, s.Sum, s.Buckets[histBucket(100)])
+	}
+	var some Hist
+	some.RecordShare(1300, 13, 2)
+	if s := some.Snapshot(); s.Count != 2 || s.Sum != 200 || s.Buckets[histBucket(100)] != 2 {
+		t.Fatalf("k < n: count %d, sum %d, %d in the bucket of 100; want 2, 200, 2", s.Count, s.Sum, s.Buckets[histBucket(100)])
+	}
+	// Shares that do not divide evenly round down in both bucket and sum.
+	var odd Hist
+	odd.RecordShare(5, 13, 13)
+	if s := odd.Snapshot(); s.Count != 13 || s.Sum != 5 || s.Buckets[0] != 13 {
+		t.Fatalf("5 over 13: %d samples, sum %d, %d in cell 0; want 13, 5, 13", s.Count, s.Sum, s.Buckets[0])
+	}
+	// A group of one is Record; nothing sampled, or a negative total, is
+	// harmless.
+	var one, rec Hist
+	one.RecordShare(3000, 1, 1)
+	rec.Record(3000)
+	one.RecordShare(3000, 4, 0)
+	if one.Snapshot() != rec.Snapshot() {
+		t.Fatal("RecordShare(v, 1, 1) must equal Record(v)")
+	}
+	var neg Hist
+	neg.RecordShare(-7, 2, 2)
+	if s := neg.Snapshot(); s.Count != 2 || s.Sum != 0 || s.Buckets[0] != 2 {
+		t.Fatalf("negative total: %+v", s)
+	}
+}
+
+// TestHistAppendPrometheusExactCells: a series in units renders its
+// non-empty exact cells below 15 as their own buckets, so a count of zero
+// keeps its own le="0"; a series in seconds renders the octaves alone.
+func TestHistAppendPrometheusExactCells(t *testing.T) {
+	var h Hist
+	for _, v := range []int64{0, 0, 3, 40} {
+		h.Record(v)
+	}
+	s := h.Snapshot()
+	units := `x_bucket{op="a",le="0"} 2
+x_bucket{op="a",le="3"} 3
+x_bucket{op="a",le="15"} 3
+x_bucket{op="a",le="31"} 3
+x_bucket{op="a",le="63"} 4
+x_bucket{op="a",le="+Inf"} 4
+x_sum{op="a"} 43
+x_count{op="a"} 4
+`
+	if got := string(s.AppendPrometheus(nil, "x", `op="a"`, false)); got != units {
+		t.Fatalf("units series:\n%s\nwant:\n%s", got, units)
+	}
+	seconds := `x_bucket{le="1.5e-08"} 3
+x_bucket{le="3.1e-08"} 3
+x_bucket{le="6.3e-08"} 4
+x_bucket{le="+Inf"} 4
+x_sum 4.3e-08
+x_count 4
+`
+	if got := string(s.AppendPrometheus(nil, "x", "", true)); got != seconds {
+		t.Fatalf("seconds series:\n%s\nwant:\n%s", got, seconds)
+	}
+}
+
 func TestHistSubAndMerge(t *testing.T) {
 	var h Hist
 	h.Record(10)
@@ -145,8 +214,8 @@ func TestHistOctaves(t *testing.T) {
 	for _, c := range oct {
 		total += c
 	}
-	if total != h.Count() {
-		t.Fatalf("octave total %d != count %d", total, h.Count())
+	if total != h.Snapshot().Count {
+		t.Fatalf("octave total %d != count %d", total, h.Snapshot().Count)
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {

@@ -6,16 +6,54 @@ import (
 	"unsafe"
 )
 
-// cacheLine is the assumed cache-line size; 64 bytes is correct for every
+// This file owns the repo's one stripe: the cache-line size, the stripe
+// count and the goroutine-affine hash that every striped structure (this
+// package's ShardedInt64, the telemetry recorder, the EBR pins and free
+// lists) sizes and indexes its stripes by.
+
+// CacheLine is the assumed cache-line size; 64 bytes is correct for every
 // amd64/arm64 part this code will plausibly run on. Being wrong only costs
 // a little false sharing, never correctness.
-const cacheLine = 64
+const CacheLine = 64
+
+// maxStripes caps every stripe count.
+const maxStripes = 256
+
+// Stripes returns the stripe count of a striped structure: n rounded up
+// to a power of two and capped at 256; n <= 0 selects twice GOMAXPROCS.
+// Index an array of that length with Stripe() & uint32(len-1).
+func Stripes(n int) int {
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0) * 2
+	}
+	s := 1
+	for s < n && s < maxStripes {
+		s <<= 1
+	}
+	return s
+}
+
+// Stripe returns a goroutine-affine hash used to pick a stripe. Go offers
+// no cheap public goroutine ID, so it hashes the address of a stack
+// variable: distinct goroutines occupy distinct stacks, giving a
+// stable-enough spread for a couple of arithmetic ops. A collision is
+// harmless (two goroutines merely share a stripe), and so is a goroutine
+// landing on another stripe after its stack moved or from another call
+// depth. The address is only hashed, never dereferenced or retained, so
+// this use of unsafe cannot outlive the frame.
+func Stripe() uint32 {
+	var marker byte
+	p := uintptr(unsafe.Pointer(&marker))
+	// Fibonacci hashing; stack addresses share low bits (alignment) and
+	// high bits (arena), the middle bits carry the per-goroutine entropy.
+	return uint32((p * 0x9E3779B97F4A7C15) >> 33)
+}
 
 // counterShard is one stripe of a ShardedInt64, padded so two shards never
 // share a cache line.
 type counterShard struct {
 	v atomic.Int64
-	_ [cacheLine - 8]byte
+	_ [CacheLine - 8]byte
 }
 
 // ShardedInt64 is a striped int64 counter for write-hot paths shared by
@@ -35,15 +73,10 @@ type ShardedInt64 struct {
 	mask   uint32
 }
 
-// Init sizes the counter to twice GOMAXPROCS shards (rounded up to a
-// power of two, capped at 256 - the same policy as the telemetry
-// recorder's stripes) and must be called before the counter is shared.
+// Init sizes the counter to Stripes(0) shards and must be called before
+// the counter is shared.
 func (c *ShardedInt64) Init() {
-	want := runtime.GOMAXPROCS(0) * 2
-	n := 1
-	for n < want && n < 256 {
-		n <<= 1
-	}
+	n := Stripes(0)
 	c.shards = make([]counterShard, n)
 	c.mask = uint32(n - 1)
 }
@@ -51,7 +84,7 @@ func (c *ShardedInt64) Init() {
 // Add atomically adds delta to the calling goroutine's shard. It never
 // allocates.
 func (c *ShardedInt64) Add(delta int64) {
-	c.shards[shardIndex()&c.mask].v.Add(delta)
+	c.shards[Stripe()&c.mask].v.Add(delta)
 }
 
 // Load returns the sum of all shards; see the type comment for its
@@ -66,18 +99,3 @@ func (c *ShardedInt64) Load() int64 {
 
 // Shards returns the shard count (for tests and diagnostics).
 func (c *ShardedInt64) Shards() int { return len(c.shards) }
-
-// shardIndex returns a goroutine-affine hash used to pick a shard, the
-// same trick as internal/telemetry/shard.go: Go offers no cheap public
-// goroutine ID, so hash the address of a stack variable - distinct
-// goroutines occupy distinct stacks, giving a stable-enough spread for a
-// couple of arithmetic ops. A collision is harmless (two goroutines merely
-// share a stripe). The address is only hashed, never dereferenced or
-// retained, so this use of unsafe cannot outlive the frame.
-func shardIndex() uint32 {
-	var marker byte
-	p := uintptr(unsafe.Pointer(&marker))
-	// Fibonacci hashing; stack addresses share low bits (alignment) and
-	// high bits (arena), the middle bits carry the per-goroutine entropy.
-	return uint32((p * 0x9E3779B97F4A7C15) >> 33)
-}

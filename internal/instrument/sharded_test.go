@@ -1,6 +1,7 @@
 package instrument
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -89,5 +90,18 @@ func TestShardedInt64LoadNeverDoubleCounts(t *testing.T) {
 	sampler.Wait()
 	if got := c.Load(); got != total {
 		t.Fatalf("final Load = %d, want %d", got, total)
+	}
+}
+
+// TestStripes pins the one stripe-count rule: rounded up to a power of
+// two, capped at 256, twice GOMAXPROCS by default.
+func TestStripes(t *testing.T) {
+	for _, tc := range []struct{ n, want int }{{1, 1}, {3, 4}, {4, 4}, {200, 256}, {1 << 20, 256}} {
+		if got := Stripes(tc.n); got != tc.want {
+			t.Fatalf("Stripes(%d) = %d, want %d", tc.n, got, tc.want)
+		}
+	}
+	if got, want := Stripes(0), Stripes(2*runtime.GOMAXPROCS(0)); got != want {
+		t.Fatalf("Stripes(0) = %d, want %d", got, want)
 	}
 }

@@ -189,10 +189,11 @@ func (w *replyWriter) flush(nc net.Conn) error {
 }
 
 // stringBytes returns a read-only byte view of s without copying. Callers
-// must never write through it; here it only feeds writev. The repo already
-// leans on unsafe for exactly this kind of boundary (internal/telemetry,
-// internal/ebr), and the alternative — copying every large reply value —
-// is the allocation this file exists to remove.
+// must never write through it; here it only feeds writev. This file is one
+// of the three the repo allows to import unsafe (with internal/core's
+// word.go and internal/instrument's stripe hash), and the alternative —
+// copying every large reply value — is the allocation this file exists to
+// remove.
 func stringBytes(s string) []byte {
 	return unsafe.Slice(unsafe.StringData(s), len(s))
 }

@@ -1,8 +1,8 @@
 // Package telemetry is the always-on observability core for the lock-free
-// structures: sharded, cache-line-padded atomic counters over the
+// structures: striped, cache-line-padded atomic counters over the
 // essential-step vocabulary of internal/instrument (the paper's Section 3.4
-// cost accounting), plus fixed-bucket latency and retry histograms per
-// operation kind.
+// cost accounting), plus a latency and a retry histogram per operation
+// kind, both instrument.Hist.
 //
 // The design goal is near-zero overhead on hot paths under many goroutines:
 //
@@ -13,10 +13,12 @@
 //     atomic add. A period of 1 records every operation exactly.
 //   - Sampled operations accumulate their steps in a private
 //     instrument.OpStats (no shared writes while the operation runs) and
-//     flush once, at completion, into a shard of atomic counters.
-//   - Shards are padded to cache-line size and selected by a cheap
-//     goroutine-affine hash, so concurrent flushes rarely contend on a line.
-//   - Reading (Snapshot, Delta) sums the shards; readers never block
+//     flush once, at completion, into a stripe of atomic counters and
+//     histograms.
+//   - Stripes are padded to cache-line size and selected by instrument's
+//     goroutine-affine hash, so concurrent flushes rarely contend on a
+//     line.
+//   - Reading (Snapshot, Delta) sums the stripes; readers never block
 //     writers.
 //
 // The exporter layer (expvar, Prometheus text format) lives in the public
@@ -26,8 +28,8 @@ package telemetry
 
 import (
 	"math/bits"
-	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/instrument"
@@ -61,59 +63,6 @@ func (o Op) String() string {
 	default:
 		return "unknown"
 	}
-}
-
-// LatencyBuckets holds the fixed upper bounds of the operation-latency
-// histogram. The final implicit bucket is +Inf. The range spans a cached
-// Get on a tiny list (~100ns) to a badly descheduled operation (>100ms).
-var LatencyBuckets = [...]time.Duration{
-	250 * time.Nanosecond,
-	500 * time.Nanosecond,
-	1 * time.Microsecond,
-	2500 * time.Nanosecond,
-	5 * time.Microsecond,
-	10 * time.Microsecond,
-	25 * time.Microsecond,
-	50 * time.Microsecond,
-	100 * time.Microsecond,
-	250 * time.Microsecond,
-	500 * time.Microsecond,
-	1 * time.Millisecond,
-	5 * time.Millisecond,
-	25 * time.Millisecond,
-	100 * time.Millisecond,
-}
-
-// RetryBuckets holds the fixed upper bounds of the per-operation retry
-// histogram, where a retry is a failed C&S (CASAttempts - CASSuccesses):
-// the operation-local face of contention. The final implicit bucket is
-// +Inf.
-var RetryBuckets = [...]uint64{0, 1, 2, 4, 8, 16, 32, 64}
-
-// NumLatencyBuckets and NumRetryBuckets include the +Inf bucket.
-const (
-	NumLatencyBuckets = len(LatencyBuckets) + 1
-	NumRetryBuckets   = len(RetryBuckets) + 1
-)
-
-// latencyBucket returns the index of the bucket d falls in.
-func latencyBucket(d time.Duration) int {
-	for i, ub := range LatencyBuckets {
-		if d <= ub {
-			return i
-		}
-	}
-	return len(LatencyBuckets)
-}
-
-// retryBucket returns the index of the bucket r falls in.
-func retryBucket(r uint64) int {
-	for i, ub := range RetryBuckets {
-		if r <= ub {
-			return i
-		}
-	}
-	return len(RetryBuckets)
 }
 
 // NumCounters is the size of the essential-step vocabulary, re-exported
@@ -152,21 +101,29 @@ type Recorder struct {
 	last    Snapshot
 }
 
-// NewRecorder returns a Recorder with the given number of shards, rounded
-// up to a power of two. shards <= 0 selects a default sized to the
-// machine's parallelism.
+// shard is one stripe of the recorder. Each shard ends with cache-line
+// padding so that two shards never share a line; within a shard the
+// fields are written together by the same flush, so they benefit from
+// sharing lines.
+type shard struct {
+	counters [instrument.NumCounters]atomic.Uint64
+	ops      [NumOps]opShard
+	_        [instrument.CacheLine]byte
+}
+
+// opShard holds one operation kind's count and histograms inside a shard:
+// latency in nanoseconds, retries in failed C&S.
+type opShard struct {
+	count   atomic.Uint64
+	latency instrument.Hist
+	retries instrument.Hist
+}
+
+// NewRecorder returns a Recorder with instrument.Stripes(shards) shards:
+// shards rounded up to a power of two, capped at 256; shards <= 0 selects
+// the default, twice GOMAXPROCS.
 func NewRecorder(shards int) *Recorder {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0) * 2
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	const maxShards = 256
-	if n > maxShards {
-		n = maxShards
-	}
+	n := instrument.Stripes(shards)
 	return &Recorder{
 		shards:     make([]shard, n),
 		mask:       uint32(n - 1),
@@ -176,6 +133,9 @@ func NewRecorder(shards int) *Recorder {
 
 // Shards returns the shard count (for tests and diagnostics).
 func (r *Recorder) Shards() int { return len(r.shards) }
+
+// shard returns the calling goroutine's stripe.
+func (r *Recorder) shard() *shard { return &r.shards[instrument.Stripe()&r.mask] }
 
 // SetSampleEvery sets the full-recording sampling period to every n-th
 // operation, rounded up to a power of two; n <= 1 records every operation
@@ -192,30 +152,42 @@ func (r *Recorder) SetSampleEvery(n int) {
 // SampleEvery returns the current histogram sampling period.
 func (r *Recorder) SampleEvery() int { return int(r.sampleMask + 1) }
 
-// RecordOp flushes one completed operation into the recorder: its
-// essential-step counters, one latency sample, and one retry sample
-// (retries = failed C&S attempts). st may be nil for operations that carry
-// no step counters (e.g. iteration).
-func (r *Recorder) RecordOp(op Op, st *instrument.OpStats, elapsed time.Duration) {
-	sh := &r.shards[shardIndex()&r.mask]
+// flush is the one recording body of sampled operations: n operations
+// of kind op, k of them sampled, each sampled one standing for scale
+// operations, shared one step vector, st, and one elapsed time, el. Each
+// sampled member is taken to have paid an n-th of both: the counters grow
+// by the vector times k·scale/n, and each histogram takes k samples of
+// the n-th share. The exact completed-op count is the caller's, added
+// before the clock is read so the next sampling decision sees it soonest.
+func (sh *shard) flush(op Op, n, k, scale uint64, st *instrument.OpStats, el int64) {
 	var retries uint64
 	if st != nil {
+		w := k * scale
 		for i, v := range st.Vector() {
 			if v != 0 {
+				if n > 1 {
+					v = v * w / n
+				} else {
+					v *= w // a single op: no division on the per-op path
+				}
 				sh.counters[i].Add(v)
 			}
 		}
 		retries = st.CASAttempts - st.CASSuccesses
 	}
 	o := &sh.ops[op]
-	o.count.Add(1)
-	if elapsed < 0 {
-		elapsed = 0
-	}
-	o.latencySum.Add(uint64(elapsed.Nanoseconds()))
-	o.latency[latencyBucket(elapsed)].Add(1)
-	o.retrySum.Add(retries)
-	o.retries[retryBucket(retries)].Add(1)
+	o.latency.RecordShare(el, n, k)
+	o.retries.RecordShare(int64(retries), n, k)
+}
+
+// RecordOp flushes one completed operation into the recorder, unsampled
+// and unscaled: its essential-step counters, one latency sample, and one
+// retry sample (retries = failed C&S attempts). st may be nil for
+// operations that carry no step counters (e.g. iteration).
+func (r *Recorder) RecordOp(op Op, st *instrument.OpStats, elapsed time.Duration) {
+	sh := r.shard()
+	sh.ops[op].count.Add(1)
+	sh.flush(op, 1, 1, 1, st, int64(elapsed))
 }
 
 // AddCounter adds n directly to one vocabulary counter, bypassing the
@@ -226,7 +198,7 @@ func (r *Recorder) AddCounter(c instrument.Counter, n uint64) {
 	if n == 0 {
 		return
 	}
-	r.shards[shardIndex()&r.mask].counters[c].Add(n)
+	r.shard().counters[c].Add(n)
 }
 
 // AddGauge adjusts a gauge-class counter (instrument.Counter.Gauge) by
@@ -248,92 +220,51 @@ func (r *Recorder) AddGauge(c instrument.Counter, delta int64) {
 	r.shards[0].counters[c].Add(uint64(delta))
 }
 
-// OpToken carries per-operation state from StartOp to FinishOp. Tokens
-// must not outlive the operation or be reused.
+// OpToken carries the state of one operation, or of one group of
+// operations, from StartOp or StartGroup to FinishOp or FinishGroup.
+// Tokens must not outlive the operation or be reused.
 type OpToken struct {
 	sh    *shard
-	start int64 // Nanotime at StartOp, or -1 when the op is not sampled
+	start int64 // Nanotime at the start, or -1 when no member is foreseen sampled
 }
 
-// Sampled reports whether this operation was selected for full recording:
-// step accounting, latency, and retries. Callers skip collecting step
-// counters entirely for unsampled tokens.
+// Sampled reports whether this operation (or some member of the group)
+// was selected for full recording: step accounting, latency, and retries.
+// Callers skip collecting step counters entirely for unsampled tokens.
 func (t OpToken) Sampled() bool { return t.start >= 0 }
 
 // StartOp begins the low-overhead recording path used by the structures'
-// hot wrappers: it pins the caller's shard and decides — every sampleMask+1
-// completed ops of this kind on this shard — whether this operation is
-// fully recorded (step counters, latency, retries). The unsampled path
-// costs one atomic load here and one atomic add in FinishOp: no clock
-// read, no step accounting. The sampling decision reads the completed-op
-// count racily; under concurrency the period is approximate, which is fine
-// for sampled statistics.
-func (r *Recorder) StartOp(op Op) OpToken {
-	sh := &r.shards[shardIndex()&r.mask]
-	tok := OpToken{sh: sh, start: -1}
-	if (sh.ops[op].count.Load()+1)&r.sampleMask == 0 {
-		tok.start = Nanotime()
-	}
-	return tok
-}
+// hot wrappers. It is StartGroup with a group of one: the operation takes
+// the next place in its shard's completed-op count, and is fully recorded
+// (step counters, latency, retries) when that place is a multiple of the
+// sampling period. The unsampled path costs one atomic load here and one
+// atomic add in FinishOp: no clock read, no step accounting. The sampling
+// decision reads the completed-op count racily; under concurrency the
+// period is approximate, which is fine for sampled statistics.
+func (r *Recorder) StartOp(op Op) OpToken { return r.StartGroup(op, 1) }
 
-// FinishOp completes an operation begun with StartOp. The completed-op
-// count is recorded exactly, every time. For sampled tokens the
-// essential-step counters are flushed scaled by the sampling period — an
-// unbiased estimator of the true totals, and exact at period 1 — and one
-// latency and one retry sample land in the histograms. st is ignored (and
-// normally nil) for unsampled tokens.
+// FinishOp completes an operation begun with StartOp; it is FinishGroup
+// with a group of one. The completed-op count is recorded exactly, every
+// time. For sampled tokens the essential-step counters are flushed scaled
+// by the sampling period — an unbiased estimator of the true totals, and
+// exact at period 1 — and one latency and one retry sample land in the
+// histograms. st is ignored (and normally nil) for unsampled tokens.
 func (r *Recorder) FinishOp(tok OpToken, op Op, st *instrument.OpStats) {
-	sh := tok.sh
-	o := &sh.ops[op]
-	o.count.Add(1)
-	if tok.start < 0 {
-		return
-	}
-	scale := r.sampleMask + 1
-	var retries uint64
-	if st != nil {
-		for i, v := range st.Vector() {
-			if v != 0 {
-				sh.counters[i].Add(v * scale)
-			}
-		}
-		retries = st.CASAttempts - st.CASSuccesses
-	}
-	el := Nanotime() - tok.start
-	if el < 0 {
-		el = 0
-	}
-	o.latencySum.Add(uint64(el))
-	o.latency[latencyBucket(time.Duration(el))].Add(1)
-	o.retrySum.Add(retries)
-	o.retries[retryBucket(retries)].Add(1)
+	r.FinishGroup(tok, op, 1, st)
 }
-
-// GroupToken carries one group's state from StartGroup to FinishGroup.
-type GroupToken struct {
-	sh      *shard
-	start   int64  // Nanotime at StartGroup, or -1 when no member is sampled
-	sampled uint64 // members that fall on the sampling period
-}
-
-// Sampled reports whether the group was selected for full recording; see
-// OpToken.Sampled.
-func (t GroupToken) Sampled() bool { return t.start >= 0 }
 
 // StartGroup begins the recording of n operations of one kind that run as
 // one unit and cannot be told apart while they run - the keys of a batched
-// Get going down the skip list together. It is StartOp's rule applied to
-// every member: the members take the shard's next n places in the
-// completed-op count, and those whose place is a multiple of the sampling
-// period are sampled. A group without a sampled member pays what an
-// unsampled operation pays; at period 1 every member is sampled.
-func (r *Recorder) StartGroup(op Op, n int) GroupToken {
-	sh := &r.shards[shardIndex()&r.mask]
-	tok := GroupToken{sh: sh, start: -1}
+// Get going down the skip list together. The members take the shard's
+// next n places in the completed-op count, and those whose place is a
+// multiple of the sampling period are sampled. A group without a sampled
+// member pays what an unsampled operation pays; at period 1 every member
+// is sampled.
+func (r *Recorder) StartGroup(op Op, n int) OpToken {
+	sh := r.shard()
+	tok := OpToken{sh: sh, start: -1}
 	place := sh.ops[op].count.Load() & r.sampleMask
-	tok.sampled = (place + uint64(n)) >> bits.Len64(r.sampleMask)
-	if tok.sampled > 0 {
+	if (place+uint64(n))>>bits.Len64(r.sampleMask) > 0 {
 		tok.start = Nanotime()
 	}
 	return tok
@@ -343,33 +274,26 @@ func (r *Recorder) StartGroup(op Op, n int) GroupToken {
 // count grows by n exactly. A sampled group is recorded ONCE: its members
 // shared their steps, so there is one step vector, st, and one elapsed
 // time for all n. Each member is taken to have paid an n-th of both: the
-// sampled members add their share of the vector, scaled by the period as
-// in FinishOp, and one latency and one retry sample each, in the bucket
-// of elapsed / n. At period 1 that is the exact vector added once, the
-// elapsed time added once to the latency sum, and n samples.
-func (r *Recorder) FinishGroup(tok GroupToken, op Op, n int, st *instrument.OpStats) {
-	sh := tok.sh
-	o := &sh.ops[op]
-	members := uint64(n)
-	o.count.Add(members)
+// sampled members add their share of the vector, scaled by the period,
+// and one latency and one retry sample each, in the bucket of the n-th
+// share. At period 1 that is the exact vector added once, the elapsed
+// time added once to the latency sum, and n samples.
+//
+// StartGroup read the count racily, so it only foresees the sampled
+// members and reads the clock for them. The places the members took are
+// the ones the count's add returns, and the members sampled are those of
+// a foreseen group whose taken place is a multiple of the period. Two
+// racing operations therefore never sample one place twice, and the
+// scaled totals never exceed the true ones.
+func (r *Recorder) FinishGroup(tok OpToken, op Op, n int, st *instrument.OpStats) {
+	end := tok.sh.ops[op].count.Add(uint64(n))
 	if tok.start < 0 {
 		return
 	}
-	weight := tok.sampled * (r.sampleMask + 1)
-	var retries uint64
-	if st != nil {
-		for i, v := range st.Vector() {
-			if v != 0 {
-				sh.counters[i].Add(v * weight / members)
-			}
-		}
-		retries = st.CASAttempts - st.CASSuccesses
+	shift := bits.Len64(r.sampleMask)
+	if k := end>>shift - (end-uint64(n))>>shift; k > 0 {
+		tok.sh.flush(op, uint64(n), k, r.sampleMask+1, st, Nanotime()-tok.start)
 	}
-	el := uint64(max(Nanotime()-tok.start, 0))
-	o.latencySum.Add(el * tok.sampled / members)
-	o.latency[latencyBucket(time.Duration(el/members))].Add(tok.sampled)
-	o.retrySum.Add(retries * tok.sampled / members)
-	o.retries[retryBucket(retries/members)].Add(tok.sampled)
 }
 
 // Snapshot is a consistent-enough point-in-time copy of every metric (each
@@ -383,41 +307,17 @@ type Snapshot struct {
 }
 
 // OpSnapshot is the per-operation-kind slice of a Snapshot. Count is
-// exact; the latency/retry fields cover only the sampled subset of
-// operations (every operation, when the recorder samples every 1).
+// exact; the histograms cover only the sampled subset of operations
+// (every operation, when the recorder samples every 1), so their Count is
+// the number of sampled operations.
 type OpSnapshot struct {
 	// Count is the number of completed operations of this kind.
 	Count uint64
-	// LatencySumNanos is the summed wall-clock latency in nanoseconds of
-	// the sampled operations.
-	LatencySumNanos uint64
-	// RetrySum is the summed failed-C&S count of the sampled operations.
-	RetrySum uint64
-	// Latency holds per-bucket (not cumulative) sample counts; bucket i
-	// covers latencies <= LatencyBuckets[i], the last bucket is +Inf.
-	Latency [NumLatencyBuckets]uint64
-	// Retries holds per-bucket failed-C&S counts, bounds in RetryBuckets.
-	Retries [NumRetryBuckets]uint64
-}
-
-// LatencySamples returns the number of operations whose latency was
-// sampled into the histogram (equals Count at sampling period 1).
-func (o OpSnapshot) LatencySamples() uint64 {
-	var n uint64
-	for _, c := range o.Latency {
-		n += c
-	}
-	return n
-}
-
-// RetrySamples returns the number of operations whose retry count was
-// sampled into the histogram.
-func (o OpSnapshot) RetrySamples() uint64 {
-	var n uint64
-	for _, c := range o.Retries {
-		n += c
-	}
-	return n
+	// Latency holds the sampled operations' wall-clock latencies in
+	// nanoseconds.
+	Latency instrument.HistSnapshot
+	// Retries holds the sampled operations' failed-C&S counts.
+	Retries instrument.HistSnapshot
 }
 
 // Snapshot sums all shards into a typed snapshot.
@@ -430,16 +330,10 @@ func (r *Recorder) Snapshot() Snapshot {
 			vec[c] += sh.counters[c].Load()
 		}
 		for op := range sh.ops {
-			o := &sh.ops[op]
-			s.Ops[op].Count += o.count.Load()
-			s.Ops[op].LatencySumNanos += o.latencySum.Load()
-			s.Ops[op].RetrySum += o.retrySum.Load()
-			for b := range o.latency {
-				s.Ops[op].Latency[b] += o.latency[b].Load()
-			}
-			for b := range o.retries {
-				s.Ops[op].Retries[b] += o.retries[b].Load()
-			}
+			o, so := &sh.ops[op], &s.Ops[op]
+			so.Count += o.count.Load()
+			so.Latency = so.Latency.Merge(o.latency.Snapshot())
+			so.Retries = so.Retries.Merge(o.retries.Snapshot())
 		}
 	}
 	s.Counters.FromVector(vec)
@@ -471,14 +365,11 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	}
 	d.Counters.FromVector(vec)
 	for op := range s.Ops {
-		d.Ops[op].Count = sub64(s.Ops[op].Count, prev.Ops[op].Count)
-		d.Ops[op].LatencySumNanos = sub64(s.Ops[op].LatencySumNanos, prev.Ops[op].LatencySumNanos)
-		d.Ops[op].RetrySum = sub64(s.Ops[op].RetrySum, prev.Ops[op].RetrySum)
-		for b := range s.Ops[op].Latency {
-			d.Ops[op].Latency[b] = sub64(s.Ops[op].Latency[b], prev.Ops[op].Latency[b])
-		}
-		for b := range s.Ops[op].Retries {
-			d.Ops[op].Retries[b] = sub64(s.Ops[op].Retries[b], prev.Ops[op].Retries[b])
+		o, p := &s.Ops[op], &prev.Ops[op]
+		d.Ops[op] = OpSnapshot{
+			Count:   sub64(o.Count, p.Count),
+			Latency: o.Latency.Sub(p.Latency),
+			Retries: o.Retries.Sub(p.Retries),
 		}
 	}
 	return d
@@ -508,51 +399,4 @@ func (s Snapshot) EssentialStepsPerOp() float64 {
 		return 0
 	}
 	return float64(s.Counters.EssentialSteps()) / float64(n)
-}
-
-// LatencyQuantile returns the q-quantile (0 < q <= 1) of the operation's
-// latency histogram, linearly interpolated inside the winning bucket. The
-// +Inf bucket reports its lower bound. ok is false when the histogram is
-// empty.
-func (o OpSnapshot) LatencyQuantile(q float64) (d time.Duration, ok bool) {
-	var total uint64
-	for _, c := range o.Latency {
-		total += c
-	}
-	if total == 0 {
-		return 0, false
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i, c := range o.Latency {
-		if c == 0 {
-			continue
-		}
-		prev := cum
-		cum += float64(c)
-		if cum < rank {
-			continue
-		}
-		lo := time.Duration(0)
-		if i > 0 {
-			lo = LatencyBuckets[i-1]
-		}
-		if i == len(LatencyBuckets) {
-			return lo, true // +Inf bucket: report its lower bound
-		}
-		hi := LatencyBuckets[i]
-		frac := (rank - prev) / float64(c)
-		return lo + time.Duration(frac*float64(hi-lo)), true
-	}
-	return LatencyBuckets[len(LatencyBuckets)-1], true
-}
-
-// MeanLatency returns the mean latency of the sampled operations; 0 when
-// the histogram is empty.
-func (o OpSnapshot) MeanLatency() time.Duration {
-	n := o.LatencySamples()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(o.LatencySumNanos / n)
 }

@@ -1,50 +1,13 @@
 package telemetry
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/instrument"
 )
-
-func TestLatencyBucketBoundaries(t *testing.T) {
-	// Exactly on a boundary lands in that bucket (le semantics); one
-	// nanosecond above moves to the next.
-	for i, ub := range LatencyBuckets {
-		if got := latencyBucket(ub); got != i {
-			t.Fatalf("latencyBucket(%v) = %d, want %d", ub, got, i)
-		}
-		if got := latencyBucket(ub + time.Nanosecond); got != i+1 {
-			t.Fatalf("latencyBucket(%v+1ns) = %d, want %d", ub, got, i+1)
-		}
-	}
-	if got := latencyBucket(0); got != 0 {
-		t.Fatalf("latencyBucket(0) = %d", got)
-	}
-	if got := latencyBucket(time.Hour); got != len(LatencyBuckets) {
-		t.Fatalf("latencyBucket(1h) = %d, want +Inf bucket %d", got, len(LatencyBuckets))
-	}
-	for i := 1; i < len(LatencyBuckets); i++ {
-		if LatencyBuckets[i] <= LatencyBuckets[i-1] {
-			t.Fatalf("latency buckets not strictly increasing at %d", i)
-		}
-	}
-}
-
-func TestRetryBucketBoundaries(t *testing.T) {
-	for i, ub := range RetryBuckets {
-		if got := retryBucket(ub); got != i {
-			t.Fatalf("retryBucket(%d) = %d, want %d", ub, got, i)
-		}
-		if got := retryBucket(ub + 1); got != i+1 {
-			t.Fatalf("retryBucket(%d+1) = %d, want %d", ub, got, i+1)
-		}
-	}
-	if got := retryBucket(1 << 40); got != len(RetryBuckets) {
-		t.Fatalf("retryBucket(big) = %d, want +Inf bucket", got)
-	}
-}
 
 func TestRecordOpAccumulates(t *testing.T) {
 	r := NewRecorder(4)
@@ -60,14 +23,14 @@ func TestRecordOpAccumulates(t *testing.T) {
 		t.Fatalf("counters: %+v", s.Counters)
 	}
 	ins := s.Ops[OpInsert]
-	if ins.Count != 1 || ins.LatencySumNanos != 3000 {
+	if ins.Count != 1 || ins.Latency.Sum != 3000 {
 		t.Fatalf("insert op snapshot: %+v", ins)
 	}
-	if ins.Latency[latencyBucket(3*time.Microsecond)] != 1 {
+	if ins.Latency.Buckets[bucketOf(3000)] != 1 {
 		t.Fatalf("latency sample missing: %+v", ins.Latency)
 	}
-	// retries = 5 attempts - 2 successes = 3 -> bucket with bound 4.
-	if ins.Retries[retryBucket(3)] != 1 {
+	// retries = 5 attempts - 2 successes = 3 -> the exact cell 3.
+	if ins.Retries.Buckets[bucketOf(3)] != 1 {
 		t.Fatalf("retry sample missing: %+v", ins.Retries)
 	}
 	if s.Ops[OpGet].Count != 1 {
@@ -102,7 +65,7 @@ func TestDeltaMonotonicity(t *testing.T) {
 		cumulative.Counters.Add(&d.Counters)
 		for op := range d.Ops {
 			cumulative.Ops[op].Count += d.Ops[op].Count
-			cumulative.Ops[op].LatencySumNanos += d.Ops[op].LatencySumNanos
+			cumulative.Ops[op].Latency.Sum += d.Ops[op].Latency.Sum
 		}
 	}
 	// Deltas must tile the cumulative snapshot exactly.
@@ -111,7 +74,7 @@ func TestDeltaMonotonicity(t *testing.T) {
 		t.Fatalf("deltas do not sum to snapshot: %+v vs %+v", cumulative.Counters, s.Counters)
 	}
 	if s.Ops[OpDelete].Count != cumulative.Ops[OpDelete].Count ||
-		s.Ops[OpDelete].LatencySumNanos != cumulative.Ops[OpDelete].LatencySumNanos {
+		s.Ops[OpDelete].Latency.Sum != cumulative.Ops[OpDelete].Latency.Sum {
 		t.Fatalf("op deltas do not sum to snapshot")
 	}
 	// A fresh Delta after no activity is all-zero.
@@ -127,48 +90,6 @@ func TestSnapshotSubSaturates(t *testing.T) {
 	d := a.Sub(b)
 	if d.Counters.CASAttempts != 0 {
 		t.Fatalf("Sub must saturate at zero, got %d", d.Counters.CASAttempts)
-	}
-}
-
-func TestLatencyQuantile(t *testing.T) {
-	var o OpSnapshot
-	if _, ok := o.LatencyQuantile(0.5); ok {
-		t.Fatal("empty histogram reported a quantile")
-	}
-	// 90 samples in bucket 0 (<=250ns), 10 in bucket 2 (<=1us).
-	o.Latency[0] = 90
-	o.Latency[2] = 10
-	p50, ok := o.LatencyQuantile(0.50)
-	if !ok || p50 > LatencyBuckets[0] {
-		t.Fatalf("p50 = %v ok=%v, want <= %v", p50, ok, LatencyBuckets[0])
-	}
-	p99, ok := o.LatencyQuantile(0.99)
-	if !ok || p99 <= LatencyBuckets[1] || p99 > LatencyBuckets[2] {
-		t.Fatalf("p99 = %v, want in (%v, %v]", p99, LatencyBuckets[1], LatencyBuckets[2])
-	}
-	// All mass in +Inf reports the last finite bound.
-	var inf OpSnapshot
-	inf.Latency[NumLatencyBuckets-1] = 4
-	q, ok := inf.LatencyQuantile(0.5)
-	if !ok || q != LatencyBuckets[len(LatencyBuckets)-1] {
-		t.Fatalf("+Inf quantile = %v ok=%v", q, ok)
-	}
-}
-
-func TestMeanLatency(t *testing.T) {
-	// The mean is over the sampled subset: 4 samples, 4000ns total, even
-	// though 64 ops completed.
-	o := OpSnapshot{Count: 64, LatencySumNanos: 4000}
-	o.Latency[0] = 3
-	o.Latency[2] = 1
-	if got := o.MeanLatency(); got != time.Microsecond {
-		t.Fatalf("MeanLatency = %v", got)
-	}
-	if got := o.LatencySamples(); got != 4 {
-		t.Fatalf("LatencySamples = %d", got)
-	}
-	if got := (OpSnapshot{}).MeanLatency(); got != 0 {
-		t.Fatalf("empty MeanLatency = %v", got)
 	}
 }
 
@@ -214,7 +135,7 @@ func TestConcurrentRecordNoLostUpdates(t *testing.T) {
 	}
 	var latTotal uint64
 	for op := range s.Ops {
-		for _, c := range s.Ops[op].Latency {
+		for _, c := range s.Ops[op].Latency.Buckets {
 			latTotal += c
 		}
 	}
@@ -249,15 +170,15 @@ func TestStartFinishSampling(t *testing.T) {
 		s.Counters.CurrUpdates != 2*sampled*DefaultSampleEvery {
 		t.Fatalf("scaled counters wrong: %+v", s.Counters)
 	}
-	if got, want := ins.LatencySamples(), uint64(sampled); got != want {
+	if got, want := ins.Latency.Count, uint64(sampled); got != want {
 		t.Fatalf("latency samples = %d, want %d", got, want)
 	}
 	// Each sampled op had retries = 3-1 = 2 (histograms are per-sample,
 	// not scaled).
-	if got := ins.Retries[retryBucket(2)]; got != uint64(sampled) {
+	if got := ins.Retries.Buckets[bucketOf(2)]; got != uint64(sampled) {
 		t.Fatalf("retry samples: %+v", ins.Retries)
 	}
-	if got := ins.RetrySum; got != 2*uint64(sampled) {
+	if got := ins.Retries.Sum; got != 2*uint64(sampled) {
 		t.Fatalf("retry sum = %d", got)
 	}
 }
@@ -271,8 +192,8 @@ func TestSetSampleEveryOne(t *testing.T) {
 		r.FinishOp(tok, OpGet, nil)
 	}
 	s := r.Snapshot()
-	if s.Ops[OpGet].LatencySamples() != 10 {
-		t.Fatalf("samples = %d, want 10", s.Ops[OpGet].LatencySamples())
+	if s.Ops[OpGet].Latency.Count != 10 {
+		t.Fatalf("samples = %d, want 10", s.Ops[OpGet].Latency.Count)
 	}
 	// Rounding up to powers of two.
 	r.SetSampleEvery(5)
@@ -299,14 +220,14 @@ func TestGroupRecordedOnce(t *testing.T) {
 	r.FinishGroup(tok, OpGet, 13, &st)
 	s := r.Snapshot()
 	get := s.Ops[OpGet]
-	if get.Count != 13 || get.LatencySamples() != 13 || get.RetrySamples() != 13 {
-		t.Fatalf("count/latency/retry samples = %d/%d/%d, want 13 each", get.Count, get.LatencySamples(), get.RetrySamples())
+	if get.Count != 13 || get.Latency.Count != 13 || get.Retries.Count != 13 {
+		t.Fatalf("count/latency/retry samples = %d/%d/%d, want 13 each", get.Count, get.Latency.Count, get.Retries.Count)
 	}
-	if s.Counters.NextUpdates != 90 || s.Counters.CASAttempts != 7 || get.RetrySum != 5 {
-		t.Fatalf("vector not added exactly once: %+v, retry sum %d", s.Counters, get.RetrySum)
+	if s.Counters.NextUpdates != 90 || s.Counters.CASAttempts != 7 || get.Retries.Sum != 5 {
+		t.Fatalf("vector not added exactly once: %+v, retry sum %d", s.Counters, get.Retries.Sum)
 	}
 	// 5 failed C&S over 13 members: every member's share rounds to none.
-	if get.Retries[retryBucket(0)] != 13 {
+	if get.Retries.Buckets[bucketOf(0)] != 13 {
 		t.Fatalf("retry samples: %+v", get.Retries)
 	}
 
@@ -323,8 +244,8 @@ func TestGroupRecordedOnce(t *testing.T) {
 		r.FinishGroup(tok, OpGet, 5, &instrument.OpStats{NextUpdates: 100})
 	}
 	s = r.Snapshot()
-	if got := s.Ops[OpGet]; got.Count != 80 || got.LatencySamples() != 5 || sampledGroups != 5 {
-		t.Fatalf("count %d, %d latency samples, %d sampled groups; want 80, 5, 5", got.Count, got.LatencySamples(), sampledGroups)
+	if got := s.Ops[OpGet]; got.Count != 80 || got.Latency.Count != 5 || sampledGroups != 5 {
+		t.Fatalf("count %d, %d latency samples, %d sampled groups; want 80, 5, 5", got.Count, got.Latency.Count, sampledGroups)
 	}
 	if want := uint64(5 * 100 * DefaultSampleEvery / 5); s.Counters.NextUpdates != want {
 		t.Fatalf("scaled steps = %d, want %d (the true total is 1600)", s.Counters.NextUpdates, want)
@@ -339,8 +260,8 @@ func TestGroupRecordedOnce(t *testing.T) {
 		r.FinishGroup(tok, OpGet, DefaultSampleEvery, &instrument.OpStats{NextUpdates: 32})
 	}
 	s = r.Snapshot()
-	if got := s.Ops[OpGet]; got.Count != 65 || got.LatencySamples() != 4 || s.Counters.NextUpdates != 4*32 {
-		t.Fatalf("count %d, %d samples, %d steps; want 65, 4, 128", got.Count, got.LatencySamples(), s.Counters.NextUpdates)
+	if got := s.Ops[OpGet]; got.Count != 65 || got.Latency.Count != 4 || s.Counters.NextUpdates != 4*32 {
+		t.Fatalf("count %d, %d samples, %d steps; want 65, 4, 128", got.Count, got.Latency.Count, s.Counters.NextUpdates)
 	}
 }
 
@@ -384,7 +305,7 @@ func TestConcurrentStartFinishNoLostUpdates(t *testing.T) {
 	}
 	var latTotal uint64
 	for op := range s.Ops {
-		latTotal += s.Ops[op].LatencySamples()
+		latTotal += s.Ops[op].Latency.Count
 	}
 	if latTotal == 0 || latTotal > workers*perWorker {
 		t.Fatalf("latency samples = %d, want in (0, %d]", latTotal, workers*perWorker)
@@ -410,5 +331,31 @@ func TestOpStrings(t *testing.T) {
 	}
 	if NumOps.String() != "unknown" {
 		t.Fatal("out-of-range op must be unknown")
+	}
+}
+
+// bucketOf returns the index of the instrument.Hist bucket that holds v.
+func bucketOf(v int64) int {
+	i := 0
+	for instrument.HistUpperBound(i) < v {
+		i++
+	}
+	return i
+}
+
+// TestRecorderP50WithinHistError: a recorder's latency quantiles carry
+// instrument.Hist's relative error, at most 12.5%, wherever the latency
+// falls. 3 µs is mid-decade, where hand-picked decade bounds are coarsest.
+func TestRecorderP50WithinHistError(t *testing.T) {
+	r := NewRecorder(1)
+	for i := 0; i < 1000; i++ {
+		r.RecordOp(OpGet, nil, 3*time.Microsecond)
+	}
+	p50, ok := r.Snapshot().Ops[OpGet].Latency.Quantile(0.50)
+	if !ok {
+		t.Fatal("no latency samples")
+	}
+	if err := math.Abs(float64(p50)-3000) / 3000; err > 0.125 {
+		t.Fatalf("p50 = %d ns, %.1f%% off 3000 ns (want within 12.5%%)", p50, 100*err)
 	}
 }

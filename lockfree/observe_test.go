@@ -76,7 +76,7 @@ func TestWithTelemetryEndToEnd(t *testing.T) {
 			// Every completed op left exactly one latency sample.
 			for op := telemetry.Op(0); op < telemetry.NumOps; op++ {
 				var lat uint64
-				for _, c := range s.Ops[op].Latency {
+				for _, c := range s.Ops[op].Latency.Buckets {
 					lat += c
 				}
 				if lat != s.Ops[op].Count {
@@ -132,7 +132,7 @@ func TestTelemetrySharedBetweenStructures(t *testing.T) {
 // and counters are exact, latency samples arrive one in every 16 ops
 // (deterministic on a single shard driven serially).
 func TestTelemetryDefaultSampling(t *testing.T) {
-	tel := telemetry.New("sampled", telemetry.WithShards(1))
+	tel := telemetry.New("sampled")
 	defer tel.Unregister()
 	m := NewSkipList[int, int](WithTelemetry(tel))
 	const ops = 200
@@ -149,10 +149,10 @@ func TestTelemetryDefaultSampling(t *testing.T) {
 	if s.Counters.CASSuccesses == 0 || s.Counters.CASSuccesses%16 != 0 {
 		t.Fatalf("scaled counter estimate wrong: %+v", s.Counters)
 	}
-	if got, want := ins.LatencySamples(), uint64(ops/16); got != want {
+	if got, want := ins.Latency.Count, uint64(ops/16); got != want {
 		t.Fatalf("latency samples = %d, want %d (1 in 16 of %d)", got, want, ops)
 	}
-	if got := ins.RetrySamples(); got != uint64(ops/16) {
+	if got := ins.Retries.Count; got != uint64(ops/16) {
 		t.Fatalf("retry samples = %d", got)
 	}
 }

@@ -105,54 +105,25 @@ func WriteMetrics(w io.Writer, instances ...*Telemetry) error {
 		}
 	}
 
-	// Latency histogram.
-	bw.printf("# HELP lockfree_op_latency_seconds Operation wall-clock latency by kind; a key of a batched get counts its share of its descent group's time (group time / group size).\n")
-	bw.printf("# TYPE lockfree_op_latency_seconds histogram\n")
-	for _, in := range snaps {
-		for op := Op(0); op < NumOps; op++ {
-			o := in.snap.Ops[op]
-			var cum uint64
-			for b, count := range o.Latency {
-				cum += count
-				le := "+Inf"
-				if b < len(itel.LatencyBuckets) {
-					le = formatFloat(itel.LatencyBuckets[b].Seconds())
-				}
-				bw.printf("lockfree_op_latency_seconds_bucket{structure=%q,op=%q,le=%q} %d\n",
-					in.name, op.String(), le, cum)
+	// Per-op histograms, both rendered by instrument.HistSnapshot. Their
+	// _count is the number of sampled operations (== the +Inf bucket),
+	// which may be fewer than lockfree_ops_total when the recorder samples.
+	hist := func(name, help string, seconds bool, pick func(OpSnapshot) instrument.HistSnapshot) {
+		bw.printf("# HELP %s %s\n", name, help)
+		bw.printf("# TYPE %s histogram\n", name)
+		var b []byte
+		for _, in := range snaps {
+			for op := Op(0); op < NumOps; op++ {
+				labels := "structure=" + strconv.Quote(in.name) + ",op=" + strconv.Quote(op.String())
+				b = pick(in.snap.Ops[op]).AppendPrometheus(b, name, labels, seconds)
 			}
-			bw.printf("lockfree_op_latency_seconds_sum{structure=%q,op=%q} %s\n",
-				in.name, op.String(), formatFloat(float64(o.LatencySumNanos)/1e9))
-			// _count is the number of sampled operations (== the +Inf
-			// bucket), which may be fewer than lockfree_ops_total when the
-			// recorder samples histograms.
-			bw.printf("lockfree_op_latency_seconds_count{structure=%q,op=%q} %d\n",
-				in.name, op.String(), o.LatencySamples())
 		}
+		bw.printf("%s", b)
 	}
-
-	// Retry (failed C&S per operation) histogram.
-	bw.printf("# HELP lockfree_op_retries Failed C&S attempts per operation by kind (contention).\n")
-	bw.printf("# TYPE lockfree_op_retries histogram\n")
-	for _, in := range snaps {
-		for op := Op(0); op < NumOps; op++ {
-			o := in.snap.Ops[op]
-			var cum uint64
-			for b, count := range o.Retries {
-				cum += count
-				le := "+Inf"
-				if b < len(itel.RetryBuckets) {
-					le = strconv.FormatUint(itel.RetryBuckets[b], 10)
-				}
-				bw.printf("lockfree_op_retries_bucket{structure=%q,op=%q,le=%q} %d\n",
-					in.name, op.String(), le, cum)
-			}
-			bw.printf("lockfree_op_retries_sum{structure=%q,op=%q} %d\n",
-				in.name, op.String(), o.RetrySum)
-			bw.printf("lockfree_op_retries_count{structure=%q,op=%q} %d\n",
-				in.name, op.String(), o.RetrySamples())
-		}
-	}
+	hist("lockfree_op_latency_seconds", "Operation wall-clock latency by kind; a key of a batched get counts its share of its descent group's time (group time / group size).",
+		true, func(o OpSnapshot) instrument.HistSnapshot { return o.Latency })
+	hist("lockfree_op_retries", "Failed C&S attempts per operation by kind (contention).",
+		false, func(o OpSnapshot) instrument.HistSnapshot { return o.Retries })
 	return bw.err
 }
 

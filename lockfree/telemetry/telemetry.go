@@ -1,8 +1,9 @@
 // Package telemetry exposes live metrics for the lock-free structures in
 // package lockfree: the paper's essential-step counters (Section 3.4 cost
 // accounting - C&S attempts, backlink traversals, next/curr updates, help
-// calls), operation counts, and fixed-bucket latency and retry histograms
-// per operation kind.
+// calls), operation counts, and latency and retry histograms per
+// operation kind. The histograms are instrument.Hist: exact cells up to
+// 15, then four sub-buckets per power of two (quantiles within 12.5%).
 //
 // Attach a Telemetry to a structure at construction time:
 //
@@ -20,10 +21,11 @@
 //
 // Telemetry is opt-in. A structure built without WithTelemetry pays one
 // nil-check branch per operation and nothing else; an attached Telemetry
-// costs two monotonic clock reads plus one flush of striped,
-// cache-line-padded atomic counters per completed operation - never a
-// shared write per step. See DESIGN.md "Observability" for the mapping
-// from each metric to the paper's accounting.
+// costs an atomic load and add per operation and, on the sampled ones
+// (see WithSampleEvery), two monotonic clock reads plus one flush into a
+// goroutine-affine, cache-line-padded stripe of counters and histograms -
+// never a shared write per step. See DESIGN.md "Observability" for the
+// mapping from each metric to the paper's accounting.
 package telemetry
 
 import (
@@ -66,14 +68,8 @@ type Telemetry struct {
 type Option func(*cfg)
 
 type cfg struct {
-	shards      int
 	sampleEvery int
 }
-
-// WithShards overrides the number of counter stripes (rounded up to a
-// power of two, default 2 x GOMAXPROCS). More shards cost memory and
-// snapshot time but reduce flush contention at very high parallelism.
-func WithShards(n int) Option { return func(c *cfg) { c.shards = n } }
 
 // WithSampleEvery overrides the latency/retry histogram sampling period
 // (rounded up to a power of two; 1 samples every operation, the default is
@@ -100,7 +96,7 @@ func New(name string, opts ...Option) *Telemetry {
 	for _, o := range opts {
 		o(&c)
 	}
-	rec := itel.NewRecorder(c.shards)
+	rec := itel.NewRecorder(0)
 	if c.sampleEvery > 0 {
 		rec.SetSampleEvery(c.sampleEvery)
 	}
@@ -188,7 +184,9 @@ func (t *Telemetry) PublishExpvar() *Telemetry {
 }
 
 // expvarView renders a snapshot as the nested map expvar serializes to
-// JSON: counters by canonical name, then per-op count/latency/retries.
+// JSON: counters by canonical name, then per-op count, latency and retry
+// scalars. The distributions themselves, with their bounds, are served
+// on /metrics.
 func expvarView(s Snapshot) map[string]any {
 	counters := map[string]uint64{}
 	for c, v := range s.Counters.Vector() {
@@ -199,17 +197,15 @@ func expvarView(s Snapshot) map[string]any {
 		o := s.Ops[op]
 		view := map[string]any{
 			"count":           o.Count,
-			"latency_samples": o.LatencySamples(),
-			"latency_sum_ns":  o.LatencySumNanos,
-			"retry_sum":       o.RetrySum,
-			"latency_buckets": o.Latency[:],
-			"retry_buckets":   o.Retries[:],
+			"latency_samples": o.Latency.Count,
+			"latency_sum_ns":  o.Latency.Sum,
+			"retry_sum":       o.Retries.Sum,
 		}
-		if p50, ok := o.LatencyQuantile(0.50); ok {
-			view["latency_p50_ns"] = p50.Nanoseconds()
+		if p50, ok := o.Latency.Quantile(0.50); ok {
+			view["latency_p50_ns"] = p50
 		}
-		if p99, ok := o.LatencyQuantile(0.99); ok {
-			view["latency_p99_ns"] = p99.Nanoseconds()
+		if p99, ok := o.Latency.Quantile(0.99); ok {
+			view["latency_p99_ns"] = p99
 		}
 		ops[op.String()] = view
 	}

@@ -37,7 +37,7 @@ func fill(t *Telemetry) {
 }
 
 func TestPrometheusGolden(t *testing.T) {
-	tel := New("golden", WithShards(1))
+	tel := New("golden")
 	defer tel.Unregister()
 	fill(tel)
 
@@ -61,7 +61,7 @@ func TestPrometheusGolden(t *testing.T) {
 }
 
 func TestPrometheusHistogramInvariants(t *testing.T) {
-	tel := New("hist-inv", WithShards(1))
+	tel := New("hist-inv")
 	defer tel.Unregister()
 	fill(tel)
 	var buf bytes.Buffer
@@ -88,10 +88,40 @@ func TestPrometheusHistogramInvariants(t *testing.T) {
 	}
 }
 
+// TestPrometheusRetriesZeroCell: the retry histogram keeps the
+// contention-free cut. An op whose samples all had zero failed C&S
+// renders le="0" equal to its _count, rather than folding "no retry" into
+// the octave up to 15.
+func TestPrometheusRetriesZeroCell(t *testing.T) {
+	tel := New("retry-zero")
+	defer tel.Unregister()
+	for i := 0; i < 5; i++ {
+		tel.Recorder().RecordOp(OpGet, &instrument.OpStats{CASAttempts: 2, CASSuccesses: 2}, time.Microsecond)
+	}
+	tel.Recorder().RecordOp(OpInsert, &instrument.OpStats{CASAttempts: 3, CASSuccesses: 1}, time.Microsecond)
+	var buf bytes.Buffer
+	if err := WriteMetrics(&buf, tel); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, line := range []string{
+		`lockfree_op_retries_bucket{structure="retry-zero",op="get",le="0"} 5`,
+		`lockfree_op_retries_count{structure="retry-zero",op="get"} 5`,
+		`lockfree_op_retries_bucket{structure="retry-zero",op="insert",le="2"} 1`,
+	} {
+		if !strings.Contains(out, line+"\n") {
+			t.Fatalf("missing %q in:\n%s", line, out)
+		}
+	}
+	if strings.Contains(out, `op="insert",le="0"`) {
+		t.Fatalf("an op with retries rendered a le=\"0\" bucket:\n%s", out)
+	}
+}
+
 func TestHTTPHandlers(t *testing.T) {
-	a := New("handler-a", WithShards(1))
+	a := New("handler-a")
 	defer a.Unregister()
-	b := New("handler-b", WithShards(1))
+	b := New("handler-b")
 	defer b.Unregister()
 	fill(a)
 
@@ -116,7 +146,7 @@ func TestHTTPHandlers(t *testing.T) {
 }
 
 func TestExpvarRoundTrip(t *testing.T) {
-	tel := New("expvar-rt", WithShards(1))
+	tel := New("expvar-rt")
 	defer tel.Unregister()
 	tel.PublishExpvar()
 	tel.PublishExpvar() // idempotent, must not panic
@@ -182,7 +212,7 @@ func mustPanic(t *testing.T, fn func()) {
 }
 
 func TestSnapshotAndDelta(t *testing.T) {
-	tel := New("snap-delta", WithShards(2))
+	tel := New("snap-delta")
 	defer tel.Unregister()
 	fill(tel)
 	s := tel.Snapshot()

@@ -13,8 +13,9 @@
 #      internal/ebr, internal/wal, internal/snapshot) at GOMAXPROCS=2
 #      and 8, plus the allocation pins without the race detector at
 #      GOMAXPROCS=2 and one iteration of every BenchmarkServerWire*,
-#      plus the unsafe gate: internal/core's successor word
+#      plus the unsafe gates: internal/core's successor word
 #      lives in one file (steps 1 and 3 vet it and run it under checkptr),
+#      and repo-wide only three allow-listed files import unsafe,
 #   5. a ten-second FuzzRESP run over the wire-protocol readers: hostile
 #      bytes must fail requests, never hang or kill the serving goroutine,
 #   6. short lflstress runs: a -server smoke (an in-process TCP server
@@ -88,6 +89,15 @@ echo "== unsafe: only word.go imports it in internal/core =="
 unsafe_files=$(grep -l '"unsafe"' internal/core/*.go | grep -v '_test\.go$' || true)
 [ "$unsafe_files" = "internal/core/word.go" ] \
     || { echo "unsafe gate: non-test files importing unsafe in internal/core: $unsafe_files (want only word.go)"; exit 1; }
+
+# Repo-wide, unsafe has three non-test homes: the successor word, the
+# stripe hash every striped structure shares (a stack address, hashed and
+# dropped), and the serving layer's zero-copy string view for writev.
+echo "== unsafe: the repo-wide allow-list =="
+unsafe_files=$(git grep -l '"unsafe"' -- '*.go' ':!*_test.go' | tr '\n' ' ')
+unsafe_allowed="internal/core/word.go internal/instrument/sharded.go internal/server/wire.go "
+[ "$unsafe_files" = "$unsafe_allowed" ] \
+    || { echo "unsafe gate: non-test files importing unsafe: $unsafe_files (want exactly $unsafe_allowed)"; exit 1; }
 
 # The allocation pins skip themselves under the race detector (it drops
 # sync.Pool puts at random), so run them once more without it, at the
