@@ -450,9 +450,10 @@ func BenchmarkAllocsSkipListBatchGet(b *testing.B) {
 }
 
 // TestAllocsSkipListRecorded pins the telemetry seam at the setting
-// lflserver runs - a recorder sampling every operation: a recorded Get,
-// Delete or GetBatch allocates nothing, because the sampled operation's
-// Proc and scratch counters come from one pool.
+// lflserver runs - a recorder sampling every operation: every operation
+// the op scope records, plain or through a finger, allocates nothing,
+// because the sampled operation's Proc and scratch counters come from one
+// pool.
 func TestAllocsSkipListRecorded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts at random, so pooled scratch reallocates")
@@ -480,6 +481,23 @@ func TestAllocsSkipListRecorded(t *testing.T) {
 		l.GetBatch(nil, keys, nil, nil)
 	}); allocs != 0 {
 		t.Fatalf("recorded GetBatch allocates %v objects per 16-key batch, want 0", allocs)
+	}
+	// Every other operation the op scope records.
+	f := l.NewFinger()
+	visit := func(_, _ int) bool { return true }
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"duplicate Insert", func() { l.Insert(nil, k%256, k) }},
+		{"finger Get", func() { f.Get(nil, k%256) }},
+		{"finger absent Delete", func() { f.Delete(nil, 1000+k) }},
+		{"finger duplicate Insert", func() { f.Insert(nil, k%256, k) }},
+		{"AscendRange", func() { l.AscendRange(nil, k%256, k%256+8, visit) }},
+	} {
+		if allocs := testing.AllocsPerRun(300, func() { c.op(); k++ }); allocs != 0 {
+			t.Errorf("recorded %s allocates %v objects per op, want 0", c.name, allocs)
+		}
 	}
 	if got := rec.Snapshot().TotalOps(); got == 0 {
 		t.Fatal("recorder saw no operations: the pin measured the unrecorded path")

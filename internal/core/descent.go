@@ -107,25 +107,13 @@ func GetBatchAcross[K comparable, V any](p *Proc, lists []*SkipList[K, V], cuts 
 	return n
 }
 
-// getGroup is the telemetry seam of one descent group, the counterpart of
-// the point wrappers in telemetry.go: the group is recorded once, with its
-// exact steps and every member's latency taken as its share of the
-// group's.
+// getGroup is one descent group in its op scope: the group is recorded
+// once, with its exact steps and every member's latency taken as its
+// share of the group's.
 func getGroup[K comparable, V any](p *Proc, rec *SkipFinger[K, V], lists []*SkipList[K, V], cuts []int, keys []K, lo, hi int, vals []V, found []bool) int {
-	tel := lists[0].tel
-	if tel == nil {
-		return descend(p, rec, lists, cuts, keys, lo, hi, vals, found)
-	}
-	tok := tel.StartGroup(telemetry.OpGet, hi-lo)
-	if !tok.Sampled() {
-		n := descend(p, rec, lists, cuts, keys, lo, hi, vals, found)
-		tel.FinishGroup(tok, telemetry.OpGet, hi-lo, nil)
-		return n
-	}
-	s := beginSampled(p)
-	n := descend(&s.pr, rec, lists, cuts, keys, lo, hi, vals, found)
-	tel.FinishGroup(tok, telemetry.OpGet, hi-lo, &s.st)
-	endSampled(p, s)
+	sc, p := beginOp(lists[0].tel, p, telemetry.OpGet, hi-lo)
+	n := descend(p, rec, lists, cuts, keys, lo, hi, vals, found)
+	sc.end()
 	return n
 }
 

@@ -198,19 +198,9 @@ func (f *SkipFinger[K, V]) searchToLevel(p *Proc, k K, v int, strict bool) (*SLN
 // or nil if k is absent.
 func (f *SkipFinger[K, V]) Search(p *Proc, k K) *SLNode[K, V] {
 	f.ensurePin()
-	l := f.l
-	if l.tel == nil {
-		return l.searchVia(p, f, k)
-	}
-	tok := l.tel.StartOp(telemetry.OpGet)
-	if !tok.Sampled() {
-		n := l.searchVia(p, f, k)
-		l.tel.FinishOp(tok, telemetry.OpGet, nil)
-		return n
-	}
-	s := beginSampled(p)
-	n := l.searchVia(&s.pr, f, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, s)
+	sc, p := beginOp(f.l.tel, p, telemetry.OpGet, 1)
+	n := f.l.searchVia(p, f, k)
+	sc.end()
 	return n
 }
 
@@ -223,49 +213,24 @@ func (f *SkipFinger[K, V]) Get(p *Proc, k K) (V, bool) {
 	return zero, false
 }
 
-// insert is insertVia through the finger, which then remembers the tower
-// carrying k - new or the duplicate found - as its level-1 predecessor:
-// the next key of an ascending run starts there instead of one node back.
-func (f *SkipFinger[K, V]) insert(p *Proc, k K, v V) (*SLNode[K, V], bool) {
-	n, ok := f.l.insertVia(p, f, k, v)
-	f.prevs[0] = n
-	return n, ok
-}
-
-// Insert adds k with value v starting every level search from the finger.
+// Insert adds k with value v starting every level search from the finger,
+// which then remembers the tower carrying k - new or the duplicate found -
+// as its level-1 predecessor: the next key of an ascending run starts
+// there instead of one node back.
 func (f *SkipFinger[K, V]) Insert(p *Proc, k K, v V) (*SLNode[K, V], bool) {
 	f.ensurePin()
-	l := f.l
-	if l.tel == nil {
-		return f.insert(p, k, v)
-	}
-	tok := l.tel.StartOp(telemetry.OpInsert)
-	if !tok.Sampled() {
-		n, ok := f.insert(p, k, v)
-		l.tel.FinishOp(tok, telemetry.OpInsert, nil)
-		return n, ok
-	}
-	s := beginSampled(p)
-	n, ok := f.insert(&s.pr, k, v)
-	finishSampled(l.tel, tok, telemetry.OpInsert, p, s)
+	sc, p := beginOp(f.l.tel, p, telemetry.OpInsert, 1)
+	n, ok := f.l.insertVia(p, f, k, v)
+	f.prevs[0] = n
+	sc.end()
 	return n, ok
 }
 
 // Delete removes k starting every level search from the finger.
 func (f *SkipFinger[K, V]) Delete(p *Proc, k K) (*SLNode[K, V], bool) {
 	f.ensurePin()
-	l := f.l
-	if l.tel == nil {
-		return l.removeVia(p, f, k)
-	}
-	tok := l.tel.StartOp(telemetry.OpDelete)
-	if !tok.Sampled() {
-		n, ok := l.removeVia(p, f, k)
-		l.tel.FinishOp(tok, telemetry.OpDelete, nil)
-		return n, ok
-	}
-	s := beginSampled(p)
-	n, ok := l.removeVia(&s.pr, f, k)
-	finishSampled(l.tel, tok, telemetry.OpDelete, p, s)
+	sc, p := beginOp(f.l.tel, p, telemetry.OpDelete, 1)
+	n, ok := f.l.removeVia(p, f, k)
+	sc.end()
 	return n, ok
 }

@@ -33,8 +33,8 @@ type SkipList[K comparable, V any] struct {
 	head     *SLNode[K, V] // sentinel towers of maxLevel cells: every
 	tail     *SLNode[K, V] // level starts at head and ends at tail
 	rng      func() uint64 // thread-safe source of random bits
-	// tel, when non-nil, receives one RecordOp flush per completed
-	// operation (see telemetry.go). Set before the skip list is shared.
+	// tel, when non-nil, records every operation (see telemetry.go).
+	// Set before the skip list is shared.
 	tel *telemetry.Recorder
 	// retire, when non-nil, is called with the tower at each of its
 	// levels' physical-deletion C&S - exactly once per level, from

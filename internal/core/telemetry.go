@@ -7,17 +7,19 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file is the telemetry seam of the primary structures: every exported
-// operation is a thin wrapper that, when a telemetry.Recorder is attached,
-// counts the operation and — for the sampled subset — accumulates the
-// paper's essential steps in a scratch OpStats and flushes them, with one
-// latency and one retry sample, into the recorder's sharded counters.
+// This file is the telemetry seam of the primary structures. Every
+// exported operation runs inside one op scope: beginOp opens it and hands
+// back the Proc the operation runs with, end records the operation. When
+// a telemetry.Recorder is attached, the scope counts the operation and —
+// for the sampled subset — accumulates the paper's essential steps in a
+// scratch OpStats and flushes them, with one latency and one retry sample,
+// into the recorder's sharded counters. A GetBatch descent group is one
+// scope over its n keys.
 //
-// The disabled path costs exactly one nil check per operation: no
-// allocation, no atomic, no clock read. The enabled path keeps operation
-// counts exact and samples everything else (period
-// telemetry.DefaultSampleEvery, configurable down to 1 = record
-// everything):
+// The disabled path costs a nil check where the scope opens and one where
+// it ends: no allocation, no atomic, no clock read. The enabled path keeps operation counts exact and
+// samples everything else (period telemetry.DefaultSampleEvery,
+// configurable down to 1 = record everything):
 //
 //   - unsampled operations run with the caller's own Proc untouched and
 //     pay one atomic load plus one striped atomic add,
@@ -51,32 +53,65 @@ type sampledOp struct {
 // sampledPool recycles sampledOps, one Get/Put per sampled operation.
 var sampledPool = sync.Pool{New: func() any { return new(sampledOp) }}
 
-// beginSampled returns a sampledOp whose Proc is a copy of p (hooks, ID,
-// retire callback, epoch pin intact) with its step counters redirected to
-// zeroed scratch, so the operation's essential steps are collected locally
-// regardless of whether the caller passed its own Proc.
-func beginSampled(p *Proc) *sampledOp {
+// opScope records one operation, or one group of n operations that run as
+// one unit, between beginOp and end.
+type opScope struct {
+	tel *telemetry.Recorder // nil: nothing is recorded
+	tok telemetry.OpToken
+	op  telemetry.Op
+	n   int
+	p   *Proc      // the caller's own Proc
+	s   *sampledOp // the sampled scratch, or nil when unsampled
+}
+
+// beginOp opens the scope of n operations of kind op on tel and returns
+// the Proc they run with: p itself, or, when the scope is sampled, a copy
+// of p (hooks, ID, retire callback, epoch pin intact) whose step counters
+// are redirected to zeroed scratch, so the steps are collected locally
+// whether or not the caller passed its own Proc. Without a recorder it
+// is the nil check alone.
+func beginOp(tel *telemetry.Recorder, p *Proc, op telemetry.Op, n int) (opScope, *Proc) {
+	if tel == nil {
+		return opScope{}, p
+	}
+	return startOp(tel, p, op, n)
+}
+
+// startOp is beginOp with a recorder, kept out of line so that beginOp
+// inlines.
+func startOp(tel *telemetry.Recorder, p *Proc, op telemetry.Op, n int) (opScope, *Proc) {
+	sc := opScope{tel: tel, tok: tel.StartGroup(op, n), op: op, n: n, p: p}
+	if !sc.tok.Sampled() {
+		return sc, p
+	}
 	s := sampledPool.Get().(*sampledOp)
 	if p != nil {
 		s.pr = *p
 	}
 	s.st = OpStats{}
 	s.pr.Stats = &s.st
-	return s
+	sc.s = s
+	return sc, &s.pr
 }
 
-// finishSampled records one sampled operation and mirrors the locally
-// collected steps into the caller's own counters, if it brought any, so an
-// instrumented benchmark sees exactly what the live metrics see.
-func finishSampled(rec *telemetry.Recorder, tok telemetry.OpToken, op telemetry.Op, p *Proc, s *sampledOp) {
-	rec.FinishOp(tok, op, &s.st)
-	endSampled(p, s)
+// end records the scope's operations. A sampled scope flushes the steps it
+// collected and mirrors them into the caller's own counters, if it brought
+// any, so an instrumented benchmark sees exactly what the live metrics see.
+func (sc *opScope) end() {
+	if sc.tel != nil {
+		sc.finish()
+	}
 }
 
-// endSampled mirrors the steps s collected into p's own counters and
-// returns s to the pool.
-func endSampled(p *Proc, s *sampledOp) {
-	if outer := p.StatsOrNil(); outer != nil {
+// finish is end with a recorder, kept out of line so that end inlines.
+func (sc *opScope) finish() {
+	s := sc.s
+	if s == nil {
+		sc.tel.FinishGroup(sc.tok, sc.op, sc.n, nil)
+		return
+	}
+	sc.tel.FinishGroup(sc.tok, sc.op, sc.n, &s.st)
+	if outer := sc.p.StatsOrNil(); outer != nil {
 		outer.Add(&s.st)
 	}
 	s.pr = Proc{} // a pooled Proc must not keep the caller's hooks or pin alive
@@ -87,36 +122,18 @@ func endSampled(p *Proc, s *sampledOp) {
 // This is SEARCH_SL.
 func (l *SkipList[K, V]) Search(p *Proc, k K) *SLNode[K, V] {
 	defer l.opPin(p).Unpin()
-	if l.tel == nil {
-		return l.search(p, k)
-	}
-	tok := l.tel.StartOp(telemetry.OpGet)
-	if !tok.Sampled() {
-		n := l.search(p, k)
-		l.tel.FinishOp(tok, telemetry.OpGet, nil)
-		return n
-	}
-	s := beginSampled(p)
-	n := l.search(&s.pr, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, s)
+	sc, p := beginOp(l.tel, p, telemetry.OpGet, 1)
+	n := l.search(p, k)
+	sc.end()
 	return n
 }
 
 // Get looks up k and returns its value.
 func (l *SkipList[K, V]) Get(p *Proc, k K) (V, bool) {
 	defer l.opPin(p).Unpin()
-	if l.tel == nil {
-		return l.get(p, k)
-	}
-	tok := l.tel.StartOp(telemetry.OpGet)
-	if !tok.Sampled() {
-		v, ok := l.get(p, k)
-		l.tel.FinishOp(tok, telemetry.OpGet, nil)
-		return v, ok
-	}
-	s := beginSampled(p)
-	v, ok := l.get(&s.pr, k)
-	finishSampled(l.tel, tok, telemetry.OpGet, p, s)
+	sc, p := beginOp(l.tel, p, telemetry.OpGet, 1)
+	v, ok := l.get(p, k)
+	sc.end()
 	return v, ok
 }
 
@@ -126,18 +143,9 @@ func (l *SkipList[K, V]) Get(p *Proc, k K) (V, bool) {
 // C&S. This is INSERT_SL.
 func (l *SkipList[K, V]) Insert(p *Proc, k K, v V) (*SLNode[K, V], bool) {
 	defer l.opPin(p).Unpin()
-	if l.tel == nil {
-		return l.insert(p, k, v)
-	}
-	tok := l.tel.StartOp(telemetry.OpInsert)
-	if !tok.Sampled() {
-		n, ok := l.insert(p, k, v)
-		l.tel.FinishOp(tok, telemetry.OpInsert, nil)
-		return n, ok
-	}
-	s := beginSampled(p)
-	n, ok := l.insert(&s.pr, k, v)
-	finishSampled(l.tel, tok, telemetry.OpInsert, p, s)
+	sc, p := beginOp(l.tel, p, telemetry.OpInsert, 1)
+	n, ok := l.insert(p, k, v)
+	sc.end()
 	return n, ok
 }
 
@@ -147,18 +155,9 @@ func (l *SkipList[K, V]) Insert(p *Proc, k K, v V) (*SLNode[K, V], bool) {
 // This is DELETE_SL.
 func (l *SkipList[K, V]) Delete(p *Proc, k K) (*SLNode[K, V], bool) {
 	defer l.opPin(p).Unpin()
-	if l.tel == nil {
-		return l.remove(p, k)
-	}
-	tok := l.tel.StartOp(telemetry.OpDelete)
-	if !tok.Sampled() {
-		n, ok := l.remove(p, k)
-		l.tel.FinishOp(tok, telemetry.OpDelete, nil)
-		return n, ok
-	}
-	s := beginSampled(p)
-	n, ok := l.remove(&s.pr, k)
-	finishSampled(l.tel, tok, telemetry.OpDelete, p, s)
+	sc, p := beginOp(l.tel, p, telemetry.OpDelete, 1)
+	n, ok := l.remove(p, k)
+	sc.end()
 	return n, ok
 }
 
@@ -193,17 +192,7 @@ func (l *SkipList[K, V]) Ascend(fn func(k K, v V) bool) {
 // fn returning false stops the iteration.
 func (l *SkipList[K, V]) AscendRange(p *Proc, from, to K, fn func(k K, v V) bool) {
 	defer l.opPin(p).Unpin()
-	if l.tel == nil {
-		l.ascendRange(p, from, to, fn)
-		return
-	}
-	tok := l.tel.StartOp(telemetry.OpAscend)
-	if !tok.Sampled() {
-		l.ascendRange(p, from, to, fn)
-		l.tel.FinishOp(tok, telemetry.OpAscend, nil)
-		return
-	}
-	s := beginSampled(p)
-	l.ascendRange(&s.pr, from, to, fn)
-	finishSampled(l.tel, tok, telemetry.OpAscend, p, s)
+	sc, p := beginOp(l.tel, p, telemetry.OpAscend, 1)
+	l.ascendRange(p, from, to, fn)
+	sc.end()
 }

@@ -154,9 +154,6 @@ func (o *Obs) VerbLatency(v Verb) instrument.HistSnapshot {
 // execute-start on the connection's goroutine.
 func (o *Obs) QueueWait() instrument.HistSnapshot { return o.queue.Snapshot() }
 
-// FlushBytes returns the reply-flush size snapshot.
-func (o *Obs) FlushBytes() instrument.HistSnapshot { return o.flush.Snapshot() }
-
 // TraceSnapshot returns up to max of the newest trace records (0 = all
 // retained), newest first.
 func (o *Obs) TraceSnapshot(max int) []instrument.TraceRecord {
@@ -211,15 +208,6 @@ func (o *Obs) WritePrometheus(w io.Writer) error {
 	b = append(b, "lockfree_server_trace_records_total "+strconv.FormatUint(o.ring.Written(), 10)+"\n"...)
 	_, err := w.Write(b)
 	return err
-}
-
-// MetricsHandler serves WritePrometheus over HTTP; register it as a
-// collector next to the structure-level telemetry handler.
-func (o *Obs) MetricsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		o.WritePrometheus(w)
-	})
 }
 
 // traceJSON is the wire form of one trace record at /debug/trace.

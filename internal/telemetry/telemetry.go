@@ -221,8 +221,8 @@ func (r *Recorder) AddGauge(c instrument.Counter, delta int64) {
 }
 
 // OpToken carries the state of one operation, or of one group of
-// operations, from StartOp or StartGroup to FinishOp or FinishGroup.
-// Tokens must not outlive the operation or be reused.
+// operations, from StartGroup to FinishGroup. Tokens must not outlive the
+// operation or be reused.
 type OpToken struct {
 	sh    *shard
 	start int64 // Nanotime at the start, or -1 when no member is foreseen sampled
@@ -233,33 +233,14 @@ type OpToken struct {
 // Callers skip collecting step counters entirely for unsampled tokens.
 func (t OpToken) Sampled() bool { return t.start >= 0 }
 
-// StartOp begins the low-overhead recording path used by the structures'
-// hot wrappers. It is StartGroup with a group of one: the operation takes
-// the next place in its shard's completed-op count, and is fully recorded
-// (step counters, latency, retries) when that place is a multiple of the
-// sampling period. The unsampled path costs one atomic load here and one
-// atomic add in FinishOp: no clock read, no step accounting. The sampling
-// decision reads the completed-op count racily; under concurrency the
-// period is approximate, which is fine for sampled statistics.
-func (r *Recorder) StartOp(op Op) OpToken { return r.StartGroup(op, 1) }
-
-// FinishOp completes an operation begun with StartOp; it is FinishGroup
-// with a group of one. The completed-op count is recorded exactly, every
-// time. For sampled tokens the essential-step counters are flushed scaled
-// by the sampling period — an unbiased estimator of the true totals, and
-// exact at period 1 — and one latency and one retry sample land in the
-// histograms. st is ignored (and normally nil) for unsampled tokens.
-func (r *Recorder) FinishOp(tok OpToken, op Op, st *instrument.OpStats) {
-	r.FinishGroup(tok, op, 1, st)
-}
-
 // StartGroup begins the recording of n operations of one kind that run as
 // one unit and cannot be told apart while they run - the keys of a batched
-// Get going down the skip list together. The members take the shard's
-// next n places in the completed-op count, and those whose place is a
-// multiple of the sampling period are sampled. A group without a sampled
-// member pays what an unsampled operation pays; at period 1 every member
-// is sampled.
+// Get going down the skip list together, or a single operation at n = 1.
+// The members take the shard's next n places in the completed-op count,
+// and those whose place is a multiple of the sampling period are sampled.
+// A group without a sampled member costs one atomic load here and one
+// atomic add in FinishGroup: no clock read, no step accounting. At period
+// 1 every member is sampled.
 func (r *Recorder) StartGroup(op Op, n int) OpToken {
 	sh := r.shard()
 	tok := OpToken{sh: sh, start: -1}

@@ -154,9 +154,9 @@ func TestStartFinishSampling(t *testing.T) {
 	}
 	const ops = 100
 	for i := 0; i < ops; i++ {
-		tok := r.StartOp(OpInsert)
+		tok := r.StartGroup(OpInsert, 1)
 		st := instrument.OpStats{CASAttempts: 3, CASSuccesses: 1, CurrUpdates: 2}
-		r.FinishOp(tok, OpInsert, &st)
+		r.FinishGroup(tok, OpInsert, 1, &st)
 	}
 	s := r.Snapshot()
 	ins := s.Ops[OpInsert]
@@ -188,8 +188,8 @@ func TestSetSampleEveryOne(t *testing.T) {
 	r := NewRecorder(1)
 	r.SetSampleEvery(1)
 	for i := 0; i < 10; i++ {
-		tok := r.StartOp(OpGet)
-		r.FinishOp(tok, OpGet, nil)
+		tok := r.StartGroup(OpGet, 1)
+		r.FinishGroup(tok, OpGet, 1, nil)
 	}
 	s := r.Snapshot()
 	if s.Ops[OpGet].Latency.Count != 10 {
@@ -206,7 +206,7 @@ func TestSetSampleEveryOne(t *testing.T) {
 // period 1 a group is exact: the count grows by its members, its step
 // vector is added once, its elapsed time once, and every member gets a
 // latency and a retry sample. At a longer period the members sampled are
-// the ones whose place in the count falls on the period - what StartOp
+// the ones whose place in the count falls on the period - what StartGroup(op, 1)
 // would have picked had they come one by one - and the vector is scaled
 // so that the totals stay unbiased.
 func TestGroupRecordedOnce(t *testing.T) {
@@ -254,7 +254,7 @@ func TestGroupRecordedOnce(t *testing.T) {
 	// A group as wide as the period always holds exactly one sampled
 	// member, wherever the count stands.
 	r = NewRecorder(1)
-	r.FinishOp(r.StartOp(OpGet), OpGet, nil)
+	r.FinishGroup(r.StartGroup(OpGet, 1), OpGet, 1, nil)
 	for g := 0; g < 4; g++ {
 		tok := r.StartGroup(OpGet, DefaultSampleEvery)
 		r.FinishGroup(tok, OpGet, DefaultSampleEvery, &instrument.OpStats{NextUpdates: 32})
@@ -280,12 +280,12 @@ func TestConcurrentStartFinishNoLostUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				op := Op(i % int(NumOps))
-				tok := r.StartOp(op)
+				tok := r.StartGroup(op, 1)
 				var st *instrument.OpStats
 				if tok.Sampled() {
 					st = &instrument.OpStats{CASAttempts: 1, CASSuccesses: 1, NextUpdates: 2}
 				}
-				r.FinishOp(tok, op, st)
+				r.FinishGroup(tok, op, 1, st)
 			}
 		}()
 	}

@@ -34,45 +34,8 @@ func WithRetireHook(fn func(node any)) Option {
 // on the new node, so an ascending run of inserts pays one hop each.
 // Obtain one from List.Finger or ListFunc.Finger.
 type ListFinger[K comparable, V any] struct {
-	f *core.SkipFinger[K, V]
+	fingerBody[K, V]
 }
-
-// Finger returns a new finger over the list, positioned at the head.
-func (s *List[K, V]) Finger() *ListFinger[K, V] {
-	return &ListFinger[K, V]{f: s.l.NewFinger()}
-}
-
-// Finger returns a new finger over the list, positioned at the head.
-func (s *ListFunc[K, V]) Finger() *ListFinger[K, V] {
-	return &ListFinger[K, V]{f: s.l.NewFinger()}
-}
-
-// Insert adds key with value, searching from the finger; false if key is
-// already present.
-func (s *ListFinger[K, V]) Insert(key K, value V) bool {
-	_, ok := s.f.Insert(nil, key, value)
-	return ok
-}
-
-// Get returns the value stored at key, searching from the finger.
-func (s *ListFinger[K, V]) Get(key K) (V, bool) { return s.f.Get(nil, key) }
-
-// Contains reports whether key is present, searching from the finger.
-func (s *ListFinger[K, V]) Contains(key K) bool {
-	_, ok := s.f.Get(nil, key)
-	return ok
-}
-
-// Delete removes key, searching from the finger; false if absent (or a
-// concurrent Delete won).
-func (s *ListFinger[K, V]) Delete(key K) bool {
-	_, ok := s.f.Delete(nil, key)
-	return ok
-}
-
-// Reset forgets the remembered position: the next operation searches from
-// the head and the finger drops its reference into the structure.
-func (s *ListFinger[K, V]) Reset() { s.f.Reset() }
 
 // SkipListFinger is a cursor over a SkipList (or SkipListFunc): it
 // remembers the predecessor tower of the last search, one node per level,
@@ -80,46 +43,52 @@ func (s *ListFinger[K, V]) Reset() { s.f.Reset() }
 // position. See ListFinger for the ownership and consistency contract.
 // Obtain one from SkipList.Finger or SkipListFunc.Finger.
 type SkipListFinger[K comparable, V any] struct {
+	fingerBody[K, V]
+}
+
+// fingerBody holds the operations of ListFinger and SkipListFinger: both
+// are a core finger, over one level or all of them.
+type fingerBody[K comparable, V any] struct {
 	f *core.SkipFinger[K, V]
 }
 
-// Finger returns a new finger over the skip list, positioned at the head
-// tower.
-func (s *SkipList[K, V]) Finger() *SkipListFinger[K, V] {
-	return &SkipListFinger[K, V]{f: s.l.NewFinger()}
+// Finger returns a new finger over the list, positioned at the head.
+func (s *body[K, V]) Finger() *ListFinger[K, V] {
+	return &ListFinger[K, V]{fingerBody[K, V]{s.l.NewFinger()}}
 }
 
 // Finger returns a new finger over the skip list, positioned at the head
 // tower.
-func (s *SkipListFunc[K, V]) Finger() *SkipListFinger[K, V] {
-	return &SkipListFinger[K, V]{f: s.l.NewFinger()}
+func (s *skipBody[K, V]) Finger() *SkipListFinger[K, V] {
+	return &SkipListFinger[K, V]{fingerBody[K, V]{s.l.NewFinger()}}
 }
 
 // Insert adds key with value, searching from the finger; false if key is
 // already present.
-func (s *SkipListFinger[K, V]) Insert(key K, value V) bool {
+func (s *fingerBody[K, V]) Insert(key K, value V) bool {
 	_, ok := s.f.Insert(nil, key, value)
 	return ok
 }
 
 // Get returns the value stored at key, searching from the finger.
-func (s *SkipListFinger[K, V]) Get(key K) (V, bool) { return s.f.Get(nil, key) }
+func (s *fingerBody[K, V]) Get(key K) (V, bool) { return s.f.Get(nil, key) }
 
 // Contains reports whether key is present, searching from the finger.
-func (s *SkipListFinger[K, V]) Contains(key K) bool {
+func (s *fingerBody[K, V]) Contains(key K) bool {
 	_, ok := s.f.Get(nil, key)
 	return ok
 }
 
 // Delete removes key, searching from the finger; false if absent (or a
 // concurrent Delete won).
-func (s *SkipListFinger[K, V]) Delete(key K) bool {
+func (s *fingerBody[K, V]) Delete(key K) bool {
 	_, ok := s.f.Delete(nil, key)
 	return ok
 }
 
-// Reset forgets the remembered position.
-func (s *SkipListFinger[K, V]) Reset() { s.f.Reset() }
+// Reset forgets the remembered position: the next operation searches from
+// the head and the finger drops its reference into the structure.
+func (s *fingerBody[K, V]) Reset() { s.f.Reset() }
 
 // The batch methods sort their argument slice IN PLACE. InsertBatch and
 // DeleteBatch then thread one finger through the sorted keys, so a batch
@@ -137,74 +106,20 @@ func (s *SkipListFinger[K, V]) Reset() { s.f.Reset() }
 // GetBatch looks up every key, sorting keys in place first; vals[i] and
 // found[i] (when non-nil) report the result for the i-th sorted key.
 // Returns the number of keys found.
-func (s *List[K, V]) GetBatch(keys []K, vals []V, found []bool) int {
+func (s *body[K, V]) GetBatch(keys []K, vals []V, found []bool) int {
 	return s.l.GetBatch(nil, keys, vals, found)
 }
 
 // InsertBatch inserts every pair, sorting items in place by key first;
 // inserted[i] (when non-nil) reports whether the i-th sorted pair was new.
 // Returns the number of new keys.
-func (s *List[K, V]) InsertBatch(items []KV[K, V], inserted []bool) int {
+func (s *body[K, V]) InsertBatch(items []KV[K, V], inserted []bool) int {
 	return s.l.InsertBatch(nil, items, inserted)
 }
 
 // DeleteBatch deletes every key, sorting keys in place first; deleted[i]
 // (when non-nil) reports whether this call deleted the i-th sorted key.
 // Returns the number of keys deleted.
-func (s *List[K, V]) DeleteBatch(keys []K, deleted []bool) int {
-	return s.l.DeleteBatch(nil, keys, deleted)
-}
-
-// GetBatch looks up every key, sorting keys in place first; see
-// List.GetBatch.
-func (s *ListFunc[K, V]) GetBatch(keys []K, vals []V, found []bool) int {
-	return s.l.GetBatch(nil, keys, vals, found)
-}
-
-// InsertBatch inserts every pair, sorting items in place by key first; see
-// List.InsertBatch.
-func (s *ListFunc[K, V]) InsertBatch(items []KV[K, V], inserted []bool) int {
-	return s.l.InsertBatch(nil, items, inserted)
-}
-
-// DeleteBatch deletes every key, sorting keys in place first; see
-// List.DeleteBatch.
-func (s *ListFunc[K, V]) DeleteBatch(keys []K, deleted []bool) int {
-	return s.l.DeleteBatch(nil, keys, deleted)
-}
-
-// GetBatch looks up every key, sorting keys in place first; see
-// List.GetBatch.
-func (s *SkipList[K, V]) GetBatch(keys []K, vals []V, found []bool) int {
-	return s.l.GetBatch(nil, keys, vals, found)
-}
-
-// InsertBatch inserts every pair, sorting items in place by key first; see
-// List.InsertBatch.
-func (s *SkipList[K, V]) InsertBatch(items []KV[K, V], inserted []bool) int {
-	return s.l.InsertBatch(nil, items, inserted)
-}
-
-// DeleteBatch deletes every key, sorting keys in place first; see
-// List.DeleteBatch.
-func (s *SkipList[K, V]) DeleteBatch(keys []K, deleted []bool) int {
-	return s.l.DeleteBatch(nil, keys, deleted)
-}
-
-// GetBatch looks up every key, sorting keys in place first; see
-// List.GetBatch.
-func (s *SkipListFunc[K, V]) GetBatch(keys []K, vals []V, found []bool) int {
-	return s.l.GetBatch(nil, keys, vals, found)
-}
-
-// InsertBatch inserts every pair, sorting items in place by key first; see
-// List.InsertBatch.
-func (s *SkipListFunc[K, V]) InsertBatch(items []KV[K, V], inserted []bool) int {
-	return s.l.InsertBatch(nil, items, inserted)
-}
-
-// DeleteBatch deletes every key, sorting keys in place first; see
-// List.DeleteBatch.
-func (s *SkipListFunc[K, V]) DeleteBatch(keys []K, deleted []bool) int {
+func (s *body[K, V]) DeleteBatch(keys []K, deleted []bool) int {
 	return s.l.DeleteBatch(nil, keys, deleted)
 }

@@ -1,97 +1,30 @@
 package lockfree
 
-import "repro/internal/core"
-
 // NewListFunc returns a list dictionary over any comparable key type,
 // ordered by the given comparison function. compare must define a strict
 // total order consistent with ==: compare(a, b) == 0 iff a == b. Use this
 // for struct keys, reversed orders, or collations; NewList covers the
-// naturally ordered types. The options that apply are WithTelemetry and
-// WithRetireHook.
+// naturally ordered types. The options apply as they do to NewList.
 func NewListFunc[K comparable, V any](compare func(K, K) int, opts ...Option) *ListFunc[K, V] {
-	cfg := applyConfig(opts)
-	l := core.NewListFunc[K, V](compare)
-	if cfg.tel != nil {
-		l.SetTelemetry(cfg.tel.Recorder())
-	}
-	if cfg.retire != nil {
-		l.SetRetireHook(cfg.retire)
-	}
-	return &ListFunc[K, V]{l: l}
+	return &ListFunc[K, V]{newBody[K, V](compare, opts)}
 }
 
-// ListFunc is a List over a caller-supplied key ordering.
+// ListFunc is a List over a caller-supplied key ordering. It has every
+// method of List.
 type ListFunc[K comparable, V any] struct {
-	l *core.List[K, V]
+	body[K, V]
 }
-
-// Insert adds key with value; false if key is already present.
-func (s *ListFunc[K, V]) Insert(key K, value V) bool {
-	_, ok := s.l.Insert(nil, key, value)
-	return ok
-}
-
-// Get returns the value stored at key.
-func (s *ListFunc[K, V]) Get(key K) (V, bool) { return s.l.Get(nil, key) }
-
-// Contains reports whether key is present.
-func (s *ListFunc[K, V]) Contains(key K) bool {
-	_, ok := s.l.Get(nil, key)
-	return ok
-}
-
-// Delete removes key; false if absent (or a concurrent Delete won).
-func (s *ListFunc[K, V]) Delete(key K) bool {
-	_, ok := s.l.Delete(nil, key)
-	return ok
-}
-
-// Len returns the number of keys.
-func (s *ListFunc[K, V]) Len() int { return s.l.Len() }
-
-// Ascend iterates keys in the comparison function's ascending order.
-func (s *ListFunc[K, V]) Ascend(fn func(key K, value V) bool) { s.l.Ascend(fn) }
 
 // NewSkipListFunc returns a skip-list dictionary over any comparable key
 // type, ordered by the given comparison function (see NewListFunc for the
-// contract). The PriorityQueue in this package is built on it.
+// contract). The options apply as they do to NewSkipList. The
+// PriorityQueue in this package is built on the same skip list.
 func NewSkipListFunc[K comparable, V any](compare func(K, K) int, opts ...Option) *SkipListFunc[K, V] {
-	cfg := applyConfig(opts)
-	l := core.NewSkipListFunc[K, V](compare, cfg.coreSkipListOpts()...)
-	if cfg.tel != nil {
-		l.SetTelemetry(cfg.tel.Recorder())
-	}
-	return &SkipListFunc[K, V]{l: l}
+	return &SkipListFunc[K, V]{newSkipBody[K, V](compare, opts)}
 }
 
-// SkipListFunc is a SkipList over a caller-supplied key ordering.
+// SkipListFunc is a SkipList over a caller-supplied key ordering. It has
+// every method of SkipList.
 type SkipListFunc[K comparable, V any] struct {
-	l *core.SkipList[K, V]
+	skipBody[K, V]
 }
-
-// Insert adds key with value; false if key is already present.
-func (s *SkipListFunc[K, V]) Insert(key K, value V) bool {
-	_, ok := s.l.Insert(nil, key, value)
-	return ok
-}
-
-// Get returns the value stored at key.
-func (s *SkipListFunc[K, V]) Get(key K) (V, bool) { return s.l.Get(nil, key) }
-
-// Contains reports whether key is present.
-func (s *SkipListFunc[K, V]) Contains(key K) bool {
-	_, ok := s.l.Get(nil, key)
-	return ok
-}
-
-// Delete removes key; false if absent (or a concurrent Delete won).
-func (s *SkipListFunc[K, V]) Delete(key K) bool {
-	_, ok := s.l.Delete(nil, key)
-	return ok
-}
-
-// Len returns the number of keys.
-func (s *SkipListFunc[K, V]) Len() int { return s.l.Len() }
-
-// Ascend iterates keys in the comparison function's ascending order.
-func (s *SkipListFunc[K, V]) Ascend(fn func(key K, value V) bool) { s.l.Ascend(fn) }

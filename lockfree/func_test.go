@@ -63,3 +63,33 @@ func TestSkipListFuncStructKeys(t *testing.T) {
 		t.Fatalf("Len = %d", m.Len())
 	}
 }
+
+// TestFuncRecycling checks that WithRecycling reaches the Func types:
+// insert-delete churn, reclaimed at a quiescent point, recycles nodes.
+func TestFuncRecycling(t *testing.T) {
+	impls := map[string]interface {
+		lockfree.Map[int, int]
+		ForceReclaim()
+		RecycleCounts() (recycled, dropped uint64)
+	}{
+		"ListFunc":     lockfree.NewListFunc[int, int](descending, lockfree.WithRecycling()),
+		"SkipListFunc": lockfree.NewSkipListFunc[int, int](descending, lockfree.WithRecycling()),
+	}
+	for name, m := range impls {
+		for round := 0; round < 8; round++ {
+			for k := 0; k < 64; k++ {
+				m.Insert(k, k)
+			}
+			for k := 0; k < 64; k++ {
+				m.Delete(k)
+			}
+			m.ForceReclaim()
+		}
+		if recycled, _ := m.RecycleCounts(); recycled == 0 {
+			t.Errorf("%s: no node recycled after churn and ForceReclaim", name)
+		}
+		if m.Len() != 0 {
+			t.Errorf("%s: Len = %d after deleting every key, want 0", name, m.Len())
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package lockfree_test
 
 import (
+	"cmp"
 	"sync"
 	"testing"
 
@@ -30,8 +31,11 @@ func TestMapInterfaceBehavioralParity(t *testing.T) {
 		{"delete", 99, false},
 	}
 	impls := map[string]lockfree.Map[int, int]{
-		"List":     lockfree.NewList[int, int](),
-		"SkipList": lockfree.NewSkipList[int, int](),
+		"List":            lockfree.NewList[int, int](),
+		"SkipList":        lockfree.NewSkipList[int, int](),
+		"ListFunc":        lockfree.NewListFunc[int, int](cmp.Compare[int]),
+		"SkipListFunc":    lockfree.NewSkipListFunc[int, int](cmp.Compare[int]),
+		"ShardedSkipList": lockfree.NewShardedSkipList[int, int](lockfree.EqualSplitters(0, 16, 4)),
 	}
 	for name, m := range impls {
 		for i, s := range script {

@@ -14,7 +14,9 @@
 //
 // Choose List for small dictionaries or when the O(n + c) amortized bound
 // matters; choose SkipList for large dictionaries, where operations take
-// expected O(log n) time.
+// expected O(log n) time. ListFunc and SkipListFunc are the two over a
+// caller-supplied key ordering: each carries its ordered twin's methods,
+// and every Option applies to it as it does to the twin.
 //
 //	m := lockfree.NewSkipList[string, int]()
 //	m.Insert("a", 1)
@@ -59,7 +61,7 @@ type Map[K cmp.Ordered, V any] interface {
 // a List is a SkipList whose towers are one level high. Create with
 // NewList.
 type List[K cmp.Ordered, V any] struct {
-	l *core.List[K, V]
+	body[K, V]
 }
 
 var _ Map[int, any] = (*List[int, any])(nil)
@@ -67,54 +69,114 @@ var _ Map[int, any] = (*List[int, any])(nil)
 // NewList returns an empty list dictionary. The options that apply are
 // WithTelemetry, WithRetireHook, and WithRecycling.
 func NewList[K cmp.Ordered, V any](opts ...Option) *List[K, V] {
+	return &List[K, V]{newBody[K, V](cmp.Compare[K], opts)}
+}
+
+// SkipList is a lock-free skip list dictionary with expected O(log n)
+// operations. Create with NewSkipList.
+type SkipList[K cmp.Ordered, V any] struct {
+	skipBody[K, V]
+}
+
+var _ Map[int, any] = (*SkipList[int, any])(nil)
+
+// NewSkipList returns an empty skip-list dictionary.
+func NewSkipList[K cmp.Ordered, V any](opts ...Option) *SkipList[K, V] {
+	return &SkipList[K, V]{newSkipBody[K, V](cmp.Compare[K], opts)}
+}
+
+// body holds the operations of one core skip list - a list's is the one
+// whose towers are one level high - for List, ListFunc and, through
+// skipBody, SkipList and SkipListFunc.
+type body[K comparable, V any] struct {
+	l *core.SkipList[K, V]
+}
+
+// newBody returns the body of a List or ListFunc ordered by compare.
+// WithMaxLevel and WithRandomSource shape towers a list does not have.
+func newBody[K comparable, V any](compare func(K, K) int, opts []Option) body[K, V] {
 	cfg := applyConfig(opts)
-	l := core.NewList[K, V]()
-	if cfg.tel != nil {
-		l.SetTelemetry(cfg.tel.Recorder())
-	}
-	if cfg.retire != nil {
-		l.SetRetireHook(cfg.retire)
-	}
+	l := core.NewListFunc[K, V](compare)
+	l.SetRetireHook(cfg.retire)
 	if cfg.recycle {
 		l.EnableRecycling()
 	}
-	return &List[K, V]{l: l}
+	if cfg.tel != nil {
+		l.SetTelemetry(cfg.tel.Recorder())
+	}
+	return body[K, V]{&l.SkipList}
 }
 
 // Insert adds key with value; false if key is already present.
-func (s *List[K, V]) Insert(key K, value V) bool {
+func (s *body[K, V]) Insert(key K, value V) bool {
 	_, ok := s.l.Insert(nil, key, value)
 	return ok
 }
 
 // Get returns the value stored at key.
-func (s *List[K, V]) Get(key K) (V, bool) { return s.l.Get(nil, key) }
+func (s *body[K, V]) Get(key K) (V, bool) { return s.l.Get(nil, key) }
 
 // Contains reports whether key is present.
-func (s *List[K, V]) Contains(key K) bool {
+func (s *body[K, V]) Contains(key K) bool {
 	_, ok := s.l.Get(nil, key)
 	return ok
 }
 
 // Delete removes key; false if absent (or a concurrent Delete won).
-func (s *List[K, V]) Delete(key K) bool {
+func (s *body[K, V]) Delete(key K) bool {
 	_, ok := s.l.Delete(nil, key)
 	return ok
 }
 
 // Len returns the number of keys.
-func (s *List[K, V]) Len() int { return s.l.Len() }
+func (s *body[K, V]) Len() int { return s.l.Len() }
 
-// Ascend iterates keys in ascending order.
-func (s *List[K, V]) Ascend(fn func(key K, value V) bool) { s.l.Ascend(fn) }
+// Ascend iterates keys in ascending order of the key ordering.
+func (s *body[K, V]) Ascend(fn func(key K, value V) bool) { s.l.Ascend(fn) }
 
-// SkipList is a lock-free skip list dictionary with expected O(log n)
-// operations. Create with NewSkipList.
-type SkipList[K cmp.Ordered, V any] struct {
-	l *core.SkipList[K, V]
+// skipBody is body plus the methods only the skip lists carry.
+type skipBody[K comparable, V any] struct {
+	body[K, V]
 }
 
-var _ Map[int, any] = (*SkipList[int, any])(nil)
+// newSkipBody returns the body of a SkipList, SkipListFunc or
+// PriorityQueue ordered by compare.
+func newSkipBody[K comparable, V any](compare func(K, K) int, opts []Option) skipBody[K, V] {
+	cfg := applyConfig(opts)
+	l := core.NewSkipListFunc[K, V](compare, cfg.coreSkipListOpts()...)
+	if cfg.tel != nil {
+		l.SetTelemetry(cfg.tel.Recorder())
+	}
+	return skipBody[K, V]{body[K, V]{l}}
+}
+
+// AscendRange iterates keys in [from, to) in ascending order. Iteration is
+// weakly consistent under concurrent updates.
+func (s *skipBody[K, V]) AscendRange(from, to K, fn func(key K, value V) bool) {
+	s.l.AscendRange(nil, from, to, fn)
+}
+
+// Min returns the smallest key and its value; ok is false when empty.
+func (s *skipBody[K, V]) Min() (key K, value V, ok bool) {
+	s.l.Ascend(func(k K, v V) bool {
+		key, value, ok = k, v, true
+		return false
+	})
+	return key, value, ok
+}
+
+// DeleteMin removes and returns the smallest key, retrying if a concurrent
+// operation takes it first; ok is false when the skip list is empty. It
+// turns the skip list into a concurrent priority queue (the Lotan-Shavit
+// use case from the paper's Section 2).
+func (s *skipBody[K, V]) DeleteMin() (key K, value V, ok bool) {
+	for {
+		if key, value, ok = s.Min(); !ok || s.Delete(key) {
+			return key, value, ok
+		}
+		// Someone else deleted key first; retry with the new minimum.
+	}
+}
 
 // Option configures a List, SkipList, or PriorityQueue at construction.
 // WithMaxLevel and WithRandomSource apply to the skip-list-based
@@ -192,75 +254,4 @@ func WithTelemetry(t *telemetry.Telemetry) Option {
 // the write path. Amortize even that with PinProc around batches.
 func WithRecycling() Option {
 	return func(c *config) { c.recycle = true }
-}
-
-// NewSkipList returns an empty skip-list dictionary.
-func NewSkipList[K cmp.Ordered, V any](opts ...Option) *SkipList[K, V] {
-	cfg := applyConfig(opts)
-	l := core.NewSkipList[K, V](cfg.coreSkipListOpts()...)
-	if cfg.tel != nil {
-		l.SetTelemetry(cfg.tel.Recorder())
-	}
-	return &SkipList[K, V]{l: l}
-}
-
-// Insert adds key with value; false if key is already present.
-func (s *SkipList[K, V]) Insert(key K, value V) bool {
-	_, ok := s.l.Insert(nil, key, value)
-	return ok
-}
-
-// Get returns the value stored at key.
-func (s *SkipList[K, V]) Get(key K) (V, bool) { return s.l.Get(nil, key) }
-
-// Contains reports whether key is present.
-func (s *SkipList[K, V]) Contains(key K) bool {
-	_, ok := s.l.Get(nil, key)
-	return ok
-}
-
-// Delete removes key; false if absent (or a concurrent Delete won).
-func (s *SkipList[K, V]) Delete(key K) bool {
-	_, ok := s.l.Delete(nil, key)
-	return ok
-}
-
-// Len returns the number of keys.
-func (s *SkipList[K, V]) Len() int { return s.l.Len() }
-
-// Ascend iterates keys in ascending order.
-func (s *SkipList[K, V]) Ascend(fn func(key K, value V) bool) { s.l.Ascend(fn) }
-
-// AscendRange iterates keys in [from, to) in ascending order. Iteration is
-// weakly consistent under concurrent updates.
-func (s *SkipList[K, V]) AscendRange(from, to K, fn func(key K, value V) bool) {
-	s.l.AscendRange(nil, from, to, fn)
-}
-
-// Min returns the smallest key and its value; ok is false when empty.
-func (s *SkipList[K, V]) Min() (key K, value V, ok bool) {
-	s.l.Ascend(func(k K, v V) bool {
-		key, value, ok = k, v, true
-		return false
-	})
-	return key, value, ok
-}
-
-// DeleteMin removes and returns the smallest key, retrying if a concurrent
-// operation takes it first; ok is false when the skip list is empty. It
-// turns the skip list into a concurrent priority queue (the Lotan-Shavit
-// use case from the paper's Section 2).
-func (s *SkipList[K, V]) DeleteMin() (key K, value V, ok bool) {
-	for {
-		k, v, found := s.Min()
-		if !found {
-			var zk K
-			var zv V
-			return zk, zv, false
-		}
-		if s.Delete(k) {
-			return k, v, true
-		}
-		// Someone else deleted k first; retry with the new minimum.
-	}
 }

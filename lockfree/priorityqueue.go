@@ -3,8 +3,6 @@ package lockfree
 import (
 	"cmp"
 	"sync/atomic"
-
-	"repro/internal/core"
 )
 
 // PriorityQueue is a lock-free concurrent priority queue built on the
@@ -14,7 +12,7 @@ import (
 // are tie-broken by insertion sequence, so PopMin is FIFO within a
 // priority class.
 type PriorityQueue[P cmp.Ordered, V any] struct {
-	sl  *core.SkipList[pqKey[P], V]
+	sl  skipBody[pqKey[P], V]
 	seq atomic.Uint64
 }
 
@@ -34,59 +32,28 @@ func comparePQKey[P cmp.Ordered](a, b pqKey[P]) int {
 // NewPriorityQueue returns an empty queue. Options configure the
 // underlying skip list.
 func NewPriorityQueue[P cmp.Ordered, V any](opts ...Option) *PriorityQueue[P, V] {
-	cfg := applyConfig(opts)
-	sl := core.NewSkipListFunc[pqKey[P], V](comparePQKey[P], cfg.coreSkipListOpts()...)
-	if cfg.tel != nil {
-		sl.SetTelemetry(cfg.tel.Recorder())
-	}
-	return &PriorityQueue[P, V]{sl: sl}
+	return &PriorityQueue[P, V]{sl: newSkipBody[pqKey[P], V](comparePQKey[P], opts)}
 }
 
 // Push inserts value with the given priority.
 func (q *PriorityQueue[P, V]) Push(priority P, value V) {
 	key := pqKey[P]{priority: priority, seq: q.seq.Add(1)}
 	// seq is unique per queue, so the insert cannot hit a duplicate key.
-	q.sl.Insert(nil, key, value)
+	q.sl.Insert(key, value)
 }
 
 // PopMin removes and returns an element with minimal priority; ok is false
 // when the queue is empty. Under concurrency, competing consumers each
 // receive distinct elements.
 func (q *PriorityQueue[P, V]) PopMin() (priority P, value V, ok bool) {
-	for {
-		k, v, found := q.min()
-		if !found {
-			var zp P
-			var zv V
-			return zp, zv, false
-		}
-		if _, deleted := q.sl.Delete(nil, k); deleted {
-			return k.priority, v, true
-		}
-		// Lost the race to another consumer; retry with the new minimum.
-	}
+	k, v, ok := q.sl.DeleteMin()
+	return k.priority, v, ok
 }
 
 // PeekMin returns an element with minimal priority without removing it.
 func (q *PriorityQueue[P, V]) PeekMin() (priority P, value V, ok bool) {
-	k, v, found := q.min()
-	if !found {
-		var zp P
-		var zv V
-		return zp, zv, false
-	}
-	return k.priority, v, true
-}
-
-func (q *PriorityQueue[P, V]) min() (pqKey[P], V, bool) {
-	var key pqKey[P]
-	var val V
-	found := false
-	q.sl.Ascend(func(k pqKey[P], v V) bool {
-		key, val, found = k, v, true
-		return false
-	})
-	return key, val, found
+	k, v, ok := q.sl.Min()
+	return k.priority, v, ok
 }
 
 // Len returns the number of queued elements (exact when quiescent).

@@ -34,32 +34,32 @@ type Proc = core.Proc
 // no-copy property.
 
 // InsertProc is Insert with per-operation instrumentation attached.
-func (s *SkipList[K, V]) InsertProc(p *Proc, key K, value V) bool {
+func (s *skipBody[K, V]) InsertProc(p *Proc, key K, value V) bool {
 	_, ok := s.l.Insert(p, key, value)
 	return ok
 }
 
 // GetProc is Get with per-operation instrumentation attached.
-func (s *SkipList[K, V]) GetProc(p *Proc, key K) (V, bool) { return s.l.Get(p, key) }
+func (s *skipBody[K, V]) GetProc(p *Proc, key K) (V, bool) { return s.l.Get(p, key) }
 
 // DeleteProc is Delete with per-operation instrumentation attached.
-func (s *SkipList[K, V]) DeleteProc(p *Proc, key K) bool {
+func (s *skipBody[K, V]) DeleteProc(p *Proc, key K) bool {
 	_, ok := s.l.Delete(p, key)
 	return ok
 }
 
 // InsertBatchProc is InsertBatch with per-batch instrumentation attached.
-func (s *SkipList[K, V]) InsertBatchProc(p *Proc, items []KV[K, V], inserted []bool) int {
+func (s *skipBody[K, V]) InsertBatchProc(p *Proc, items []KV[K, V], inserted []bool) int {
 	return s.l.InsertBatch(p, items, inserted)
 }
 
 // GetBatchProc is GetBatch with per-batch instrumentation attached.
-func (s *SkipList[K, V]) GetBatchProc(p *Proc, keys []K, vals []V, found []bool) int {
+func (s *skipBody[K, V]) GetBatchProc(p *Proc, keys []K, vals []V, found []bool) int {
 	return s.l.GetBatch(p, keys, vals, found)
 }
 
 // DeleteBatchProc is DeleteBatch with per-batch instrumentation attached.
-func (s *SkipList[K, V]) DeleteBatchProc(p *Proc, keys []K, deleted []bool) int {
+func (s *skipBody[K, V]) DeleteBatchProc(p *Proc, keys []K, deleted []bool) int {
 	return s.l.DeleteBatch(p, keys, deleted)
 }
 
@@ -114,20 +114,10 @@ func (e EpochPin) Unpin() {
 	e.pin.Unpin()
 }
 
-// PinProc opens a critical section on the skip list's reclamation domain
+// PinProc opens a critical section on the structure's reclamation domain
 // and installs the token in p.Epoch so the *Proc operations ride it.
 // No-op (but still safe to Unpin) when recycling is off or p is nil.
-func (s *SkipList[K, V]) PinProc(p *Proc) EpochPin {
-	pin := s.l.PinEpoch()
-	if pin != nil && p != nil {
-		p.Epoch = pin
-		return EpochPin{pin: pin, p: p}
-	}
-	return EpochPin{pin: pin}
-}
-
-// PinProc: see SkipList.PinProc.
-func (s *List[K, V]) PinProc(p *Proc) EpochPin {
+func (s *body[K, V]) PinProc(p *Proc) EpochPin {
 	pin := s.l.PinEpoch()
 	if pin != nil && p != nil {
 		p.Epoch = pin
@@ -137,21 +127,13 @@ func (s *List[K, V]) PinProc(p *Proc) EpochPin {
 }
 
 // RecycleCounts reports (recycled, dropped) reclamation totals for a
-// recycling skip list: nodes pushed onto the free list vs. abandoned to
+// recycling structure: nodes pushed onto the free list vs. abandoned to
 // the GC (stalled epoch, contention, or full pool). Zeros when recycling
 // is off.
-func (s *SkipList[K, V]) RecycleCounts() (recycled, dropped uint64) {
+func (s *body[K, V]) RecycleCounts() (recycled, dropped uint64) {
 	return s.l.RecycleCounts()
 }
 
 // ForceReclaim attempts an epoch advance and drains quiesced retire
 // batches; intended for quiescent points (tests, shutdown).
-func (s *SkipList[K, V]) ForceReclaim() { s.l.ForceReclaim(nil) }
-
-// RecycleCounts: see SkipList.RecycleCounts.
-func (s *List[K, V]) RecycleCounts() (recycled, dropped uint64) {
-	return s.l.RecycleCounts()
-}
-
-// ForceReclaim: see SkipList.ForceReclaim.
-func (s *List[K, V]) ForceReclaim() { s.l.ForceReclaim(nil) }
+func (s *body[K, V]) ForceReclaim() { s.l.ForceReclaim(nil) }

@@ -102,10 +102,10 @@ unsafe_allowed="internal/core/word.go internal/instrument/sharded.go internal/se
 # The allocation pins skip themselves under the race detector (it drops
 # sync.Pool puts at random), so run them once more without it, at the
 # core count where the pooled paths actually interleave: a recorded
-# operation, a sharded batch and a snapshotted key must each allocate
-# nothing.
+# operation, a sharded batch, a snapshotted key and a WAL publish must
+# each allocate nothing.
 echo "== allocs: pins without the race detector at GOMAXPROCS=2 =="
-GOMAXPROCS=2 go test -count=1 -run 'Allocs' ./internal/core ./internal/server ./internal/snapshot
+GOMAXPROCS=2 go test -count=1 -run 'Allocs' ./internal/core ./internal/server ./internal/snapshot ./internal/sharded ./internal/wal
 
 # The wire benchmarks are where the docs' line-vs-RESP and durability
 # figures come from: run each once so none of them rots unnoticed.
