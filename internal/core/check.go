@@ -125,9 +125,7 @@ func (l *SkipList[K, V]) ascend(fn func(k K, v V) bool) {
 // ascendRange calls fn for keys in [from, to) in ascending order. It uses
 // the skip-list search to locate the start, then walks level 1.
 func (l *SkipList[K, V]) ascendRange(p *Proc, from, to K, fn func(k K, v V) bool) {
-	curr, next := l.searchToLevel(p, from, 1, true) // curr.key < from <= next.key
-	_ = curr
-	n := next
+	_, n := l.searchToLevel(p, from, 1, true) // pred.key < from <= n.key
 	for n.kind != kindTail && l.compare(n.key, to) < 0 {
 		if !n.marked() {
 			if !fn(n.key, n.val) {

@@ -4,6 +4,8 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 func TestListFingerAscending(t *testing.T) {
@@ -232,6 +234,47 @@ func TestSkipFingerRecoversFromDeletedNode(t *testing.T) {
 	}
 	if st.FingerMisses != 0 {
 		t.Fatalf("recovery fell back to the head tower (%d misses), want backlink recovery", st.FingerMisses)
+	}
+}
+
+// TestPointOpsCountNoFingerEvents: a point Insert or Delete runs over a
+// bracket record of its own, but it is not a finger - neither the caller's
+// finger counters nor the recorder's finger_hits/finger_misses may move,
+// whatever the towers' heights. Finger operations on the same list still
+// count, so the counters are live.
+func TestPointOpsCountNoFingerEvents(t *testing.T) {
+	l := NewSkipList[int, int](WithRandomSource(func() uint64 { return 0b111 })) // every tower of height 4
+	rec := telemetry.NewRecorder(1)
+	rec.SetSampleEvery(1)
+	l.SetTelemetry(rec)
+	st := &OpStats{}
+	p := &Proc{Stats: st}
+	for k := 0; k < 64; k++ {
+		l.Insert(p, k, k)
+	}
+	for k := 0; k < 64; k++ {
+		l.Get(p, k)
+	}
+	for k := 0; k < 64; k += 2 {
+		l.Delete(p, k)
+	}
+	c := rec.Snapshot().Counters
+	if st.FingerHits != 0 || st.FingerMisses != 0 || c.FingerHits != 0 || c.FingerMisses != 0 {
+		t.Fatalf("point ops counted finger hits/misses %d/%d (recorder: %d/%d), want 0/0",
+			st.FingerHits, st.FingerMisses, c.FingerHits, c.FingerMisses)
+	}
+	if err := l.CheckStructure(); err != nil {
+		t.Fatal(err)
+	}
+
+	f := l.NewFinger()
+	f.Insert(p, 100, 100)
+	f.Get(p, 1)
+	f.Delete(p, 100)
+	c = rec.Snapshot().Counters
+	if st.FingerHits+st.FingerMisses == 0 || c.FingerHits != st.FingerHits || c.FingerMisses != st.FingerMisses {
+		t.Fatalf("finger ops counted hits/misses %d/%d (recorder: %d/%d)",
+			st.FingerHits, st.FingerMisses, c.FingerHits, c.FingerMisses)
 	}
 }
 

@@ -115,7 +115,9 @@ func TestFingerStartLowestBracketingLevel(t *testing.T) {
 			}
 			k := k0 + gap
 			st := &OpStats{}
-			n, lv := f.start(&Proc{Stats: st}, k, 1, false)
+			p := &Proc{Stats: st}
+			n, lv := f.start(p, k, 1, false)
+			f.report(p) // start counts into the record; a finger op reports it
 			want := min(lowestBracketingLevel(l, k0, k), f.top)
 			if lv != want {
 				t.Errorf("k0=%d gap=%d: start resumed on level %d, lowest bracketing level is %d", k0, gap, lv, want)

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/bits"
 	"math/rand/v2"
-	"sync"
 
 	"repro/internal/instrument"
 	"repro/internal/telemetry"
@@ -49,8 +48,6 @@ type SkipList[K comparable, V any] struct {
 	// so Len maintenance does not serialize concurrent writers on one line.
 	_    [cacheLinePad]byte
 	size instrument.ShardedInt64
-	// fpool recycles the fingers threading batch operations (batch.go).
-	fpool sync.Pool
 }
 
 // cacheLinePad separates read-mostly struct headers from mutable state.
@@ -172,39 +169,17 @@ func (l *SkipList[K, V]) randomHeight() int {
 	return min(h, l.maxLevel-1)
 }
 
-// slSearcher abstracts "locate (n1, n2) on level v": the skip list itself
-// searches from the top of the head tower, a SkipFinger (finger.go) from
-// its remembered predecessor towers. insert/remove/get are written against
-// this seam so the finger paths reuse the full operation bodies. Both
-// implementations are pointer types, so converting to the interface does
-// not allocate.
-type slSearcher[K comparable, V any] interface {
-	searchToLevel(p *Proc, k K, v int, strict bool) (*SLNode[K, V], *SLNode[K, V])
-	// sweep physically removes the superfluous remainder of k's deleted
-	// tower. It must traverse every nonempty level >= 2, approaching k
-	// from a strict predecessor on each, so that searchRight encounters
-	// the tower's node as a successor and completes its deletion - a
-	// start that lands on (or beyond) the node would strand it.
-	sweep(p *Proc, k K)
-}
-
-// sweep removes the superfluous tower of the deleted key k by descending
-// from the top of the structure, exactly the plain Delete's cleanup pass.
-func (l *SkipList[K, V]) sweep(p *Proc, k K) {
-	l.searchToLevel(p, k, 2, false)
-}
-
 // search is SEARCH_SL; Search in telemetry.go wraps it with the optional
 // metrics flush.
 func (l *SkipList[K, V]) search(p *Proc, k K) *SLNode[K, V] {
-	return l.searchVia(p, l, k)
+	curr, _ := l.searchToLevel(p, k, 1, false)
+	return l.exact(curr, k)
 }
 
-// searchVia is search with the level searches routed through s.
-func (l *SkipList[K, V]) searchVia(p *Proc, s slSearcher[K, V], k K) *SLNode[K, V] {
-	curr, _ := s.searchToLevel(p, k, 1, false)
-	if l.cmpNode(curr, k) == 0 {
-		return curr
+// exact returns n when it carries k, or nil.
+func (l *SkipList[K, V]) exact(n *SLNode[K, V], k K) *SLNode[K, V] {
+	if l.cmpNode(n, k) == 0 {
+		return n
 	}
 	return nil
 }
@@ -239,18 +214,16 @@ func (l *SkipList[K, V]) get(p *Proc, k K) (V, bool) {
 	return zero, false
 }
 
-// insert adds k with value v, linking the new tower bottom-up. It returns
-// the tower and true on success, or the existing tower and false if k is
-// already present. The insertion is linearized at the level-1 insertion
-// C&S. This is INSERT_SL.
-func (l *SkipList[K, V]) insert(p *Proc, k K, v V) (*SLNode[K, V], bool) {
-	return l.insertVia(p, l, k, v)
-}
-
-// insertVia is insert with every level search routed through s (the skip
-// list itself, or a finger).
-func (l *SkipList[K, V]) insertVia(p *Proc, s slSearcher[K, V], k K, v V) (*SLNode[K, V], bool) {
-	prev, next := s.searchToLevel(p, k, 1, false)
+// insert adds k with value v, linking the new tower bottom-up, with every
+// level search resumed from r. It returns the tower and true on success,
+// or the existing tower and false if k is already present. The insertion
+// is linearized at the level-1 insertion C&S. This is INSERT_SL. The
+// level-1 search leaves a bracket on every level it crosses, so each
+// further level of the tower is inserted from its own level's bracket;
+// backtrack recovers a predecessor marked since.
+func (r *record[K, V]) insert(p *Proc, k K, v V) (*SLNode[K, V], bool) {
+	l := r.l
+	prev, next := r.searchToLevel(p, k, 1, false)
 	if l.cmpNode(prev, k) == 0 {
 		return prev, false // duplicate key
 	}
@@ -284,7 +257,7 @@ func (l *SkipList[K, V]) insertVia(p *Proc, s slSearcher[K, V], k K, v V) (*SLNo
 			// Duplicate at an upper level: it can only belong to a
 			// superfluous tower (or our root is marked, handled above).
 			// Re-search - which removes superfluous nodes - and retry.
-			prev, next = s.searchToLevel(p, k, lv, false)
+			prev, next = r.searchToLevel(p, k, lv, false)
 			continue
 		}
 		lv++
@@ -297,21 +270,17 @@ func (l *SkipList[K, V]) insertVia(p *Proc, s slSearcher[K, V], k K, v V) (*SLNo
 			// the level-1 C&S long before.
 			return tower, true
 		}
-		prev, next = s.searchToLevel(p, k, lv, false)
+		prev, next = r.searchToLevel(p, k, lv, false)
 	}
 }
 
 // remove deletes k. It deletes the tower on level 1 first (making the rest
 // of it superfluous and linearizing the deletion when level 1 is marked),
-// then, if the tower has levels >= 2, sweeps them to physically unlink it
-// there. This is DELETE_SL.
-func (l *SkipList[K, V]) remove(p *Proc, k K) (*SLNode[K, V], bool) {
-	return l.removeVia(p, l, k)
-}
-
-// removeVia is remove with every level search routed through s.
-func (l *SkipList[K, V]) removeVia(p *Proc, s slSearcher[K, V], k K) (*SLNode[K, V], bool) {
-	prev, delNode := s.searchToLevel(p, k, 1, true) // SearchToLevel_SL(k - eps, 1)
+// then, if the tower has levels >= 2, sweeps them from r's brackets to
+// physically unlink it there. This is DELETE_SL.
+func (r *record[K, V]) remove(p *Proc, k K) (*SLNode[K, V], bool) {
+	l := r.l
+	prev, delNode := r.searchToLevel(p, k, 1, true) // SearchToLevel_SL(k - eps, 1)
 	if l.cmpNode(delNode, k) != 0 {
 		return nil, false // no such key
 	}
@@ -322,7 +291,7 @@ func (l *SkipList[K, V]) removeVia(p *Proc, s slSearcher[K, V], k K) (*SLNode[K,
 	// descending search encounters them). A tower of height 1 has none:
 	// no level above the first was linked or ever will be.
 	if delNode.height > 1 {
-		s.sweep(p, k)
+		r.sweep(p, k)
 	}
 	return delNode, true
 }

@@ -144,7 +144,8 @@ func (l *SkipList[K, V]) Get(p *Proc, k K) (V, bool) {
 func (l *SkipList[K, V]) Insert(p *Proc, k K, v V) (*SLNode[K, V], bool) {
 	defer l.opPin(p).Unpin()
 	sc, p := beginOp(l.tel, p, telemetry.OpInsert, 1)
-	n, ok := l.insert(p, k, v)
+	r := record[K, V]{l: l}
+	n, ok := r.insert(p, k, v)
 	sc.end()
 	return n, ok
 }
@@ -156,7 +157,8 @@ func (l *SkipList[K, V]) Insert(p *Proc, k K, v V) (*SLNode[K, V], bool) {
 func (l *SkipList[K, V]) Delete(p *Proc, k K) (*SLNode[K, V], bool) {
 	defer l.opPin(p).Unpin()
 	sc, p := beginOp(l.tel, p, telemetry.OpDelete, 1)
-	n, ok := l.remove(p, k)
+	r := record[K, V]{l: l}
+	n, ok := r.remove(p, k)
 	sc.end()
 	return n, ok
 }

@@ -138,12 +138,10 @@ func prefilledSkip(n int, rec *telemetry.Recorder) *SkipList[int, int] {
 	r := uint64(1)
 	rng := func() uint64 { r = r*6364136223846793005 + 1442695040888963407; return r }
 	sl := NewSkipList[int, int](WithRandomSource(rng))
-	if rec != nil {
-		sl.SetTelemetry(rec)
-	}
 	for k := 0; k < n; k++ {
-		sl.insert(nil, k, k)
+		sl.Insert(nil, k, k)
 	}
+	sl.SetTelemetry(rec) // after the prefill, which stays unrecorded
 	return sl
 }
 

@@ -8,7 +8,7 @@
 // bound, and with a sane load factor that is O(1 + c) expected.
 //
 // The table does not resize; choose the bucket count for the expected
-// population. An empty bucket costs 608 bytes in five allocations on
+// population. An empty bucket costs 560 bytes in five allocations on
 // amd64 - the list's header and its head/tail sentinel towers (a list is
 // the skip list with one-level towers; it cost 512 bytes while it had a
 // node type of its own).

@@ -303,22 +303,6 @@ func (s *OpStats) IncAux() {
 	}
 }
 
-// IncFinger records one finger-accelerated search start: hit means the
-// search began at the finger's remembered node, miss that it fell back to
-// the head (list) or top (skip list). The search work itself is billed
-// through the usual next/curr/backlink counters; these two only classify
-// where it started.
-func (s *OpStats) IncFinger(hit bool) {
-	if s == nil {
-		return
-	}
-	if hit {
-		s.FingerHits++
-	} else {
-		s.FingerMisses++
-	}
-}
-
 // IncBackoff records one adaptive-backoff wait event: a retry loop that
 // observed repeated C&S failures yielded (spun or rescheduled) before its
 // next attempt. The wait itself performs no shared-memory steps, so it is

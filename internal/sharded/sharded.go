@@ -22,8 +22,8 @@
 //
 // Batch operations sort once at the map level and partition the sorted run
 // into per-shard sub-runs with one binary search per splitter. Insert and
-// delete batches execute each sub-run, in shard order, through the owning
-// shard's pooled search finger; a get batch sends all its sub-runs down
+// delete batches execute each sub-run, in shard order, through one bracket
+// record on the owning shard's stack; a get batch sends all its sub-runs down
 // their shards together, in one shared descent. Either way the work is
 // done on the caller's goroutine. The map starts no goroutines:
 // concurrency comes from the callers (connections, workers), which

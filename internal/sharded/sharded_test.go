@@ -289,11 +289,11 @@ func TestShardOpsCounting(t *testing.T) {
 // TestBatchAllocs pins the zero-allocation contract of the batch path:
 // Get/Delete batches allocate nothing, insert batches exactly their
 // nodes — the cuts buffer is pooled, the partition uses no closures, and
-// the shards' own finger pools do the rest.
+// each shard's batch keeps its bracket record on the stack.
 func TestBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		// The race detector randomly drops sync.Pool puts (deliberate
-		// sampling), so pooled fingers and cuts buffers reallocate and the
+		// sampling), so pooled cuts buffers reallocate and the
 		// counts below stop being meaningful.
 		t.Skip("allocation counts are distorted under the race detector")
 	}

@@ -170,6 +170,13 @@ go run ./cmd/lflstress -server self -threads 6 -ops 500 -keys 64 -rounds 4 -batc
 echo "== lflstress fr-list smoke =="
 go run ./cmd/lflstress -impl fr-list -threads 6 -ops 500 -keys 16 -rounds 3 -batch 8
 
+# The default configuration: the plain, non-recycled skip list, alone and
+# behind a 4-shard map - what every benchmark workload runs - point ops
+# and sorted batches mixed, every round linearizability-checked.
+echo "== lflstress fr-skiplist smoke =="
+go run ./cmd/lflstress -impl fr-skiplist -threads 6 -ops 500 -keys 16 -rounds 3 -batch 8
+go run ./cmd/lflstress -impl fr-skiplist -shards 4 -threads 6 -ops 500 -keys 64 -rounds 3 -batch 8
+
 # Recycling smoke: the same linearizability checking with EBR-backed node
 # recycling live — a small key space under heavy churn, so node identities
 # repeat across the checked histories. The run fails unless identities
