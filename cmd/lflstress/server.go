@@ -62,7 +62,7 @@ func runServerMode(addr string, threads, ops, keyRange, rounds int, seed uint64,
 	if tel != nil && addr == "self" {
 		obs = server.NewObs(server.ObsConfig{})
 	}
-	totalOps, checkedRounds := 0, 0
+	totalOps := 0
 	var totalRecycled, totalDropped uint64
 	for round := 0; round < rounds; round++ {
 		target, keyBase := addr, round*keyRange
@@ -115,7 +115,7 @@ func runServerMode(addr string, threads, ops, keyRange, rounds int, seed uint64,
 		wg.Wait()
 		for w, err := range errs {
 			if err != nil {
-				return fmt.Errorf("round %d worker %d: %w", round, w, err)
+				return roundFailed(round, seed, fmt.Errorf("worker %d: %w", w, err))
 			}
 		}
 		if srv != nil {
@@ -125,7 +125,7 @@ func runServerMode(addr string, threads, ops, keyRange, rounds int, seed uint64,
 			err := srv.Shutdown(ctx)
 			cancel()
 			if err != nil {
-				return fmt.Errorf("round %d: graceful drain incomplete: %w", round, err)
+				return roundFailed(round, seed, fmt.Errorf("graceful drain incomplete: %w", err))
 			}
 			if recycle {
 				// The drained server is quiescent: flush the store's domain
@@ -143,14 +143,9 @@ func runServerMode(addr string, threads, ops, keyRange, rounds int, seed uint64,
 			}
 		}
 		if err := history.Check(rec.Ops()); err != nil {
-			if _, dense := err.(*history.ErrTooDense); dense {
-				fmt.Printf("round %d: %v (inconclusive; lower -ops or raise -keys)\n", round, err)
-				continue
-			}
-			return fmt.Errorf("round %d: %w", round, err)
+			return roundFailed(round, seed, err)
 		}
 		totalOps += threads * ops
-		checkedRounds++
 		if tel != nil && telEvery > 0 && (round+1)%telEvery == 0 {
 			printTelemetryDelta(round+1, tel.Delta())
 			if obs != nil {
@@ -158,11 +153,8 @@ func runServerMode(addr string, threads, ops, keyRange, rounds int, seed uint64,
 			}
 		}
 	}
-	if err := someRoundChecked(checkedRounds, rounds); err != nil {
-		return err
-	}
-	fmt.Printf("ok: server %s passed, %d of %d rounds checked, %d checked operations over TCP, all histories linearizable\n",
-		addr, checkedRounds, rounds, totalOps)
+	fmt.Printf("ok: server %s passed, %d rounds, %d checked operations over TCP, all histories linearizable\n",
+		addr, rounds, totalOps)
 	if recycle {
 		fmt.Printf("ok: node recycling live in the served store: %d node identities reused, %d dropped to GC\n",
 			totalRecycled, totalDropped)

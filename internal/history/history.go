@@ -2,20 +2,35 @@
 // for linearizability (Herlihy & Wing 1990), the correctness condition the
 // paper proves for its implementations (Section 3.3).
 //
-// The checker exploits locality: Insert, Delete and Search each touch a
-// single key, and a dictionary is the product of independent per-key
-// presence bits, so a history is linearizable iff each key's sub-history
-// is (Herlihy-Wing locality). Per-key sub-histories are further split at
-// quiescent cuts - instants where every earlier operation has returned
-// before any later one is invoked - which is sound because the presence
-// bit's end state after a valid segment is determined by the parity of its
-// successful updates. Each segment is then checked by Wing-Gong search
-// with memoization over (linearized-set, state).
+// Insert, Delete and Search each touch a single key, and a dictionary is
+// the product of independent per-key presence bits, so a history is
+// linearizable iff each key's sub-history is (Herlihy-Wing locality). A
+// presence bit makes each key's check one greedy pass. A successful insert
+// sets the bit and a successful delete clears it; every other op reads it
+// (a search reads its result, a failed insert 1, a failed delete 0). An op
+// may be linearized next iff it was invoked no later than the earliest
+// response among the ops not yet linearized. While such an op exists, the
+// pass linearizes one:
+//
+//   - a read that matches the bit, if there is one: moving it to the front
+//     of any valid order breaks no real-time edge, since it may go next,
+//     and changes no state, since it reads;
+//   - otherwise the bit must flip, and of the updates that flip it and may
+//     go next, the one with the earliest response w*: if a valid order
+//     flips it first with w and w* comes later, swapping w and w* keeps
+//     every state, and every op between them was invoked no later than w*
+//     responded, so no later than w did.
+//
+// The pass therefore gets stuck only when no valid order exists. It costs
+// O(n log n) per key, however many of the ops overlap.
 package history
 
 import (
+	"cmp"
+	"container/heap"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -109,155 +124,124 @@ func (t *Thread) End(op Op, result bool) {
 	t.ops = append(t.ops, op)
 }
 
-// ErrTooDense is returned when a per-key segment exceeds the checker's
-// 63-operation limit; rerun with fewer operations or more keys.
-type ErrTooDense struct {
-	Key  int
-	Size int
-}
-
-func (e *ErrTooDense) Error() string {
-	return fmt.Sprintf("key %d has a concurrent segment of %d operations; checker limit is 63", e.Key, e.Size)
-}
-
-// Violation describes a non-linearizable sub-history.
+// Violation describes a non-linearizable sub-history: Segment holds the
+// key's pending ops at the point where none of them could be linearized.
 type Violation struct {
 	Key     int
 	Segment []Op
 }
 
 func (v *Violation) Error() string {
-	return fmt.Sprintf("history not linearizable for key %d (%d-op segment)", v.Key, len(v.Segment))
+	return fmt.Sprintf("history not linearizable for key %d (%d pending ops, none can go next)", v.Key, len(v.Segment))
 }
 
 // Check verifies that ops form a linearizable dictionary history starting
-// from the empty dictionary. It returns nil if linearizable, a *Violation
-// if not, and a *ErrTooDense if a segment is too large to check.
+// from the empty dictionary. It returns nil if linearizable and a
+// *Violation if not. Every op must have Start <= End, as recorded ones do.
 func Check(ops []Op) error {
-	byKey := make(map[int][]Op)
-	for _, o := range ops {
-		byKey[o.Key] = append(byKey[o.Key], o)
-	}
-	keys := make([]int, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		if err := checkKey(k, byKey[k]); err != nil {
+	ops = slices.Clone(ops)
+	slices.SortFunc(ops, func(a, b Op) int {
+		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Start, b.Start))
+	})
+	for lo := 0; lo < len(ops); {
+		hi := lo + 1
+		for hi < len(ops) && ops[hi].Key == ops[lo].Key {
+			hi++
+		}
+		if err := checkKey(ops[lo:hi]); err != nil {
 			return err
 		}
+		lo = hi
 	}
 	return nil
 }
 
-// checkKey checks one key's sub-history against the presence-bit object.
-func checkKey(key int, ops []Op) error {
-	sort.Slice(ops, func(i, j int) bool { return ops[i].Start < ops[j].Start })
-	state := false
-	// Split into segments at quiescent cuts.
-	segStart := 0
-	maxEnd := int64(-1)
-	for i, o := range ops {
-		if i > segStart && o.Start > maxEnd {
-			var ok bool
-			state, ok = checkSegment(ops[segStart:i], state)
-			if !ok {
-				return &Violation{Key: key, Segment: ops[segStart:i]}
+const never = math.MaxInt64
+
+// checkKey runs the greedy pass over one key's ops, sorted by Start. The
+// bit's state indexes everything: updates[v] holds the pending successful
+// updates that set the bit to v (deletes, inserts) and reads[v] the pending
+// reads of v, which wait for the bit to become v, so reads[state] is empty.
+func checkKey(ops []Op) error {
+	state := 0
+	var updates [2]byEnd
+	var reads [2][]Op
+	readEnd := [2]int64{never, never} // earliest response in reads[v]
+	for next := 0; ; {
+		// Admit, in invocation order, every op invoked no later than the
+		// earliest response among the pending ops. An admitted op stays
+		// admissible, since each op admitted after it responds no earlier
+		// than it was invoked, so one forward pointer suffices.
+		minEnd := min(readEnd[0], readEnd[1], updates[0].minEnd(), updates[1].minEnd())
+		for ; next < len(ops) && ops[next].Start <= minEnd; next++ {
+			o := ops[next]
+			v, update, ok := effect(o)
+			switch {
+			case !ok:
+				return &Violation{Key: o.Key, Segment: []Op{o}}
+			case update:
+				heap.Push(&updates[v], o)
+			case v == state:
+				continue // a read of the current state linearizes at once
+			default:
+				reads[v] = append(reads[v], o)
+				readEnd[v] = min(readEnd[v], o.End)
 			}
-			segStart = i
+			minEnd = min(minEnd, o.End)
 		}
-		if o.End > maxEnd {
-			maxEnd = o.End
+		// No admitted read matches the bit, so it must flip: the flipping
+		// update with the earliest response goes next.
+		flip := 1 - state
+		if len(updates[flip]) == 0 {
+			if len(reads[flip]) == 0 && len(updates[state]) == 0 {
+				return nil // nothing pending, so every op was admitted
+			}
+			seg := slices.Concat(reads[flip], updates[0], updates[1])
+			slices.SortFunc(seg, func(a, b Op) int { return cmp.Compare(a.Start, b.Start) })
+			return &Violation{Key: seg[0].Key, Segment: seg}
 		}
-		if i-segStart >= 63 {
-			return &ErrTooDense{Key: key, Size: i - segStart + 1}
-		}
+		heap.Pop(&updates[flip])
+		state = flip
+		reads[state], readEnd[state] = reads[state][:0], never
 	}
-	if segStart < len(ops) {
-		if _, ok := checkSegment(ops[segStart:], state); !ok {
-			return &Violation{Key: key, Segment: ops[segStart:]}
-		}
-	}
-	return nil
 }
 
-// memoKey identifies a search node: the set of already-linearized ops plus
-// the presence state.
-type memoKey struct {
-	mask  uint64
-	state bool
-}
-
-// checkSegment runs Wing-Gong search over one segment. It returns the
-// final state (determined by the parity of successful updates) and whether
-// a valid linearization exists.
-func checkSegment(ops []Op, initial bool) (bool, bool) {
-	final := initial
-	for _, o := range ops {
-		if (o.Kind == KindInsert || o.Kind == KindDelete) && o.Result {
-			final = !final
-		}
-	}
-	n := len(ops)
-	full := uint64(1)<<n - 1
-	seen := make(map[memoKey]bool)
-	var dfs func(mask uint64, state bool) bool
-	dfs = func(mask uint64, state bool) bool {
-		if mask == full {
-			return true
-		}
-		mk := memoKey{mask, state}
-		if seen[mk] {
-			return false
-		}
-		seen[mk] = true
-		// minEnd over un-linearized ops: an op is a legal next choice
-		// only if no un-linearized op responded before it was invoked.
-		minEnd := int64(1<<62 - 1)
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) == 0 && ops[i].End < minEnd {
-				minEnd = ops[i].End
-			}
-		}
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				continue
-			}
-			o := ops[i]
-			if o.Start > minEnd {
-				continue // real-time order forbids linearizing o yet
-			}
-			next, ok := apply(o, state)
-			if !ok {
-				continue
-			}
-			if dfs(mask|1<<i, next) {
-				return true
-			}
-		}
-		return false
-	}
-	return final, dfs(0, initial)
-}
-
-// apply checks o against the presence-bit spec in the given state and
-// returns the next state.
-func apply(o Op, present bool) (bool, bool) {
+// effect classifies o against the presence bit: a successful insert sets
+// it to 1 and a successful delete to 0 (update), while a search reads its
+// result, a failed insert reads 1 and a failed delete reads 0. ok is false
+// for an unknown kind, which no state admits.
+func effect(o Op) (v int, update, ok bool) {
 	switch o.Kind {
 	case KindSearch:
-		return present, o.Result == present
+		if o.Result {
+			return 1, false, true
+		}
+		return 0, false, true
 	case KindInsert:
-		if o.Result != !present {
-			return present, false
-		}
-		return true, true
+		return 1, o.Result, true
 	case KindDelete:
-		if o.Result != present {
-			return present, false
-		}
-		return false, true
+		return 0, o.Result, true
 	default:
-		return present, false
+		return 0, false, false
 	}
+}
+
+// byEnd is a min-heap of ops by response time (container/heap).
+type byEnd []Op
+
+func (h byEnd) Len() int           { return len(h) }
+func (h byEnd) Less(i, j int) bool { return h[i].End < h[j].End }
+func (h byEnd) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *byEnd) Push(x any)        { *h = append(*h, x.(Op)) }
+func (h *byEnd) Pop() any {
+	o := (*h)[len(*h)-1]
+	*h = (*h)[:len(*h)-1]
+	return o
+}
+
+func (h byEnd) minEnd() int64 {
+	if len(h) == 0 {
+		return never
+	}
+	return h[0].End
 }

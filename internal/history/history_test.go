@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -120,15 +122,62 @@ func TestCheckKeysIndependent(t *testing.T) {
 	}
 }
 
-func TestCheckTooDense(t *testing.T) {
-	var ops []Op
+// TestCheckDense: a key's ops may all overlap, however many there are.
+func TestCheckDense(t *testing.T) {
+	var searches []Op
 	for i := 0; i < 70; i++ {
 		// All 70 ops on one key overlap: [1, 1000].
-		ops = append(ops, op(KindSearch, 1, false, 1, 1000))
+		searches = append(searches, op(KindSearch, 1, false, 1, 1000))
 	}
-	err := Check(ops)
-	if _, ok := err.(*ErrTooDense); !ok {
-		t.Fatalf("err = %v, want ErrTooDense", err)
+	if err := Check(searches); err != nil {
+		t.Fatalf("70 overlapping searches of an absent key: %v", err)
+	}
+
+	// Two successful inserts need a successful delete between them.
+	dense := slices.Clone(searches)
+	dense[10] = op(KindInsert, 1, true, 1, 1000)
+	dense[60] = op(KindInsert, 1, true, 1, 1000)
+	if err := Check(dense); err == nil || !errors.As(err, new(*Violation)) {
+		t.Fatalf("70 overlapping ops with two successful inserts and no delete: err = %v, want a *Violation", err)
+	}
+
+	// 2^16 ops on one key, op i over [i, n+i], so every op overlaps every
+	// other: as many successful inserts as deletes, and reads of both
+	// values, which some order interleaves validly. With one insert
+	// failed instead, a delete has nothing to remove.
+	const n = 1 << 16
+	big := make([]Op, n)
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := range big {
+		o := Op{Key: 1, Start: int64(i), End: int64(n + i), Proc: i}
+		switch i % 4 {
+		case 0:
+			o.Kind, o.Result = KindInsert, true
+		case 1:
+			o.Kind, o.Result = KindDelete, true
+		case 2:
+			o.Kind, o.Result = KindSearch, rng.IntN(2) == 1
+		default:
+			o.Kind = KindInsert + Kind(rng.IntN(2))
+		}
+		big[i] = o
+	}
+	for _, tc := range []struct {
+		name string
+		ops  []Op
+		ok   bool
+	}{
+		{"valid", big, true},
+		{"one insert failed", append(slices.Clone(big[1:]), op(KindInsert, 1, false, 0, n)), false},
+	} {
+		start := time.Now()
+		err := Check(tc.ops)
+		if took := time.Since(start); took > time.Second {
+			t.Fatalf("%s: a %d-op one-key history took %v to check, want under 1s", tc.name, n, took)
+		}
+		if _, isViolation := err.(*Violation); (err == nil) != tc.ok || err != nil && !isViolation {
+			t.Fatalf("%s: %d overlapping ops: err = %v, want linearizable = %t", tc.name, n, err, tc.ok)
+		}
 	}
 }
 
@@ -149,14 +198,10 @@ func TestCheckSegmentationCarriesState(t *testing.T) {
 }
 
 // TestRecorderWithCoreList runs a real concurrent workload against the
-// core list and checks the recorded history end to end. A goroutine
-// preempted mid-operation can make one key's concurrent segment denser than
-// the checker's window, which says nothing about the list, so the test
-// runs several rounds: any non-linearizable round fails it, and so does
-// finding every round too dense to check.
+// core list and checks the recorded history end to end, in several rounds
+// with different op streams; every round must linearize.
 func TestRecorderWithCoreList(t *testing.T) {
 	const rounds, workers, ops, keyRange = 6, 8, 400, 16
-	checked := 0
 	for round := 0; round < rounds; round++ {
 		l := core.NewList[int, int]()
 		rec := NewRecorder(workers, ops)
@@ -188,19 +233,9 @@ func TestRecorderWithCoreList(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		err := Check(rec.Ops())
-		var dense *ErrTooDense
-		switch {
-		case err == nil:
-			checked++
-		case errors.As(err, &dense):
-			t.Logf("round %d inconclusive: %v", round, err)
-		default:
+		if err := Check(rec.Ops()); err != nil {
 			t.Fatalf("round %d: core list produced a non-linearizable history: %v", round, err)
 		}
-	}
-	if checked == 0 {
-		t.Fatalf("all %d rounds were too dense for the checker", rounds)
 	}
 }
 
@@ -260,9 +295,10 @@ func TestCheckerCatchesBrokenDictionary(t *testing.T) {
 		}
 		wg.Wait()
 		if err := Check(rec.Ops()); err != nil {
-			if _, dense := err.(*ErrTooDense); !dense {
-				caught = true
+			if _, ok := err.(*Violation); !ok {
+				t.Fatalf("round %d: err = %v, want a *Violation", round, err)
 			}
+			caught = true
 		}
 	}
 	if !caught {

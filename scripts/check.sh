@@ -21,7 +21,9 @@
 #   6. short lflstress runs: a -server smoke (an in-process TCP server
 #      per round, pipelined mixed workloads, linearizability-checked, with
 #      the graceful drain asserted at each round's end), fr-list with and
-#      without node recycling and fr-skiplist with it — plus a race-built
+#      without node recycling and fr-skiplist with it, and two dense legs
+#      (every op of a round on one key, in process and over the wire) —
+#      plus a race-built
 #      kill-and-recover smoke: SIGKILL a wal-sync child server mid-burst
 #      and verify every acked write survives recovery,
 #   7. an observability smoke: a real lflserver with its admin listener
@@ -165,8 +167,7 @@ go run ./cmd/lflstress -server self -threads 6 -ops 500 -keys 64 -rounds 4 -batc
 # Structure-level list legs: the linked list is the skip list's level 1,
 # so it shares every routine, batch and finger path with it - and gets its
 # own linearizability-checked rounds, point ops and sorted batches mixed.
-# lflstress exits non-zero when no round could be checked, so a pass
-# means at least one round was verified.
+# lflstress checks every round and exits non-zero on the first that fails.
 echo "== lflstress fr-list smoke =="
 go run ./cmd/lflstress -impl fr-list -threads 6 -ops 500 -keys 16 -rounds 3 -batch 8
 
@@ -176,6 +177,13 @@ go run ./cmd/lflstress -impl fr-list -threads 6 -ops 500 -keys 16 -rounds 3 -bat
 echo "== lflstress fr-skiplist smoke =="
 go run ./cmd/lflstress -impl fr-skiplist -threads 6 -ops 500 -keys 16 -rounds 3 -batch 8
 go run ./cmd/lflstress -impl fr-skiplist -shards 4 -threads 6 -ops 500 -keys 64 -rounds 3 -batch 8
+
+# Dense legs: one key, batches of 64, so every round's ops overlap in
+# dozens and hundreds on that key - in process and through a one-shard
+# server - and each round must still be checked and linearize.
+echo "== lflstress dense one-key smoke =="
+go run ./cmd/lflstress -impl fr-skiplist -threads 4 -ops 512 -keys 1 -rounds 3 -batch 64
+go run ./cmd/lflstress -server self -shards 1 -threads 2 -ops 256 -keys 1 -rounds 2 -batch 64
 
 # Recycling smoke: the same linearizability checking with EBR-backed node
 # recycling live — a small key space under heavy churn, so node identities
