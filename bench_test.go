@@ -139,7 +139,7 @@ func BenchmarkE5SkipListScaling(b *testing.B) {
 
 // BenchmarkE6TowerConstruction measures concurrent insertion (tower
 // building) throughput and reports the resulting mean tower height, which
-// must stay near the geometric expectation of 2.
+// must stay near the fan-out-4 expectation of 4/3.
 func BenchmarkE6TowerConstruction(b *testing.B) {
 	l := core.NewSkipList[int, int]()
 	var next atomic.Int64

@@ -128,14 +128,14 @@ func figure2(w io.Writer) {
 	fmt.Fprintln(w, "  step 3 (unlink B):", core.RenderState(l.Snapshot()), "   <- B removed, flag cleared")
 }
 
+// figure6Seed hashes keys 1..7 to towers of heights 1, 2, 3, 1, 4, 2, 1.
+const figure6Seed = 46291
+
 // figure6 renders the skip list's tower structure (Figure 6) after a few
 // insertions with deterministic heights.
 func figure6(w io.Writer) {
 	fmt.Fprintln(w, "Figure 6: skip-list towers (deterministic heights)")
-	heights := []uint64{0b0, 0b1, 0b11, 0b0, 0b111, 0b1, 0b0}
-	i := 0
-	rng := func() uint64 { h := heights[i%len(heights)]; i++; return h }
-	l := core.NewSkipList[int, int](core.WithRandomSource(rng))
+	l := core.NewSkipList[int, int](core.WithSeed(figure6Seed))
 	for k := 1; k <= 7; k++ {
 		l.Insert(nil, k, k)
 	}

@@ -52,6 +52,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
 	"os/signal"
 	"syscall"
@@ -108,12 +109,17 @@ func run(args []string) error {
 	tel := ltel.New("lflserver", ltel.WithSampleEvery(1)).PublishExpvar()
 	defer tel.Unregister()
 
+	// Clients choose the keys, and a client that knew the tower-height
+	// seed could choose keys whose towers are all short, turning every
+	// search linear. So the seed is drawn here, private to this process,
+	// and never printed or exported.
+	opts := []lockfree.Option{lockfree.WithTelemetry(tel), lockfree.WithSeed(rand.Uint64())}
 	var store server.Store
 	if *shards > 1 {
 		store = lockfree.NewShardedSkipList[int, string](
-			lockfree.EqualSplitters(*keyLo, *keyHi, *shards), lockfree.WithTelemetry(tel))
+			lockfree.EqualSplitters(*keyLo, *keyHi, *shards), opts...)
 	} else {
-		store = lockfree.NewSkipList[int, string](lockfree.WithTelemetry(tel))
+		store = lockfree.NewSkipList[int, string](opts...)
 	}
 
 	// Durability: recover snapshot + WAL tail before serving, then hand

@@ -222,7 +222,9 @@ func (d frSharded) recycleCounts() (recycled, dropped uint64) {
 // key space [0, keyRange) evenly across that many skip-list shards.
 // recycle enables EBR-backed node recycling on the fr-* structures, so the
 // linearizability check runs over histories where node identities repeat.
-func newChecked(impl string, shards, keyRange int, recycle bool, tel *ltel.Telemetry) (checked, error) {
+// seed seeds the tower heights of every skip list, so a replayed round
+// rebuilds the failing round's shape as well as its op streams.
+func newChecked(impl string, shards, keyRange int, recycle bool, tel *ltel.Telemetry, seed uint64) (checked, error) {
 	if recycle && impl != "fr-list" && impl != "fr-skiplist" {
 		return nil, fmt.Errorf("-recycle applies only to fr-list and fr-skiplist, not %q", impl)
 	}
@@ -236,7 +238,7 @@ func newChecked(impl string, shards, keyRange int, recycle bool, tel *ltel.Telem
 		if shards > keyRange {
 			return nil, fmt.Errorf("-shards %d exceeds -keys %d: every shard must own at least one key", shards, keyRange)
 		}
-		var coreOpts []core.SkipListOption
+		coreOpts := []core.SkipListOption{core.WithSeed(seed)}
 		if recycle {
 			coreOpts = append(coreOpts, core.WithRecycling())
 		}
@@ -257,7 +259,7 @@ func newChecked(impl string, shards, keyRange int, recycle bool, tel *ltel.Telem
 		}
 		return frList{l}, nil
 	case "fr-skiplist":
-		var coreOpts []core.SkipListOption
+		coreOpts := []core.SkipListOption{core.WithSeed(seed)}
 		if recycle {
 			coreOpts = append(coreOpts, core.WithRecycling())
 		}
@@ -269,13 +271,13 @@ func newChecked(impl string, shards, keyRange int, recycle bool, tel *ltel.Telem
 	case "harris-list":
 		return harrisList{harris.NewList[int, int]()}, nil
 	case "harris-skiplist":
-		return harrisSkip{harris.NewSkipList[int, int](0, nil)}, nil
+		return harrisSkip{harris.NewSkipList[int, int](0, seed)}, nil
 	case "valois-list":
 		return valoisList{valois.NewList[int, int]()}, nil
 	case "noflag-list":
 		return noflagList{noflag.NewList[int, int]()}, nil
 	case "sundell-skiplist":
-		return sundellSkip{sundell.New[int, int](0, nil)}, nil
+		return sundellSkip{sundell.New[int, int](0, seed)}, nil
 	default:
 		return nil, fmt.Errorf("unknown -impl %q", impl)
 	}
@@ -333,7 +335,7 @@ func run(args []string) error {
 	totalOps := 0
 	var totalRecycled, totalDropped uint64
 	for round := 0; round < *rounds; round++ {
-		d, err := newChecked(*impl, *shards, *keys, *recycle, tel)
+		d, err := newChecked(*impl, *shards, *keys, *recycle, tel, *seed+uint64(round))
 		if err != nil {
 			return err
 		}
@@ -404,8 +406,9 @@ func run(args []string) error {
 }
 
 // roundFailed names a failing round and the flags that replay it: worker
-// w of round r draws its op stream from (seed+r, w), so -seed seed+r
-// -rounds 1 gives round 0 of the replay the same streams.
+// w of round r draws its op stream from (seed+r, w) and the structure's
+// tower heights from seed+r, so -seed seed+r -rounds 1 gives round 0 of
+// the replay the same streams over the same shape.
 func roundFailed(round int, seed uint64, err error) error {
 	return fmt.Errorf("round %d (replay with -seed %d -rounds 1): %w", round, seed+uint64(round), err)
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestNewCheckedKnownImpls(t *testing.T) {
 		"fr-list", "fr-skiplist", "harris-list", "harris-skiplist",
 		"valois-list", "noflag-list",
 	} {
-		d, err := newChecked(impl, 0, 16, false, nil)
+		d, err := newChecked(impl, 0, 16, false, nil, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", impl, err)
 		}
@@ -37,7 +38,7 @@ func TestNewCheckedKnownImpls(t *testing.T) {
 }
 
 func TestNewCheckedUnknownImpl(t *testing.T) {
-	if _, err := newChecked("btree", 0, 16, false, nil); err == nil {
+	if _, err := newChecked("btree", 0, 16, false, nil, 1); err == nil {
 		t.Fatal("unknown implementation accepted")
 	}
 }
@@ -278,7 +279,7 @@ func TestRunWithTelemetry(t *testing.T) {
 func TestTelemetryScrapeDuringStress(t *testing.T) {
 	tel := ltel.New("stress-scrape", ltel.WithSampleEvery(1)).PublishExpvar()
 	defer tel.Unregister()
-	d, err := newChecked("fr-skiplist", 0, 16, false, tel)
+	d, err := newChecked("fr-skiplist", 0, 16, false, tel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,4 +334,31 @@ func httpGet(t *testing.T, url string) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestRoundSeedFixesTheShape: a round's seed reaches the structure's tower
+// heights, so a round replayed with -seed S+R -rounds 1 runs over the
+// failing round's shape, and another seed gives another shape.
+func TestRoundSeedFixesTheShape(t *testing.T) {
+	heights := func(shards int, seed uint64) []int {
+		d, err := newChecked("fr-skiplist", shards, 1024, false, nil, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 1024; k++ {
+			d.insert(k)
+		}
+		if shards > 0 {
+			return d.(frSharded).m.Shard(0).Heights()
+		}
+		return d.(frSkip).l.Heights()
+	}
+	for _, shards := range []int{0, 2} {
+		if a, b := heights(shards, 5), heights(shards, 5); !slices.Equal(a, b) {
+			t.Errorf("shards %d: seed 5 built heights %v, then %v", shards, a, b)
+		}
+		if a, b := heights(shards, 5), heights(shards, 6); slices.Equal(a, b) {
+			t.Errorf("shards %d: seeds 5 and 6 both built heights %v", shards, a)
+		}
+	}
 }

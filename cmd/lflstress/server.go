@@ -69,7 +69,7 @@ func runServerMode(addr string, threads, ops, keyRange, rounds int, seed uint64,
 		var srv *server.Server
 		var roundStore server.Store
 		if addr == "self" {
-			var opts []lockfree.Option
+			opts := []lockfree.Option{lockfree.WithSeed(seed + uint64(round))}
 			if tel != nil {
 				opts = append(opts, lockfree.WithTelemetry(tel))
 			}

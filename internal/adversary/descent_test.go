@@ -1,7 +1,6 @@
 package adversary
 
 import (
-	"math/bits"
 	"slices"
 	"testing"
 
@@ -44,15 +43,12 @@ func searchDones(l *core.SkipList[int, int], pid int, keys []int) (fired int, st
 // 12 -> 13 on level 1, and nobody else's does.
 func TestDescentMeetsMarkedSuccessor(t *testing.T) {
 	build := func() *core.SkipList[int, int] {
-		next := 1
-		l := core.NewSkipList[int, int](core.WithRandomSource(func() uint64 {
-			tall := next%4 == 0
-			next++
-			if tall {
-				return 0b11
+		l := rigged(func(k int) int {
+			if k%4 == 0 {
+				return 3
 			}
-			return 0
-		}))
+			return 1
+		})
 		for k := 1; k < 64; k++ {
 			l.Insert(nil, k, k)
 		}
@@ -105,12 +101,7 @@ func TestDescentMeetsMarkedSuccessor(t *testing.T) {
 // else's does. Seen from there the tower is superfluous, not marked.
 func TestDescentMeetsSuperfluousTower(t *testing.T) {
 	build := func() *core.SkipList[int, int] {
-		next := 1
-		l := core.NewSkipList[int, int](core.WithRandomSource(func() uint64 {
-			ones := bits.TrailingZeros(uint(next))
-			next++
-			return 1<<ones - 1
-		}))
+		l := rigged(perfect)
 		for k := 1; k < 64; k++ {
 			l.Insert(nil, k, k)
 		}

@@ -1,7 +1,6 @@
 package adversary
 
 import (
-	"math/bits"
 	"testing"
 
 	"repro/internal/core"
@@ -13,10 +12,6 @@ import (
 // operation through the finger recovers over the deletion's backlinks. It
 // must count as a finger hit (no fallback to the head or head tower), and
 // its search must stay local: a handful of node steps, not a full pass.
-
-// oneRng forces every skip-list tower to height 1 so the deleter parks at
-// exactly one physical-deletion C&S.
-func oneRng() uint64 { return 0 }
 
 // TestFingerSurvivesFullDeletion deletes the finger's remembered node
 // completely - flag, mark, physical unlink all done - between operations.
@@ -139,7 +134,7 @@ func TestFingerFallsBackOnlyForSmallerKeys(t *testing.T) {
 // node's physical unlink, and a finger whose remembered tower is that
 // root must recover via the root's backlink on level 1.
 func TestSkipFingerSurvivesDeletionParkedBeforeUnlink(t *testing.T) {
-	l := core.NewSkipList[int, int](core.WithRandomSource(oneRng))
+	l := rigged(allHeight(1)) // the deleter parks at exactly one physical-deletion C&S
 	for i := 0; i < 32; i++ {
 		l.Insert(nil, i, i)
 	}
@@ -226,13 +221,7 @@ func TestSkipFingerSurvivesFullDeletion(t *testing.T) {
 // node's backlink to 8 and resume from there - a finger hit, not a
 // restart from the head tower.
 func TestSkipFingerClimbRecoversDeletedStop(t *testing.T) {
-	next := 1 // keys are inserted in order, one height draw each
-	perfect := func() uint64 {
-		ones := bits.TrailingZeros(uint(next)) // h-1 leading "heads" flips
-		next++
-		return 1<<ones - 1
-	}
-	l := core.NewSkipList[int, int](core.WithRandomSource(perfect))
+	l := rigged(perfect)
 	for k := 1; k < 64; k++ {
 		l.Insert(nil, k, k)
 	}

@@ -209,7 +209,7 @@ func TestInternedABADelayedHelpMarked(t *testing.T) {
 // where the same points fire in insertNode/tryFlagNode).
 func TestInternedABASkipList(t *testing.T) {
 	newSkip := func() *core.SkipList[int, int] {
-		l := core.NewSkipList[int, int](core.WithRandomSource(func() uint64 { return 0 }))
+		l := rigged(allHeight(1))
 		l.Insert(nil, 10, 10)
 		l.Insert(nil, 30, 30)
 		return l

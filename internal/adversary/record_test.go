@@ -1,7 +1,6 @@
 package adversary
 
 import (
-	"math/bits"
 	"slices"
 	"testing"
 
@@ -19,19 +18,16 @@ import (
 // tensList returns a skip list holding 10, 20, ..., 630 whose towers are
 // rigged into a perfect skip list - key 10k has 1 + trailing-zeros(k)
 // levels - so that 140, 160 and 180 stand on level 2, 160 also on levels
-// 3-5, and 170 on level 1 alone. Every later insert draws a tower of
-// height next.
+// 3-5, and 170 on level 1 alone. Every other key gets a tower of height
+// next.
 func tensList(t *testing.T, next int) *core.SkipList[int, int] {
 	t.Helper()
-	k := 1
-	l := core.NewSkipList[int, int](core.WithRandomSource(func() uint64 {
-		h := next
-		if k < 64 {
-			h = 1 + bits.TrailingZeros(uint(k))
-			k++
+	l := rigged(func(k int) int {
+		if k%10 == 0 && k/10 < 64 {
+			return perfect(k / 10)
 		}
-		return 1<<(h-1) - 1 // h-1 leading "heads" flips
-	}))
+		return next
+	})
 	for i := 1; i < 64; i++ {
 		l.Insert(nil, 10*i, 10*i)
 	}

@@ -188,10 +188,7 @@ func TestRecycleDelayedFlagCAS(t *testing.T) {
 // the inserter unpins; then it recycles and comes back as a fresh
 // equal-height tower with zero allocations.
 func TestRecycleDelayedSkipListTower(t *testing.T) {
-	l := core.NewSkipList[int, int](
-		core.WithRecycling(),
-		core.WithRandomSource(func() uint64 { return 0b0111 }), // every tower height 4
-	)
+	l := rigged(allHeight(4), core.WithRecycling())
 	l.Insert(nil, 10, 10)
 	l.Insert(nil, 20, 20)
 	l.Insert(nil, 30, 30)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sharded"
 )
 
 // These schedules aim an adversary at the seam the range-sharded map adds:
@@ -20,7 +19,7 @@ import (
 // key gone, and the element must report false while the rest of the batch
 // completes.
 func TestShardedBoundaryKeyDeletedMidDeleteBatch(t *testing.T) {
-	m := sharded.New[int, int]([]int{16}, core.WithRandomSource(oneRng))
+	m := riggedMap([]int{16}, allHeight(1))
 	for k := 10; k <= 22; k++ {
 		m.Insert(nil, k, k)
 	}
@@ -95,14 +94,12 @@ func TestShardedBoundaryKeyDeletedDuringGetBatch(t *testing.T) {
 		{"before the round that steps onto 16", 1, false},
 		{"after the round that steps onto 16", 2, true},
 	} {
-		draws := 0
-		m := sharded.New[int, int]([]int{16}, core.WithRandomSource(func() uint64 {
-			draws++
-			if draws == 11 { // keys go in in order, one draw each: key 20
-				return 1
+		m := riggedMap([]int{16}, func(k int) int {
+			if k == 20 {
+				return 2
 			}
-			return 0
-		}))
+			return 1
+		})
 		for k := 10; k <= 22; k++ {
 			m.Insert(nil, k, k)
 		}

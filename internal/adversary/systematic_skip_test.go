@@ -11,7 +11,7 @@ import (
 // TestSystematicTwoOpInterleavings: every pause-point pairing of two
 // racing operations on tall towers, each schedule validated structurally.
 func TestSystematicSkipListInterleavings(t *testing.T) {
-	tall := func() uint64 { return 0b111 } // all towers height 4
+	tall := allHeight(4)
 	type skipScenario struct {
 		name  string
 		setup func() (*core.SkipList[int, int], func(*core.Proc) bool, func(*core.Proc) bool, func(*core.SkipList[int, int]) error)
@@ -20,7 +20,7 @@ func TestSystematicSkipListInterleavings(t *testing.T) {
 		{
 			name: "insert-vs-delete-neighbour",
 			setup: func() (*core.SkipList[int, int], func(*core.Proc) bool, func(*core.Proc) bool, func(*core.SkipList[int, int]) error) {
-				l := core.NewSkipList[int, int](core.WithRandomSource(tall))
+				l := rigged(tall)
 				for k := 0; k < 50; k += 10 {
 					l.Insert(nil, k, k)
 				}
@@ -41,7 +41,7 @@ func TestSystematicSkipListInterleavings(t *testing.T) {
 		{
 			name: "delete-vs-reinsert-same-key",
 			setup: func() (*core.SkipList[int, int], func(*core.Proc) bool, func(*core.Proc) bool, func(*core.SkipList[int, int]) error) {
-				l := core.NewSkipList[int, int](core.WithRandomSource(tall))
+				l := rigged(tall)
 				for k := 0; k < 50; k += 10 {
 					l.Insert(nil, k, k)
 				}

@@ -14,10 +14,6 @@ import (
 // interning of successor records (node.go / skipnode.go): reintroducing a
 // per-CAS record allocation fails them immediately.
 
-// zeroRng makes every skip-list tower height 1 (the first coin flip is
-// "tails"), so skip-list alloc counts are deterministic.
-func zeroRng() uint64 { return 0 }
-
 func TestAllocsListGet(t *testing.T) {
 	l := NewList[int, int]()
 	for k := 0; k < 128; k++ {
@@ -158,8 +154,7 @@ func TestAllocsSkipListDelete(t *testing.T) {
 // exactly once (a node per level would cost the height).
 func TestAllocsSkipListInsert(t *testing.T) {
 	for _, height := range []int{1, 2, 5, 12} {
-		flips := uint64(1)<<(height-1) - 1 // height-1 heads, then a tail
-		l := NewSkipList[int, int](WithRandomSource(func() uint64 { return flips }))
+		l := rigged(allHeight(height))
 		for k := 0; k < 64; k++ {
 			l.Insert(nil, k, k)
 		}
@@ -182,7 +177,7 @@ func TestAllocsSkipListInsert(t *testing.T) {
 // TestAllocsListInsertRetry: a forced level-1 C&S failure per insert must
 // not allocate beyond the tower.
 func TestAllocsSkipListInsertRetry(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(zeroRng))
+	l := rigged(allHeight(1))
 	const runs = 200
 	for k := 0; k <= 2*(runs+2); k += 2 {
 		l.Insert(nil, k, k)
@@ -300,7 +295,7 @@ func TestAllocsListFinger(t *testing.T) {
 }
 
 func TestAllocsSkipListFinger(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(zeroRng))
+	l := rigged(allHeight(1))
 	const runs = 400
 	for k := 0; k < runs+2; k++ {
 		l.Insert(nil, k, k)
@@ -365,7 +360,7 @@ func TestAllocsListBatch(t *testing.T) {
 }
 
 func TestAllocsSkipListBatch(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(zeroRng))
+	l := rigged(allHeight(1))
 	for k := 0; k < 256; k++ {
 		l.Insert(nil, k, k)
 	}
@@ -458,7 +453,7 @@ func TestAllocsSkipListRecorded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts at random, so pooled scratch reallocates")
 	}
-	l := NewSkipList[int, int](WithRandomSource(zeroRng))
+	l := rigged(allHeight(1))
 	rec := telemetry.NewRecorder(1)
 	rec.SetSampleEvery(1)
 	l.SetTelemetry(rec)
@@ -511,7 +506,7 @@ func TestAllocsGetBatchAcross(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts at random, so pooled scratch reallocates")
 	}
-	lists, cutsOf := rangedLists(4, 256, WithRandomSource(zeroRng))
+	lists, cutsOf := rangedLists(4, 256)
 	rec := telemetry.NewRecorder(1)
 	rec.SetSampleEvery(1)
 	for _, l := range lists {

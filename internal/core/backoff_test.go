@@ -94,7 +94,7 @@ func TestBackoffNilStats(t *testing.T) {
 func TestBackoffSkipListWaits(t *testing.T) {
 	// Skip-list twin: a level-1 insert C&S forced to fail repeatedly walks
 	// the same escalation through insertNode's retry loop.
-	l := NewSkipList[int, int](WithRandomSource(zeroRng))
+	l := rigged(allHeight(1))
 	const failures = backoffAfter + 3
 	for k := 0; k <= 2*(failures+2); k += 2 {
 		l.Insert(nil, k, k)

@@ -36,7 +36,7 @@ func TestCheckStructureVerticalInvariants(t *testing.T) {
 			l.tail.height--
 		}},
 	} {
-		l := NewSkipList[int, int](WithRandomSource(func() uint64 { return 0b11 })) // height 3
+		l := rigged(allHeight(3))
 		for k := 0; k < 8; k++ {
 			l.Insert(nil, k, k)
 		}

@@ -34,7 +34,7 @@ func TestListFuncCustomOrdering(t *testing.T) {
 }
 
 func TestSkipListFuncCustomOrdering(t *testing.T) {
-	l := NewSkipListFunc[int, int](reverse, WithRandomSource(testRNG(64)))
+	l := NewSkipListFunc[int, int](reverse, WithSeed(64))
 	for k := 0; k < 300; k++ {
 		l.Insert(nil, k, k)
 	}
@@ -69,7 +69,7 @@ func comparePair(x, y pair) int {
 }
 
 func TestSkipListFuncStructKeys(t *testing.T) {
-	l := NewSkipListFunc[pair, string](comparePair, WithRandomSource(testRNG(65)))
+	l := NewSkipListFunc[pair, string](comparePair, WithSeed(65))
 	keys := []pair{{2, 1}, {1, 9}, {1, 2}, {2, 0}, {0, 5}}
 	for _, k := range keys {
 		if _, ok := l.Insert(nil, k, "v"); !ok {

@@ -228,7 +228,7 @@ func TestF3F5HelpMarkedIdempotent(t *testing.T) {
 // randomized operation sequence: vertical tower wiring, per-level sorted
 // lists, head/tail tower up pointers, and the staircase property.
 func TestF6TowerStructure(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(testRNG(1234)))
+	l := NewSkipList[int, int](WithSeed(1234))
 	rng := rand.New(rand.NewPCG(5, 6))
 	for i := 0; i < 5000; i++ {
 		k := int(rng.Uint64N(600))
@@ -252,9 +252,7 @@ func TestF6TowerStructure(t *testing.T) {
 // root is deleted, a search past its key removes the leftovers.
 func TestSkipListSuperfluousCleanup(t *testing.T) {
 	// Force every tower to height 4 for determinism.
-	calls := 0
-	rng := func() uint64 { calls++; return 0b0111 } // three heads then a tail
-	l := NewSkipList[int, int](WithRandomSource(rng))
+	l := rigged(allHeight(4))
 	for i := 0; i < 10; i++ {
 		l.Insert(nil, i, i)
 	}

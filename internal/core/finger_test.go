@@ -243,7 +243,7 @@ func TestSkipFingerRecoversFromDeletedNode(t *testing.T) {
 // whatever the towers' heights. Finger operations on the same list still
 // count, so the counters are live.
 func TestPointOpsCountNoFingerEvents(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(func() uint64 { return 0b111 })) // every tower of height 4
+	l := rigged(allHeight(4))
 	rec := telemetry.NewRecorder(1)
 	rec.SetSampleEvery(1)
 	l.SetTelemetry(rec)

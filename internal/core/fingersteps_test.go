@@ -8,18 +8,17 @@ import (
 
 // These tests pin the cost of resuming from a SkipFinger in the paper's
 // own currency - essential steps - on a structure whose shape is fixed by
-// a seeded height source, so every count below repeats exactly. The rule
+// the default seed of the tower heights, so every count below repeats
+// exactly. The rule
 // they guard: a remembered position pays only if resuming from it is
 // cheaper than the search it replaces, at every gap size.
 
 const fingerStepKeys = 1 << 17
 
 // seededSkipList returns a skip list holding keys 0..n-1 (value = key)
-// whose tower heights come from a fixed PCG stream. Single-goroutine use
-// only: the height source is not synchronized.
+// whose tower heights are the default seed's hash of the key.
 func seededSkipList(n int) *SkipList[int, int] {
-	rng := rand.New(rand.NewPCG(2004, 7))
-	l := NewSkipList[int, int](WithRandomSource(rng.Uint64))
+	l := NewSkipList[int, int]()
 	for k := 0; k < n; k++ {
 		l.Insert(nil, k, k)
 	}

@@ -56,8 +56,8 @@ func FuzzSkipListAgainstSeqskip(f *testing.F) {
 	f.Add(uint64(2), []byte{0x00, 0x01, 0x02})
 	f.Add(uint64(3), []byte("tower construction and teardown"))
 	f.Fuzz(func(t *testing.T, seed uint64, script []byte) {
-		l := NewSkipList[int, int](WithRandomSource(testRNG(seed)))
-		model := seqskip.New[int, int](0, testRNG(seed+1))
+		l := NewSkipList[int, int](WithSeed(seed))
+		model := seqskip.New[int, int](0, seed)
 		for _, b := range script {
 			k := int(b >> 2)
 			switch b & 3 {

@@ -212,11 +212,12 @@ func TestGCKeepsNodesBehindTaggedWordsList(t *testing.T) {
 func TestGCKeepsNodesBehindTaggedWordsSkipList(t *testing.T) {
 	for _, recycle := range []bool{false, true} {
 		t.Run(fmt.Sprint("recycle=", recycle), func(t *testing.T) {
-			opts := []SkipListOption{WithRandomSource(zeroRng)} // no upper level offers a second path
+			var opts []SkipListOption
 			if recycle {
 				opts = append(opts, WithRecycling())
 			}
 			l := NewSkipList[int, string](opts...)
+			l.SetHeights(func(int) int { return 1 }) // no upper level offers a second path
 			type node = SLNode[int, string]
 			gcDeletionSchedule(t, gcSubject[node]{
 				insert: func(k int, v string) *node { n, _ := l.Insert(nil, k, v); return n },

@@ -16,8 +16,7 @@ import (
 // must have reached its full height.
 func TestIncompleteTowersBoundedByContention(t *testing.T) {
 	const fullHeight = 4
-	rng := func() uint64 { return 0b111 } // three heads -> height 4
-	l := NewSkipList[int, int](WithRandomSource(rng))
+	l := rigged(allHeight(fullHeight))
 	const settled = 100
 	for k := 0; k < settled; k++ {
 		l.Insert(nil, k, k)

@@ -31,7 +31,7 @@ func NewList[K cmp.Ordered, V any]() *List[K, V] {
 // a<b, a==b, a>b) and be consistent with ==: compare(a,b)==0 iff a == b.
 func NewListFunc[K comparable, V any](compare func(K, K) int) *List[K, V] {
 	l := new(List[K, V])
-	l.init(compare, skipListConfig{maxLevel: 2})
+	l.init(compare, skipListConfig{maxLevel: 2}, nil) // every tower is one level high
 	return l
 }
 

@@ -62,15 +62,8 @@ func TestQuickSkipListMatchesSeqskip(t *testing.T) {
 	var seed uint64
 	f := func(s opScript) bool {
 		seed++
-		var mu sync.Mutex
-		rng := rand.New(rand.NewPCG(seed, 3))
-		src := func() uint64 {
-			mu.Lock()
-			defer mu.Unlock()
-			return rng.Uint64()
-		}
-		l := NewSkipList[int, int](WithRandomSource(src))
-		model := seqskip.New[int, int](0, rand.New(rand.NewPCG(seed, 4)).Uint64)
+		l := NewSkipList[int, int](WithSeed(seed))
+		model := seqskip.New[int, int](0, seed)
 		for i := 0; i < s.steps(); i++ {
 			k := int(s.Keys[i]) % 48
 			switch s.Ops[i] % 3 {
@@ -143,7 +136,7 @@ func TestQuickSkipListHeightsTotal(t *testing.T) {
 	var seed uint64
 	f := func(keys []uint8, dels []uint8) bool {
 		seed++
-		l := NewSkipList[int, int](WithRandomSource(testRNG(seed)))
+		l := NewSkipList[int, int](WithSeed(seed))
 		for _, k := range keys {
 			l.Insert(nil, int(k), 0)
 		}
@@ -165,7 +158,7 @@ func TestQuickSkipListHeightsTotal(t *testing.T) {
 // ranges, so each worker's view must behave sequentially even though the
 // physical list is shared and recovery paths interleave.
 func TestSkipListMixedChurnModel(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(testRNG(77)))
+	l := NewSkipList[int, int](WithSeed(77))
 	const workers = 6
 	const perWorkerKeys = 60
 	const ops = 1500

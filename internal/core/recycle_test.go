@@ -11,19 +11,6 @@ import (
 // delayed C&S across delete→retire→recycle→re-insert live in
 // internal/adversary.
 
-// xorshiftRng returns a deterministic rng with varied tower heights, so
-// the skip-list churn tests exercise multi-level towers without run-to-run
-// flakiness.
-func xorshiftRng() func() uint64 {
-	s := uint64(0x9E3779B97F4A7C15)
-	return func() uint64 {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		return s
-	}
-}
-
 // churnWarmup drives an insert-after-delete loop long enough to populate
 // the free list, then drains every pending retiree so the measurement
 // starts with a stocked pool.
@@ -69,7 +56,7 @@ func TestRecycleListChurnZeroAlloc(t *testing.T) {
 }
 
 func TestRecycleSkipListChurnZeroAlloc(t *testing.T) {
-	l := NewSkipList[int, int](WithRecycling(), WithRandomSource(xorshiftRng()))
+	l := NewSkipList[int, int](WithRecycling())
 	churnWarmup(
 		func(k int) { l.Insert(nil, k, k) },
 		func(k int) { l.Delete(nil, k) },
@@ -151,7 +138,7 @@ func TestRecycleListReusesNodes(t *testing.T) {
 func TestRecycleSkipListTowerAtomic(t *testing.T) {
 	const height = 4
 	// Constant rng with three low bits set → every tower is height 4.
-	l := NewSkipList[int, int](WithRecycling(), WithRandomSource(func() uint64 { return 0b0111 }))
+	l := rigged(allHeight(4), WithRecycling())
 	st := &OpStats{}
 	p := &Proc{Stats: st}
 
@@ -416,7 +403,7 @@ func BenchmarkAllocsListChurnRecycle(b *testing.B) {
 }
 
 func BenchmarkAllocsSkipListChurnNoRecycle(b *testing.B) {
-	l := NewSkipList[int, int](WithRandomSource(xorshiftRng()))
+	l := NewSkipList[int, int]()
 	l.Insert(nil, 0, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -427,7 +414,7 @@ func BenchmarkAllocsSkipListChurnNoRecycle(b *testing.B) {
 }
 
 func BenchmarkAllocsSkipListChurnRecycle(b *testing.B) {
-	l := NewSkipList[int, int](WithRecycling(), WithRandomSource(xorshiftRng()))
+	l := NewSkipList[int, int](WithRecycling())
 	churnWarmup(
 		func(k int) { l.Insert(nil, k, k) },
 		func(k int) { l.Delete(nil, k) },

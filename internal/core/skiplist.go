@@ -2,9 +2,8 @@ package core
 
 import (
 	"cmp"
-	"math/bits"
-	"math/rand/v2"
 
+	"repro/internal/heights"
 	"repro/internal/instrument"
 	"repro/internal/telemetry"
 )
@@ -31,7 +30,10 @@ type SkipList[K comparable, V any] struct {
 	maxLevel int
 	head     *SLNode[K, V] // sentinel towers of maxLevel cells: every
 	tail     *SLNode[K, V] // level starts at head and ends at tail
-	rng      func() uint64 // thread-safe source of random bits
+	// bits returns a new tower's height bits (heights.Of): a seeded hash
+	// of its key from NewSkipList, a seeded generator's next word from
+	// NewSkipListFunc. Safe for concurrent use.
+	bits func(K) uint64
 	// tel, when non-nil, records every operation (see telemetry.go).
 	// Set before the skip list is shared.
 	tel *telemetry.Recorder
@@ -59,7 +61,7 @@ type SkipListOption func(*skipListConfig)
 
 type skipListConfig struct {
 	maxLevel int
-	rng      func() uint64
+	seed     uint64
 	retire   func(node any)
 	recycle  bool
 }
@@ -73,11 +75,13 @@ func WithMaxLevel(maxLevel int) SkipListOption {
 	}
 }
 
-// WithRandomSource supplies the source of random bits used for tower-height
-// coin flips. The function must be safe for concurrent use. Intended for
-// deterministic tests and the height-distribution experiment (E6).
-func WithRandomSource(rng func() uint64) SkipListOption {
-	return func(c *skipListConfig) { c.rng = rng }
+// WithSeed sets the seed of the tower heights (package heights): the hash
+// of the key for NewSkipList, the generator for NewSkipListFunc. The
+// default, heights.DefaultSeed, is fixed, so one key set gives one shape
+// in every process; a process that takes keys from untrusted clients
+// passes a private random seed instead.
+func WithSeed(seed uint64) SkipListOption {
+	return func(c *skipListConfig) { c.seed = seed }
 }
 
 // WithRetireHook attaches fn to every level's physical-deletion C&S site:
@@ -104,32 +108,47 @@ func WithRecycling() SkipListOption {
 }
 
 // NewSkipList returns an empty skip list over a naturally ordered key
-// type.
+// type. A tower's height is a seeded hash of its key, so the shape is a
+// function of the key set alone, whatever the order of the updates.
 func NewSkipList[K cmp.Ordered, V any](opts ...SkipListOption) *SkipList[K, V] {
-	return NewSkipListFunc[K, V](cmp.Compare[K], opts...)
+	cfg := newSkipListConfig(opts)
+	seed := cfg.seed
+	l := new(SkipList[K, V])
+	l.init(cmp.Compare[K], cfg, func(k K) uint64 { return heights.Key(seed, k) })
+	return l
 }
 
 // NewSkipListFunc returns an empty skip list ordered by the given
 // comparison function, which must define a strict total order consistent
-// with ==: compare(a,b)==0 iff a == b.
+// with ==: compare(a,b)==0 iff a == b. Its keys are only comparable, so
+// tower heights come from a seeded generator: one seed and one sequence
+// of inserts give one shape.
 func NewSkipListFunc[K comparable, V any](compare func(K, K) int, opts ...SkipListOption) *SkipList[K, V] {
-	cfg := skipListConfig{maxLevel: DefaultMaxLevel, rng: rand.Uint64}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+	cfg := newSkipListConfig(opts)
+	src := heights.NewSource(cfg.seed)
 	l := new(SkipList[K, V])
-	l.init(compare, cfg)
+	l.init(compare, cfg, func(K) uint64 { return src.Next() })
 	return l
 }
 
+// newSkipListConfig applies opts over the defaults.
+func newSkipListConfig(opts []SkipListOption) skipListConfig {
+	cfg := skipListConfig{maxLevel: DefaultMaxLevel, seed: heights.DefaultSeed}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return cfg
+}
+
 // init sets up an empty skip list in place: sentinel towers of
-// cfg.maxLevel cells, every level linking head to tail.
-func (l *SkipList[K, V]) init(compare func(K, K) int, cfg skipListConfig) {
+// cfg.maxLevel cells, every level linking head to tail, and towers drawing
+// their height bits from bits.
+func (l *SkipList[K, V]) init(compare func(K, K) int, cfg skipListConfig, bits func(K) uint64) {
 	l.compare = compare
 	l.maxLevel = cfg.maxLevel
 	l.head = allocTower[K, V](cfg.maxLevel)
 	l.tail = allocTower[K, V](cfg.maxLevel) // its successor words stay (nil, 0, 0)
-	l.rng = cfg.rng
+	l.bits = bits
 	l.retire = cfg.retire
 	if cfg.recycle {
 		l.rec = newRecycler(len(towerCaps))
@@ -156,17 +175,22 @@ func (l *SkipList[K, V]) Len() int { return int(l.size.Load()) }
 // MaxLevel returns the configured head-tower height.
 func (l *SkipList[K, V]) MaxLevel() int { return l.maxLevel }
 
-// randomHeight draws a tower height from the geometric(1/2) distribution,
-// capped at maxLevel-1: height h is chosen with probability 2^-h (mass of
-// the cap absorbs the tail), exactly the paper's repeated coin flips. A
-// cap of 1 (a List) leaves no coin to flip.
-func (l *SkipList[K, V]) randomHeight() int {
+// towerHeight returns the height of k's new tower: heights.Of of its
+// bits, P(height >= j) = 4^-(j-1) capped at maxLevel-1 - the paper's coin
+// flips at fan-out 4. A cap of 1 (a List) leaves nothing to draw.
+func (l *SkipList[K, V]) towerHeight(k K) int {
 	if l.maxLevel == 2 {
 		return 1
 	}
-	r := l.rng()
-	h := 1 + bits.TrailingZeros64(^r) // count leading "heads" flips
-	return min(h, l.maxLevel-1)
+	return heights.Of(l.bits(k), l.maxLevel)
+}
+
+// SetHeights makes fn the height of every tower inserted from now on
+// (capped at maxLevel-1), in place of the seeded one: a seam for tests
+// and figures that rig a shape by hand. Like SetRetireHook it must be
+// called before the skip list is shared.
+func (l *SkipList[K, V]) SetHeights(fn func(K) int) {
+	l.bits = func(k K) uint64 { return heights.Bits(fn(k)) }
 }
 
 // search is SEARCH_SL; Search in telemetry.go wraps it with the optional
@@ -227,7 +251,7 @@ func (r *record[K, V]) insert(p *Proc, k K, v V) (*SLNode[K, V], bool) {
 	if l.cmpNode(prev, k) == 0 {
 		return prev, false // duplicate key
 	}
-	height := l.randomHeight()
+	height := l.towerHeight(k)
 	tower := l.newTower(p, k, v, height)
 	lv := 1
 	for {

@@ -6,21 +6,24 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"repro/internal/heights"
 )
 
-// testRNG returns a deterministic, mutex-guarded random source.
-func testRNG(seed uint64) func() uint64 {
-	var mu sync.Mutex
-	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-	return func() uint64 {
-		mu.Lock()
-		defer mu.Unlock()
-		return rng.Uint64()
-	}
+// rigged returns an empty skip list whose towers get height(k) levels
+// (capped at maxLevel-1) in place of the seeded hash of k: a shape fixed
+// by hand.
+func rigged(height func(int) int, opts ...SkipListOption) *SkipList[int, int] {
+	l := NewSkipList[int, int](opts...)
+	l.SetHeights(height)
+	return l
 }
 
+// allHeight is the height function that gives every tower h levels.
+func allHeight(h int) func(int) int { return func(int) int { return h } }
+
 func TestSkipListEmpty(t *testing.T) {
-	l := NewSkipList[int, string](WithRandomSource(testRNG(1)))
+	l := NewSkipList[int, string](WithSeed(1))
 	if n := l.Search(nil, 1); n != nil {
 		t.Fatalf("Search on empty = %v, want nil", n)
 	}
@@ -36,7 +39,7 @@ func TestSkipListEmpty(t *testing.T) {
 }
 
 func TestSkipListInsertSearchDelete(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(testRNG(2)))
+	l := NewSkipList[int, int](WithSeed(2))
 	const n = 1000
 	for i := 0; i < n; i++ {
 		if _, ok := l.Insert(nil, i, i*3); !ok {
@@ -72,7 +75,7 @@ func TestSkipListInsertSearchDelete(t *testing.T) {
 }
 
 func TestSkipListDuplicate(t *testing.T) {
-	l := NewSkipList[string, int](WithRandomSource(testRNG(3)))
+	l := NewSkipList[string, int](WithSeed(3))
 	r1, ok := l.Insert(nil, "a", 1)
 	if !ok {
 		t.Fatal("first insert failed")
@@ -87,7 +90,7 @@ func TestSkipListDuplicate(t *testing.T) {
 }
 
 func TestSkipListReinsertAfterDelete(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(testRNG(4)))
+	l := NewSkipList[int, int](WithSeed(4))
 	for round := 0; round < 50; round++ {
 		if _, ok := l.Insert(nil, 7, round); !ok {
 			t.Fatalf("round %d: insert failed", round)
@@ -108,7 +111,7 @@ func TestSkipListReinsertAfterDelete(t *testing.T) {
 }
 
 func TestSkipListRandomOrderLargeKeys(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(testRNG(5)))
+	l := NewSkipList[int, int](WithSeed(5))
 	rng := rand.New(rand.NewPCG(9, 9))
 	keys := map[int]bool{}
 	for i := 0; i < 2000; i++ {
@@ -130,7 +133,7 @@ func TestSkipListRandomOrderLargeKeys(t *testing.T) {
 }
 
 func TestSkipListAscendRange(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(testRNG(6)))
+	l := NewSkipList[int, int](WithSeed(6))
 	for i := 0; i < 100; i += 2 { // even keys 0..98
 		l.Insert(nil, i, i)
 	}
@@ -155,7 +158,7 @@ func TestSkipListAscendRange(t *testing.T) {
 }
 
 func TestSkipListMaxLevelClamping(t *testing.T) {
-	l := NewSkipList[int, int](WithMaxLevel(1), WithRandomSource(testRNG(7)))
+	l := NewSkipList[int, int](WithMaxLevel(1), WithSeed(7))
 	if l.MaxLevel() != 2 {
 		t.Fatalf("MaxLevel = %d, want clamp to 2", l.MaxLevel())
 	}
@@ -171,7 +174,7 @@ func TestSkipListMaxLevelClamping(t *testing.T) {
 }
 
 func TestSkipListConcurrentDisjoint(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(testRNG(8)))
+	l := NewSkipList[int, int](WithSeed(8))
 	const workers, per = 8, 300
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -219,7 +222,7 @@ func TestSkipListConcurrentDisjoint(t *testing.T) {
 }
 
 func TestSkipListConcurrentHotKeys(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(testRNG(9)))
+	l := NewSkipList[int, int](WithSeed(9))
 	const workers = 8
 	const ops = 2000
 	const keyRange = 32
@@ -266,7 +269,7 @@ func TestSkipListConcurrentDeleteContention(t *testing.T) {
 	const workers = 8
 	const keys = 150
 	for round := 0; round < 5; round++ {
-		l := NewSkipList[int, int](WithRandomSource(testRNG(uint64(round + 10))))
+		l := NewSkipList[int, int](WithSeed(uint64(round + 10)))
 		for k := 0; k < keys; k++ {
 			l.Insert(nil, k, k)
 		}
@@ -305,7 +308,7 @@ func TestSkipListConcurrentDeleteContention(t *testing.T) {
 // same keys to exercise the superfluous-tower path: deletions of roots
 // whose towers are still being built.
 func TestSkipListInsertDeleteRace(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(testRNG(20)))
+	l := NewSkipList[int, int](WithSeed(20))
 	const workers = 8
 	const keys = 16
 	const rounds = 1500
@@ -332,7 +335,7 @@ func TestSkipListInsertDeleteRace(t *testing.T) {
 }
 
 func TestSkipListHeightsHistogram(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(testRNG(30)))
+	l := NewSkipList[int, int](WithSeed(30))
 	const n = 4000
 	for i := 0; i < n; i++ {
 		l.Insert(nil, i, i)
@@ -345,10 +348,11 @@ func TestSkipListHeightsHistogram(t *testing.T) {
 	if total != n {
 		t.Fatalf("histogram mass = %d, want %d", total, n)
 	}
-	// Geometric(1/2): roughly half the towers have height 1. Allow wide
-	// tolerance; this is a sanity check, E6 does the real measurement.
-	if hist[0] < n/3 || hist[0] > 2*n/3 {
-		t.Fatalf("height-1 towers = %d of %d, expected near %d", hist[0], n, n/2)
+	// Fan-out 4: roughly three towers in four have height 1. Allow wide
+	// tolerance; this is a sanity check, TestHeightsGeometric and E6 do
+	// the real measurement.
+	if hist[0] < 7*n/12 || hist[0] > 11*n/12 {
+		t.Fatalf("height-1 towers = %d of %d, expected near %d", hist[0], n, 3*n/4)
 	}
 	for h := 1; h < len(hist)-1; h++ {
 		if hist[h] > 0 && hist[h-1] == 0 {
@@ -357,16 +361,16 @@ func TestSkipListHeightsHistogram(t *testing.T) {
 	}
 }
 
-func TestSkipListRandomHeightDistribution(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(testRNG(31)))
+func TestSkipListTowerHeightDistribution(t *testing.T) {
+	l := NewSkipList[int, int](WithSeed(31))
 	counts := map[int]int{}
 	const draws = 200000
-	for i := 0; i < draws; i++ {
-		counts[l.randomHeight()]++
+	for k := 0; k < draws; k++ {
+		counts[l.towerHeight(k)]++
 	}
-	// P(h=1) = 1/2, P(h=2) = 1/4, ...
+	// P(h=1) = 3/4, P(h=2) = 3/16, ...: fan-out 4.
 	for h := 1; h <= 4; h++ {
-		want := draws >> uint(h)
+		want := int(draws * heights.Mass(h))
 		got := counts[h]
 		if got < want*9/10 || got > want*11/10 {
 			t.Fatalf("height %d drawn %d times, want about %d", h, got, want)
@@ -380,7 +384,7 @@ func TestSkipListRandomHeightDistribution(t *testing.T) {
 }
 
 func TestSkipListStatsThreeCASDeletion(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(func() uint64 { return 0 })) // all towers height 1
+	l := rigged(allHeight(1))
 	for i := 0; i < 10; i++ {
 		l.Insert(nil, i, i)
 	}

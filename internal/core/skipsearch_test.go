@@ -9,14 +9,7 @@ import (
 // next.key (strict: curr.key < k <= next.key) on the requested level.
 func TestSearchToLevelPostconditions(t *testing.T) {
 	// Deterministic heights cycling 1..4 so every level is populated.
-	heights := []uint64{0b0, 0b1, 0b11, 0b111}
-	i := 0
-	rng := func() uint64 {
-		h := heights[i%len(heights)]
-		i++
-		return h
-	}
-	l := NewSkipList[int, int](WithRandomSource(rng))
+	l := rigged(func(k int) int { return 1 + k/2%4 })
 	for k := 0; k < 200; k += 2 {
 		l.Insert(nil, k, k)
 	}
@@ -41,7 +34,7 @@ func TestSearchToLevelPostconditions(t *testing.T) {
 // the lowest empty level (plus one), so descending searches do not waste
 // head-to-tail hops on empty express lanes.
 func TestFindStartSkipsEmptyLevels(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(func() uint64 { return 0b11 })) // height 3
+	l := rigged(allHeight(3))
 	for k := 0; k < 50; k++ {
 		l.Insert(nil, k, k)
 	}
@@ -60,7 +53,7 @@ func TestFindStartSkipsEmptyLevels(t *testing.T) {
 // first node with key >= k even when that node is marked (matching
 // SearchFrom's contract, where cleanup guards only run inside the bound).
 func TestSearchRightStopsAtBound(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(func() uint64 { return 0 }))
+	l := rigged(allHeight(1))
 	for k := 0; k < 30; k += 3 {
 		l.Insert(nil, k, k)
 	}
@@ -78,7 +71,7 @@ func TestSearchRightStopsAtBound(t *testing.T) {
 // via the level-1 machinery (leaving the upper levels superfluous), then
 // checks searches miss the key and repair the leftovers.
 func TestSkipListGetAfterPartialTeardown(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(func() uint64 { return 0b1111 })) // height 5
+	l := rigged(allHeight(5))
 	for k := 0; k < 10; k++ {
 		l.Insert(nil, k, k)
 	}

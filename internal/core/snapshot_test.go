@@ -52,13 +52,7 @@ func TestSnapshotMidDeletion(t *testing.T) {
 }
 
 func TestLevelSnapshot(t *testing.T) {
-	heights := []uint64{0b0, 0b1} // alternating heights 1, 2
-	i := 0
-	l := NewSkipList[int, int](WithRandomSource(func() uint64 {
-		h := heights[i%2]
-		i++
-		return h
-	}))
+	l := rigged(func(k int) int { return 2 - k%2 }) // alternating heights 1, 2
 	for k := 1; k <= 4; k++ {
 		l.Insert(nil, k, k)
 	}

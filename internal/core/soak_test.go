@@ -64,7 +64,7 @@ func TestSoakSkipListLongChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test; run without -short")
 	}
-	l := NewSkipList[int, int](WithRandomSource(testRNG(4242)))
+	l := NewSkipList[int, int](WithSeed(4242))
 	const phases = 6
 	const workers = 8
 	const opsPerPhase = 6000
@@ -101,8 +101,7 @@ func TestSoakSkipListLongChurn(t *testing.T) {
 // maximum height, maximizing multi-level interference and the superfluous-
 // node cleanup paths.
 func TestForcedTallTowers(t *testing.T) {
-	l := NewSkipList[int, int](WithMaxLevel(8),
-		WithRandomSource(func() uint64 { return ^uint64(0) })) // all towers height 7
+	l := rigged(allHeight(7), WithMaxLevel(8))
 	const workers = 8
 	const keys = 24
 	var wg sync.WaitGroup

@@ -85,8 +85,7 @@ func TestListStalledDeleterFlagPhase(t *testing.T) {
 // C&S linearized the insert).
 func TestSkipListStalledTowerBuild(t *testing.T) {
 	// Force tall towers so the build has upper levels to stall in.
-	rng := func() uint64 { return 0x0f } // height 5
-	l := NewSkipList[int, int](WithRandomSource(rng))
+	l := rigged(allHeight(5))
 	for i := 0; i < 10; i++ {
 		l.Insert(nil, i*10, i)
 	}
@@ -138,7 +137,7 @@ func TestSkipListStalledTowerBuild(t *testing.T) {
 // root's predecessor; a concurrent insert of a key just before the victim
 // must help and complete.
 func TestSkipListStalledRootDeletion(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(testRNG(42)))
+	l := NewSkipList[int, int](WithSeed(42))
 	for i := 0; i < 100; i += 10 {
 		l.Insert(nil, i, i)
 	}
@@ -177,7 +176,7 @@ func TestSkipListStalledRootDeletion(t *testing.T) {
 // once and checks that a full sweep of independent operations completes -
 // the lock-freedom property under multiple simultaneous failures.
 func TestSkipListManyStalledDeleters(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(testRNG(43)))
+	l := NewSkipList[int, int](WithSeed(43))
 	for i := 0; i < 200; i++ {
 		l.Insert(nil, i, i)
 	}

@@ -132,12 +132,11 @@ func TestTelemetrySkipListOps(t *testing.T) {
 	}
 }
 
-// prefilledSkip builds an n-key skip list with a fixed rng so the
-// enabled/disabled benchmark pair sees identical topology.
+// prefilledSkip builds an n-key skip list; its heights are a seeded hash
+// of the key, so the enabled/disabled benchmark pair sees identical
+// topology.
 func prefilledSkip(n int, rec *telemetry.Recorder) *SkipList[int, int] {
-	r := uint64(1)
-	rng := func() uint64 { r = r*6364136223846793005 + 1442695040888963407; return r }
-	sl := NewSkipList[int, int](WithRandomSource(rng))
+	sl := NewSkipList[int, int]()
 	for k := 0; k < n; k++ {
 		sl.Insert(nil, k, k)
 	}

@@ -57,7 +57,8 @@ func TestWordRoundTrip(t *testing.T) {
 	checkWords(t, "list tail-adjacent", l.Search(nil, 30))
 	checkWords(t, "list tail", l.tail)
 
-	sl := NewSkipList[int, string](WithRandomSource(func() uint64 { return 1 })) // height 2
+	sl := NewSkipList[int, string]()
+	sl.SetHeights(func(int) int { return 2 })
 	for _, k := range []int{10, 20, 30} {
 		sl.Insert(nil, k, "v")
 	}
@@ -145,7 +146,7 @@ func TestWordABARestoresIdenticalWord(t *testing.T) {
 }
 
 func TestWordsInstalledSkipList(t *testing.T) {
-	l := NewSkipList[int, int](WithRandomSource(zeroRng))
+	l := rigged(allHeight(1))
 	l.Insert(nil, 10, 10)
 	l.Insert(nil, 30, 30)
 	n10 := l.Search(nil, 10)

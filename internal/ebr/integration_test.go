@@ -15,10 +15,6 @@ import (
 // node leaves the structure, so the number of Retire calls must equal the
 // number of physical deletions - no node retired twice, none missed.
 
-// flatRng forces every skip-list tower to height 1, making one physical
-// deletion per deleted key.
-func flatRng() uint64 { return 0 }
-
 func TestRetireHookCountsListDeletions(t *testing.T) {
 	d := ebr.NewDomain()
 	h := d.Register()
@@ -121,7 +117,8 @@ func TestRetireConcurrentChurn(t *testing.T) {
 			Insert(p *core.Proc, k, v int) bool
 			Delete(p *core.Proc, k int) bool
 		} {
-			l := core.NewSkipList[int, int](core.WithRandomSource(flatRng), core.WithRetireHook(hook))
+			l := core.NewSkipList[int, int](core.WithRetireHook(hook))
+			l.SetHeights(func(int) int { return 1 }) // one physical deletion per deleted key
 			return skipOps{l}
 		}},
 	} {

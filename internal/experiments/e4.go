@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harris"
+	"repro/internal/heights"
 	"repro/internal/lockbased"
 	"repro/internal/noflag"
 	"repro/internal/sundell"
@@ -147,11 +148,11 @@ func NewDict(impl string) Dict {
 	case "fr-skiplist":
 		return frSkipDict{core.NewSkipList[int, int]()}
 	case "harris-skiplist":
-		return harrisSkipDict{harris.NewSkipList[int, int](0, nil)}
+		return harrisSkipDict{harris.NewSkipList[int, int](0, heights.DefaultSeed)}
 	case "sundell-skiplist":
-		return sundellSkipDict{sundell.New[int, int](0, nil)}
+		return sundellSkipDict{sundell.New[int, int](0, heights.DefaultSeed)}
 	case "locked-skiplist":
-		return lockedSkipDict{lockbased.NewSkipList[int, int](0, nil)}
+		return lockedSkipDict{lockbased.NewSkipList[int, int](0, heights.DefaultSeed)}
 	default:
 		panic("unknown implementation " + impl)
 	}

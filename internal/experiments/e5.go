@@ -1,10 +1,10 @@
 package experiments
 
 import (
-	"math/rand/v2"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/heights"
 	"repro/internal/lockbased"
 	"repro/internal/stats"
 )
@@ -55,10 +55,10 @@ func RunE5(cfg E5Config) E5Result {
 	for _, n := range cfg.Ns {
 		row := E5Row{N: n}
 
-		// Seeded tower heights (safe unsynchronized: the sweep is single-
-		// threaded): the step counts, and so the fit, repeat exactly.
-		heights := rand.New(rand.NewPCG(uint64(n), 5))
-		sl := core.NewSkipList[int, int](core.WithRandomSource(heights.Uint64))
+		// Tower heights hashed from the key under one seed, the same
+		// shape for both skip lists: the step counts, and so the fit,
+		// repeat exactly.
+		sl := core.NewSkipList[int, int](core.WithSeed(heights.DefaultSeed))
 		for k := 0; k < 2*n; k += 2 {
 			sl.Insert(nil, k, k)
 		}
@@ -71,7 +71,7 @@ func RunE5(cfg E5Config) E5Result {
 		row.SkipNsPerOp = float64(time.Since(begin).Nanoseconds()) / float64(cfg.Probes)
 		row.SkipSteps = float64(st.EssentialSteps()) / float64(cfg.Probes)
 
-		lsl := lockbased.NewSkipList[int, int](0, nil)
+		lsl := lockbased.NewSkipList[int, int](0, heights.DefaultSeed)
 		for k := 0; k < 2*n; k += 2 {
 			lsl.Insert(k, k)
 		}

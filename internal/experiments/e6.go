@@ -1,20 +1,23 @@
 package experiments
 
 import (
-	"math/rand/v2"
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/stats"
+	"repro/internal/heights"
 )
 
 // E6 investigates the distribution of tower heights (Section 4, final
-// paragraph). The paper argues that full towers follow the geometric(1/2)
+// paragraph). The paper argues that full towers follow the geometric
 // distribution of the sequential skip list, that a non-deleted tower can
 // be incomplete only while its insertion or deletion is in progress - so
 // the number of incomplete towers at any time is bounded by the point
 // contention - and that higher towers are slightly more likely to end up
-// incomplete because their construction window is longer.
+// incomplete because their construction window is longer. Here the
+// distribution is fan-out 4 (P(height >= j) = 4^-(j-1), package heights)
+// and a height is a seeded hash of the key, so once every insertion has
+// finished the histogram is the key set's alone: every contention level
+// must produce the same one.
 type E6Result struct {
 	Rows []E6Row
 }
@@ -57,14 +60,7 @@ func RunE6(cfg E6Config) E6Result {
 }
 
 func runE6(cfg E6Config, c int) E6Row {
-	var mu sync.Mutex
-	rng := rand.New(rand.NewPCG(cfg.Seed, uint64(c)))
-	src := func() uint64 {
-		mu.Lock()
-		defer mu.Unlock()
-		return rng.Uint64()
-	}
-	l := core.NewSkipList[int, int](core.WithRandomSource(src))
+	l := core.NewSkipList[int, int](core.WithSeed(cfg.Seed))
 	var wg sync.WaitGroup
 	per := cfg.N / c
 	for w := 0; w < c; w++ {
@@ -100,7 +96,7 @@ func runE6(cfg E6Config, c int) E6Row {
 		row.MeanHeight = weighted / total
 	}
 	for h1, count := range hist {
-		exp := stats.GeometricExpectation(row.N, h1+1)
+		exp := float64(row.N) * heights.Mass(h1+1)
 		if exp >= 50 {
 			dev := abs(float64(count)-exp) / exp
 			if dev > row.MaxAbsDeviation {
@@ -126,11 +122,11 @@ func (r E6Result) Render() string {
 		t := Table{
 			Title: fmt2("E6: tower heights at contention c=%d (n=%d, mean=%.3f, max=%d, worst dev=%.1f%%)",
 				row.C, row.N, row.MeanHeight, row.MaxHeight, 100*row.MaxAbsDeviation),
-			Columns: []string{"height", "towers", "expected (geometric 1/2)"},
+			Columns: []string{"height", "towers", "expected (geometric, fan-out 4)"},
 		}
 		for h := 1; h <= min(10, len(row.Histogram)); h++ {
 			t.AddRow(d(h), d(row.Histogram[h-1]),
-				fmt2("%.0f", stats.GeometricExpectation(row.N, h)))
+				fmt2("%.0f", float64(row.N)*heights.Mass(h)))
 		}
 		out += t.Render() + "\n"
 	}

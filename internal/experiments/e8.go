@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/heights"
 	"repro/internal/instrument"
 	"repro/internal/lockbased"
 )
@@ -92,7 +93,7 @@ func runE8FR(cfg E8Config) E8Row {
 
 // runE8Locked freezes a writer inside the critical section.
 func runE8Locked(cfg E8Config) E8Row {
-	l := lockbased.NewSkipList[int, int](0, nil)
+	l := lockbased.NewSkipList[int, int](0, heights.DefaultSeed)
 	for k := 0; k < cfg.KeyRange; k += 2 {
 		l.Insert(k, k)
 	}

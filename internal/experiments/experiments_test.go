@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -192,7 +193,7 @@ func TestE5Logarithmic(t *testing.T) {
 		t.Fatalf("skip steps not logarithmic: %+v", res.StepFit)
 	}
 	if res.StepFit.Slope > 5 {
-		t.Fatalf("steps per doubling = %.2f, want near 2", res.StepFit.Slope)
+		t.Fatalf("steps per doubling = %.2f, want near 3 (two steps a move, 1.5 moves per doubling at fan-out 4)", res.StepFit.Slope)
 	}
 	first, last := res.Rows[0].SkipSteps, res.Rows[len(res.Rows)-1].SkipSteps
 	if last > first*3 {
@@ -200,6 +201,9 @@ func TestE5Logarithmic(t *testing.T) {
 	}
 }
 
+// TestE6GeometricHeights checks the surviving towers against geometric(3/4)
+// - fan-out 4, mean height 4/3 - and, since a height is a hash of the key,
+// that every contention level leaves the same histogram.
 func TestE6GeometricHeights(t *testing.T) {
 	res := RunE6(E6Config{N: 40_000, Cs: []int{1, 8}, Churn: true, Seed: 3})
 	for _, row := range res.Rows {
@@ -207,8 +211,12 @@ func TestE6GeometricHeights(t *testing.T) {
 			t.Fatalf("c=%d: heights deviate %.0f%% from geometric",
 				row.C, 100*row.MaxAbsDeviation)
 		}
-		if row.MeanHeight < 1.7 || row.MeanHeight > 2.3 {
-			t.Fatalf("c=%d: mean height %.2f, want near 2", row.C, row.MeanHeight)
+		if row.MeanHeight < 4.0/3-0.2 || row.MeanHeight > 4.0/3+0.2 {
+			t.Fatalf("c=%d: mean height %.2f, want near 4/3", row.C, row.MeanHeight)
+		}
+		if !slices.Equal(row.Histogram, res.Rows[0].Histogram) {
+			t.Fatalf("c=%d left heights %v, c=%d left %v: one seed and one key set, two shapes",
+				row.C, row.Histogram, res.Rows[0].C, res.Rows[0].Histogram)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand/v2"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/heights"
 )
 
 func BenchmarkHarrisListSearch(b *testing.B) {
@@ -36,7 +38,7 @@ func BenchmarkHarrisListInsertDelete(b *testing.B) {
 }
 
 func BenchmarkHarrisSkipListMixedParallel(b *testing.B) {
-	l := NewSkipList[int, int](0, nil)
+	l := NewSkipList[int, int](0, heights.DefaultSeed)
 	const keyRange = 4096
 	for k := 0; k < keyRange; k += 2 {
 		l.Insert(nil, k, k)

@@ -12,7 +12,7 @@ import (
 // traversal, to localize any size-accounting bug.
 func TestHarrisSkipListAccounting(t *testing.T) {
 	for round := 0; round < 30; round++ {
-		l := NewSkipList[int, int](0, testRNG(uint64(round)))
+		l := NewSkipList[int, int](0, uint64(round))
 		const workers, ops, keyRange = 8, 2000, 48
 		var insWins, delWins atomic.Int64
 		var wg sync.WaitGroup

@@ -9,16 +9,6 @@ import (
 	"repro/internal/instrument"
 )
 
-func testRNG(seed uint64) func() uint64 {
-	var mu sync.Mutex
-	rng := rand.New(rand.NewPCG(seed, seed*2654435761))
-	return func() uint64 {
-		mu.Lock()
-		defer mu.Unlock()
-		return rng.Uint64()
-	}
-}
-
 func TestHarrisListSequential(t *testing.T) {
 	l := NewList[int, int]()
 	for i := 0; i < 200; i++ {
@@ -155,7 +145,7 @@ func TestHarrisListRestartCounting(t *testing.T) {
 }
 
 func TestHarrisSkipListSequential(t *testing.T) {
-	l := NewSkipList[int, int](0, testRNG(1))
+	l := NewSkipList[int, int](0, 1)
 	const n = 1000
 	for i := 0; i < n; i++ {
 		if !l.Insert(nil, i, i*2) {
@@ -197,7 +187,7 @@ func TestHarrisSkipListSequential(t *testing.T) {
 }
 
 func TestHarrisSkipListConcurrentStress(t *testing.T) {
-	l := NewSkipList[int, int](0, testRNG(2))
+	l := NewSkipList[int, int](0, 2)
 	const workers, ops, keyRange = 8, 2000, 48
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -233,7 +223,7 @@ func TestHarrisSkipListConcurrentStress(t *testing.T) {
 func TestHarrisSkipListDeleteContention(t *testing.T) {
 	const workers, keys = 8, 100
 	for round := 0; round < 5; round++ {
-		l := NewSkipList[int, int](0, testRNG(uint64(round+3)))
+		l := NewSkipList[int, int](0, uint64(round+3))
 		for k := 0; k < keys; k++ {
 			l.Insert(nil, k, k)
 		}
@@ -269,7 +259,7 @@ func TestHarrisSkipListDeleteContention(t *testing.T) {
 }
 
 func TestHarrisSkipListInsertDeleteRace(t *testing.T) {
-	l := NewSkipList[int, int](0, testRNG(7))
+	l := NewSkipList[int, int](0, 7)
 	const workers, keys, rounds = 8, 16, 1200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

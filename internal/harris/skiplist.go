@@ -2,10 +2,9 @@ package harris
 
 import (
 	"cmp"
-	"math/bits"
-	"math/rand/v2"
 	"sync/atomic"
 
+	"repro/internal/heights"
 	"repro/internal/instrument"
 )
 
@@ -51,25 +50,22 @@ type SkipList[K cmp.Ordered, V any] struct {
 	maxLevel int
 	head     *slNode[K, V]
 	tail     *slNode[K, V]
-	rng      func() uint64
+	seed     uint64 // of the tower heights (package heights)
 	size     atomic.Int64
 }
 
-// NewSkipList returns an empty baseline skip list. rng supplies random
-// bits for tower heights and must be safe for concurrent use; pass nil for
-// the default source.
-func NewSkipList[K cmp.Ordered, V any](maxLevel int, rng func() uint64) *SkipList[K, V] {
+// NewSkipList returns an empty baseline skip list whose tower heights are
+// heights.Key(seed, key): with internal/core's seed it builds core's
+// shape, so the two compare algorithms, not towers.
+func NewSkipList[K cmp.Ordered, V any](maxLevel int, seed uint64) *SkipList[K, V] {
 	if maxLevel < 2 {
 		maxLevel = DefaultMaxLevel
-	}
-	if rng == nil {
-		rng = rand.Uint64
 	}
 	l := &SkipList[K, V]{
 		maxLevel: maxLevel,
 		head:     &slNode[K, V]{kind: kindHead, level: maxLevel, succs: make([]atomic.Pointer[succ2[K, V]], maxLevel)},
 		tail:     &slNode[K, V]{kind: kindTail, level: maxLevel, succs: make([]atomic.Pointer[succ2[K, V]], maxLevel)},
-		rng:      rng,
+		seed:     seed,
 	}
 	for i := 0; i < maxLevel; i++ {
 		l.head.succs[i].Store(&succ2[K, V]{right: l.tail})
@@ -80,11 +76,6 @@ func NewSkipList[K cmp.Ordered, V any](maxLevel int, rng func() uint64) *SkipLis
 
 // Len returns the number of keys (exact when quiescent).
 func (l *SkipList[K, V]) Len() int { return int(l.size.Load()) }
-
-func (l *SkipList[K, V]) randomHeight() int {
-	h := 1 + bits.TrailingZeros64(^l.rng())
-	return min(h, l.maxLevel-1)
-}
 
 // find locates, on every level, the adjacent pair (pred, succ) around k,
 // physically unlinking marked nodes it passes. A failed pruning C&S
@@ -180,7 +171,7 @@ func (l *SkipList[K, V]) Contains(p *instrument.Proc, k K) bool {
 // Insert adds k with value v; false if already present.
 func (l *SkipList[K, V]) Insert(p *instrument.Proc, k K, v V) bool {
 	st := p.StatsOrNil()
-	topLevel := l.randomHeight()
+	topLevel := heights.Of(heights.Key(l.seed, k), l.maxLevel)
 	var n *slNode[K, V]
 	for {
 		preds, recs, succs, found := l.find(p, k)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harris"
+	"repro/internal/heights"
 	"repro/internal/noflag"
 	"repro/internal/sundell"
 	"repro/internal/valois"
@@ -79,7 +80,7 @@ func TestHarrisListLinearizable(t *testing.T) {
 
 func TestHarrisSkipListLinearizable(t *testing.T) {
 	runHistoryStress(t, "harris.SkipList", 3, func() historyOps {
-		l := harris.NewSkipList[int, int](0, nil)
+		l := harris.NewSkipList[int, int](0, heights.DefaultSeed)
 		return historyOps{
 			insert: func(k int) bool { return l.Insert(nil, k, k) },
 			remove: func(k int) bool { return l.Delete(nil, k) },
@@ -112,7 +113,7 @@ func TestNoflagListLinearizable(t *testing.T) {
 
 func TestSundellSkipListLinearizable(t *testing.T) {
 	runHistoryStress(t, "sundell.SkipList", 3, func() historyOps {
-		l := sundell.New[int, int](0, nil)
+		l := sundell.New[int, int](0, heights.DefaultSeed)
 		return historyOps{
 			insert: func(k int) bool { return l.Insert(nil, k, k) },
 			remove: func(k int) bool { return l.Delete(nil, k) },

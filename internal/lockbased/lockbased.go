@@ -111,11 +111,10 @@ type SkipList[K cmp.Ordered, V any] struct {
 	sl *seqskip.SkipList[K, V]
 }
 
-// NewSkipList returns an empty locked skip list. rng supplies random bits
-// for tower heights (nil for the default source); it is only ever called
-// under the write lock.
-func NewSkipList[K cmp.Ordered, V any](maxLevel int, rng func() uint64) *SkipList[K, V] {
-	return &SkipList[K, V]{sl: seqskip.New[K, V](maxLevel, rng)}
+// NewSkipList returns an empty locked skip list whose tower heights are
+// heights.Key(seed, key), as in seqskip.New.
+func NewSkipList[K cmp.Ordered, V any](maxLevel int, seed uint64) *SkipList[K, V] {
+	return &SkipList[K, V]{sl: seqskip.New[K, V](maxLevel, seed)}
 }
 
 // Len returns the number of keys.

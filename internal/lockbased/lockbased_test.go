@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/heights"
 )
 
 func TestLockedListSequential(t *testing.T) {
@@ -64,7 +66,7 @@ func TestLockedListConcurrent(t *testing.T) {
 }
 
 func TestLockedSkipListSequential(t *testing.T) {
-	l := NewSkipList[string, int](0, nil)
+	l := NewSkipList[string, int](0, heights.DefaultSeed)
 	words := []string{"d", "a", "c", "b"}
 	for i, w := range words {
 		if !l.Insert(w, i) {
@@ -85,7 +87,7 @@ func TestLockedSkipListSequential(t *testing.T) {
 }
 
 func TestLockedSkipListConcurrent(t *testing.T) {
-	l := NewSkipList[int, int](0, nil)
+	l := NewSkipList[int, int](0, heights.DefaultSeed)
 	const workers, ops, keyRange = 8, 2000, 64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -115,7 +117,7 @@ func TestLockedSkipListConcurrent(t *testing.T) {
 }
 
 func TestLockedSkipListLockedBlocks(t *testing.T) {
-	l := NewSkipList[int, int](0, nil)
+	l := NewSkipList[int, int](0, heights.DefaultSeed)
 	l.Insert(1, 1)
 	entered := make(chan struct{})
 	release := make(chan struct{})

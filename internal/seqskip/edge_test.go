@@ -1,12 +1,13 @@
 package seqskip
 
 import (
-	"math/rand/v2"
 	"testing"
+
+	"repro/internal/heights"
 )
 
 func TestSeqSkipLevelShrinksAfterDeletes(t *testing.T) {
-	l := New[int, int](0, rand.New(rand.NewPCG(7, 7)).Uint64)
+	l := New[int, int](0, 7)
 	for i := 0; i < 1000; i++ {
 		l.Insert(i, i)
 	}
@@ -30,7 +31,7 @@ func TestSeqSkipLevelShrinksAfterDeletes(t *testing.T) {
 }
 
 func TestSeqSkipHeightsEmpty(t *testing.T) {
-	l := New[int, int](0, nil)
+	l := New[int, int](0, heights.DefaultSeed)
 	for _, c := range l.Heights() {
 		if c != 0 {
 			t.Fatal("empty list has towers")
@@ -39,7 +40,7 @@ func TestSeqSkipHeightsEmpty(t *testing.T) {
 }
 
 func TestSeqSkipAscendEarlyStop(t *testing.T) {
-	l := New[int, int](0, rand.New(rand.NewPCG(1, 1)).Uint64)
+	l := New[int, int](0, 1)
 	for i := 0; i < 20; i++ {
 		l.Insert(i, i)
 	}
@@ -52,14 +53,14 @@ func TestSeqSkipAscendEarlyStop(t *testing.T) {
 }
 
 func TestSeqSkipMaxLevelFloor(t *testing.T) {
-	l := New[int, int](1, nil) // clamped to default
+	l := New[int, int](1, heights.DefaultSeed) // clamped to default
 	if l.maxLevel < 2 {
 		t.Fatalf("maxLevel = %d", l.maxLevel)
 	}
 }
 
 func TestSeqSkipSearchStepsPositive(t *testing.T) {
-	l := New[int, int](0, rand.New(rand.NewPCG(2, 2)).Uint64)
+	l := New[int, int](0, 2)
 	for i := 0; i < 100; i++ {
 		l.Insert(i, i)
 	}

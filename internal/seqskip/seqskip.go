@@ -7,8 +7,8 @@ package seqskip
 
 import (
 	"cmp"
-	"math/bits"
-	"math/rand/v2"
+
+	"repro/internal/heights"
 )
 
 // DefaultMaxLevel matches the concurrent implementations.
@@ -27,34 +27,27 @@ type SkipList[K cmp.Ordered, V any] struct {
 	maxLevel int
 	level    int // highest level currently in use
 	head     *node[K, V]
-	rng      func() uint64
+	seed     uint64 // of the tower heights (package heights)
 	size     int
 }
 
-// New returns an empty sequential skip list. rng supplies random bits for
-// tower heights; pass nil for the default source.
-func New[K cmp.Ordered, V any](maxLevel int, rng func() uint64) *SkipList[K, V] {
+// New returns an empty sequential skip list whose tower heights are
+// heights.Key(seed, key): with the concurrent skip lists' seed it builds
+// their shape.
+func New[K cmp.Ordered, V any](maxLevel int, seed uint64) *SkipList[K, V] {
 	if maxLevel < 2 {
 		maxLevel = DefaultMaxLevel
-	}
-	if rng == nil {
-		rng = rand.Uint64
 	}
 	return &SkipList[K, V]{
 		maxLevel: maxLevel,
 		level:    1,
 		head:     &node[K, V]{forward: make([]*node[K, V], maxLevel)},
-		rng:      rng,
+		seed:     seed,
 	}
 }
 
 // Len returns the number of keys.
 func (l *SkipList[K, V]) Len() int { return l.size }
-
-func (l *SkipList[K, V]) randomLevel() int {
-	h := 1 + bits.TrailingZeros64(^l.rng())
-	return min(h, l.maxLevel-1)
-}
 
 // findPreds fills update with the rightmost node at each level whose key
 // is < k and returns the candidate node (first node with key >= k).
@@ -98,7 +91,7 @@ func (l *SkipList[K, V]) Insert(k K, v V) bool {
 	if x != nil && x.key == k {
 		return false
 	}
-	lvl := l.randomLevel()
+	lvl := heights.Of(heights.Key(l.seed, k), l.maxLevel)
 	if lvl > l.level {
 		for i := l.level; i < lvl; i++ {
 			update[i] = l.head

@@ -68,14 +68,26 @@ type Map[K comparable, V any] struct {
 // like one core skip list plus the routing counters.
 //
 // The core options apply to every shard (e.g. core.WithMaxLevel; shallower
-// shards need less height: each holds ~1/S of the keys).
+// shards need less height: each holds ~1/S of the keys). Every shard is a
+// core.NewSkipList, its tower heights a seeded hash of the key.
 func New[K cmp.Ordered, V any](splitters []K, opts ...core.SkipListOption) *Map[K, V] {
-	return NewFunc[K, V](cmp.Compare[K], splitters, opts...)
+	return newMap(cmp.Compare[K], splitters, func() *core.SkipList[K, V] {
+		return core.NewSkipList[K, V](opts...)
+	})
 }
 
 // NewFunc is New over an explicit comparison function, which must define a
-// strict total order consistent with ==.
+// strict total order consistent with ==. Every shard is a
+// core.NewSkipListFunc.
 func NewFunc[K comparable, V any](compare func(K, K) int, splitters []K, opts ...core.SkipListOption) *Map[K, V] {
+	return newMap(compare, splitters, func() *core.SkipList[K, V] {
+		return core.NewSkipListFunc[K, V](compare, opts...)
+	})
+}
+
+// newMap checks the splitters and builds one shard per range with
+// newShard.
+func newMap[K comparable, V any](compare func(K, K) int, splitters []K, newShard func() *core.SkipList[K, V]) *Map[K, V] {
 	s := len(splitters) + 1
 	if s&(s-1) != 0 {
 		panic(fmt.Sprintf("sharded: %d splitters give %d shards, want a power of two", len(splitters), s))
@@ -91,7 +103,7 @@ func NewFunc[K comparable, V any](compare func(K, K) int, splitters []K, opts ..
 		shards:    make([]*core.SkipList[K, V], s),
 	}
 	for i := range m.shards {
-		m.shards[i] = core.NewSkipListFunc[K, V](compare, opts...)
+		m.shards[i] = newShard()
 	}
 	m.cutsPool.New = func() any {
 		c := make([]int, s+1)

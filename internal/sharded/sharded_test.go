@@ -10,8 +10,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// zeroRng fixes every tower height at 1 for deterministic alloc counts.
-func zeroRng() uint64 { return 0 }
+// flat fixes every tower height of m's shards at 1 and returns m.
+func flat(m *Map[int, int]) *Map[int, int] {
+	for _, sh := range m.shards {
+		sh.SetHeights(func(int) int { return 1 })
+	}
+	return m
+}
 
 // quarters returns the splitter set {256, 512, 768}: four shards over the
 // test key space [0, 1024).
@@ -297,7 +302,7 @@ func TestBatchAllocs(t *testing.T) {
 		// counts below stop being meaningful.
 		t.Skip("allocation counts are distorted under the race detector")
 	}
-	m := New[int, int](quarters(), core.WithRandomSource(zeroRng))
+	m := flat(New[int, int](quarters()))
 	for k := 0; k < 1024; k += 2 {
 		m.Insert(nil, k, k)
 	}
@@ -361,7 +366,7 @@ func TestBatchAllocs(t *testing.T) {
 // travel together: a contended insert on a shard increments BackoffWaits
 // into the same recorder that sees the map's ShardOps.
 func TestBackoffCountersFlowThroughShards(t *testing.T) {
-	m := New[int, int](quarters(), core.WithRandomSource(zeroRng))
+	m := flat(New[int, int](quarters()))
 	for k := 0; k <= 40; k += 2 {
 		m.Insert(nil, k, k)
 	}

@@ -116,10 +116,3 @@ func FitLogarithmic(xs, ys []float64) LinearFit {
 	}
 	return FitLinear(lx, ys)
 }
-
-// GeometricExpectation returns the expected histogram mass at height h
-// (1-based) for n geometric(1/2) draws: n * 2^-h. Used by E6 to compare
-// measured tower heights with the ideal distribution.
-func GeometricExpectation(n, h int) float64 {
-	return float64(n) * math.Pow(0.5, float64(h))
-}

@@ -88,15 +88,6 @@ func TestFitLogarithmic(t *testing.T) {
 	}
 }
 
-func TestGeometricExpectation(t *testing.T) {
-	if got := GeometricExpectation(1000, 1); got != 500 {
-		t.Fatalf("h=1: %f", got)
-	}
-	if got := GeometricExpectation(1000, 3); got != 125 {
-		t.Fatalf("h=3: %f", got)
-	}
-}
-
 func TestSummaryQuantileMonotoneQuick(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))

@@ -4,12 +4,14 @@ import (
 	"math/rand/v2"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/heights"
 )
 
 func BenchmarkSundellSearch(b *testing.B) {
 	for _, n := range []int{1024, 65536} {
 		b.Run(itoa(n), func(b *testing.B) {
-			l := New[int, int](0, nil)
+			l := New[int, int](0, heights.DefaultSeed)
 			for k := 0; k < n; k++ {
 				l.Insert(nil, k, k)
 			}
@@ -22,7 +24,7 @@ func BenchmarkSundellSearch(b *testing.B) {
 }
 
 func BenchmarkSundellInsertDelete(b *testing.B) {
-	l := New[int, int](0, nil)
+	l := New[int, int](0, heights.DefaultSeed)
 	const n = 65536
 	for k := 0; k < n; k += 2 {
 		l.Insert(nil, k, k)
@@ -36,7 +38,7 @@ func BenchmarkSundellInsertDelete(b *testing.B) {
 }
 
 func BenchmarkSundellMixedParallel(b *testing.B) {
-	l := New[int, int](0, nil)
+	l := New[int, int](0, heights.DefaultSeed)
 	const keyRange = 4096
 	for k := 0; k < keyRange; k += 2 {
 		l.Insert(nil, k, k)

@@ -20,10 +20,9 @@ package sundell
 
 import (
 	"cmp"
-	"math/bits"
-	"math/rand/v2"
 	"sync/atomic"
 
+	"repro/internal/heights"
 	"repro/internal/instrument"
 )
 
@@ -99,24 +98,21 @@ type SkipList[K cmp.Ordered, V any] struct {
 	maxLevel int
 	heads    []*Node[K, V]
 	tails    []*Node[K, V]
-	rng      func() uint64
+	seed     uint64 // of the tower heights (package heights)
 	size     atomic.Int64
 }
 
-// New returns an empty skip list. rng supplies random bits for tower
-// heights (nil for the default source).
-func New[K cmp.Ordered, V any](maxLevel int, rng func() uint64) *SkipList[K, V] {
+// New returns an empty skip list whose tower heights are
+// heights.Key(seed, key), the shape internal/core builds from that seed.
+func New[K cmp.Ordered, V any](maxLevel int, seed uint64) *SkipList[K, V] {
 	if maxLevel < 2 {
 		maxLevel = DefaultMaxLevel
-	}
-	if rng == nil {
-		rng = rand.Uint64
 	}
 	l := &SkipList[K, V]{
 		maxLevel: maxLevel,
 		heads:    make([]*Node[K, V], maxLevel),
 		tails:    make([]*Node[K, V], maxLevel),
-		rng:      rng,
+		seed:     seed,
 	}
 	for i := 0; i < maxLevel; i++ {
 		l.heads[i] = &Node[K, V]{kind: kindHead, level: i + 1}
@@ -144,11 +140,6 @@ func (l *SkipList[K, V]) Len() int { return int(l.size.Load()) }
 
 // MaxLevel returns the head-tower height.
 func (l *SkipList[K, V]) MaxLevel() int { return l.maxLevel }
-
-func (l *SkipList[K, V]) randomHeight() int {
-	h := 1 + bits.TrailingZeros64(^l.rng())
-	return min(h, l.maxLevel-1)
-}
 
 // markTower marks every node of root's tower from the top down - the
 // Sundell-Tsigas response to detecting a deleted tower mid-traversal.
@@ -328,7 +319,7 @@ func (l *SkipList[K, V]) Insert(p *instrument.Proc, k K, v V) bool {
 	}
 	root := &Node[K, V]{key: k, val: v, level: 1}
 	root.towerRoot = root
-	height := l.randomHeight()
+	height := heights.Of(heights.Key(l.seed, k), l.maxLevel)
 	newNode := root
 	lv := 1
 	for {

@@ -7,21 +7,12 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/heights"
 	"repro/internal/instrument"
 )
 
-func testRNG(seed uint64) func() uint64 {
-	var mu sync.Mutex
-	rng := rand.New(rand.NewPCG(seed, seed^0xabcdef))
-	return func() uint64 {
-		mu.Lock()
-		defer mu.Unlock()
-		return rng.Uint64()
-	}
-}
-
 func TestSundellSequential(t *testing.T) {
-	l := New[int, int](0, testRNG(1))
+	l := New[int, int](0, 1)
 	const n = 800
 	for i := 0; i < n; i++ {
 		if !l.Insert(nil, i, i*2) {
@@ -59,7 +50,7 @@ func TestSundellSequential(t *testing.T) {
 }
 
 func TestSundellReinsert(t *testing.T) {
-	l := New[int, int](0, testRNG(2))
+	l := New[int, int](0, 2)
 	for round := 0; round < 40; round++ {
 		if !l.Insert(nil, 9, round) {
 			t.Fatalf("round %d: insert failed", round)
@@ -77,7 +68,7 @@ func TestSundellReinsert(t *testing.T) {
 }
 
 func TestSundellDeleteAbsent(t *testing.T) {
-	l := New[int, int](0, testRNG(3))
+	l := New[int, int](0, 3)
 	if l.Delete(nil, 1) {
 		t.Fatal("deleted from empty")
 	}
@@ -91,7 +82,7 @@ func TestSundellDeleteAbsent(t *testing.T) {
 }
 
 func TestSundellConcurrentStress(t *testing.T) {
-	l := New[int, int](0, testRNG(4))
+	l := New[int, int](0, 4)
 	const workers, ops, keyRange = 8, 2000, 48
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -131,7 +122,7 @@ func TestSundellConcurrentStress(t *testing.T) {
 
 func TestSundellAccounting(t *testing.T) {
 	for round := 0; round < 8; round++ {
-		l := New[int, int](0, testRNG(uint64(round+10)))
+		l := New[int, int](0, uint64(round+10))
 		const workers, ops, keyRange = 8, 1200, 32
 		var insWins, delWins atomic.Int64
 		var wg sync.WaitGroup
@@ -166,7 +157,7 @@ func TestSundellAccounting(t *testing.T) {
 func TestSundellDeleteContention(t *testing.T) {
 	const workers, keys = 8, 100
 	for round := 0; round < 5; round++ {
-		l := New[int, int](0, testRNG(uint64(round+20)))
+		l := New[int, int](0, uint64(round+20))
 		for k := 0; k < keys; k++ {
 			l.Insert(nil, k, k)
 		}
@@ -199,8 +190,16 @@ func TestSundellDeleteContention(t *testing.T) {
 }
 
 func TestSundellTallTowerChurn(t *testing.T) {
-	l := New[int, int](8, func() uint64 { return ^uint64(0) }) // all towers height 7
+	l := New[int, int](8, heights.DefaultSeed)
 	const workers, keys, rounds = 8, 16, 1200
+	// The towers are all height 7: tall[i] is the i-th key the seed
+	// hashes to the cap.
+	var tall []int
+	for k := 0; len(tall) < keys; k++ {
+		if heights.Of(heights.Key(heights.DefaultSeed, k), 8) == 7 {
+			tall = append(tall, k)
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -208,7 +207,7 @@ func TestSundellTallTowerChurn(t *testing.T) {
 			defer wg.Done()
 			p := &instrument.Proc{ID: w}
 			for i := 0; i < rounds; i++ {
-				k := (i + w) % keys
+				k := tall[(i+w)%keys]
 				if w%2 == 0 {
 					l.Insert(p, k, k)
 				} else {

@@ -20,7 +20,7 @@ type ListFunc[K comparable, V any] struct {
 // contract). The options apply as they do to NewSkipList. The
 // PriorityQueue in this package is built on the same skip list.
 func NewSkipListFunc[K comparable, V any](compare func(K, K) int, opts ...Option) *SkipListFunc[K, V] {
-	return &SkipListFunc[K, V]{newSkipBody[K, V](compare, opts)}
+	return &SkipListFunc[K, V]{newSkipBody(skipListFunc[K, V](compare), opts)}
 }
 
 // SkipListFunc is a SkipList over a caller-supplied key ordering. It has

@@ -82,7 +82,7 @@ var _ Map[int, any] = (*SkipList[int, any])(nil)
 
 // NewSkipList returns an empty skip-list dictionary.
 func NewSkipList[K cmp.Ordered, V any](opts ...Option) *SkipList[K, V] {
-	return &SkipList[K, V]{newSkipBody[K, V](cmp.Compare[K], opts)}
+	return &SkipList[K, V]{newSkipBody(core.NewSkipList[K, V], opts)}
 }
 
 // body holds the operations of one core skip list - a list's is the one
@@ -93,7 +93,7 @@ type body[K comparable, V any] struct {
 }
 
 // newBody returns the body of a List or ListFunc ordered by compare.
-// WithMaxLevel and WithRandomSource shape towers a list does not have.
+// WithMaxLevel and WithSeed shape towers a list does not have.
 func newBody[K comparable, V any](compare func(K, K) int, opts []Option) body[K, V] {
 	cfg := applyConfig(opts)
 	l := core.NewListFunc[K, V](compare)
@@ -140,14 +140,22 @@ type skipBody[K comparable, V any] struct {
 }
 
 // newSkipBody returns the body of a SkipList, SkipListFunc or
-// PriorityQueue ordered by compare.
-func newSkipBody[K comparable, V any](compare func(K, K) int, opts []Option) skipBody[K, V] {
+// PriorityQueue: the core skip list newList builds from opts.
+func newSkipBody[K comparable, V any](newList func(...core.SkipListOption) *core.SkipList[K, V], opts []Option) skipBody[K, V] {
 	cfg := applyConfig(opts)
-	l := core.NewSkipListFunc[K, V](compare, cfg.coreSkipListOpts()...)
+	l := newList(cfg.coreSkipListOpts()...)
 	if cfg.tel != nil {
 		l.SetTelemetry(cfg.tel.Recorder())
 	}
 	return skipBody[K, V]{body[K, V]{l}}
+}
+
+// skipListFunc returns the core constructor of a skip list ordered by
+// compare, for newSkipBody.
+func skipListFunc[K comparable, V any](compare func(K, K) int) func(...core.SkipListOption) *core.SkipList[K, V] {
+	return func(opts ...core.SkipListOption) *core.SkipList[K, V] {
+		return core.NewSkipListFunc[K, V](compare, opts...)
+	}
 }
 
 // AscendRange iterates keys in [from, to) in ascending order. Iteration is
@@ -179,13 +187,13 @@ func (s *skipBody[K, V]) DeleteMin() (key K, value V, ok bool) {
 }
 
 // Option configures a List, SkipList, or PriorityQueue at construction.
-// WithMaxLevel and WithRandomSource apply to the skip-list-based
-// structures only; WithTelemetry applies to all.
+// WithMaxLevel and WithSeed apply to the skip-list-based structures
+// only; WithTelemetry applies to all.
 type Option func(*config)
 
 type config struct {
 	maxLevel int
-	rng      func() uint64
+	seed     *uint64
 	tel      *telemetry.Telemetry
 	retire   func(node any)
 	recycle  bool
@@ -198,8 +206,8 @@ func (c *config) coreSkipListOpts() []core.SkipListOption {
 	if c.maxLevel != 0 {
 		opts = append(opts, core.WithMaxLevel(c.maxLevel))
 	}
-	if c.rng != nil {
-		opts = append(opts, core.WithRandomSource(c.rng))
+	if c.seed != nil {
+		opts = append(opts, core.WithSeed(*c.seed))
 	}
 	if c.retire != nil {
 		opts = append(opts, core.WithRetireHook(c.retire))
@@ -227,11 +235,15 @@ func WithMaxLevel(maxLevel int) Option {
 	return func(c *config) { c.maxLevel = maxLevel }
 }
 
-// WithRandomSource replaces the source of random bits used for tower
-// heights, e.g. for deterministic tests. The function must be safe for
-// concurrent use.
-func WithRandomSource(rng func() uint64) Option {
-	return func(c *config) { c.rng = rng }
+// WithSeed sets the seed of the tower heights. A skip list over naturally
+// ordered keys draws each tower's height from a seeded hash of its key, so
+// one seed and one key set give one shape whatever the order of updates;
+// the ...Func constructors draw from a seeded generator. The default seed
+// is fixed. A process that takes keys from untrusted clients should pass
+// a private random seed: a client that knows the seed can choose keys
+// whose towers are all short, which turns searches linear.
+func WithSeed(seed uint64) Option {
+	return func(c *config) { c.seed = &seed }
 }
 
 // WithTelemetry attaches live metrics to the structure: every operation

@@ -232,16 +232,9 @@ func TestSkipListDeleteMinConcurrent(t *testing.T) {
 }
 
 func TestSkipListOptions(t *testing.T) {
-	calls := 0
-	m := lockfree.NewSkipList[int, int](
-		lockfree.WithMaxLevel(4),
-		lockfree.WithRandomSource(func() uint64 { calls++; return 0 }),
-	)
+	m := lockfree.NewSkipList[int, int](lockfree.WithMaxLevel(4), lockfree.WithSeed(7))
 	for i := 0; i < 50; i++ {
 		m.Insert(i, i)
-	}
-	if calls == 0 {
-		t.Fatal("custom random source never used")
 	}
 	if m.Len() != 50 {
 		t.Fatalf("Len = %d", m.Len())

@@ -32,7 +32,7 @@ func comparePQKey[P cmp.Ordered](a, b pqKey[P]) int {
 // NewPriorityQueue returns an empty queue. Options configure the
 // underlying skip list.
 func NewPriorityQueue[P cmp.Ordered, V any](opts ...Option) *PriorityQueue[P, V] {
-	return &PriorityQueue[P, V]{sl: newSkipBody[pqKey[P], V](comparePQKey[P], opts)}
+	return &PriorityQueue[P, V]{sl: newSkipBody(skipListFunc[pqKey[P], V](comparePQKey[P]), opts)}
 }
 
 // Push inserts value with the given priority.

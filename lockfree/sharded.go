@@ -39,8 +39,8 @@ var _ Map[int, any] = (*ShardedSkipList[int, any])(nil)
 // power of two and the splitters strictly increasing; the constructor
 // panics otherwise (a construction-time programming error). An empty
 // splitter set gives a single shard, i.e. a plain skip list behind the
-// routing layer. All Options apply; WithMaxLevel and WithRandomSource
-// configure every shard.
+// routing layer. All Options apply; WithMaxLevel and WithSeed configure
+// every shard.
 func NewShardedSkipList[K cmp.Ordered, V any](splitters []K, opts ...Option) *ShardedSkipList[K, V] {
 	cfg := applyConfig(opts)
 	m := sharded.New[K, V](splitters, cfg.coreSkipListOpts()...)

@@ -15,7 +15,8 @@
 #      GOMAXPROCS=2 and one iteration of every BenchmarkServerWire*,
 #      plus the unsafe gates: internal/core's successor word
 #      lives in one file (steps 1 and 3 vet it and run it under checkptr),
-#      and repo-wide only three allow-listed files import unsafe,
+#      and repo-wide only three allow-listed files import unsafe, and
+#      the step ledgers twice over at GOMAXPROCS=1 and 2 (determinism),
 #   5. a ten-second FuzzRESP run over the wire-protocol readers: hostile
 #      bytes must fail requests, never hang or kill the serving goroutine,
 #   6. short lflstress runs: a -server smoke (an in-process TCP server
@@ -108,6 +109,14 @@ unsafe_allowed="internal/core/word.go internal/instrument/sharded.go internal/se
 # each allocate nothing.
 echo "== allocs: pins without the race detector at GOMAXPROCS=2 =="
 GOMAXPROCS=2 go test -count=1 -run 'Allocs' ./internal/core ./internal/server ./internal/snapshot ./internal/sharded ./internal/wal
+
+# Tower heights are a seeded hash of the key, so a skip list's shape, and
+# every step count read off it, is a function of the key set alone: the
+# step ledgers and the history-independence test must pass twice over, at
+# one core and at two, whatever the scheduler does in between.
+echo "== determinism: step ledgers at GOMAXPROCS=1 and GOMAXPROCS=2 =="
+GOMAXPROCS=1 go test -count=2 -run 'TestStepLedger|TestHeightsHistoryIndependent' ./internal/core
+GOMAXPROCS=2 go test -count=2 -run 'TestStepLedger|TestHeightsHistoryIndependent' ./internal/core
 
 # The wire benchmarks are where the docs' line-vs-RESP and durability
 # figures come from: run each once so none of them rots unnoticed.
