@@ -20,13 +20,15 @@
 //	          [-wal-dir DIR] [-wal-mode async|sync] [-fsync-window 2ms]
 //	          [-snapshot-every 0]
 //
-// -wal-dir enables durability: every applied SET/DEL is published to an
-// append-only write-ahead log in DIR (a lock-free hand-off ring feeds a
-// single fsync'ing writer; the serving hot path stays 0-alloc), and on
-// boot the store recovers from the newest valid snapshot in DIR plus the
-// WAL tail. -wal-mode async acks before the fsync (a crash may lose the
-// last -fsync-window of acked writes); sync holds each reply flush until
-// the run's mutations are durable, so an acked write survives SIGKILL.
+// -wal-dir enables durability: every applied SET/DEL is framed into an
+// append-only write-ahead log in DIR (one mutex-guarded buffer, committed
+// by group commit; the serving hot path stays 0-alloc), and on boot the
+// store recovers from the newest valid snapshot in DIR plus the WAL tail
+// (snapshot.Recover). -wal-mode async acks before the fsync: an acked
+// write may sit in process memory for up to one -fsync-window, so a crash
+// or a SIGKILL may lose the last -fsync-window of acked writes. sync
+// holds each reply flush until the run's mutations are fsynced, so an
+// acked write survives SIGKILL.
 // -snapshot-every streams a fuzzy snapshot (DESIGN.md §13) to DIR at
 // that cadence and prunes WAL segments the snapshot covers.
 //
@@ -48,7 +50,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -92,7 +93,7 @@ func run(args []string) error {
 	slowMS := fs.Int("slow-ms", 10, "always trace command units whose store execution exceeds this many milliseconds")
 	walDir := fs.String("wal-dir", "", "enable durability: WAL segments and snapshots live in this directory")
 	walMode := fs.String("wal-mode", "async", "with -wal-dir: async (ack before fsync) or sync (hold acks for fsync)")
-	fsyncWindow := fs.Duration("fsync-window", 2*time.Millisecond, "WAL group-commit window; 0 fsyncs every writer batch")
+	fsyncWindow := fs.Duration("fsync-window", 2*time.Millisecond, "WAL group-commit window: async acks may be lost to a crash for this long; 0 commits every batch at once")
 	snapshotEvery := fs.Duration("snapshot-every", 0, "write a fuzzy snapshot and prune the WAL at this cadence (0 = never)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -136,31 +137,18 @@ func run(args []string) error {
 			return fmt.Errorf("-wal-mode %q: want async or sync", *walMode)
 		}
 		start := time.Now()
-		snapLSN, snapKeys, err := snapshot.Restore(*walDir, func(k int64, v string) bool {
-			return store.Insert(int(k), v)
-		})
-		if err != nil && !errors.Is(err, snapshot.ErrNoSnapshot) {
-			return fmt.Errorf("snapshot restore: %w", err)
-		}
-		walLog, err = wal.Open(wal.Options{Dir: *walDir, FsyncWindow: *fsyncWindow, Telemetry: tel.Recorder()})
+		var rec snapshot.Recovered
+		var err error
+		walLog, rec, err = snapshot.Recover(*walDir,
+			wal.Options{FsyncWindow: *fsyncWindow, Telemetry: tel.Recorder()},
+			func(k int64, v string) bool { return store.Insert(int(k), v) },
+			func(k int64) { store.Delete(int(k)) })
 		if err != nil {
-			return fmt.Errorf("wal open: %w", err)
+			return err
 		}
 		defer walLog.Close()
-		replayed, err := walLog.Replay(snapLSN, func(op wal.Op, seq uint64, key int64, val []byte) error {
-			switch op {
-			case wal.OpSet:
-				store.Insert(int(key), string(val))
-			case wal.OpDel:
-				store.Delete(int(key))
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("wal replay: %w", err)
-		}
 		fmt.Printf("lflserver: recovered %d snapshot keys (LSN %d) + %d WAL records in %v\n",
-			snapKeys, snapLSN, replayed, time.Since(start).Round(time.Millisecond))
+			rec.SnapshotKeys, rec.SnapshotLSN, rec.WALRecords, time.Since(start).Round(time.Millisecond))
 	}
 
 	srv := server.New(server.Config{

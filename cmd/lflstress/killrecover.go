@@ -41,35 +41,21 @@ import (
 const childBanner = "child-server: serving on "
 
 // runChildServer is the re-exec'd server side of -killrecover: recover
-// from walDir, serve wal-sync on an ephemeral port, print the address
-// for the parent to scan, and run until killed.
+// from walDir through snapshot.Recover, the routine lflserver boots
+// with, serve wal-sync on an ephemeral port, print the address for the
+// parent to scan, and run until killed.
 func runChildServer(walDir string) error {
 	if walDir == "" {
 		return errors.New("-child-server needs -wal-dir")
 	}
 	store := lockfree.NewShardedSkipList[int, string](lockfree.EqualSplitters(0, 1<<20, 4))
-	snapLSN, _, err := snapshot.Restore(walDir, func(k int64, v string) bool {
-		return store.Insert(int(k), v)
-	})
-	if err != nil && !errors.Is(err, snapshot.ErrNoSnapshot) {
-		return fmt.Errorf("snapshot restore: %w", err)
-	}
-	l, err := wal.Open(wal.Options{Dir: walDir, FsyncWindow: time.Millisecond})
+	l, _, err := snapshot.Recover(walDir, wal.Options{FsyncWindow: time.Millisecond},
+		func(k int64, v string) bool { return store.Insert(int(k), v) },
+		func(k int64) { store.Delete(int(k)) })
 	if err != nil {
-		return fmt.Errorf("wal open: %w", err)
+		return err
 	}
 	defer l.Close()
-	if _, err := l.Replay(snapLSN, func(op wal.Op, seq uint64, key int64, val []byte) error {
-		switch op {
-		case wal.OpSet:
-			store.Insert(int(key), string(val))
-		case wal.OpDel:
-			store.Delete(int(key))
-		}
-		return nil
-	}); err != nil {
-		return fmt.Errorf("wal replay: %w", err)
-	}
 	srv := server.New(server.Config{Durability: server.DurabilitySync, WAL: l}, store)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

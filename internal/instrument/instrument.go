@@ -42,8 +42,8 @@ type OpStats struct {
 	FreelistHits       uint64 // node or whole-tower constructions served from a free list (no heap allocation)
 	FreelistMisses     uint64 // node or whole-tower constructions that fell back to the heap allocator
 	StalledEpochs      uint64 // retirements abandoned to the GC because the epoch was stalled
-	WALAppends         uint64 // mutation records published to the write-ahead log's hand-off ring
-	WALFsyncs          uint64 // group-commit fsyncs by the write-ahead log's writer goroutine
+	WALAppends         uint64 // mutation records appended to the write-ahead log
+	WALFsyncs          uint64 // group-commit fsyncs by the write-ahead log
 	WALBytes           uint64 // framed record bytes written to write-ahead-log segments
 	SnapshotKeys       uint64 // key/value pairs streamed into on-disk snapshots
 }

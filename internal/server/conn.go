@@ -702,11 +702,11 @@ func (c *conn) writeErr(err error) {
 	c.w.literal(c.rep.eol)
 }
 
-// logMutation publishes an applied mutation to the WAL — always after
+// logMutation appends an applied mutation to the WAL — always after
 // the store apply, at the reply site, so per-connection per-key program
 // order equals log order — and tracks the run's highest LSN for the
-// sync-mode flush hold. The publish is the WAL's 0-alloc ring hand-off;
-// the fsync happens on the log's writer goroutine.
+// sync-mode flush hold. The append copies the record into the log's
+// buffer without allocating; the fsync happens in a later commit.
 func (c *conn) logMutation(op wal.Op, key int, val string) {
 	lsn := c.srv.wal.Append(op, int64(key), val)
 	if lsn > c.walMax {

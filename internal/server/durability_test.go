@@ -2,6 +2,9 @@ package server
 
 import (
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -112,6 +115,42 @@ func TestDurabilitySyncAckImpliesDurable(t *testing.T) {
 		if d := l.Durable(); d < uint64(i) {
 			t.Fatalf("ack for LSN %d read but Durable() = %d", i, d)
 		}
+	}
+}
+
+// TestDurabilitySyncFailedLogDropsConnection: once the log has failed,
+// a wal-sync connection can no longer honor an ack, so it is dropped
+// instead of answering. The failure is a segment rotation that cannot
+// create its file: every record after the first needs a new segment, and
+// the path of the second is taken by a directory.
+func TestDurabilitySyncFailedLogDropsConnection(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.Open(wal.Options{Dir: dir, SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := os.Mkdir(filepath.Join(dir, fmt.Sprintf("wal-%016d.seg", 2)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Durability: DurabilitySync, WAL: l}, lockfree.NewSkipList[int, string]())
+	cl, br := pipeConn(t, srv)
+
+	if _, err := cl.Write([]byte("SET 1 one\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustReadLine(t, br); got != ":1" {
+		t.Fatalf("SET 1 = %q before the failure", got)
+	}
+	if _, err := cl.Write([]byte("SET 2 two\n")); err != nil {
+		t.Fatal(err)
+	}
+	cl.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if line, err := br.ReadString('\n'); err != io.EOF {
+		t.Fatalf("SET 2 after the log failed: read %q, %v; want the connection dropped (EOF)", line, err)
+	}
+	if l.Err() == nil {
+		t.Fatal("the log latched no failure")
 	}
 }
 

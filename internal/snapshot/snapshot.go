@@ -26,7 +26,8 @@
 //
 // Write lands atomically: tmp file → fsync → rename → directory fsync.
 // Restore walks snapshots newest-first and falls back to an older one
-// when the newest fails its CRC (torn or bit-rotted image).
+// when the newest fails its CRC (torn or bit-rotted image). Recover is
+// the whole boot path: Restore, then the WAL tail after the stamp.
 package snapshot
 
 import (
@@ -166,6 +167,46 @@ func Restore(dir string, insert func(key int64, val string) bool) (lsn uint64, k
 		// newest image leaves the caller's map untouched.
 	}
 	return 0, 0, ErrNoSnapshot
+}
+
+// Recovered is what Recover rebuilt a store from.
+type Recovered struct {
+	SnapshotLSN  uint64 // the restored image's stamp; 0 on a cold start
+	SnapshotKeys int    // keys the image delivered
+	WALRecords   int    // log records replayed after the stamp
+}
+
+// Recover is the one recovery routine: it restores the newest valid
+// snapshot in dir through insert, opens the write-ahead log in dir with
+// o, and replays every record after the snapshot's stamp through insert
+// and del. Insert-if-absent and remove-if-present make that replay
+// idempotent (see the package comment). The log is returned open, ready
+// for the first Append.
+func Recover(dir string, o wal.Options, insert func(key int64, val string) bool, del func(key int64)) (*wal.Log, Recovered, error) {
+	var r Recovered
+	var err error
+	r.SnapshotLSN, r.SnapshotKeys, err = Restore(dir, insert)
+	if err != nil && !errors.Is(err, ErrNoSnapshot) {
+		return nil, r, fmt.Errorf("snapshot restore: %w", err)
+	}
+	o.Dir = dir
+	l, err := wal.Open(o)
+	if err != nil {
+		return nil, r, fmt.Errorf("wal open: %w", err)
+	}
+	r.WALRecords, err = l.Replay(r.SnapshotLSN, func(op wal.Op, _ uint64, key int64, val []byte) error {
+		if op == wal.OpSet {
+			insert(key, string(val))
+		} else {
+			del(key)
+		}
+		return nil
+	})
+	if err != nil {
+		l.Close()
+		return nil, r, fmt.Errorf("wal replay: %w", err)
+	}
+	return l, r, nil
 }
 
 // Latest returns the LSN stamp of the newest snapshot file in dir

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/wal"
 	"repro/lockfree"
 )
 
@@ -254,5 +255,55 @@ func TestWriteAllocsIndependentOfKeyCount(t *testing.T) {
 	small, large := allocsFor(100), allocsFor(10_000)
 	if large > small+2 { // a little slack for the runtime's own bookkeeping
 		t.Fatalf("Write allocates %v objects for 10000 keys but %v for 100: the per-key path allocates", large, small)
+	}
+}
+
+// TestRecoverSnapshotPlusTail runs the boot path: an image stamped at
+// LSN 3, a log whose records 1-3 the image covers and 4-6 it does not.
+// Recover restores the image, replays only the tail, reports both counts
+// and returns the log open after the last record.
+func TestRecoverSnapshotPlusTail(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Append(wal.OpSet, 1, "one")
+	l.Append(wal.OpSet, 2, "two")
+	l.Append(wal.OpDel, 1, "")
+	s := lockfree.NewSkipList[int64, string]()
+	s.Insert(2, "two")
+	if _, _, err := Write(dir, l.LastLSN(), ascendOf(s), nil); err != nil {
+		t.Fatal(err)
+	}
+	l.Append(wal.OpSet, 3, "three")
+	l.Append(wal.OpDel, 2, "")
+	l.Append(wal.OpSet, 4, "four")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got := map[int64]string{}
+	insert := func(k int64, v string) bool {
+		if _, dup := got[k]; dup {
+			return false
+		}
+		got[k] = v
+		return true
+	}
+	del := func(k int64) { delete(got, k) }
+	l, r, err := Recover(dir, wal.Options{}, insert, del)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	defer l.Close()
+	if want := (Recovered{SnapshotLSN: 3, SnapshotKeys: 1, WALRecords: 3}); r != want {
+		t.Fatalf("Recover = %+v, want %+v", r, want)
+	}
+	if len(got) != 2 || got[3] != "three" || got[4] != "four" {
+		t.Fatalf("recovered %v, want map[3:three 4:four]", got)
+	}
+	if lsn := l.Append(wal.OpSet, 5, "five"); lsn != 7 {
+		t.Fatalf("first Append after Recover got LSN %d, want 7", lsn)
 	}
 }

@@ -1,17 +1,18 @@
 // Package wal is the append-only operation log behind lflserver's
-// durability modes: an off-hot-path write-ahead log fed by a lock-free
-// MPSC hand-off ring from the serving goroutines to a single fsync'ing
-// writer goroutine.
+// durability modes: a write-ahead log with leader/follower group commit.
 //
-// The design keeps the store's zero-allocation CAS paths untouched
-// (DESIGN.md Section 2.1): publishing a record is one fetch-and-add
-// ticket claim plus one slot write — no lock, no allocation, no
-// syscall: a ticket cursor claims a slot, and a per-slot sequence number
-// hands it between producer and consumer (see Append and drain). It is
-// the repo's only MPSC hand-off ring.
-// All file I/O, CRC framing, group-commit fsync batching and segment
-// rotation happen on the writer goroutine, so the serving layer pays
-// for durability only what the hand-off costs.
+// Append frames each record straight into one in-memory buffer under the
+// log's mutex: the LSN, the CRC frame and the copy of the value all
+// happen before it returns, with no allocation and no syscall. A commit
+// swaps that buffer for a preallocated spare, writes it to the active
+// segment, fsyncs and advances the durable LSN, while appends keep
+// framing into the other buffer. Commits are serialized by a second
+// mutex, which is the writer queue of LevelDB and RocksDB: a WaitDurable
+// caller whose LSN is not yet durable commits as the leader, and the
+// callers queued behind it find their LSN already covered. One committer
+// goroutine commits each batch one FsyncWindow after its first record,
+// and an Append that finds the buffer full commits inline, so memory
+// stays bounded with no knob.
 //
 // On-disk format: segments named wal-%016d.seg by the sequence number
 // of their first record, each a stream of frames
@@ -19,11 +20,11 @@
 //	[4B little-endian payload length][4B CRC32-C of payload][payload]
 //	payload = [1B op][8B seq][8B key][value bytes (OpSet only)]
 //
-// Sequence numbers (LSNs) are assigned by the ring ticket, start at 1,
-// and are strictly continuous across segments, so recovery can verify
-// the log's integrity record by record. A torn or corrupted frame —
-// a crash mid-append, a bit flip — truncates the log to the last valid
-// prefix instead of failing boot; see Open.
+// Sequence numbers (LSNs) are assigned under the log mutex in buffer
+// order, start at 1, and are strictly continuous across segments, so
+// recovery can verify the log's integrity record by record. A torn or
+// corrupted frame — a crash mid-append, a bit flip — truncates the log
+// to the last valid prefix instead of failing boot; see Open.
 //
 // Ordering contract: records are appended in each connection's reply
 // order, so per-connection per-key program order is exactly the log
@@ -38,9 +39,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -68,10 +69,14 @@ const (
 	maxFrameLoad = 1 << 26   // scan sanity cap on one payload
 	segPrefix    = "wal-"
 	segSuffix    = ".seg"
+	// bufCap is the capacity of each of the two frame buffers. An Append
+	// whose frame does not fit commits the full buffer first; a single
+	// frame larger than this grows its buffer to fit.
+	bufCap = 256 << 10
 )
 
 // crcTable is CRC32-C (Castagnoli): hardware-accelerated on amd64/arm64,
-// so framing costs stay off the writer's profile.
+// so framing costs little on the appending goroutine.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Options configures Open. The zero value of every field gets a usable
@@ -80,93 +85,46 @@ type Options struct {
 	// Dir is the directory holding segments (and snapshots, by
 	// convention). Created if absent.
 	Dir string
-	// FsyncWindow is the group-commit window: the writer holds dirty
-	// bytes at most this long before fsync, so one fsync amortizes over
-	// every record that arrived inside the window. Zero or negative
-	// fsyncs after every writer drain (tightest durability, one fsync
-	// per hand-off batch).
+	// FsyncWindow is the group-commit window: the committer goroutine
+	// commits a batch this long after its first record arrived, so one
+	// fsync amortizes over every record appended inside the window. Zero
+	// or negative commits each batch without waiting.
 	FsyncWindow time.Duration
 	// SegmentBytes rotates the active segment once it crosses this size
 	// (default 64 MiB).
 	SegmentBytes int64
-	// RingSize is the hand-off ring capacity, rounded up to a power of
-	// two (default 1024). A full ring applies bounded backpressure: the
-	// publishing goroutine yields until the writer frees a slot.
-	RingSize int
 	// Telemetry, when non-nil, receives the wal_appends, wal_fsyncs and
 	// wal_bytes counters.
 	Telemetry *telemetry.Recorder
-}
-
-func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 64 << 20
-	}
-	if o.RingSize <= 0 {
-		o.RingSize = 1024
-	}
-	rs := 1
-	for rs < o.RingSize {
-		rs <<= 1
-	}
-	o.RingSize = rs
-	return o
-}
-
-// slot is one hand-off ring cell: the per-slot sequence of the ticket
-// discipline plus the record it carries, inline so publishing allocates
-// nothing.
-type slot struct {
-	seq atomic.Uint64
-	op  Op
-	key int64
-	val string
 }
 
 // Log is the write-ahead log. Construct with Open; Append from any
 // number of goroutines; Close exactly once, after every producer has
 // stopped.
 type Log struct {
-	opts        Options
-	windowNanos int64
+	opts Options
 
-	// MPSC hand-off ring. Producers claim a ticket with enq and spin
-	// (bounded backpressure) while their slot still holds an unconsumed
-	// record from one lap ago; the writer owns deq outright.
-	mask  uint64
-	slots []slot
-	enq   atomic.Uint64
-	deq   uint64
+	// mu orders appends: it guards the LSN counter, the frame buffer,
+	// the latched failure and the segment list.
+	mu      sync.Mutex
+	last    uint64     // the most recently assigned LSN
+	buf     []byte     // frames of the records written+1 .. last
+	err     error      // first write, fsync or rotation failure; latched
+	work    *sync.Cond // on mu: buf went non-empty, or closing was set
+	closing bool
+	segs    []segInfo // on-disk segments, first-seq ascending, active last
 
-	// Dekker-style park handshake: the writer sets sleeping before its
-	// final emptiness check, producers check it after their final seq
-	// store. Go atomics are sequentially consistent, so one side always
-	// sees the other.
-	sleeping atomic.Bool
-	wake     chan struct{}
+	// commitMu serializes commits and guards the writer state below.
+	commitMu sync.Mutex
+	spare    []byte // the buffer the next commit swaps in
+	f        *os.File
+	segSize  int64
+	written  uint64 // the highest LSN written to the active segment
 
 	// durable is the highest LSN known to be on stable storage.
-	durable     atomic.Uint64
-	syncWaiters atomic.Int32
-
-	mu   sync.Mutex
-	cond *sync.Cond
-	err  error // first writer failure; latched
+	durable atomic.Uint64
 
 	fsyncHist instrument.Hist
-
-	// writer-goroutine state.
-	f           *os.File
-	segSize     int64
-	buf         []byte
-	unsynced    bool
-	firstDirty  int64 // Nanotime of the oldest unsynced write
-	lastWritten uint64
-
-	// segs is the on-disk segment list (first-seq ascending, the active
-	// segment last), guarded by mu: the writer appends on rotation,
-	// Prune removes from the front.
-	segs []segInfo
 
 	lastScanned uint64 // highest valid seq found by Open's scan
 
@@ -182,10 +140,12 @@ type segInfo struct {
 // Open scans dir's segments, truncates a torn or corrupted tail to the
 // last valid CRC frame (a crash mid-append must not fail boot), resumes
 // LSN assignment after the highest surviving record, and starts the
-// writer goroutine. Call Replay before the first Append to feed the
+// committer goroutine. Call Replay before the first Append to feed the
 // surviving records into a store.
 func Open(o Options) (*Log, error) {
-	o = o.withDefaults()
+	if o.SegmentBytes <= 0 {
+		o.SegmentBytes = 64 << 20
+	}
 	if o.Dir == "" {
 		return nil, errors.New("wal: Options.Dir is required")
 	}
@@ -198,15 +158,13 @@ func Open(o Options) (*Log, error) {
 	}
 
 	l := &Log{
-		opts:        o,
-		windowNanos: o.FsyncWindow.Nanoseconds(),
-		mask:        uint64(o.RingSize - 1),
-		slots:       make([]slot, o.RingSize),
-		wake:        make(chan struct{}, 1),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
+		opts:  o,
+		buf:   make([]byte, 0, bufCap),
+		spare: make([]byte, 0, bufCap),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
-	l.cond = sync.NewCond(&l.mu)
+	l.work = sync.NewCond(&l.mu)
 
 	// Walk the segments in order, verifying frame CRCs and sequence
 	// continuity. The first invalid frame ends the valid prefix: the
@@ -241,7 +199,7 @@ func Open(o Options) (*Log, error) {
 	// wal-<last+1>.seg behind, and openSegment below recreates that very
 	// path. Keeping the stale entry would list the active segment twice in
 	// l.segs, and Prune — seeing the duplicate as a covered predecessor —
-	// would unlink the file the writer is appending to, silently dropping
+	// would unlink the file the log is appending to, silently dropping
 	// every subsequent acked write at the next restart.
 	for len(l.segs) > 0 && l.segs[len(l.segs)-1].firstSeq > last {
 		stale := l.segs[len(l.segs)-1]
@@ -251,16 +209,9 @@ func Open(o Options) (*Log, error) {
 		l.segs = l.segs[:len(l.segs)-1]
 	}
 
-	// Resume tickets after the surviving prefix: the next record gets
-	// LSN last+1 (ticket t carries LSN t+1). Slot sequences are seeded
-	// so slot (t & mask) admits exactly ticket t on the first lap.
-	l.enq.Store(last)
-	l.deq = last
+	// Resume after the surviving prefix: the next record gets LSN last+1.
+	l.last, l.written = last, last
 	l.durable.Store(last)
-	for i := 0; i < o.RingSize; i++ {
-		t := last + uint64(i)
-		l.slots[t&l.mask].seq.Store(t)
-	}
 
 	// A fresh active segment, named by the next LSN: appending to a
 	// just-truncated file would work, but a clean segment boundary per
@@ -277,7 +228,11 @@ func Open(o Options) (*Log, error) {
 // highest surviving record before any Append). Snapshots stamp
 // themselves with this value at scan start: every mutation logged after
 // it is in the replay tail.
-func (l *Log) LastLSN() uint64 { return l.enq.Load() }
+func (l *Log) LastLSN() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.last
+}
 
 // Durable returns the highest LSN known to be on stable storage.
 func (l *Log) Durable() uint64 { return l.durable.Load() }
@@ -288,264 +243,164 @@ func (l *Log) Dir() string { return l.opts.Dir }
 // FsyncLatency returns the fsync-latency histogram (nanosecond values).
 func (l *Log) FsyncLatency() instrument.HistSnapshot { return l.fsyncHist.Snapshot() }
 
-// Append publishes one mutation record and returns its LSN. It is
-// lock-free, allocation-free, and safe for any number of concurrent
-// producers; a full ring yields until the writer frees a slot (bounded
-// backpressure). val must be immutable
-// for the life of the call's hand-off (Go strings are).
+// Append frames one mutation record into the log's buffer and returns
+// its LSN. It is allocation-free and safe for any number of concurrent
+// producers; val is copied before Append returns. An Append that finds
+// the buffer full commits it first. After a latched failure the record
+// is dropped (WaitDurable and Close report the failure).
 func (l *Log) Append(op Op, key int64, val string) uint64 {
-	t := l.enq.Add(1) - 1
-	s := &l.slots[t&l.mask]
-	for s.seq.Load() != t {
-		runtime.Gosched()
+	if op != OpSet {
+		val = ""
 	}
-	s.op, s.key, s.val = op, key, val
-	s.seq.Store(t + 1)
-	if l.sleeping.Load() {
-		select {
-		case l.wake <- struct{}{}:
-		default:
+	frame := frameHeader + recFixed + len(val)
+	l.mu.Lock()
+	for len(l.buf) > 0 && len(l.buf)+frame > cap(l.buf) && l.err == nil {
+		full := l.last
+		l.mu.Unlock()
+		l.commit(full)
+		l.mu.Lock()
+	}
+	l.last++
+	lsn := l.last
+	if l.err == nil {
+		if len(l.buf) == 0 {
+			l.work.Signal()
 		}
+		l.buf = appendFrame(l.buf, op, lsn, key, val)
 	}
+	l.mu.Unlock()
 	if l.opts.Telemetry != nil {
 		l.opts.Telemetry.AddCounter(instrument.CtrWALAppends, 1)
 	}
-	return t + 1
+	return lsn
 }
 
-// WaitDurable blocks until every record up to lsn is fsynced, or
-// returns the writer's latched failure. Sync-mode connections call it
-// before flushing replies, so a client ack implies stable storage.
+// WaitDurable blocks until every record up to lsn, an LSN Append
+// returned, is fsynced, or returns the log's latched failure. A caller
+// that finds lsn not yet durable commits the buffer itself; callers
+// queued behind that commit find their LSN covered. Sync-mode
+// connections call it before flushing replies, so a client ack implies
+// stable storage.
 func (l *Log) WaitDurable(lsn uint64) error {
 	if l.durable.Load() >= lsn {
 		return nil
 	}
-	l.syncWaiters.Add(1)
-	defer l.syncWaiters.Add(-1)
-	// Wake a parked writer so the fsync happens now, not at window end.
-	if l.sleeping.Load() {
-		select {
-		case l.wake <- struct{}{}:
-		default:
-		}
+	l.commit(lsn)
+	if l.durable.Load() >= lsn {
+		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.durable.Load() < lsn && l.err == nil {
-		l.cond.Wait()
-	}
-	return l.err
+	return l.Err()
 }
 
-// Err returns the writer's latched failure, or nil.
+// Err returns the log's latched failure, or nil.
 func (l *Log) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.err
 }
 
-// Close drains the ring, fsyncs, and stops the writer. Producers must
-// have stopped appending; call after the serving layer has shut down.
+// Close commits what is buffered, stops the committer and closes the
+// active segment. Producers must have stopped appending; call after the
+// serving layer has shut down.
 func (l *Log) Close() error {
+	l.mu.Lock()
+	l.closing = true
+	l.work.Signal()
+	l.mu.Unlock()
 	close(l.stop)
 	<-l.done
+	l.commit(math.MaxUint64)
+	l.commitMu.Lock()
+	if err := l.f.Close(); err != nil {
+		l.fail(err)
+	}
+	l.commitMu.Unlock()
 	return l.Err()
 }
 
-// ringNonEmpty reports whether a record is ready to pop. Writer only.
-func (l *Log) ringNonEmpty() bool {
-	return l.slots[l.deq&l.mask].seq.Load() == l.deq+1
-}
-
-// run is the writer goroutine: drain the ring into frames, write,
-// group-commit fsync, park.
+// run is the committer goroutine: wait for the buffer to go non-empty,
+// let the group-commit window fill it, commit.
 func (l *Log) run() {
 	defer close(l.done)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
+	window := time.NewTimer(time.Hour)
+	window.Stop()
 	for {
-		l.drain()
-		if l.unsynced && l.fsyncDue() {
-			l.fsync()
+		l.mu.Lock()
+		for len(l.buf) == 0 && !l.closing {
+			l.work.Wait()
 		}
-		if l.ringNonEmpty() {
-			continue
-		}
+		l.mu.Unlock()
+		window.Reset(l.opts.FsyncWindow)
 		select {
+		case <-window.C:
 		case <-l.stop:
-			l.drain()
-			if l.unsynced {
-				l.fsync()
-			}
-			l.mu.Lock()
-			if l.f != nil {
-				if err := l.f.Close(); err != nil && l.err == nil {
-					l.err = err
-				}
-				l.f = nil
-			}
-			l.mu.Unlock()
 			return
-		default:
 		}
-		l.park(timer)
+		l.commit(math.MaxUint64)
 	}
 }
 
-// fsyncDue reports whether the dirty bytes should be synced now: the
-// group-commit window elapsed, a WaitDurable caller is parked on them,
-// or the window is zero (sync every drain).
-func (l *Log) fsyncDue() bool {
-	if l.windowNanos <= 0 || l.syncWaiters.Load() > 0 {
-		return true
-	}
-	return telemetry.Nanotime()-l.firstDirty >= l.windowNanos
-}
-
-// park waits for work: a bounded yield-spin, then the sleeping/wake
-// handshake. With dirty bytes pending it sleeps at most the remainder
-// of the fsync window so group commit never stalls past its bound.
-func (l *Log) park(timer *time.Timer) {
-	for i := 0; i < 64; i++ {
-		if l.ringNonEmpty() {
-			return
-		}
-		select {
-		case <-l.stop:
-			return
-		default:
-		}
-		runtime.Gosched()
-	}
-	for {
-		l.sleeping.Store(true)
-		if l.ringNonEmpty() {
-			l.sleeping.Store(false)
-			return
-		}
-		// The sync-waiter half of the handshake: WaitDurable increments
-		// syncWaiters before loading sleeping, the writer stores sleeping
-		// before loading syncWaiters, so a waiter that missed the flag and
-		// sent no wake token is still seen here — otherwise it would sleep
-		// out the whole group-commit window.
-		if l.unsynced && l.syncWaiters.Load() > 0 {
-			l.sleeping.Store(false)
-			return
-		}
-		var deadline <-chan time.Time
-		if l.unsynced {
-			rest := l.windowNanos - (telemetry.Nanotime() - l.firstDirty)
-			if rest < 0 {
-				rest = 0
-			}
-			timer.Reset(time.Duration(rest))
-			deadline = timer.C
-		}
-		select {
-		case <-l.wake:
-			l.sleeping.Store(false)
-			stopTimer(timer, deadline)
-			if l.ringNonEmpty() || l.syncWaiters.Load() > 0 {
-				return
-			}
-			// Stale token from a publish the spin phase already consumed.
-		case <-deadline:
-			l.sleeping.Store(false)
-			return
-		case <-l.stop:
-			l.sleeping.Store(false)
-			stopTimer(timer, deadline)
-			return
-		}
-	}
-}
-
-func stopTimer(t *time.Timer, armed <-chan time.Time) {
-	if armed == nil {
+// commit writes every buffered frame to the log and fsyncs it, unless
+// every record through upto is durable by the time it holds commitMu:
+// callers queued behind another commit find their records covered. The
+// buffer is swapped for the spare under mu, so appends keep framing
+// while the write and the fsync run. An empty buffer is a no-op, and
+// after a latched failure the swapped-out frames are dropped.
+func (l *Log) commit(upto uint64) {
+	l.commitMu.Lock()
+	defer l.commitMu.Unlock()
+	if l.durable.Load() >= upto {
 		return
 	}
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-}
-
-// drain pops every ready record, frames it into the write buffer, and
-// writes the batch out (rotating segments as needed). After a latched
-// failure records are still consumed — and dropped — so producers can
-// never wedge on a full ring behind a dead disk.
-func (l *Log) drain() {
-	buf := l.buf[:0]
-	var pending uint64 // seq of the last record framed into buf
-	for {
-		s := &l.slots[l.deq&l.mask]
-		if s.seq.Load() != l.deq+1 {
-			break
-		}
-		op, key, val := s.op, s.key, s.val
-		s.val = "" // don't pin arena chunks in a parked slot
-		seq := l.deq + 1
-		s.seq.Store(l.deq + uint64(len(l.slots)))
-		l.deq++
-		if l.Err() != nil {
-			continue // latched failure: consume and drop
-		}
-		fl := frameHeader + recFixed
-		if op == OpSet {
-			fl += len(val)
-		}
-		// Rotate before this frame would push the segment past its cap,
-		// so each segment's name is exactly its first record's seq.
-		if l.segSize+int64(len(buf))+int64(fl) > l.opts.SegmentBytes &&
-			l.segSize+int64(len(buf)) > 0 {
-			l.writeBatch(buf, pending)
-			buf = buf[:0]
-			if l.Err() == nil {
-				if l.unsynced {
-					l.fsync()
-				}
-				if err := l.rotate(seq); err != nil {
-					l.fail(err)
-				}
-			}
-			if l.Err() != nil {
-				continue
-			}
-		}
-		buf = appendFrame(buf, op, seq, key, val)
-		pending = seq
-	}
-	if len(buf) > 0 && l.Err() == nil {
-		l.writeBatch(buf, pending)
-	}
-	l.buf = buf
-}
-
-// writeBatch appends framed bytes to the active segment and marks them
-// dirty; lastSeq is the seq of the final record in the batch. An empty
-// batch is a no-op: rotation can trigger on the first record of a drain
-// (segment filled by the previous one), and marking that phantom batch
-// dirty would regress lastWritten below already-fsynced records.
-func (l *Log) writeBatch(buf []byte, lastSeq uint64) {
-	if len(buf) == 0 {
+	l.mu.Lock()
+	buf, last, failed := l.buf, l.last, l.err != nil
+	l.buf, l.spare = l.spare[:0], buf
+	l.mu.Unlock()
+	if len(buf) == 0 || failed {
 		return
 	}
-	if _, err := l.f.Write(buf); err != nil {
+	if err := l.writeFrames(buf, last); err != nil {
 		l.fail(err)
-		return
 	}
-	l.segSize += int64(len(buf))
-	if !l.unsynced {
-		l.unsynced = true
-		l.firstDirty = telemetry.Nanotime()
-	}
-	l.lastWritten = lastSeq
-	if l.opts.Telemetry != nil {
-		l.opts.Telemetry.AddCounter(instrument.CtrWALBytes, uint64(len(buf)))
+}
+
+// writeFrames appends buf's frames, the records written+1 .. last, to
+// the active segment and fsyncs them. A frame that would push a
+// non-empty segment past SegmentBytes goes to the next segment instead,
+// so each segment is named by its first record's seq.
+func (l *Log) writeFrames(buf []byte, last uint64) error {
+	for {
+		n, seq := len(buf), last
+		if l.segSize+int64(n) > l.opts.SegmentBytes {
+			n, seq = 0, l.written
+			for n < len(buf) {
+				frame := frameHeader + int(binary.LittleEndian.Uint32(buf[n:]))
+				if l.segSize+int64(n+frame) > l.opts.SegmentBytes && l.segSize+int64(n) > 0 {
+					break
+				}
+				n, seq = n+frame, seq+1
+			}
+		}
+		if n > 0 {
+			if _, err := l.f.Write(buf[:n]); err != nil {
+				return err
+			}
+			l.segSize += int64(n)
+			l.written = seq
+			if l.opts.Telemetry != nil {
+				l.opts.Telemetry.AddCounter(instrument.CtrWALBytes, uint64(n))
+			}
+			if err := l.fsync(); err != nil {
+				return err
+			}
+		}
+		if n == len(buf) {
+			return nil
+		}
+		if err := l.rotate(seq + 1); err != nil {
+			return err
+		}
+		buf = buf[n:]
 	}
 }
 
@@ -567,40 +422,32 @@ func appendFrame(buf []byte, op Op, seq uint64, key int64, val string) []byte {
 	return buf
 }
 
-// fsync pushes the dirty bytes to stable storage, advances the durable
-// LSN, and wakes every WaitDurable caller it satisfied.
-func (l *Log) fsync() {
+// fsync pushes the written bytes to stable storage and advances the
+// durable LSN to the last record written. Commits are serialized and
+// written only grows, so durable never moves backwards.
+func (l *Log) fsync() error {
 	begin := telemetry.Nanotime()
 	err := l.f.Sync()
 	l.fsyncHist.Record(telemetry.Nanotime() - begin)
-	l.unsynced = false
 	if err != nil {
-		l.fail(err)
-		return
+		return err
 	}
 	if l.opts.Telemetry != nil {
 		l.opts.Telemetry.AddCounter(instrument.CtrWALFsyncs, 1)
 	}
-	// Monotonic: never publish a durable LSN below one already announced
-	// (lastWritten can be stale across a rotation's pre-rotate fsync).
-	if l.lastWritten > l.durable.Load() {
-		l.durable.Store(l.lastWritten)
-	}
-	l.mu.Lock()
-	l.cond.Broadcast()
-	l.mu.Unlock()
+	l.durable.Store(l.written)
+	return nil
 }
 
-// fail latches the writer's first error and releases every waiter: a
-// sync-mode connection must learn its ack cannot be honored.
+// fail latches the log's first error: later appends are dropped, and
+// WaitDurable reports it, so a sync-mode connection learns its ack
+// cannot be honored.
 func (l *Log) fail(err error) {
 	l.mu.Lock()
 	if l.err == nil {
 		l.err = err
 	}
-	l.cond.Broadcast()
 	l.mu.Unlock()
-	l.unsynced = false
 }
 
 // rotate closes the active segment and opens the next, named by the
@@ -609,7 +456,6 @@ func (l *Log) rotate(firstSeq uint64) error {
 	if err := l.f.Close(); err != nil {
 		return err
 	}
-	l.f = nil
 	return l.openSegment(firstSeq)
 }
 

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -204,6 +206,7 @@ func TestSegmentRotationAndPrune(t *testing.T) {
 	if segsBefore < 3 {
 		t.Fatalf("expected >=3 segments at 256B cap, got %d", segsBefore)
 	}
+	checkSegmentNames(t, dir)
 	const snapLSN = 40
 	if err := l.Prune(snapLSN); err != nil {
 		t.Fatalf("Prune: %v", err)
@@ -291,57 +294,93 @@ func TestReopenWithoutWritesKeepsActiveSegmentUnique(t *testing.T) {
 	}
 }
 
-// TestWriteBatchEmptyIsNoop: rotation can hand writeBatch an empty
-// batch (segment filled by the previous drain); it must not mark bytes
-// dirty or clobber lastWritten — the pre-rotate fsync would otherwise
-// store durable=0, un-promising already-fsynced records.
-func TestWriteBatchEmptyIsNoop(t *testing.T) {
-	f, err := os.CreateTemp(t.TempDir(), "seg")
-	if err != nil {
+// TestCommitEmptyIsNoop: a commit that finds the buffer empty (the
+// committer waking after a WaitDurable leader already took its batch)
+// writes nothing, fsyncs nothing and leaves the durable LSN alone.
+func TestCommitEmptyIsNoop(t *testing.T) {
+	l := openT(t, t.TempDir(), Options{FsyncWindow: 10 * time.Second})
+	defer closeT(t, l)
+	lsn := l.Append(OpSet, 7, "v")
+	if err := l.WaitDurable(lsn); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	l := &Log{f: f}
-	l.cond = sync.NewCond(&l.mu)
-	l.lastWritten = 7
-	l.writeBatch(nil, 0)
-	if l.unsynced {
-		t.Fatal("empty writeBatch marked bytes dirty")
+	segSize := func() int64 {
+		l.commitMu.Lock()
+		defer l.commitMu.Unlock()
+		return l.segSize
 	}
-	if l.lastWritten != 7 {
-		t.Fatalf("empty writeBatch clobbered lastWritten: %d", l.lastWritten)
+	size, fsyncs := segSize(), l.FsyncLatency().Count
+	l.commit(math.MaxUint64)
+	if got := segSize(); got != size {
+		t.Errorf("empty commit wrote %d bytes", got-size)
 	}
-	if l.Err() != nil {
-		t.Fatalf("empty writeBatch failed: %v", l.Err())
+	if got := l.FsyncLatency().Count; got != fsyncs {
+		t.Errorf("empty commit fsynced: %d fsyncs, want %d", got, fsyncs)
+	}
+	if got := l.Durable(); got != lsn {
+		t.Fatalf("Durable() = %d after an empty commit, want %d", got, lsn)
+	}
+	if err := l.Err(); err != nil {
+		t.Fatalf("empty commit failed: %v", err)
 	}
 }
 
-// TestFsyncDurableMonotonic: fsync must never move the durable LSN
-// backwards, even when lastWritten is stale (the pre-rotate fsync after
-// a phantom empty batch used to store 0, transiently un-promising
-// already-durable records to WaitDurable callers).
+// TestFsyncDurableMonotonic: the durable LSN never moves backwards and
+// never passes the last assigned LSN, while appenders, WaitDurable
+// leaders, inline full-buffer commits, the committer goroutine and
+// segment rotation all advance it at once.
 func TestFsyncDurableMonotonic(t *testing.T) {
-	f, err := os.CreateTemp(t.TempDir(), "seg")
-	if err != nil {
+	l := openT(t, t.TempDir(), Options{SegmentBytes: 64 << 10})
+	defer closeT(t, l)
+	stop := make(chan struct{})
+	sampled := make(chan error, 1)
+	go func() {
+		var prev uint64
+		for {
+			select {
+			case <-stop:
+				sampled <- nil
+				return
+			default:
+			}
+			d := l.Durable()
+			if d < prev {
+				sampled <- fmt.Errorf("Durable() regressed from %d to %d", prev, d)
+				return
+			}
+			if last := l.LastLSN(); d > last {
+				sampled <- fmt.Errorf("Durable() = %d past LastLSN() = %d", d, last)
+				return
+			}
+			prev = d
+		}
+	}()
+	big := string(make([]byte, 8<<10))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				lsn := l.Append(OpSet, int64(i), big)
+				if i%16 == w {
+					if err := l.WaitDurable(lsn); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-sampled; err != nil {
 		t.Fatal(err)
-	}
-	defer f.Close()
-	l := &Log{f: f}
-	l.cond = sync.NewCond(&l.mu)
-	l.durable.Store(9)
-	l.lastWritten = 3 // stale: below what is already durable
-	l.unsynced = true
-	l.fsync()
-	if got := l.Durable(); got != 9 {
-		t.Fatalf("Durable regressed to %d, want 9", got)
-	}
-	if l.Err() != nil {
-		t.Fatalf("fsync failed: %v", l.Err())
 	}
 }
 
 // TestDurableNeverRegressesAcrossRotation drives rotation on the first
-// record of each drain (segment cap = one frame) and asserts the
+// record of each commit (segment cap = one frame) and asserts the
 // externally visible durable LSN only ever moves forward.
 func TestDurableNeverRegressesAcrossRotation(t *testing.T) {
 	dir := t.TempDir()
@@ -360,44 +399,89 @@ func TestDurableNeverRegressesAcrossRotation(t *testing.T) {
 	}
 }
 
-// TestConcurrentAppendDurability is the MPSC contract under the race
-// detector: every concurrently published record gets a unique LSN and
-// survives a reopen, seq-continuous.
+// TestConcurrentAppendDurability is the group-commit contract under the
+// race detector: 8 appenders and 4 WaitDurable callers run at once,
+// values large enough that appends fill the buffer and commit it
+// inline, a segment cap small enough to rotate mid-run. Every record
+// gets a unique LSN, the buffers never grow past their preallocated
+// capacity, and every record survives a reopen, seq-continuous, under
+// the key and value it was appended with.
 func TestConcurrentAppendDurability(t *testing.T) {
 	dir := t.TempDir()
-	l := openT(t, dir, Options{RingSize: 64, FsyncWindow: time.Millisecond})
-	workers := 8
-	per := 200
+	l := openT(t, dir, Options{FsyncWindow: time.Millisecond, SegmentBytes: 128 << 10})
+	const workers, per = 8, 200
+	// valLen gives every fourth record a 12 KiB value: 8 appenders fill
+	// the 256 KiB buffer within a few rounds of each other.
+	valLen := func(key int64) int {
+		if key%4 == 0 {
+			return 12 << 10
+		}
+		return int(key % 64)
+	}
+	vals := string(make([]byte, 12<<10))
 	var wg sync.WaitGroup
 	lsns := make([][]uint64, workers)
+	done := make(chan struct{})
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
+				key := int64(w*per + i)
 				op := OpSet
 				if i%3 == 0 {
 					op = OpDel
 				}
-				lsns[w] = append(lsns[w], l.Append(op, int64(w*per+i), "v"))
+				lsns[w] = append(lsns[w], l.Append(op, key, vals[:valLen(key)]))
 			}
 		}(w)
 	}
+	var waiters sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		waiters.Add(1)
+		go func() {
+			defer waiters.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := l.WaitDurable(l.LastLSN()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
 	wg.Wait()
+	close(done)
+	waiters.Wait()
 	total := uint64(workers * per)
 	if err := l.WaitDurable(total); err != nil {
 		t.Fatal(err)
 	}
-	seen := make(map[uint64]bool, total)
-	for _, ws := range lsns {
-		for _, lsn := range ws {
-			if lsn == 0 || lsn > total || seen[lsn] {
+	keyOf := make(map[uint64]int64, total)
+	for w, ws := range lsns {
+		for i, lsn := range ws {
+			if _, dup := keyOf[lsn]; lsn == 0 || lsn > total || dup {
 				t.Fatalf("bad or duplicate LSN %d", lsn)
 			}
-			seen[lsn] = true
+			keyOf[lsn] = int64(w*per + i)
 		}
 	}
+	l.commitMu.Lock()
+	l.mu.Lock()
+	if cap(l.buf) != bufCap || cap(l.spare) != bufCap {
+		t.Errorf("buffers grew to %d and %d bytes, want %d", cap(l.buf), cap(l.spare), bufCap)
+	}
+	l.mu.Unlock()
+	l.commitMu.Unlock()
 	closeT(t, l)
+	if n := segmentCount(t, dir); n < 3 {
+		t.Fatalf("expected rotation mid-run, found %d segments", n)
+	}
+	checkSegmentNames(t, dir)
 
 	l2 := openT(t, dir, Options{})
 	defer closeT(t, l2)
@@ -409,11 +493,17 @@ func TestConcurrentAppendDurability(t *testing.T) {
 		if r.seq != uint64(i+1) {
 			t.Fatalf("recovered seq gap at %d: %d", i, r.seq)
 		}
+		if r.key != keyOf[r.seq] {
+			t.Fatalf("record %d: key %d, appended as %d", r.seq, r.key, keyOf[r.seq])
+		}
+		if want := valLen(r.key); r.op == OpSet && len(r.val) != want {
+			t.Fatalf("record %d: value of %d bytes, appended %d", r.seq, len(r.val), want)
+		}
 	}
 }
 
 // TestWaitDurableUnblocksPromptly: a sync waiter must not wait out the
-// whole group-commit window — its presence forces the fsync.
+// whole group-commit window — it commits as the leader.
 func TestWaitDurableUnblocksPromptly(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, Options{FsyncWindow: 10 * time.Second})
@@ -434,8 +524,67 @@ func TestWaitDurableUnblocksPromptly(t *testing.T) {
 	}
 }
 
+// TestWaitDurableReportsLatchedFailure pulls the active segment out
+// from under an open log. The next commit's write fails: WaitDurable
+// returns that error at once, later appends neither block nor buffer
+// their frames, and Close reports the same error.
+func TestWaitDurableReportsLatchedFailure(t *testing.T) {
+	l := openT(t, t.TempDir(), Options{FsyncWindow: 10 * time.Second})
+	first := l.Append(OpSet, 1, "one")
+	if err := l.WaitDurable(first); err != nil {
+		t.Fatal(err)
+	}
+	l.commitMu.Lock()
+	l.f.Close()
+	l.commitMu.Unlock()
+
+	lsn := l.Append(OpSet, 2, "two")
+	waited := make(chan error, 1)
+	go func() { waited <- l.WaitDurable(lsn) }()
+	select {
+	case err := <-waited:
+		if !errors.Is(err, os.ErrClosed) {
+			t.Fatalf("WaitDurable(%d) = %v, want the write error", lsn, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitDurable did not return the write error")
+	}
+	if err := l.WaitDurable(first); err != nil {
+		t.Fatalf("WaitDurable(%d) = %v for a record durable before the failure", first, err)
+	}
+
+	// Twice a buffer's worth of frames: none is buffered, none commits.
+	val := string(make([]byte, 4<<10))
+	appended := make(chan uint64, 1)
+	go func() {
+		var last uint64
+		for i := 0; i < 2*bufCap/len(val); i++ {
+			last = l.Append(OpSet, int64(i), val)
+		}
+		appended <- last
+	}()
+	var last uint64
+	select {
+	case last = <-appended:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Append blocked after the failure")
+	}
+	l.mu.Lock()
+	buffered, capacity := len(l.buf), cap(l.buf)
+	l.mu.Unlock()
+	if buffered != 0 || capacity != bufCap {
+		t.Fatalf("after the failure the buffer holds %d bytes (cap %d), want 0 (cap %d)", buffered, capacity, bufCap)
+	}
+	if err := l.WaitDurable(last); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("WaitDurable(%d) = %v, want the write error", last, err)
+	}
+	if err := l.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Close = %v, want the write error", err)
+	}
+}
+
 // TestPublishZeroAllocs pins the hot-path guarantee: Append allocates
-// nothing, with the writer live and fsyncing underneath.
+// nothing, with the committer live and fsyncing underneath.
 func TestPublishZeroAllocs(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, Options{FsyncWindow: time.Millisecond})
@@ -448,11 +597,11 @@ func TestPublishZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkWALPublish is the benchdiff-gated hand-off benchmark: the
-// cost one serving goroutine pays to make a mutation durable-eligible.
+// BenchmarkWALPublish is the benchdiff-gated append benchmark: the cost
+// one serving goroutine pays to make a mutation durable-eligible.
 func BenchmarkWALPublish(b *testing.B) {
 	dir := b.TempDir()
-	l, err := Open(Options{Dir: dir, FsyncWindow: time.Millisecond, RingSize: 4096})
+	l, err := Open(Options{Dir: dir, FsyncWindow: time.Millisecond})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -484,6 +633,28 @@ func onlySegment(t *testing.T, dir string) string {
 		t.Fatalf("expected exactly one non-empty segment, found %d of %d", len(withData), len(segs))
 	}
 	return withData[0]
+}
+
+// checkSegmentNames asserts that every non-empty segment in dir is
+// named by the seq of its first record, which is what Prune relies on.
+func checkSegmentNames(t *testing.T, dir string) {
+	t.Helper()
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) == 0 {
+			continue
+		}
+		if _, seq, ok := parseFrame(data); !ok || seq != seg.firstSeq {
+			t.Fatalf("segment %s starts with record %d (valid frame: %v)", filepath.Base(seg.path), seq, ok)
+		}
+	}
 }
 
 func segmentCount(t *testing.T, dir string) int {

@@ -59,8 +59,8 @@ var counterHelp = [itel.NumCounters]string{
 	"Total constructions (a list node, or a whole skip-list tower) served from a recycling free list instead of the allocator.",
 	"Total constructions (a list node, or a whole skip-list tower) that missed the free list and allocated.",
 	"Total retirements abandoned to the GC because a stalled epoch pinned the retire list at its cap.",
-	"Total mutation records published to the write-ahead log's hand-off ring.",
-	"Total group-commit fsyncs by the write-ahead log's writer goroutine.",
+	"Total mutation records appended to the write-ahead log.",
+	"Total group-commit fsyncs by the write-ahead log.",
 	"Total framed record bytes written to write-ahead-log segments.",
 	"Total key/value pairs streamed into on-disk snapshots.",
 }

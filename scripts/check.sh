@@ -11,7 +11,7 @@
 #   4. targeted race passes over the parallelism-shaped packages
 #      (internal/sharded, internal/server, internal/instrument,
 #      internal/ebr, internal/wal, internal/snapshot) at GOMAXPROCS=2
-#      and 8, plus the allocation pins without the race detector at
+#      and 8, the WAL's group-commit tests five times over at each, plus the allocation pins without the race detector at
 #      GOMAXPROCS=2 and one iteration of every BenchmarkServerWire*,
 #      plus the unsafe gates: internal/core's successor word
 #      lives in one file (steps 1 and 3 vet it and run it under checkptr),
@@ -147,14 +147,18 @@ echo "== race: ebr at GOMAXPROCS=2 and GOMAXPROCS=8 =="
 GOMAXPROCS=2 go test -race -count=1 ./internal/ebr
 GOMAXPROCS=8 go test -race -count=1 ./internal/ebr
 
-# The WAL's MPSC publish ring and single fsyncing writer, and the fuzzy
-# snapshot's writer-concurrent Ascend scan, are scheduling-shaped in the
-# same way: at 2 cores the producers starve behind the writer goroutine
-# (ring-full backpressure on the publish path), at 8 the ticket
-# contention and group-commit batching dominate.
+# The WAL's group commit and the fuzzy snapshot's writer-concurrent
+# Ascend scan are scheduling-shaped in the same way: appenders framing
+# under the log mutex, WaitDurable leaders and followers queued on the
+# commit mutex, the committer goroutine, inline full-buffer commits and
+# segment rotation all overlap. At 2 cores preemption interleaves them,
+# at 8 they truly run at once; the group-commit tests run five times at
+# each.
 echo "== race: wal + snapshot at GOMAXPROCS=2 and GOMAXPROCS=8 =="
 GOMAXPROCS=2 go test -race -count=1 ./internal/wal ./internal/snapshot
 GOMAXPROCS=8 go test -race -count=1 ./internal/wal ./internal/snapshot
+GOMAXPROCS=2 go test -race -count=5 -run 'Concurrent|WaitDurable|Rotation' ./internal/wal
+GOMAXPROCS=8 go test -race -count=5 -run 'Concurrent|WaitDurable|Rotation' ./internal/wal
 
 # Protocol-robustness fuzz: ten seconds of arbitrary bytes against a
 # served connection (seeds cover both dialects and every malformed-frame
@@ -208,8 +212,9 @@ go run ./cmd/lflstress -server self -recycle -threads 4 -ops 400 -keys 32 -round
 # and verifies every client-acked write survived (and that in-flight
 # unacked suffixes recovered to an admissible prefix). Run under -race:
 # the parent's workers, the child's serving goroutines, and the WAL
-# writer are all instrumented (the child is a re-exec of the same
-# race-built binary).
+# committer are all instrumented (the child is a re-exec of the same
+# race-built binary, and recovers through snapshot.Recover, the routine
+# lflserver boots with).
 echo "== lflstress -killrecover smoke (race) =="
 go run -race ./cmd/lflstress -killrecover -threads 4 -ops 4000 -keys 32 -rounds 2
 
