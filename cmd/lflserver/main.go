@@ -1,19 +1,17 @@
-// Command lflserver serves the range-sharded lock-free skip list as a
-// networked ordered key-value store, speaking two wire dialects on the
-// same port: the line protocol documented in internal/server
-// (SET/GET/DEL/RANGE/LEN/PING) and RESP2, the Redis protocol, so
-// redis-cli and redis-benchmark work out of the box. The dialect is
-// auto-detected per connection from the first byte ('*' opens a RESP
-// array). Each connection's pipelined command runs are coalesced into
-// sorted batch calls through the finger machinery, so the amortized
-// clustered-access bounds of DESIGN.md Sections 8 and 9 carry over to
-// network traffic — on either dialect — and replies go back in one
+// Command lflserver serves one lock-free skip list as a networked ordered
+// key-value store, speaking two wire dialects on the same port: the line
+// protocol documented in internal/server (SET/GET/DEL/RANGE/LEN/PING) and
+// RESP2, the Redis protocol, so redis-cli and redis-benchmark work out of
+// the box. The dialect is auto-detected per connection from the first
+// byte ('*' opens a RESP array). Each connection's pipelined command runs
+// are coalesced into sorted batch calls through the finger machinery, so
+// the amortized clustered-access bounds of DESIGN.md Section 8 carry over
+// to network traffic — on either dialect — and replies go back in one
 // vectored write per run over a zero-allocation reply path.
 //
 // Usage:
 //
 //	lflserver [-addr 127.0.0.1:7379] [-admin-addr HOST:PORT] [-pprof]
-//	          [-shards 4] [-key-lo 0] [-key-hi 1048576]
 //	          [-max-conns 1024] [-max-batch 256] [-max-range 4096]
 //	          [-trace-sample 64] [-trace-cap 1024] [-slow-ms 10]
 //	          [-idle-timeout 5m] [-drain-timeout 10s]
@@ -32,6 +30,9 @@
 // -snapshot-every streams a fuzzy snapshot (DESIGN.md §13) to DIR at
 // that cadence and prunes WAL segments the snapshot covers.
 //
+// The store is one skip list over the whole key space: the range-sharded
+// map (lockfree.ShardedSkipList) measured no faster on the benchmark's
+// wire workloads (DESIGN.md §9).
 // Each connection executes its own commands; there is no executor pool.
 // Depth-1 traffic from many connections is served point by point, which
 // measured about twice as fast as merging it across connections
@@ -79,9 +80,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("lflserver", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7379", "TCP listen address for the line protocol")
 	adminAddr := fs.String("admin-addr", "", "serve /metrics, /debug/vars, /healthz, /readyz on this address")
-	shards := fs.Int("shards", 4, "skip-list shards (a power of two); 1 = unsharded")
-	keyLo := fs.Int("key-lo", 0, "lower bound of the expected key range (shard splitter placement)")
-	keyHi := fs.Int("key-hi", 1<<20, "upper bound of the expected key range (shard splitter placement)")
 	maxConns := fs.Int("max-conns", 1024, "connection cap; excess connections are shed at accept time")
 	maxBatch := fs.Int("max-batch", 256, "max pipelined commands coalesced into one batch call")
 	maxRange := fs.Int("max-range", 4096, "max pairs one RANGE may return")
@@ -98,12 +96,6 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *shards < 1 || *shards&(*shards-1) != 0 {
-		return fmt.Errorf("-shards %d: shard count must be a power of two", *shards)
-	}
-	if *keyHi <= *keyLo {
-		return fmt.Errorf("-key-hi %d must exceed -key-lo %d", *keyHi, *keyLo)
-	}
 
 	// Exact recording: a server wants complete counters on its admin
 	// endpoint, not a sampled estimate.
@@ -114,14 +106,7 @@ func run(args []string) error {
 	// seed could choose keys whose towers are all short, turning every
 	// search linear. So the seed is drawn here, private to this process,
 	// and never printed or exported.
-	opts := []lockfree.Option{lockfree.WithTelemetry(tel), lockfree.WithSeed(rand.Uint64())}
-	var store server.Store
-	if *shards > 1 {
-		store = lockfree.NewShardedSkipList[int, string](
-			lockfree.EqualSplitters(*keyLo, *keyHi, *shards), opts...)
-	} else {
-		store = lockfree.NewSkipList[int, string](opts...)
-	}
+	store := lockfree.NewSkipList[int, string](lockfree.WithTelemetry(tel), lockfree.WithSeed(rand.Uint64()))
 
 	// Durability: recover snapshot + WAL tail before serving, then hand
 	// the open log to the server for publish-at-reply-site logging.
@@ -173,12 +158,6 @@ func run(args []string) error {
 		if walLog == nil {
 			return fmt.Errorf("-snapshot-every needs -wal-dir")
 		}
-		asc, ok := store.(interface {
-			Ascend(fn func(key int, value string) bool)
-		})
-		if !ok {
-			return fmt.Errorf("store %T cannot stream snapshots (no Ascend)", store)
-		}
 		stopSnap := make(chan struct{})
 		defer close(stopSnap)
 		go func() {
@@ -195,7 +174,7 @@ func run(args []string) error {
 				// replay of anything newer is idempotent (DESIGN.md §13).
 				lsn := walLog.LastLSN()
 				keys, _, err := snapshot.Write(*walDir, lsn, func(fn func(key int64, val string) bool) {
-					asc.Ascend(func(k int, v string) bool { return fn(int64(k), v) })
+					store.Ascend(func(k int, v string) bool { return fn(int64(k), v) })
 				}, tel.Recorder())
 				if err != nil {
 					fmt.Fprintln(os.Stderr, "lflserver: snapshot:", err)
@@ -259,8 +238,7 @@ func run(args []string) error {
 		case <-time.After(time.Millisecond):
 		}
 	}
-	fmt.Printf("lflserver: serving %d-shard store on %s (keys [%d, %d))\n",
-		*shards, srv.Addr(), *keyLo, *keyHi)
+	fmt.Printf("lflserver: serving skip-list store on %s (line protocol and RESP2)\n", srv.Addr())
 
 	select {
 	case err := <-errc:

@@ -25,9 +25,7 @@ func TestRunBadFlags(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-shards", "3"}, "power of two"},
-		{[]string{"-shards", "0"}, "power of two"},
-		{[]string{"-key-lo", "10", "-key-hi", "10"}, "must exceed"},
+		{[]string{"-snapshot-every", "1s"}, "needs -wal-dir"},
 		{[]string{"-addr", "256.256.256.256:1"}, ""},
 	}
 	for _, tc := range cases {
@@ -70,7 +68,7 @@ func TestRunServesAndDrainsOnSignal(t *testing.T) {
 			done := make(chan error, 1)
 			go func() {
 				done <- run([]string{"-addr", addr, "-admin-addr", admin,
-					"-shards", "2", "-key-hi", "1024", "-drain-timeout", "5s"})
+					"-drain-timeout", "5s"})
 			}()
 
 			// No sleep between dials: the signal below must be safe however
@@ -146,8 +144,7 @@ func TestRunDrainsMidBurst(t *testing.T) {
 	addr := freePort(t)
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-addr", addr, "-shards", "2", "-key-hi", "4096",
-			"-drain-timeout", "5s"})
+		done <- run([]string{"-addr", addr, "-drain-timeout", "5s"})
 	}()
 
 	const conns = 4

@@ -48,7 +48,7 @@ func runChildServer(walDir string) error {
 	if walDir == "" {
 		return errors.New("-child-server needs -wal-dir")
 	}
-	store := lockfree.NewShardedSkipList[int, string](lockfree.EqualSplitters(0, 1<<20, 4))
+	store := lockfree.NewSkipList[int, string]()
 	l, _, err := snapshot.Recover(walDir, wal.Options{FsyncWindow: time.Millisecond},
 		func(k int64, v string) bool { return store.Insert(int(k), v) },
 		func(k int64) { store.Delete(int(k)) })

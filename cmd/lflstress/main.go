@@ -15,8 +15,8 @@
 // runs (depth -batch, default 16), and every response is still checked for
 // linearizability — the serving layer, like sharding, must be invisible to
 // the checker. -server self starts a fresh in-process server per round
-// (sharded by -shards: default 4, or as many as -keys fills when that is
-// fewer; more shards than keys is a usage error) and additionally asserts
+// (one skip list, like lflserver, unless -shards S asks for the sharded
+// map; more shards than keys is a usage error) and additionally asserts
 // that graceful shutdown drains with zero dropped in-flight responses.
 //
 // With -shards S (a power of two), the fr-skiplist implementation runs

@@ -109,7 +109,7 @@ func TestRunBatchSmoke(t *testing.T) {
 // in library mode and over the wire alike: the run passes and counts all
 // 2 x 64 operations as checked.
 func TestRunChecksDenseRounds(t *testing.T) {
-	for _, mode := range [][]string{{"-impl", "fr-skiplist"}, {"-server", "self", "-shards", "1"}} {
+	for _, mode := range [][]string{{"-impl", "fr-skiplist"}, {"-server", "self"}} {
 		out, err := runOutput(t, append(mode, "-threads", "1", "-ops", "64", "-keys", "1", "-rounds", "2", "-batch", "64")...)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
@@ -191,10 +191,9 @@ func TestRunServerBadShards(t *testing.T) {
 	}
 }
 
-// TestRunServerSelfOneKey: the default shard count of -server self fits
-// itself to a key range smaller than four shards (it used to hand the
-// sharded map non-increasing splitters and panic), and an explicit -shards
-// larger than -keys is a usage error, in-process or served.
+// TestRunServerSelfOneKey: -server self serves a one-key range over its
+// default single skip list, and an explicit -shards larger than -keys is
+// a usage error, in-process or served.
 func TestRunServerSelfOneKey(t *testing.T) {
 	if err := run([]string{"-server", "self", "-threads", "2", "-ops", "10",
 		"-keys", "1", "-rounds", "1", "-batch", "1"}); err != nil {

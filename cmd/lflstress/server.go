@@ -28,8 +28,9 @@ import (
 // history check stays sound.
 //
 // addr "self" starts a fresh in-process server per round on a loopback
-// port and, after the workers close, asserts the graceful drain completes
-// with zero dropped in-flight responses. Any other addr drives an external
+// port, over one skip list as lflserver serves (over the range-sharded
+// map when shards > 1), and, after the workers close, asserts the
+// graceful drain completes with zero dropped in-flight responses. Any other addr drives an external
 // server; each round then shifts its keys by round*keyRange so rounds do
 // not see each other's leftovers, and sweeps its slice with DELs first so
 // state from before the run (the checker assumes an empty history per key)
@@ -38,14 +39,7 @@ func runServerMode(addr string, threads, ops, keyRange, rounds int, seed uint64,
 	if pipeline <= 0 {
 		pipeline = 16
 	}
-	if shards == 0 {
-		// Four shards, or as many as the key range fills.
-		shards = 4
-		for shards > 1 && shards > keyRange {
-			shards /= 2
-		}
-	}
-	if shards < 1 || shards&(shards-1) != 0 {
+	if shards&(shards-1) != 0 {
 		return fmt.Errorf("-shards %d: shard count must be a power of two", shards)
 	}
 	if shards > keyRange {

@@ -61,6 +61,32 @@ func BenchmarkListContendedHotKeys(b *testing.B) {
 	})
 }
 
+// BenchmarkSkipListContendedHotKeys runs two goroutines per P on a handful
+// of hot keys, half Insert and half Delete, so operations keep racing for
+// the same predecessor cells: the row that shows what a failed C&S costs
+// when it retries at once.
+func BenchmarkSkipListContendedHotKeys(b *testing.B) {
+	for _, keyRange := range []uint64{8, 64} {
+		b.Run(itoa(int(keyRange)), func(b *testing.B) {
+			l := NewSkipList[int, int]()
+			var seed atomic.Int64
+			b.SetParallelism(2)
+			b.RunParallel(func(pb *testing.PB) {
+				rng := rand.New(rand.NewPCG(uint64(seed.Add(1)), 3))
+				p := &Proc{}
+				for pb.Next() {
+					k := int(rng.Uint64N(keyRange))
+					if rng.Uint64N(2) == 0 {
+						l.Insert(p, k, k)
+					} else {
+						l.Delete(p, k)
+					}
+				}
+			})
+		})
+	}
+}
+
 func BenchmarkSkipListSearch(b *testing.B) {
 	for _, n := range []int{1024, 65536, 1 << 20} {
 		b.Run(itoa(n), func(b *testing.B) {

@@ -55,7 +55,6 @@ func (l *SkipList[K, V]) helpFlagged(p *Proc, prevNode, delNode *SLNode[K, V], l
 func (l *SkipList[K, V]) tryMark(p *Proc, delNode *SLNode[K, V], lv int) {
 	st := p.StatsOrNil()
 	del := delNode.cell(lv)
-	var bo casBackoff
 	for {
 		s := del.loadSucc()
 		if s.marked() {
@@ -75,7 +74,6 @@ func (l *SkipList[K, V]) tryMark(p *Proc, delNode *SLNode[K, V], lv int) {
 			}
 			return
 		}
-		bo.onFail(st)
 	}
 }
 
@@ -92,7 +90,6 @@ func (l *SkipList[K, V]) tryMark(p *Proc, delNode *SLNode[K, V], lv int) {
 // superfluous towers.
 func (l *SkipList[K, V]) tryFlag(p *Proc, prev, target *SLNode[K, V], lv int) (*SLNode[K, V], bool) {
 	st := p.StatsOrNil()
-	var bo casBackoff
 	for {
 		pc := prev.cell(lv)
 		prevSucc := pc.loadSucc()
@@ -110,12 +107,10 @@ func (l *SkipList[K, V]) tryFlag(p *Proc, prev, target *SLNode[K, V], lv int) (*
 			if result == flagged(target) {
 				return prev, false // concurrent flagging won (lines 7-8)
 			}
-			bo.onFail(st)
 		} else {
 			// The paper's C&S at line 4 would have been attempted and
 			// failed with this value.
 			st.IncCAS(false)
-			bo.onFail(st)
 		}
 		// Possibly a failure due to marking: traverse backlinks to the
 		// first unmarked node (lines 9-10), then re-locate target's
@@ -139,7 +134,6 @@ func (l *SkipList[K, V]) insertNode(p *Proc, newNode, prev, next *SLNode[K, V], 
 		return prev, false // duplicate key on this level
 	}
 	newCell := newNode.cell(lv)
-	var bo casBackoff
 	for {
 		pc := prev.cell(lv)
 		prevSucc := pc.loadSucc()
@@ -163,7 +157,6 @@ func (l *SkipList[K, V]) insertNode(p *Proc, newNode, prev, next *SLNode[K, V], 
 			// Failure (Insert lines 14-18): inspect the value that beat us
 			// and recover accordingly.
 			p.At(PtAfterInsertCASFail)
-			bo.onFail(st)
 			result := pc.loadSucc()
 			if result.flagged() {
 				l.helpFlagged(p, prev, result.right(), lv)
@@ -174,7 +167,6 @@ func (l *SkipList[K, V]) insertNode(p *Proc, newNode, prev, next *SLNode[K, V], 
 			// marked, or both. Walk backlinks past any marked nodes, then
 			// re-search from there (never from the head).
 			st.IncCAS(false) // the paper's C&S would have been attempted and failed
-			bo.onFail(st)
 			if prevSucc.marked() {
 				prev = l.backtrack(p, prev, lv)
 			}

@@ -279,7 +279,7 @@ func TestTraceRingBasics(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		r.Add(&TraceRecord{At: int64(i), Verb: uint32(i), Key: int64(i * 100),
 			Batch: int64(i), WallNanos: int64(i * 10), Sampled: i%2 == 1, Slow: i == 4,
-			CASAttempts: uint64(i), BackoffWaits: uint64(i * 2)})
+			CASAttempts: uint64(i), FingerHits: uint64(i * 2)})
 	}
 	if r.Written() != 5 {
 		t.Fatalf("written = %d", r.Written())
@@ -292,7 +292,7 @@ func TestTraceRingBasics(t *testing.T) {
 	for i, rec := range recs {
 		want := int64(5 - i)
 		if rec.At != want || rec.Key != want*100 || rec.CASAttempts != uint64(want) ||
-			rec.BackoffWaits != uint64(want*2) {
+			rec.FingerHits != uint64(want*2) {
 			t.Fatalf("rec[%d] = %+v, want At=%d", i, rec, want)
 		}
 		if rec.Sampled != (want%2 == 1) || rec.Slow != (want == 4) {

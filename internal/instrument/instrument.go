@@ -28,7 +28,6 @@ type OpStats struct {
 	AuxTraversals      uint64 // auxiliary-cell steps (Valois-style)
 	FingerHits         uint64 // searches not started alone at head/top: from a finger's node, or in a batched get's descent group behind its first key
 	FingerMisses       uint64 // finger searches that fell back to head/top; the first key of a descent group on each list
-	BackoffWaits       uint64 // adaptive-backoff wait events after repeated C&S failures
 	ShardOps           uint64 // operations routed to a shard of a range-sharded map
 	ConnAccepted       uint64 // network connections accepted by a serving layer
 	ConnActive         uint64 // network connections currently open (gauge, not monotonic)
@@ -66,7 +65,6 @@ const (
 	CtrAuxTraversals
 	CtrFingerHits
 	CtrFingerMisses
-	CtrBackoffWaits
 	CtrShardOps
 	CtrConnAccepted
 	CtrConnActive
@@ -101,7 +99,6 @@ var CounterNames = [NumCounters]string{
 	CtrAuxTraversals:      "aux_traversals",
 	CtrFingerHits:         "finger_hits",
 	CtrFingerMisses:       "finger_misses",
-	CtrBackoffWaits:       "backoff_waits",
 	CtrShardOps:           "shard_ops",
 	CtrConnAccepted:       "conn_accepted",
 	CtrConnActive:         "conn_active",
@@ -137,7 +134,6 @@ func (s *OpStats) Vector() Vector {
 		CtrAuxTraversals:      s.AuxTraversals,
 		CtrFingerHits:         s.FingerHits,
 		CtrFingerMisses:       s.FingerMisses,
-		CtrBackoffWaits:       s.BackoffWaits,
 		CtrShardOps:           s.ShardOps,
 		CtrConnAccepted:       s.ConnAccepted,
 		CtrConnActive:         s.ConnActive,
@@ -170,7 +166,6 @@ func (s *OpStats) FromVector(v Vector) {
 	s.AuxTraversals = v[CtrAuxTraversals]
 	s.FingerHits = v[CtrFingerHits]
 	s.FingerMisses = v[CtrFingerMisses]
-	s.BackoffWaits = v[CtrBackoffWaits]
 	s.ShardOps = v[CtrShardOps]
 	s.ConnAccepted = v[CtrConnAccepted]
 	s.ConnActive = v[CtrConnActive]
@@ -203,11 +198,10 @@ func (s *OpStats) AddVector(v Vector) {
 // the paper's amortized analysis (Section 3.4). CAS attempts, backlink
 // traversals and next/curr updates are the FR list's essential steps;
 // auxiliary-cell traversals are Valois's analogue. Help calls, restarts,
-// C&S successes, the finger hit/miss classifiers, backoff waits, shard
-// routing counts, the serving-layer connection/coalescing counters and
-// the reclamation counters are diagnostic only (restart and fallback work
-// is billed through the next/curr updates the search performs, a backoff
-// wait performs no shared-memory step at all, the serving layer sits
+// C&S successes, the finger hit/miss classifiers, shard routing counts,
+// the serving-layer connection/coalescing counters and the reclamation
+// counters are diagnostic only (restart and fallback work is billed
+// through the next/curr updates the search performs, the serving layer sits
 // entirely above the structures the analysis covers, and memory
 // reclamation is bookkeeping the paper leaves to the environment).
 func (c Counter) Essential() bool {
@@ -300,16 +294,6 @@ func (s *OpStats) IncRestart() {
 func (s *OpStats) IncAux() {
 	if s != nil {
 		s.AuxTraversals++
-	}
-}
-
-// IncBackoff records one adaptive-backoff wait event: a retry loop that
-// observed repeated C&S failures yielded (spun or rescheduled) before its
-// next attempt. The wait itself performs no shared-memory steps, so it is
-// diagnostic, not essential.
-func (s *OpStats) IncBackoff() {
-	if s != nil {
-		s.BackoffWaits++
 	}
 }
 

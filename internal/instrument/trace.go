@@ -33,7 +33,7 @@ type traceSlot struct {
 	batch      atomic.Int64
 	wallNanos  atomic.Int64
 	queueNanos atomic.Int64
-	stats      [6]atomic.Uint64 // cas attempts/successes, backoffs, finger hit/miss, essential steps
+	stats      [5]atomic.Uint64 // cas attempts/successes, finger hit/miss, essential steps
 }
 
 // TraceRecord is one sampled operation trace. Wall latency is the
@@ -65,7 +65,6 @@ type TraceRecord struct {
 	QueueNanos int64
 	// Per-unit step attribution (exact when Sampled).
 	CASAttempts, CASSuccesses uint64
-	BackoffWaits              uint64
 	FingerHits, FingerMisses  uint64
 	EssentialSteps            uint64
 }
@@ -114,10 +113,9 @@ func (r *TraceRing) Add(rec *TraceRecord) {
 	s.queueNanos.Store(rec.QueueNanos)
 	s.stats[0].Store(rec.CASAttempts)
 	s.stats[1].Store(rec.CASSuccesses)
-	s.stats[2].Store(rec.BackoffWaits)
-	s.stats[3].Store(rec.FingerHits)
-	s.stats[4].Store(rec.FingerMisses)
-	s.stats[5].Store(rec.EssentialSteps)
+	s.stats[2].Store(rec.FingerHits)
+	s.stats[3].Store(rec.FingerMisses)
+	s.stats[4].Store(rec.EssentialSteps)
 	s.seq1.Store(ticket)
 }
 
@@ -150,10 +148,9 @@ func (r *TraceRing) Snapshot(max int) []TraceRecord {
 			QueueNanos:     s.queueNanos.Load(),
 			CASAttempts:    s.stats[0].Load(),
 			CASSuccesses:   s.stats[1].Load(),
-			BackoffWaits:   s.stats[2].Load(),
-			FingerHits:     s.stats[3].Load(),
-			FingerMisses:   s.stats[4].Load(),
-			EssentialSteps: s.stats[5].Load(),
+			FingerHits:     s.stats[2].Load(),
+			FingerMisses:   s.stats[3].Load(),
+			EssentialSteps: s.stats[4].Load(),
 		}
 		flags := s.flags.Load()
 		rec.Sampled = flags&traceFlagSampled != 0

@@ -19,9 +19,9 @@ import (
 // histogram, and a lock-free ring of sampled operation traces. It turns
 // the paper's cost split O(n(S) + c(S)) into live serving-path numbers:
 // the latency histograms show the totals and tails, and a sampled trace
-// attributes one operation's cost to its components — CAS attempts and
-// backoff waits are the contention term c(S), finger hits/misses and
-// essential steps the traversal term n(S).
+// attributes one operation's cost to its components — failed CAS attempts
+// are the contention term c(S), finger hits/misses and essential steps
+// the traversal term n(S).
 //
 // Attach to a Server with SetObs before serving. All recording methods
 // are lock-free, allocation-free, and safe for concurrent use; reading
@@ -222,7 +222,6 @@ type traceJSON struct {
 	AgeNanos       int64  `json:"age_ns"`
 	CASAttempts    uint64 `json:"cas_attempts"`
 	CASSuccesses   uint64 `json:"cas_successes"`
-	BackoffWaits   uint64 `json:"backoff_waits"`
 	FingerHits     uint64 `json:"finger_hits"`
 	FingerMisses   uint64 `json:"finger_misses"`
 	EssentialSteps uint64 `json:"essential_steps"`
@@ -261,7 +260,6 @@ func (o *Obs) TraceHandler() http.Handler {
 				AgeNanos:       now - rec.At,
 				CASAttempts:    rec.CASAttempts,
 				CASSuccesses:   rec.CASSuccesses,
-				BackoffWaits:   rec.BackoffWaits,
 				FingerHits:     rec.FingerHits,
 				FingerMisses:   rec.FingerMisses,
 				EssentialSteps: rec.EssentialSteps,
@@ -291,7 +289,6 @@ func (o *Obs) trace(v Verb, key int, batch int, wall, queueWait int64, sampled, 
 	if stats != nil {
 		rec.CASAttempts = stats.CASAttempts
 		rec.CASSuccesses = stats.CASSuccesses
-		rec.BackoffWaits = stats.BackoffWaits
 		rec.FingerHits = stats.FingerHits
 		rec.FingerMisses = stats.FingerMisses
 		rec.EssentialSteps = stats.EssentialSteps()

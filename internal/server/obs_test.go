@@ -285,7 +285,7 @@ func TestObsTraceHandler(t *testing.T) {
 	obs := NewObs(ObsConfig{})
 	var stats instrument.OpStats
 	stats.CASAttempts = 3
-	stats.BackoffWaits = 2
+	stats.FingerHits = 2
 	stats.NextUpdates = 5
 	obs.trace(VerbSet, 4096, 4, 1000, 200, true, false, &stats)
 	obs.trace(VerbGet, 8192, 1, 50_000_000, 10, false, true, nil)
@@ -299,17 +299,17 @@ func TestObsTraceHandler(t *testing.T) {
 		Written  uint64 `json:"written"`
 		Capacity int    `json:"capacity"`
 		Records  []struct {
-			Verb         string `json:"verb"`
-			Sampled      bool   `json:"sampled"`
-			Slow         bool   `json:"slow"`
-			KeyPrefix    int64  `json:"key_prefix"`
-			Batch        int64  `json:"batch"`
-			WallNanos    int64  `json:"wall_ns"`
-			QueueNanos   int64  `json:"queue_ns"`
-			AgeNanos     int64  `json:"age_ns"`
-			CASAttempts  uint64 `json:"cas_attempts"`
-			BackoffWaits uint64 `json:"backoff_waits"`
-			Essential    uint64 `json:"essential_steps"`
+			Verb        string `json:"verb"`
+			Sampled     bool   `json:"sampled"`
+			Slow        bool   `json:"slow"`
+			KeyPrefix   int64  `json:"key_prefix"`
+			Batch       int64  `json:"batch"`
+			WallNanos   int64  `json:"wall_ns"`
+			QueueNanos  int64  `json:"queue_ns"`
+			AgeNanos    int64  `json:"age_ns"`
+			CASAttempts uint64 `json:"cas_attempts"`
+			FingerHits  uint64 `json:"finger_hits"`
+			Essential   uint64 `json:"essential_steps"`
 		} `json:"records"`
 	}
 	if err := json.Unmarshal(rr.Body.Bytes(), &got); err != nil {
@@ -323,7 +323,7 @@ func TestObsTraceHandler(t *testing.T) {
 		t.Fatalf("record 0 wrong: %+v", got.Records[0])
 	}
 	r1 := got.Records[1]
-	if r1.Verb != "set" || !r1.Sampled || r1.CASAttempts != 3 || r1.BackoffWaits != 2 ||
+	if r1.Verb != "set" || !r1.Sampled || r1.CASAttempts != 3 || r1.FingerHits != 2 ||
 		r1.Essential != 8 || r1.Batch != 4 || r1.WallNanos != 1000 || r1.QueueNanos != 200 {
 		t.Fatalf("record 1 wrong: %+v", r1)
 	}

@@ -33,8 +33,8 @@ type Store interface {
 
 // ProcStore is the optional attribution capability of a Store: the same
 // operations with a per-process instrumentation context attached, so a
-// sampled request can report exactly which essential steps, CAS retries
-// and backoff waits it paid. A nil Proc must behave exactly like the
+// sampled request can report exactly which essential steps and CAS
+// retries it paid. A nil Proc must behave exactly like the
 // plain method. The lockfree facade types (SkipList, ShardedSkipList)
 // implement it; the server detects it with a type assertion at
 // construction and falls back to unattributed traces when the store

@@ -9,7 +9,7 @@ import (
 // hooks) through an operation; see repro/internal/instrument. The *Proc
 // variants below are the attribution seam of the serving layer's request
 // observability: a caller that wants exact per-operation step counts —
-// CAS attempts, backoff waits, finger hits — attaches a Proc whose Stats
+// CAS attempts and failures, finger hits — attaches a Proc whose Stats
 // the operation fills. The plain methods are equivalent to passing nil.
 //
 // A Proc is single-goroutine state: never share one Proc between

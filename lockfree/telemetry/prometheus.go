@@ -45,7 +45,6 @@ var counterHelp = [itel.NumCounters]string{
 	"Total auxiliary-cell traversals (Valois-style baselines; 0 for FR structures).",
 	"Total searches that did not start alone at the head/top: finger searches started at the remembered node, and every key but the first of a batched-get descent group on each list.",
 	"Total searches that started at the head/top with a finger or batch at hand: finger fallbacks (key below the finger, or cold finger), and the first key of a batched-get descent group on each list.",
-	"Total adaptive-backoff waits (spin or yield) taken after repeated C&S failures.",
 	"Total operations routed to shards of range-sharded maps (one per point op, one per batch element).",
 	"Total network connections accepted by the serving layer.",
 	"Network connections currently open (accepted minus closed).",

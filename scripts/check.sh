@@ -184,19 +184,20 @@ go run ./cmd/lflstress -server self -threads 6 -ops 500 -keys 64 -rounds 4 -batc
 echo "== lflstress fr-list smoke =="
 go run ./cmd/lflstress -impl fr-list -threads 6 -ops 500 -keys 16 -rounds 3 -batch 8
 
-# The default configuration: the plain, non-recycled skip list, alone and
-# behind a 4-shard map - what every benchmark workload runs - point ops
-# and sorted batches mixed, every round linearizability-checked.
+# The default configuration: the plain, non-recycled skip list, alone (what
+# lflserver serves) and behind the 4-shard map the in-process benchmark
+# workloads build - point ops and sorted batches mixed, every round
+# linearizability-checked.
 echo "== lflstress fr-skiplist smoke =="
 go run ./cmd/lflstress -impl fr-skiplist -threads 6 -ops 500 -keys 16 -rounds 3 -batch 8
 go run ./cmd/lflstress -impl fr-skiplist -shards 4 -threads 6 -ops 500 -keys 64 -rounds 3 -batch 8
 
 # Dense legs: one key, batches of 64, so every round's ops overlap in
-# dozens and hundreds on that key - in process and through a one-shard
-# server - and each round must still be checked and linearize.
+# dozens and hundreds on that key - in process and through a server over
+# one skip list - and each round must still be checked and linearize.
 echo "== lflstress dense one-key smoke =="
 go run ./cmd/lflstress -impl fr-skiplist -threads 4 -ops 512 -keys 1 -rounds 3 -batch 64
-go run ./cmd/lflstress -server self -shards 1 -threads 2 -ops 256 -keys 1 -rounds 2 -batch 64
+go run ./cmd/lflstress -server self -threads 2 -ops 256 -keys 1 -rounds 2 -batch 64
 
 # Recycling smoke: the same linearizability checking with EBR-backed node
 # recycling live — a small key space under heavy churn, so node identities
