@@ -14,10 +14,12 @@
 // own TCP connection to a lflserver and issues its operations as pipelined
 // runs (depth -batch, default 16), and every response is still checked for
 // linearizability — the serving layer, like sharding, must be invisible to
-// the checker. -server self starts a fresh in-process server per round
-// (one skip list, like lflserver, unless -shards S asks for the sharded
-// map; more shards than keys is a usage error) and additionally asserts
-// that graceful shutdown drains with zero dropped in-flight responses.
+// the checker. Each SET writes a value unique in the round, and every value
+// a GET reads is checked against the SETs of its key. -server self starts
+// a fresh in-process server per round (one skip list, like lflserver,
+// unless -shards S asks for the sharded map; more shards than keys is a
+// usage error) and additionally asserts that graceful shutdown drains with
+// zero dropped in-flight responses.
 //
 // With -shards S (a power of two), the fr-skiplist implementation runs
 // behind the range-sharded map: the key space [0, keys) is split across S
@@ -34,11 +36,12 @@
 //
 // With -killrecover, lflstress becomes a crash-durability stress: it
 // re-execs itself as a wal-sync lflserver-equivalent child over a fresh
-// WAL directory, hammers it with pipelined SET/DEL bursts over disjoint
+// WAL directory, drives it with the -server client loop over disjoint
 // per-worker key spans, SIGKILLs it mid-burst, restarts it from the same
-// directory, and verifies every key against a per-key admissibility
-// model — every client-acked write must survive, and unacked in-flight
-// suffixes may have applied any prefix. -batch sets the pipeline depth.
+// directory, reads every key back, and requires of the whole history
+// durable linearizability, checked by history.Check: every acked op took
+// effect, and each op the kill cut off took effect or not. -batch sets the
+// pipeline depth.
 //
 // With -batch N, workers issue their operations as sorted N-key batches
 // through the batch API instead of one key at a time.
@@ -297,7 +300,7 @@ func run(args []string) error {
 	srvAddr := fs.String("server", "", "drive a lflserver over TCP at this address instead of an in-process structure; \"self\" starts and gracefully drains an in-process server each round")
 	telAddr := fs.String("telemetry-addr", "", "serve /metrics and /debug/vars on this address; attaches telemetry to fr-* impls")
 	telEvery := fs.Int("telemetry-every", 5, "print a telemetry delta summary every N rounds (with -telemetry-addr)")
-	killRecover := fs.Bool("killrecover", false, "run kill-and-recover rounds: re-exec this binary as a wal-sync child server, SIGKILL it mid-burst, restart it from the same WAL directory, and verify every client-acked write survived")
+	killRecover := fs.Bool("killrecover", false, "run kill-and-recover rounds: re-exec this binary as a wal-sync child server, SIGKILL it mid-burst, restart it from the same WAL directory, read every key back, and require durable linearizability, checked by history.Check")
 	childServer := fs.Bool("child-server", false, "internal: run as the -killrecover child server (recover from -wal-dir, serve wal-sync, print the address)")
 	childWALDir := fs.String("wal-dir", "", "internal: WAL directory for -child-server")
 	if err := fs.Parse(args); err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -12,6 +13,32 @@ import (
 	"repro/internal/obshttp"
 	ltel "repro/lockfree/telemetry"
 )
+
+// TestMain lets the test binary serve as -killrecover's child: the mode
+// re-execs its own executable with -child-server.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "-child-server" {
+		if err := run(os.Args[1:]); err != nil {
+			fmt.Fprintln(os.Stderr, "lflstress:", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestKillRecover runs one short kill-and-recover round: a wal-sync child
+// SIGKILLed mid-burst, restarted from its WAL, and its history, crash cut
+// included, durably linearizable.
+func TestKillRecover(t *testing.T) {
+	out, err := runOutput(t, "-killrecover", "-threads", "2", "-ops", "600", "-keys", "16", "-rounds", "1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "ok: killrecover passed 1 rounds") {
+		t.Fatalf("output %q does not report the round passed", out)
+	}
+}
 
 func TestNewCheckedKnownImpls(t *testing.T) {
 	for _, impl := range []string{

@@ -3,10 +3,12 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -136,7 +138,7 @@ func runServerMode(addr string, threads, ops, keyRange, rounds int, seed uint64,
 				totalDropped += d
 			}
 		}
-		if err := history.Check(rec.Ops()); err != nil {
+		if err := checkRound(rec.Ops()); err != nil {
 			return roundFailed(round, seed, err)
 		}
 		totalOps += threads * ops
@@ -160,10 +162,13 @@ func runServerMode(addr string, threads, ops, keyRange, rounds int, seed uint64,
 }
 
 // runServerWorker drives one connection for one round: pipelined runs of
-// up to `pipeline` mixed commands, every response matched to its request
-// positionally. A missing response — a dropped in-flight command — is an
-// error, which is what makes the -server self rounds a graceful-drain
-// check as well as a linearizability one.
+// up to `pipeline` mixed commands on keys [keyBase, keyBase+keyRange),
+// every response matched to its request positionally. Each SET writes a
+// value unique in the round, its proc and op index. A missing response — a
+// dropped in-flight command — or a failed write abandons every command of
+// the run still unanswered and is an error, which is what makes the
+// -server self rounds a graceful-drain check as well as a linearizability
+// one; -killrecover expects it once the server is killed.
 func runServerWorker(target string, th *history.Thread, rng *rand.Rand, ops, keyRange, keyBase, pipeline int) error {
 	nc, err := net.Dial("tcp", target)
 	if err != nil {
@@ -178,40 +183,50 @@ func runServerWorker(target string, th *history.Thread, rng *rand.Rand, ops, key
 		req.Reset()
 		pend = pend[:0]
 		for j := 0; j < c; j++ {
-			k := int(rng.Uint64N(uint64(keyRange)))
-			var kind history.Kind
+			k := keyBase + int(rng.Uint64N(uint64(keyRange)))
+			var o history.Op
 			switch rng.Uint64N(3) {
 			case 0:
-				kind = history.KindInsert
-				fmt.Fprintf(&req, "SET %d v\n", keyBase+k)
+				o = th.Begin(history.KindInsert, k)
+				o.Value = fmt.Sprintf("p%d.%d", o.Proc, i+j)
+				fmt.Fprintf(&req, "SET %d %s\n", k, o.Value)
 			case 1:
-				kind = history.KindDelete
-				fmt.Fprintf(&req, "DEL %d\n", keyBase+k)
+				o = th.Begin(history.KindDelete, k)
+				fmt.Fprintf(&req, "DEL %d\n", k)
 			default:
-				kind = history.KindSearch
-				fmt.Fprintf(&req, "GET %d\n", keyBase+k)
+				o = th.Begin(history.KindSearch, k)
+				fmt.Fprintf(&req, "GET %d\n", k)
 			}
-			pend = append(pend, th.Begin(kind, k))
+			pend = append(pend, o)
 		}
 		if _, err := nc.Write(req.Bytes()); err != nil {
+			th.Abandon(pend...)
 			return fmt.Errorf("write: %w", err)
 		}
 		for j := 0; j < c; j++ {
 			line, err := br.ReadString('\n')
 			if err != nil {
+				th.Abandon(pend[j:]...)
 				return fmt.Errorf("response %d/%d dropped in flight: %w", j, c, err)
 			}
-			ok, err := parseReply(strings.TrimSuffix(line, "\n"))
-			if err != nil {
+			if err := endReply(th, pend[j], line); err != nil {
 				return err
 			}
-			th.End(pend[j], ok)
 		}
 		i += c
 	}
 	nc.Write([]byte("QUIT\n"))
 	br.ReadString('\n')
 	return nil
+}
+
+// checkRound checks a round's history: presence by history.Check, values
+// by checkValues.
+func checkRound(ops []history.Op) error {
+	if err := history.Check(ops); err != nil {
+		return err
+	}
+	return checkValues(ops)
 }
 
 // clearKeys deletes every key in [keyBase, keyBase+keyRange) on an
@@ -269,19 +284,65 @@ func printVerbLatencyDelta(obs *server.Obs, prev *[server.NumVerbs]instrument.Hi
 	}
 }
 
-// parseReply maps a response line to the boolean the history checker
-// records: integer and value replies carry the result, an -ERR means the
-// client sent something the protocol rejects — a driver bug, not a
+// endReply records o's response line: integer and value replies carry the
+// result, and a value reply the value read. Anything else — an -ERR means
+// the client sent something the protocol rejects — is a driver bug, not a
 // checkable outcome.
-func parseReply(line string) (bool, error) {
+func endReply(th *history.Thread, o history.Op, line string) error {
+	line = strings.TrimSuffix(line, "\n")
 	switch {
 	case strings.HasPrefix(line, ":"):
-		return line == ":1", nil
+		th.End(o, line == ":1")
 	case strings.HasPrefix(line, "$"):
-		return true, nil
+		o.Value = line[1:]
+		th.End(o, true)
 	case line == "_":
-		return false, nil
+		th.End(o, false)
 	default:
-		return false, fmt.Errorf("unexpected reply %q", line)
+		return fmt.Errorf("unexpected reply %q", line)
 	}
+	return nil
+}
+
+// checkValues holds every value a GET read to two conditions that any
+// linearizable history whose SETs write unique values meets, across a
+// crash too: a SET of that key that was not answered :0 wrote it, and
+// every completed op on the key invoked after that SET's reply and
+// answered before the GET was invoked — so linearized between the two —
+// found the value present: a SET answered :0, a GET read the same value.
+// They do not pin which of several SETs of a key in one pipelined run is
+// current; the exact writer pass is ROADMAP item 16.
+func checkValues(ops []history.Op) error {
+	writer := make(map[string]history.Op)
+	byKey := make(map[int][]history.Op)
+	for _, o := range ops {
+		if o.Kind == history.KindInsert {
+			writer[o.Value] = o
+		}
+		byKey[o.Key] = append(byKey[o.Key], o)
+	}
+	for _, kops := range byKey {
+		slices.SortFunc(kops, func(a, b history.Op) int { return cmp.Compare(a.Start, b.Start) })
+		for _, g := range kops {
+			if g.Kind != history.KindSearch || !g.Result {
+				continue
+			}
+			w, ok := writer[g.Value]
+			if !ok || w.Key != g.Key || !w.Pending && !w.Result {
+				return fmt.Errorf("key %d: %v read %q, which no unrefused SET of that key wrote", g.Key, g, g.Value)
+			}
+			i, _ := slices.BinarySearchFunc(kops, w.End+1, func(u history.Op, t int64) int { return cmp.Compare(u.Start, t) })
+			for _, u := range kops[i:] {
+				if w.Pending || u.Start >= g.Start {
+					break
+				}
+				if u.Pending || u.End >= g.Start || u.Kind == history.KindInsert && !u.Result ||
+					u.Kind == history.KindSearch && u.Value == g.Value {
+					continue
+				}
+				return fmt.Errorf("key %d: %v read %q, but %v came after its writer %v answered", g.Key, g, g.Value, u, w)
+			}
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 // Package history records concurrent dictionary histories and checks them
 // for linearizability (Herlihy & Wing 1990), the correctness condition the
-// paper proves for its implementations (Section 3.3).
+// paper proves for its implementations (Section 3.3), and, across one
+// crash, for durable linearizability (Izraelevitz, Mendes & Scott 2016).
 //
 // Insert, Delete and Search each touch a single key, and a dictionary is
 // the product of independent per-key presence bits, so a history is
@@ -23,6 +24,29 @@
 //
 // The pass therefore gets stuck only when no valid order exists. It costs
 // O(n log n) per key, however many of the ops overlap.
+//
+// A crash cuts the history in two. An op whose reply never came is
+// recorded with Abandon: it is pending and its result unknown, and its End
+// is when its thread saw the crash, which came before the earliest such
+// End, C. Every op invoked by C took effect before C, if at all, and every
+// op invoked after C was served after the restart, so each key's
+// pre-crash ops precede its post-crash ones. A pending insert or delete is
+// optional: it takes effect at most once, between its invocation and C,
+// or never; a pending search, or one invoked after C, is dropped.
+//
+// Before the crash the pass changes twice. A pending update never bounds
+// the earliest response, since it may be dropped, and it flips the bit
+// only when no completed update can: a valid order that flips first with
+// pending p while completed w* may go next stays valid with p and w*
+// swapped, since no pre-crash op is invoked after C, so p may go anywhere.
+// For the same reason one spare pending update is as good as another. The
+// pass ends in a state b, and the crash state may be b, or 1-b if a spare
+// update flips to it (a read of the crash state invoked after everything
+// would go last and need exactly that). The post-crash ops run the plain
+// pass from each possible crash state. Letting a pending op take effect
+// anywhere in its own interval instead would make the pass inexact: an op
+// invoked between two pending Ends expires one of them mid-pass, and
+// neither read-first nor completed-first survives that.
 package history
 
 import (
@@ -31,6 +55,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"sync/atomic"
 )
 
@@ -58,19 +83,27 @@ func (k Kind) String() string {
 	}
 }
 
-// Op is one completed operation: its kind, key, boolean result (present /
+// Op is one recorded operation: its kind, key, boolean result (present /
 // succeeded), and its invocation/response timestamps drawn from a global
-// atomic clock.
+// atomic clock. A Pending op was abandoned at a crash: End is when its
+// thread gave up, and Result means nothing. Value is what a search read or
+// an insert wrote, for drivers that check values; Check reads presence
+// only.
 type Op struct {
-	Kind   Kind
-	Key    int
-	Result bool
-	Start  int64
-	End    int64
-	Proc   int
+	Kind    Kind
+	Key     int
+	Result  bool
+	Pending bool
+	Start   int64
+	End     int64
+	Proc    int
+	Value   string
 }
 
 func (o Op) String() string {
+	if o.Pending {
+		return fmt.Sprintf("p%d %s(%d) pending [%d,%d]", o.Proc, o.Kind, o.Key, o.Start, o.End)
+	}
 	return fmt.Sprintf("p%d %s(%d)=%t [%d,%d]", o.Proc, o.Kind, o.Key, o.Result, o.Start, o.End)
 }
 
@@ -93,6 +126,10 @@ func NewRecorder(threads, opsPerThread int) *Recorder {
 
 // Thread returns worker i's private recording handle.
 func (r *Recorder) Thread(i int) *Thread { return r.threads[i] }
+
+// Now reads the clock: the number of invocations and responses stamped so
+// far.
+func (r *Recorder) Now() int64 { return r.clock.Load() }
 
 // Ops merges all threads' operations. Call only after every worker has
 // finished.
@@ -124,21 +161,39 @@ func (t *Thread) End(op Op, result bool) {
 	t.ops = append(t.ops, op)
 }
 
+// Abandon records ops as pending: their replies never arrived because the
+// server crashed. Each End is stamped as End stamps it, after the crash and
+// before any op invoked once the thread has given up.
+func (t *Thread) Abandon(ops ...Op) {
+	for _, op := range ops {
+		op.Pending = true
+		op.End = t.rec.clock.Add(1)
+		t.ops = append(t.ops, op)
+	}
+}
+
 // Violation describes a non-linearizable sub-history: Segment holds the
-// key's pending ops at the point where none of them could be linearized.
+// key's unlinearized ops at the point where none of them could go next.
 type Violation struct {
 	Key     int
 	Segment []Op
 }
 
 func (v *Violation) Error() string {
-	return fmt.Sprintf("history not linearizable for key %d (%d pending ops, none can go next)", v.Key, len(v.Segment))
+	return fmt.Sprintf("history not linearizable for key %d (%d ops left, none can go next)", v.Key, len(v.Segment))
 }
 
 // Check verifies that ops form a linearizable dictionary history starting
-// from the empty dictionary. It returns nil if linearizable and a
-// *Violation if not. Every op must have Start <= End, as recorded ones do.
+// from the empty dictionary, durably so across the crash that its pending
+// ops mark, if any. It returns nil if so and a *Violation if not. Every op
+// must have Start <= End, as recorded ones do.
 func Check(ops []Op) error {
+	crash := int64(never)
+	for _, o := range ops {
+		if o.Pending {
+			crash = min(crash, o.End)
+		}
+	}
 	ops = slices.Clone(ops)
 	slices.SortFunc(ops, func(a, b Op) int {
 		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Start, b.Start))
@@ -148,7 +203,17 @@ func Check(ops []Op) error {
 		for hi < len(ops) && ops[hi].Key == ops[lo].Key {
 			hi++
 		}
-		if err := checkKey(ops[lo:hi]); err != nil {
+		// The key's ops invoked by the crash, then the ones after it,
+		// less the pending ones, which took no effect.
+		cut := lo + sort.Search(hi-lo, func(i int) bool { return ops[lo+i].Start > crash })
+		state, spare, err := checkKey(ops[lo:cut], 0)
+		if err == nil {
+			post := slices.DeleteFunc(ops[cut:hi], func(o Op) bool { return o.Pending })
+			if _, _, err = checkKey(post, state); err != nil && spare[1-state] > 0 {
+				_, _, err = checkKey(post, 1-state)
+			}
+		}
+		if err != nil {
 			return err
 		}
 		lo = hi
@@ -158,27 +223,36 @@ func Check(ops []Op) error {
 
 const never = math.MaxInt64
 
-// checkKey runs the greedy pass over one key's ops, sorted by Start. The
-// bit's state indexes everything: updates[v] holds the pending successful
-// updates that set the bit to v (deletes, inserts) and reads[v] the pending
-// reads of v, which wait for the bit to become v, so reads[state] is empty.
-func checkKey(ops []Op) error {
-	state := 0
+// checkKey runs the greedy pass over one key's ops, sorted by Start, from
+// the given state, and returns the state it ends in and the spare pending
+// updates. The bit's state indexes everything: updates[v] holds the
+// unlinearized successful updates that set the bit to v (deletes, inserts),
+// reads[v] the unlinearized reads of v, which wait for the bit to become v,
+// so reads[state] is empty, and spare[v] counts the admitted pending
+// updates that set it to v and are still unused.
+func checkKey(ops []Op, state int) (int, [2]int, error) {
 	var updates [2]byEnd
 	var reads [2][]Op
+	var spare [2]int
 	readEnd := [2]int64{never, never} // earliest response in reads[v]
 	for next := 0; ; {
 		// Admit, in invocation order, every op invoked no later than the
-		// earliest response among the pending ops. An admitted op stays
-		// admissible, since each op admitted after it responds no earlier
-		// than it was invoked, so one forward pointer suffices.
+		// earliest response among the unlinearized completed ops. An
+		// admitted op stays admissible, since each op admitted after it
+		// responds no earlier than it was invoked, so one forward pointer
+		// suffices.
 		minEnd := min(readEnd[0], readEnd[1], updates[0].minEnd(), updates[1].minEnd())
 		for ; next < len(ops) && ops[next].Start <= minEnd; next++ {
 			o := ops[next]
 			v, update, ok := effect(o)
 			switch {
 			case !ok:
-				return &Violation{Key: o.Key, Segment: []Op{o}}
+				return state, spare, &Violation{Key: o.Key, Segment: []Op{o}}
+			case o.Pending:
+				if o.Kind != KindSearch {
+					spare[v]++
+				}
+				continue
 			case update:
 				heap.Push(&updates[v], o)
 			case v == state:
@@ -189,18 +263,22 @@ func checkKey(ops []Op) error {
 			}
 			minEnd = min(minEnd, o.End)
 		}
-		// No admitted read matches the bit, so it must flip: the flipping
-		// update with the earliest response goes next.
+		// No admitted read matches the bit, so it must flip: the completed
+		// flipping update with the earliest response goes next, or else a
+		// spare pending one.
 		flip := 1 - state
-		if len(updates[flip]) == 0 {
-			if len(reads[flip]) == 0 && len(updates[state]) == 0 {
-				return nil // nothing pending, so every op was admitted
-			}
+		switch {
+		case len(updates[flip]) > 0:
+			heap.Pop(&updates[flip])
+		case len(reads[flip]) == 0 && len(updates[state]) == 0:
+			return state, spare, nil // nothing left to linearize, so every op was admitted
+		case spare[flip] > 0:
+			spare[flip]--
+		default:
 			seg := slices.Concat(reads[flip], updates[0], updates[1])
 			slices.SortFunc(seg, func(a, b Op) int { return cmp.Compare(a.Start, b.Start) })
-			return &Violation{Key: seg[0].Key, Segment: seg}
+			return state, spare, &Violation{Key: seg[0].Key, Segment: seg}
 		}
-		heap.Pop(&updates[flip])
 		state = flip
 		reads[state], readEnd[state] = reads[state][:0], never
 	}

@@ -197,6 +197,81 @@ func TestCheckSegmentationCarriesState(t *testing.T) {
 	}
 }
 
+func pending(kind Kind, key int, start, end int64) Op {
+	return Op{Kind: kind, Key: key, Pending: true, Start: start, End: end}
+}
+
+// TestCrashPendingInsertExplainsAckedDelete: an acked delete of a key no
+// acked insert wrote is explained by an insert whose reply the crash cut
+// off, and by nothing else.
+func TestCrashPendingInsertExplainsAckedDelete(t *testing.T) {
+	ops := []Op{
+		pending(KindInsert, 1, 1, 10),
+		op(KindDelete, 1, true, 2, 5),
+		op(KindSearch, 1, false, 11, 12), // after the restart
+	}
+	if err := Check(ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := Check(ops[1:]); !errors.As(err, new(*Violation)) {
+		t.Fatalf("without the pending insert: err = %v, want a *Violation", err)
+	}
+}
+
+// TestCrashPendingInsertCannotExplainSecondRead: a pending insert may have
+// taken effect before the crash, so a read after the restart may find the
+// key, but it cannot take effect between two such reads. Recorded through
+// a Recorder, so Abandon stamps the cut.
+func TestCrashPendingInsertCannotExplainSecondRead(t *testing.T) {
+	for _, second := range []bool{true, false} {
+		rec := NewRecorder(2, 4)
+		w, r := rec.Thread(0), rec.Thread(1)
+		o := w.Begin(KindInsert, 3)
+		w.Abandon(o)
+		for _, found := range []bool{true, second} {
+			o := r.Begin(KindSearch, 3)
+			r.End(o, found)
+		}
+		err := Check(rec.Ops())
+		if second && err != nil {
+			t.Fatalf("two finds after the crash: %v", err)
+		}
+		if !second && !errors.As(err, new(*Violation)) {
+			t.Fatalf("a find, then a miss, after the crash: err = %v, want a *Violation", err)
+		}
+	}
+}
+
+// TestCrashPendingSearchIgnored: a search cut off by the crash read
+// nothing, so it neither explains nor contradicts anything.
+func TestCrashPendingSearchIgnored(t *testing.T) {
+	ops := []Op{
+		pending(KindSearch, 1, 1, 10),
+		op(KindSearch, 1, true, 11, 12),
+	}
+	if err := Check(ops); !errors.As(err, new(*Violation)) {
+		t.Fatalf("a find explained by a pending search: err = %v, want a *Violation", err)
+	}
+	if err := Check(ops[:1]); err != nil {
+		t.Fatalf("a lone pending search: %v", err)
+	}
+}
+
+// TestCrashAllPendingKeyPasses: a key whose every op the crash cut off
+// passes, whatever their kinds and however they overlap.
+func TestCrashAllPendingKeyPasses(t *testing.T) {
+	ops := []Op{
+		pending(KindDelete, 4, 1, 9),
+		pending(KindInsert, 4, 2, 8),
+		pending(KindInsert, 4, 3, 10),
+		pending(KindSearch, 4, 4, 11),
+		op(KindInsert, 5, true, 1, 2), // another key, acked
+	}
+	if err := Check(ops); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRecorderWithCoreList runs a real concurrent workload against the
 // core list and checks the recorded history end to end, in several rounds
 // with different op streams; every round must linearize.

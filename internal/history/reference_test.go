@@ -4,22 +4,37 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"testing"
 )
 
 // The reference checker is the Wing-Gong search with memoization that
-// Check replaced: exhaustive over the orders of each quiescent segment, so
-// obviously exact, and exponential, so it memoizes linearized sets in a
-// uint64 and takes at most 63 ops per segment. The tests below hold the
-// greedy pass to it on small histories.
+// Check replaced, extended to the crash cut: exhaustive over the orders of
+// each key's ops, so obviously exact, and exponential, so it memoizes
+// done sets in a uint64 and takes at most 64 ops per key. The tests below
+// hold the greedy pass to it on small histories.
 
-// refCheck reports whether ops are linearizable according to the
-// reference search.
+// refCheck reports whether ops are durably linearizable according to the
+// reference search. It states the crash cut as interval edits: the crash
+// is the earliest pending End, an op invoked by then responds by then, a
+// pending op invoked after it is gone, and a pending search is gone too.
 func refCheck(ops []Op) bool {
+	crash := int64(1<<62 - 1)
+	for _, o := range ops {
+		if o.Pending {
+			crash = min(crash, o.End)
+		}
+	}
 	byKey := make(map[int][]Op)
 	for _, o := range ops {
-		byKey[o.Key] = append(byKey[o.Key], o)
+		if o.Start <= crash {
+			o.End = min(o.End, crash)
+		} else if o.Pending {
+			continue
+		}
+		if !o.Pending || o.Kind != KindSearch {
+			byKey[o.Key] = append(byKey[o.Key], o)
+		}
 	}
 	for _, kops := range byKey {
 		if !refCheckKey(kops) {
@@ -29,60 +44,32 @@ func refCheck(ops []Op) bool {
 	return true
 }
 
-// refCheckKey checks one key's sub-history against the presence-bit
-// object, split into segments at quiescent cuts.
-func refCheckKey(ops []Op) bool {
-	sort.Slice(ops, func(i, j int) bool { return ops[i].Start < ops[j].Start })
-	state := false
-	segStart := 0
-	maxEnd := int64(-1)
-	for i, o := range ops {
-		if i > segStart && o.Start > maxEnd {
-			var ok bool
-			state, ok = refCheckSegment(ops[segStart:i], state)
-			if !ok {
-				return false
-			}
-			segStart = i
-		}
-		if o.End > maxEnd {
-			maxEnd = o.End
-		}
-		if i-segStart >= 63 {
-			panic(fmt.Sprintf("reference checker: segment of %d ops exceeds its 63-op mask", i-segStart+1))
-		}
-	}
-	if segStart < len(ops) {
-		if _, ok := refCheckSegment(ops[segStart:], state); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// refNode identifies a search node: the set of already-linearized ops plus
-// the presence state.
+// refNode identifies a search node: the set of ops already linearized or
+// dropped, plus the presence state.
 type refNode struct {
 	mask  uint64
 	state bool
 }
 
-// refCheckSegment runs Wing-Gong search over one segment. It returns the
-// final state (determined by the parity of successful updates) and whether
-// a valid linearization exists.
-func refCheckSegment(ops []Op, initial bool) (bool, bool) {
-	final := initial
-	for _, o := range ops {
-		if (o.Kind == KindInsert || o.Kind == KindDelete) && o.Result {
-			final = !final
+// refCheckKey runs Wing-Gong search over one key's ops against the
+// presence-bit object. An op may go next iff no op still to place
+// responded before it was invoked; a pending op may also be dropped at any
+// point. The search succeeds once every completed op is placed.
+func refCheckKey(ops []Op) bool {
+	n := len(ops)
+	if n > 64 {
+		panic(fmt.Sprintf("reference checker: %d ops on one key exceed its 64-op mask", n))
+	}
+	var required uint64
+	for i, o := range ops {
+		if !o.Pending {
+			required |= 1 << i
 		}
 	}
-	n := len(ops)
-	full := uint64(1)<<n - 1
 	seen := make(map[refNode]bool)
 	var dfs func(mask uint64, state bool) bool
 	dfs = func(mask uint64, state bool) bool {
-		if mask == full {
+		if mask&required == required {
 			return true
 		}
 		mk := refNode{mask, state}
@@ -90,8 +77,6 @@ func refCheckSegment(ops []Op, initial bool) (bool, bool) {
 			return false
 		}
 		seen[mk] = true
-		// minEnd over un-linearized ops: an op is a legal next choice
-		// only if no un-linearized op responded before it was invoked.
 		minEnd := int64(1<<62 - 1)
 		for i := 0; i < n; i++ {
 			if mask&(1<<i) == 0 && ops[i].End < minEnd {
@@ -103,35 +88,36 @@ func refCheckSegment(ops []Op, initial bool) (bool, bool) {
 				continue
 			}
 			o := ops[i]
+			if o.Pending && dfs(mask|1<<i, state) {
+				return true // dropped
+			}
 			if o.Start > minEnd {
 				continue // real-time order forbids linearizing o yet
 			}
 			next, ok := refApply(o, state)
-			if !ok {
-				continue
-			}
-			if dfs(mask|1<<i, next) {
+			if ok && dfs(mask|1<<i, next) {
 				return true
 			}
 		}
 		return false
 	}
-	return final, dfs(0, initial)
+	return dfs(0, false)
 }
 
 // refApply checks o against the presence-bit spec in the given state and
-// returns the next state.
+// returns the next state. A pending update takes effect, so it must
+// succeed.
 func refApply(o Op, present bool) (bool, bool) {
 	switch o.Kind {
 	case KindSearch:
 		return present, o.Result == present
 	case KindInsert:
-		if o.Result != !present {
+		if !o.Pending && o.Result != !present || o.Pending && present {
 			return present, false
 		}
 		return true, true
 	case KindDelete:
-		if o.Result != present {
+		if !o.Pending && o.Result != present || o.Pending && !present {
 			return present, false
 		}
 		return false, true
@@ -156,9 +142,11 @@ func agree(ops []Op) error {
 }
 
 // diffCase builds differential case seed: one key and 1-14 ops. Even seeds
-// draw random kinds, results and intervals; odd seeds run a serial script
-// against the presence bit, widen each response, and flip one result half
-// of the time.
+// draw random kinds, results, intervals and pending flags; odd seeds run a
+// serial script against the presence bit, widen each response, and flip
+// one result half of the time. Half the scripts crash: up to three ops in
+// a row are abandoned, each taking effect or not, and respond after the
+// last of them was invoked, so most ops after them follow the crash.
 func diffCase(seed uint64) []Op {
 	rng := rand.New(rand.NewPCG(seed, 0x5eed))
 	n := 1 + rng.IntN(14)
@@ -166,14 +154,26 @@ func diffCase(seed uint64) []Op {
 	if seed%2 == 0 {
 		for i := range ops {
 			start := rng.Int64N(int64(2 * n))
-			ops[i] = Op{Kind: Kind(1 + rng.IntN(3)), Result: rng.IntN(2) == 1,
+			ops[i] = Op{Kind: Kind(1 + rng.IntN(3)), Result: rng.IntN(2) == 1, Pending: rng.IntN(4) == 0,
 				Start: start, End: start + rng.Int64N(int64(n)), Proc: i}
 		}
 		return ops
 	}
+	crash := n
+	if rng.IntN(2) == 1 {
+		crash = rng.IntN(n)
+	}
 	present := false
 	for i := range ops {
 		o := Op{Kind: Kind(1 + rng.IntN(3)), Start: int64(2 * i), End: int64(2*i + 1), Proc: i}
+		o.End += rng.Int64N(8)
+		if i >= crash && i < crash+3 {
+			o.Pending, o.End = true, int64(2*(crash+3))+rng.Int64N(4)
+			if rng.IntN(2) == 0 {
+				ops[i] = o
+				continue // it never took effect
+			}
+		}
 		switch o.Kind {
 		case KindSearch:
 			o.Result = present
@@ -182,7 +182,6 @@ func diffCase(seed uint64) []Op {
 		case KindDelete:
 			o.Result, present = present, false
 		}
-		o.End += rng.Int64N(8)
 		ops[i] = o
 	}
 	if rng.IntN(2) == 1 {
@@ -193,30 +192,38 @@ func diffCase(seed uint64) []Op {
 }
 
 // TestCheckMatchesReference holds Check to the reference search on
-// 100 000 seeded one-key histories of at most 14 ops. Both verdicts must
-// be common, or the comparison says little.
+// 100 000 seeded one-key histories of at most 14 ops, about two thirds of
+// them with a crash cut. Both verdicts must be common, with and without a
+// crash, or the comparison says little.
 func TestCheckMatchesReference(t *testing.T) {
 	const cases, base = 100_000, 1 << 32
-	linearizable := 0
+	var total, linearizable [2]int // indexed by whether the history crashed
 	for seed := uint64(base); seed < base+cases; seed++ {
 		ops := diffCase(seed)
 		if err := agree(ops); err != nil {
 			t.Fatalf("diffCase(%d): %v", seed, err)
 		}
+		crashed := 0
+		if slices.ContainsFunc(ops, func(o Op) bool { return o.Pending }) {
+			crashed = 1
+		}
+		total[crashed]++
 		if Check(ops) == nil {
-			linearizable++
+			linearizable[crashed]++
 		}
 	}
-	t.Logf("%d of %d histories linearizable", linearizable, cases)
-	if linearizable < cases/5 || linearizable > cases*4/5 {
-		t.Fatalf("%d of %d histories linearizable: the cases are too one-sided", linearizable, cases)
+	for crashed, name := range []string{"without a crash", "with a crash"} {
+		t.Logf("%d of %d histories %s linearizable", linearizable[crashed], total[crashed], name)
+		if n := total[crashed]; n < cases/10 || linearizable[crashed] < n/5 || linearizable[crashed] > n*4/5 {
+			t.Fatalf("%d of %d histories %s linearizable: the cases are too one-sided", linearizable[crashed], n, name)
+		}
 	}
 }
 
 // FuzzCheck compares Check with the reference on histories of at most 16
 // ops over two keys, three bytes an op: the first holds the kind (low two
-// bits), the result (bit 2) and the key (bit 3), the second the invocation
-// and the third the duration.
+// bits), the result (bit 2), the key (bit 3) and whether the op is pending
+// (bit 4), the second the invocation and the third the duration.
 func FuzzCheck(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1})                              // a search that misses
@@ -224,12 +231,17 @@ func FuzzCheck(f *testing.F) {
 	f.Add([]byte{5, 0, 9, 5, 1, 9})                     // two overlapping successful inserts
 	f.Add([]byte{5, 0, 9, 6, 1, 9, 0, 2, 9, 4, 3, 9})   // insert, delete and both reads, all overlapping
 	f.Add([]byte{5, 0, 1, 13, 0, 1, 4, 2, 1, 12, 2, 1}) // two keys, inserted then found
+	f.Add([]byte{17, 0, 5, 4, 6, 1})                    // a pending insert explains a find after the crash
+	f.Add([]byte{17, 0, 5, 4, 6, 1, 0, 8, 1})           // but not a miss after that find
+	f.Add([]byte{17, 0, 9, 6, 1, 2})                    // an acked delete needs the pending insert
+	f.Add([]byte{16, 0, 3, 4, 4, 1})                    // a pending search explains nothing
+	f.Add([]byte{5, 0, 1, 18, 2, 6, 25, 3, 4, 0, 9, 1}) // pending deletes on two keys, then a miss
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ops []Op
 		for i := 0; i+3 <= len(data) && len(ops) < 16; i += 3 {
 			b := data[i]
 			start := int64(data[i+1] % 32)
-			ops = append(ops, Op{Kind: Kind(1 + (b&3)%3), Result: b&4 != 0, Key: int(b >> 3 & 1),
+			ops = append(ops, Op{Kind: Kind(1 + (b&3)%3), Result: b&4 != 0, Key: int(b >> 3 & 1), Pending: b&16 != 0,
 				Start: start, End: start + int64(data[i+2]%16), Proc: len(ops)})
 		}
 		if err := agree(ops); err != nil {

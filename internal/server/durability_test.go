@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -9,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/history"
+	"repro/internal/snapshot"
 	"repro/internal/wal"
 	"repro/lockfree"
 )
@@ -151,6 +154,94 @@ func TestDurabilitySyncFailedLogDropsConnection(t *testing.T) {
 	}
 	if l.Err() == nil {
 		t.Fatal("the log latched no failure")
+	}
+}
+
+// parkedSetStore parks the first SET of key after its Insert has applied
+// and before the server gets to log it: it closes applied and waits for
+// release.
+type parkedSetStore struct {
+	Store
+	key     int
+	applied chan struct{}
+	release chan struct{}
+}
+
+func (s *parkedSetStore) Insert(k int, v string) bool {
+	ok := s.Store.Insert(k, v)
+	if k == s.key && s.applied != nil {
+		close(s.applied)
+		s.applied = nil
+		<-s.release
+	}
+	return ok
+}
+
+// TestDurabilityCrossConnectionRaceResurrects reproduces the log-order
+// race of DESIGN.md Section 13 under wal-sync. Connection A's SET k
+// applies and parks before its reply site, where it would log; connection
+// B's DEL k then applies, logs and is acked. A is released and acked too,
+// so the log holds DEL before SET, the opposite of the apply order. After
+// a crash, recovery replays it to k present, a state no client saw after
+// both acks, and the history checker rejects the read that finds it.
+// Ordering each key's appends at the apply site (ROADMAP item 2(a))
+// flips this assertion.
+func TestDurabilityCrossConnectionRaceResurrects(t *testing.T) {
+	const k = 7
+	dir := t.TempDir()
+	l, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &parkedSetStore{Store: lockfree.NewSkipList[int, string](), key: k,
+		applied: make(chan struct{}), release: make(chan struct{})}
+	applied := store.applied
+	srv := New(Config{Durability: DurabilitySync, WAL: l}, store)
+	clA, brA := pipeConn(t, srv)
+	clB, brB := pipeConn(t, srv)
+	rec := history.NewRecorder(3, 1)
+	a, b, reader := rec.Thread(0), rec.Thread(1), rec.Thread(2)
+
+	set := a.Begin(history.KindInsert, k)
+	if _, err := clA.Write([]byte(fmt.Sprintf("SET %d a\n", k))); err != nil {
+		t.Fatal(err)
+	}
+	<-applied
+	del := b.Begin(history.KindDelete, k)
+	if _, err := clB.Write([]byte(fmt.Sprintf("DEL %d\n", k))); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustReadLine(t, brB); got != ":1" {
+		t.Fatalf("DEL = %q, want :1", got)
+	}
+	b.End(del, true)
+	close(store.release)
+	if got := mustReadLine(t, brA); got != ":1" {
+		t.Fatalf("SET = %q, want :1", got)
+	}
+	a.End(set, true)
+
+	// Crash: both acks are fsynced (wal-sync), so stop and recover.
+	clA.Close()
+	clB.Close()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered := lockfree.NewSkipList[int, string]()
+	l2, _, err := snapshot.Recover(dir, wal.Options{},
+		func(k int64, v string) bool { return recovered.Insert(int(k), v) },
+		func(k int64) { recovered.Delete(int(k)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	read := reader.Begin(history.KindSearch, k)
+	_, found := recovered.Get(k)
+	reader.End(read, found)
+
+	var v *history.Violation
+	if err := history.Check(rec.Ops()); !errors.As(err, &v) || v.Key != k {
+		t.Fatalf("Check = %v, want a *Violation on key %d", err, k)
 	}
 }
 

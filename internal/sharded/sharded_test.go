@@ -172,7 +172,7 @@ func TestBatchLargeMultiShard(t *testing.T) {
 	m := New[int, int](quarters())
 	const n = 800
 	items := make([]core.KV[int, int], n)
-	perm := rand.Perm(1024)
+	perm := rand.New(rand.NewPCG(1024, 175)).Perm(1024)
 	for i := 0; i < n; i++ {
 		items[i] = core.KV[int, int]{Key: perm[i], Value: perm[i] * 3}
 	}

@@ -29,8 +29,9 @@
 // Ordering contract: records are appended in each connection's reply
 // order, so per-connection per-key program order is exactly the log
 // order. Mutations of one key racing across connections may be logged
-// in either order — the same weak-consistency trade the paper's
-// iteration semantics make, documented in DESIGN.md Section 13.
+// in the opposite of their apply order, and a crash can then resurrect
+// a deleted key: TestDurabilityCrossConnectionRaceResurrects in
+// internal/server reproduces it (DESIGN.md Section 13).
 package wal
 
 import (

@@ -19,14 +19,16 @@
 #      the step ledgers twice over at GOMAXPROCS=1 and 2 (determinism),
 #   5. a ten-second FuzzRESP run over the wire-protocol readers: hostile
 #      bytes must fail requests, never hang or kill the serving goroutine,
+#      and a ten-second FuzzCheck run holding the history checker, crash
+#      cuts included, to its exhaustive reference,
 #   6. short lflstress runs: a -server smoke (an in-process TCP server
 #      per round, pipelined mixed workloads, linearizability-checked, with
 #      the graceful drain asserted at each round's end), fr-list with and
 #      without node recycling and fr-skiplist with it, and two dense legs
 #      (every op of a round on one key, in process and over the wire) —
 #      plus a race-built
-#      kill-and-recover smoke: SIGKILL a wal-sync child server mid-burst
-#      and verify every acked write survives recovery,
+#      kill-and-recover smoke: SIGKILL a wal-sync child server mid-burst,
+#      recover, and check the history is durably linearizable,
 #   7. an observability smoke: a real lflserver with its admin listener
 #      up, the /metrics, /debug/trace, and /debug/pprof surfaces curled
 #      and sanity-checked, then a clean SIGTERM drain — plus, when a
@@ -169,6 +171,13 @@ GOMAXPROCS=8 go test -race -count=5 -run 'Concurrent|WaitDurable|Rotation' ./int
 echo "== fuzz: FuzzRESP for 10s =="
 go test -fuzz=FuzzRESP -fuzztime=10s -run '^$' ./internal/server
 
+# Checker fuzz: ten seconds of arbitrary two-key histories, pending ops
+# and crash cuts included, each judged by history.Check and by the
+# exhaustive Wing-Gong reference in reference_test.go; any disagreement
+# fails.
+echo "== fuzz: FuzzCheck for 10s =="
+go test -fuzz=FuzzCheck -fuzztime=10s -run '^$' ./internal/history
+
 # End-to-end serving smoke: lflstress in -server self mode starts a real
 # TCP server per round, drives it with pipelined mixed workloads over
 # several connections, checks every history for linearizability, and
@@ -209,13 +218,13 @@ go run ./cmd/lflstress -impl fr-skiplist -recycle -threads 6 -ops 500 -keys 16 -
 go run ./cmd/lflstress -server self -recycle -threads 4 -ops 400 -keys 32 -rounds 2 -batch 8
 
 # Kill-and-recover smoke: lflstress re-execs itself as a wal-sync child
-# server, SIGKILLs it mid-burst, restarts it from the same WAL directory,
-# and verifies every client-acked write survived (and that in-flight
-# unacked suffixes recovered to an admissible prefix). Run under -race:
-# the parent's workers, the child's serving goroutines, and the WAL
-# committer are all instrumented (the child is a re-exec of the same
-# race-built binary, and recovers through snapshot.Recover, the routine
-# lflserver boots with).
+# server, drives it with the -server client loop, SIGKILLs it mid-burst,
+# restarts it from the same WAL directory, reads every key back, and hands
+# the whole history, the ops the kill cut off included, to history.Check:
+# it must be durably linearizable. Run under -race: the parent's workers,
+# the child's serving goroutines, and the WAL committer are all
+# instrumented (the child is a re-exec of the same race-built binary, and
+# recovers through snapshot.Recover, the routine lflserver boots with).
 echo "== lflstress -killrecover smoke (race) =="
 go run -race ./cmd/lflstress -killrecover -threads 4 -ops 4000 -keys 32 -rounds 2
 
